@@ -2204,6 +2204,9 @@ fn cmd_calibrate(args: &[String]) -> i32 {
     let mut csv_text =
         String::from("family,seed,target,achieved,deviation,tolerance,spread,within\n");
     let mut out_of_tolerance = 0u64;
+    let members: Vec<_> =
+        families.iter().flat_map(|&family| (0..seeds).map(move |seed| (family, seed))).collect();
+    st_workloads::generate::resolve_members(&members);
     for &family in &families {
         let mut worst = 0.0f64;
         for seed in 0..seeds {

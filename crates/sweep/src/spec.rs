@@ -253,7 +253,7 @@ impl SweepSpec {
                  (`gen:<family>:<seed>`); fixed profiles ignore the seed"
                 .to_string());
         }
-        let workloads = self.resolve_workloads()?;
+        let members = self.generative_members()?;
         let experiments = self.resolve_experiments()?;
         let mut bound = self.axes.clone();
         bound.sort_by_key(|b| b.axis().index());
@@ -262,6 +262,10 @@ impl SweepSpec {
                 return err(format!("axis `{}` bound more than once", pair[0].name));
             }
         }
+        // The spec is valid: calibrate every generative member the grid
+        // needs on every core, so the expansion below only reads the memo.
+        st_workloads::generate::resolve_members(&members);
+        let workloads = self.resolve_workloads()?;
 
         // Cartesian product over the bound axes.
         let mut combos: Vec<Vec<(&'static str, AxisValue)>> = vec![Vec::new()];
@@ -308,6 +312,34 @@ impl SweepSpec {
                 st_workloads::by_name(name).ok_or_else(|| SpecError(unknown_workload_message(name)))
             })
             .collect()
+    }
+
+    /// The distinct generative members the grid resolves: each `gen:`
+    /// workload at its own seed and at every `workload_seed` value.
+    /// Checks workload names as [`SweepSpec::resolve_workloads`] does,
+    /// without deriving anything.
+    fn generative_members(&self) -> Result<Vec<(&'static st_workloads::Family, u64)>, SpecError> {
+        let axis_seeds = self.axis_values("workload_seed").unwrap_or_default();
+        let mut seen = std::collections::HashSet::new();
+        let mut members = Vec::new();
+        for name in &self.workloads {
+            let Some((family, own_seed)) = st_workloads::generate::parse_name(name) else {
+                if st_workloads::by_name(name).is_none() {
+                    return err(unknown_workload_message(name));
+                }
+                continue;
+            };
+            let seeds = axis_seeds.iter().filter_map(|v| match *v {
+                AxisValue::Int(seed) => Some(seed),
+                AxisValue::Float(_) => None,
+            });
+            for seed in std::iter::once(own_seed).chain(seeds) {
+                if seen.insert((family.name, seed)) {
+                    members.push((family, seed));
+                }
+            }
+        }
+        Ok(members)
     }
 
     /// Resolved experiments (C2 when unspecified).
@@ -936,6 +968,32 @@ mod tests {
         assert_eq!(names, vec!["gen:server:0", "gen:server:1", "gen:server:2", "gen:server:3"]);
         // Same grid again — resolution is deterministic, so the jobs match.
         assert_eq!(spec.points().expect("again"), points);
+    }
+
+    #[test]
+    fn generative_members_list_each_grid_member_once() {
+        let spec = SweepSpec::parse(
+            "workloads = [\"go\", \"gen:jit:7\", \"gen:jit:1\", \"gen:mix:0\"]\n\
+             axis.workload_seed = \"0..3\"\n",
+        )
+        .expect("parse");
+        let members = spec.generative_members().expect("known workloads");
+        let keys: Vec<(&str, u64)> = members.iter().map(|(f, seed)| (f.name, *seed)).collect();
+        assert_eq!(
+            keys,
+            [("jit", 7), ("jit", 0), ("jit", 1), ("jit", 2), ("mix", 0), ("mix", 1), ("mix", 2)]
+        );
+        // Without the axis, each `gen:` workload needs only its own seed.
+        let own = SweepSpec::parse("workloads = [\"gen:server:4\", \"gcc\"]\n").expect("parse");
+        let members = own.generative_members().expect("known workloads");
+        assert_eq!(
+            members.iter().map(|(f, seed)| (f.name, *seed)).collect::<Vec<_>>(),
+            [("server", 4)]
+        );
+        // Unknown names fail with resolution's own diagnostic, before any
+        // member is derived.
+        let typo = SweepSpec { workloads: vec!["gen:jitt:1".into(), "gen:jit:7".into()], ..own };
+        assert_eq!(typo.generative_members().unwrap_err(), typo.resolve_workloads().unwrap_err());
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! rate so profiles can be anchored to the paper's Table 2.
 
 use st_bpred::{DirectionPredictor, GlobalHistory, Gshare};
-use st_isa::{OpClass, Walker, WorkloadSpec};
+use st_isa::{BranchState, Program, WorkloadSpec};
 
 /// Measures the misprediction rate an in-order gshare of `table_bytes`
-/// sees over the first `instructions` architectural instructions of the
-/// workload's program.
+/// sees on the workload's committed instruction stream: the first
+/// `instructions / 2` architectural instructions warm the predictor
+/// uncounted, and the `instructions` after them are measured (see
+/// [`measure_gshare_miss_rate_warm`]).
 ///
 /// This is the measurement the profile constants were calibrated against.
 /// It deliberately excludes pipeline effects (speculative history repair,
@@ -22,6 +24,15 @@ pub fn measure_gshare_miss_rate(spec: &WorkloadSpec, instructions: u64, table_by
 /// Table 2 characterises steady-state benchmark behaviour (the paper runs
 /// hundreds of millions of instructions), so cold-start transients are
 /// excluded from the calibration measurement.
+///
+/// The probe steps the committed path a block at a time rather than an
+/// instruction at a time. It is exact: program validation puts every
+/// conditional branch last in its block, and a branch's outcome depends
+/// only on its own [`BranchState`], so no other instruction (nor any
+/// memory address) can influence what gshare sees. The branch ending a
+/// block that starts at stream index `i` sits at index `i + len - 1`; it
+/// is walked iff that index is below `warmup + instructions`, and
+/// counted iff it is also at least `warmup`.
 #[must_use]
 pub fn measure_gshare_miss_rate_warm(
     spec: &WorkloadSpec,
@@ -29,27 +40,43 @@ pub fn measure_gshare_miss_rate_warm(
     instructions: u64,
     table_bytes: usize,
 ) -> f64 {
-    let program = spec.generate();
-    let mut walker = Walker::new(&program);
+    gshare_miss_rate(&spec.generate(), warmup, instructions, table_bytes)
+}
+
+/// The probe behind [`measure_gshare_miss_rate_warm`], over an already
+/// generated program.
+fn gshare_miss_rate(program: &Program, warmup: u64, instructions: u64, table_bytes: usize) -> f64 {
+    let mut states = vec![BranchState::default(); program.branch_count()];
     let mut gshare = Gshare::with_table_bytes(table_bytes);
     let mut history = GlobalHistory::new(gshare.history_bits());
     let mut branches = 0u64;
     let mut misses = 0u64;
-    for i in 0..warmup + instructions {
-        let arch = walker.next_instr(&program);
-        if arch.instr.op != OpClass::Branch {
-            continue;
+    let end = warmup + instructions;
+    let mut block_id = program.entry();
+    // Stream index of the current block's first instruction.
+    let mut start = 0u64;
+    loop {
+        let block = program.block(block_id);
+        let len = block.len() as u64;
+        if start + len > end {
+            break;
         }
-        let taken = arch.taken.expect("branches carry outcomes");
-        let pred = gshare.predict(arch.pc, history.value());
-        if i >= warmup {
-            branches += 1;
-            if pred.taken != taken {
-                misses += 1;
+        let mut taken = false;
+        if let Some(branch) = block.terminator.branch_id() {
+            taken = program.branch_model(branch).next_outcome(&mut states[branch.index()]);
+            let pc = block.pc_at(block.len() - 1);
+            let pred = gshare.predict(pc, history.value());
+            if start + len > warmup {
+                branches += 1;
+                if pred.taken != taken {
+                    misses += 1;
+                }
             }
+            gshare.update(pc, history.value(), taken, pred.taken);
+            history.push(taken);
         }
-        gshare.update(arch.pc, history.value(), taken, pred.taken);
-        history.push(taken);
+        block_id = block.terminator.successor(taken);
+        start += len;
     }
     if branches == 0 {
         0.0
@@ -104,7 +131,95 @@ pub fn calibrate_hardness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_isa::BranchMix;
+    use st_isa::{BranchMix, OpClass, Walker};
+
+    /// The instruction-by-instruction walk the block-stepping probe
+    /// replaced, kept as the reference it must match bit for bit.
+    fn reference_miss_rate(
+        program: &Program,
+        warmup: u64,
+        instructions: u64,
+        table_bytes: usize,
+    ) -> f64 {
+        let mut walker = Walker::new(program);
+        let mut gshare = Gshare::with_table_bytes(table_bytes);
+        let mut history = GlobalHistory::new(gshare.history_bits());
+        let mut branches = 0u64;
+        let mut misses = 0u64;
+        for i in 0..warmup + instructions {
+            let arch = walker.next_instr(program);
+            if arch.instr.op != OpClass::Branch {
+                continue;
+            }
+            let taken = arch.taken.expect("branches carry outcomes");
+            let pred = gshare.predict(arch.pc, history.value());
+            if i >= warmup {
+                branches += 1;
+                if pred.taken != taken {
+                    misses += 1;
+                }
+            }
+            gshare.update(arch.pc, history.value(), taken, pred.taken);
+            history.push(taken);
+        }
+        if branches == 0 {
+            0.0
+        } else {
+            misses as f64 / branches as f64
+        }
+    }
+
+    /// The first committed-stream index at or after `from` that is not
+    /// the first instruction of its block.
+    fn mid_block_index(program: &Program, from: u64) -> u64 {
+        let mut walker = Walker::new(program);
+        loop {
+            let arch = walker.next_instr(program);
+            if arch.index >= from && arch.pc != program.block(arch.block).start_pc {
+                return arch.index;
+            }
+        }
+    }
+
+    #[test]
+    fn block_stepping_probe_matches_the_instruction_walk() {
+        let mut specs: Vec<WorkloadSpec> = crate::all().into_iter().map(|i| i.spec).collect();
+        for f in crate::families() {
+            specs.extend([0, 1].map(|seed| (f.base)(seed)));
+        }
+        let mut probes = 0;
+        for base in &specs {
+            for spread in [0.02, 0.1, 0.26, 0.5] {
+                let mut spec = base.clone();
+                spec.hard_bias_spread = spread;
+                let program = spec.generate();
+                // Warm-up and budget ends that split a block.
+                let warm = mid_block_index(&program, 997);
+                let end = mid_block_index(&program, warm + 4_001);
+                let cases = [
+                    (18_000, 36_000, 8 * 1024),
+                    (warm, end - warm, 8 * 1024),
+                    (warm, end - warm, 1),
+                    (0, end, 8 * 1024),
+                    (warm, 0, 8 * 1024),
+                    (0, 0, 8 * 1024),
+                ];
+                for (warmup, instructions, table) in cases {
+                    let fast = gshare_miss_rate(&program, warmup, instructions, table);
+                    let walked = reference_miss_rate(&program, warmup, instructions, table);
+                    assert_eq!(
+                        fast.to_bits(),
+                        walked.to_bits(),
+                        "{} at spread {spread}: warmup {warmup}, {instructions} instructions, \
+                         {table}-byte table: {fast} vs {walked}",
+                        spec.name
+                    );
+                    probes += 1;
+                }
+            }
+        }
+        assert_eq!(probes, 16 * 4 * 6);
+    }
 
     #[test]
     fn measurement_is_deterministic() {

@@ -24,10 +24,13 @@
 //! Every step is a pure function of `(family, seed)`: two processes that
 //! resolve the same name always build byte-identical programs. A
 //! process-wide memo table makes repeated resolution (grid expansion
-//! visits each name many times) cost one calibration per member.
+//! visits each name many times) cost one calibration per member, and
+//! [`resolve_members`] calibrates a whole list on every core.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,7 +63,7 @@ pub struct Family {
     /// `st calibrate`).
     pub tolerance: f64,
     /// Builds the uncalibrated base spec for one seed.
-    base: fn(u64) -> WorkloadSpec,
+    pub(crate) base: fn(u64) -> WorkloadSpec,
 }
 
 impl std::fmt::Debug for Family {
@@ -190,23 +193,83 @@ pub fn realized_miss_rate(spec: &WorkloadSpec) -> f64 {
     measure_gshare_miss_rate(spec, CAL_INSTRUCTIONS, 8 * 1024)
 }
 
-/// Process-wide derivation memo, keyed by (family index, seed).
-type MemberMemo = Mutex<HashMap<(usize, u64), (WorkloadSpec, Calibration)>>;
+fn family_index(family: &Family) -> usize {
+    FAMILIES.iter().position(|f| std::ptr::eq(f, family)).expect("registry family")
+}
+
+/// One memoised member: filled once, by whichever caller gets there first.
+type MemberCell = Arc<OnceLock<(WorkloadSpec, Calibration)>>;
+
+/// Process-wide derivation memo, keyed by (family index, seed). The map
+/// lock only guards cell lookup; derivation runs outside it.
+type MemberMemo = Mutex<HashMap<(usize, u64), MemberCell>>;
 
 fn memo() -> &'static MemberMemo {
     static MEMO: OnceLock<MemberMemo> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// The memo cell of one member; empty until its first resolution.
+fn member_cell(family: &Family, seed: u64) -> MemberCell {
+    let key = (family_index(family), seed);
+    Arc::clone(memo().lock().expect("calibration memo poisoned").entry(key).or_default())
+}
+
+/// The member held by `cell`, deriving it first if no caller has yet.
+fn fill<'a>(
+    cell: &'a OnceLock<(WorkloadSpec, Calibration)>,
+    family: &Family,
+    seed: u64,
+) -> &'a (WorkloadSpec, Calibration) {
+    cell.get_or_init(|| {
+        #[cfg(test)]
+        tests::record_derivation(family_index(family), seed);
+        derive(family, seed)
+    })
+}
+
 /// Resolves one family member, memoised process-wide. Because
 /// [`derive()`](fn@derive) is pure, memoisation is observationally invisible — it
 /// only saves re-running the calibration when grid expansion, lane
-/// grouping and emitters all resolve the same name.
+/// grouping and emitters all resolve the same name. Distinct members
+/// derive concurrently; concurrent callers of one member wait for a
+/// single derivation.
 #[must_use]
 pub fn resolve_member(family: &'static Family, seed: u64) -> (WorkloadSpec, Calibration) {
-    let idx = FAMILIES.iter().position(|f| std::ptr::eq(f, family)).expect("registry family");
-    let mut memo = memo().lock().expect("calibration memo poisoned");
-    memo.entry((idx, seed)).or_insert_with(|| derive(family, seed)).clone()
+    fill(&member_cell(family, seed), family, seed).clone()
+}
+
+/// Memoises every listed member, deriving the ones not yet memoised on
+/// `available_parallelism()` scoped threads, so that later
+/// [`resolve_member`] calls for them only read the memo. Derivation is
+/// pure, so which thread derives a member never shows in the result.
+pub fn resolve_members(members: &[(&'static Family, u64)]) {
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    resolve_members_on(members, threads);
+}
+
+/// [`resolve_members`] on at most `threads` threads, the caller's among
+/// them: with one thread, or at most one member left to derive, nothing
+/// is spawned.
+fn resolve_members_on(members: &[(&'static Family, u64)], threads: usize) {
+    let pending: Vec<(MemberCell, &Family, u64)> = members
+        .iter()
+        .map(|&(family, seed)| (member_cell(family, seed), family, seed))
+        .filter(|(cell, _, _)| cell.get().is_none())
+        .collect();
+    // Only hands out indices; each cell's `OnceLock` publishes its member.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while let Some((cell, family, seed)) = pending.get(next.fetch_add(1, Relaxed)) {
+            fill(cell, family, *seed);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(pending.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 /// Resolves a `gen:<family>:<seed>` name to its calibrated spec.
@@ -439,7 +502,76 @@ fn base_mix(seed: u64) -> WorkloadSpec {
 
 #[cfg(test)]
 mod tests {
+    use std::thread::ThreadId;
+
     use super::*;
+
+    /// Every derivation the memo has run in this process: the (family
+    /// index, seed) key and the thread that ran it.
+    static DERIVATIONS: Mutex<Vec<((usize, u64), ThreadId)>> = Mutex::new(Vec::new());
+
+    pub(super) fn record_derivation(idx: usize, seed: u64) {
+        DERIVATIONS.lock().unwrap().push(((idx, seed), std::thread::current().id()));
+    }
+
+    /// The threads that derived `(family, seed)`, one entry per derivation.
+    fn derivations_of(family: &Family, seed: u64) -> Vec<ThreadId> {
+        let key = (family_index(family), seed);
+        DERIVATIONS.lock().unwrap().iter().filter(|(k, _)| *k == key).map(|&(_, t)| t).collect()
+    }
+
+    #[test]
+    fn racing_resolvers_derive_each_member_once() {
+        // Seeds no other test resolves, so these keys' log entries are ours.
+        let keys: Vec<(&'static Family, u64)> =
+            families().iter().flat_map(|f| [(f, 910_001), (f, 910_002)]).collect();
+        let (front, back) = (&keys[..6], &keys[2..]);
+        let reversed: Vec<_> = keys.iter().rev().copied().collect();
+        let resolved = |list: &[(&'static Family, u64)]| {
+            list.iter().map(|&(f, seed)| ((f.name, seed), resolve_member(f, seed))).collect()
+        };
+        // All three resolvers start together, so they meet on shared keys.
+        let start = std::sync::Barrier::new(3);
+        let results: [Vec<_>; 3] = std::thread::scope(|scope| {
+            let racers = [
+                scope.spawn(|| {
+                    start.wait();
+                    resolve_members(front);
+                    resolved(front)
+                }),
+                scope.spawn(|| {
+                    start.wait();
+                    resolve_members_on(back, 3);
+                    resolved(back)
+                }),
+                scope.spawn(|| {
+                    start.wait();
+                    resolved(&reversed)
+                }),
+            ];
+            racers.map(|r| r.join().expect("resolver thread"))
+        });
+        for &(f, seed) in &keys {
+            let fresh = derive(f, seed);
+            let seen: Vec<_> =
+                results.iter().flatten().filter(|(k, _)| *k == (f.name, seed)).collect();
+            assert!(seen.len() >= 2, "{}:{seed} raced by at least two resolvers", f.name);
+            for (_, got) in seen {
+                assert_eq!(got, &fresh, "{}:{seed}: resolved member differs from derive", f.name);
+            }
+            assert_eq!(derivations_of(f, seed).len(), 1, "{}:{seed} derived once", f.name);
+        }
+    }
+
+    #[test]
+    fn one_thread_resolves_on_the_callers_thread() {
+        let keys = [(family("jit").unwrap(), 920_001), (family("mix").unwrap(), 920_002)];
+        resolve_members_on(&keys, 1);
+        for (f, seed) in keys {
+            assert_eq!(derivations_of(f, seed), [std::thread::current().id()], "no thread spawned");
+            assert_eq!(resolve_member(f, seed), derive(f, seed));
+        }
+    }
 
     #[test]
     fn name_grammar_round_trips() {

@@ -101,16 +101,53 @@ fn assert_within_tolerance(f: &Family, seed: u64) {
 }
 
 /// `calibrate_hardness` converges within each family's declared
-/// tolerance for a sampled set of seeds. Release CI sweeps a wider
-/// sample; debug builds keep the walk budget sane with three seeds per
-/// family.
+/// tolerance for a sampled set of seeds.
 #[test]
 fn calibration_converges_within_family_tolerance() {
-    let seeds: &[u64] = if cfg!(debug_assertions) { &[0, 1, 2] } else { &[0, 1, 2, 3, 5, 8, 13] };
     for f in families() {
-        for &seed in seeds {
+        for seed in [0, 1, 2, 3, 5, 8, 13] {
             assert_within_tolerance(f, seed);
         }
+    }
+}
+
+/// Bit-exact calibration results, `(family, seed, spread bits, achieved
+/// bits)`. Any change to a family's knob draws, the bisection or the
+/// gshare probe moves these. `spec2006:5`, `server:8` and `mix:23` enter
+/// one biased-share correction round and `jit:38` enters two.
+const CALIBRATION_GOLDEN: [(&str, u64, u64, u64); 16] = [
+    ("spec2006", 0, 0x3fd1_c7ae_147a_e148, 0x3fc6_5cb9_72e5_cb97),
+    ("spec2006", 1, 0x3fd6_75c2_8f5c_28f6, 0x3fc6_45eb_b350_120b),
+    ("spec2006", 2, 0x3f95_70a3_d70a_3d70, 0x3fc5_a64b_e728_b62b),
+    ("spec2006", 5, 0x3fdf_f0a3_d70a_3d70, 0x3fc6_bde5_fbed_f2ba),
+    ("server", 0, 0x3fdc_d1eb_851e_b852, 0x3fd0_0939_a85c_4094),
+    ("server", 1, 0x3f95_70a3_d70a_3d70, 0x3fce_8c74_1bb7_56b5),
+    ("server", 2, 0x3fdc_3851_eb85_1eb8, 0x3fd0_046a_5648_ab77),
+    ("server", 8, 0x3fd5_8000_0000_0000, 0x3fcf_f6d5_5142_5d01),
+    ("jit", 0, 0x3fbe_51eb_851e_b852, 0x3fc1_4ff5_8f11_14ff),
+    ("jit", 1, 0x3fd7_8a3d_70a3_d70a, 0x3fc1_520b_f8f5_157b),
+    ("jit", 2, 0x3f95_70a3_d70a_3d70, 0x3fc0_d4d9_f0f6_2acd),
+    ("jit", 38, 0x3f95_70a3_d70a_3d70, 0x3fc0_5def_8708_521c),
+    ("mix", 0, 0x3fdf_f0a3_d70a_3d70, 0x3fc8_1ed8_74ed_1489),
+    ("mix", 1, 0x3fde_6147_ae14_7ae1, 0x3fc7_085b_176c_1b30),
+    ("mix", 2, 0x3fdf_1999_9999_999a, 0x3fc7_01ee_1a51_c3fe),
+    ("mix", 23, 0x3fd5_23d7_0a3d_70a4, 0x3fc7_1009_9d00_6a7c),
+];
+
+/// Every family's calibration is pinned to the last bit, correction
+/// rounds included, so a shifted member fails here rather than only in
+/// a sweep golden that may not cover its family.
+#[test]
+fn calibration_matches_golden_bits() {
+    for (name, seed, spread, achieved) in CALIBRATION_GOLDEN {
+        let (_, cal) = derive(family(name).expect("registered family"), seed);
+        assert_eq!(
+            (cal.spread.to_bits(), cal.achieved.to_bits()),
+            (spread, achieved),
+            "gen:{name}:{seed} calibrated to spread {} achieved {}",
+            cal.spread,
+            cal.achieved
+        );
     }
 }
 
