@@ -57,7 +57,7 @@ pub struct ReproSection {
     pub cache_misses: u64,
     /// In-memory cache entries at the end of the run.
     pub cache_entries: u64,
-    /// Entries preloaded from the persistent cache.
+    /// Entries preloaded from the result store.
     pub cache_loaded: u64,
     /// Hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,

@@ -9,10 +9,10 @@
 //! optimises, and the one CI tracks across commits.
 //!
 //! The suite doubles as a determinism gate: one probe point is simulated
-//! twice from scratch and round-tripped through a persistent-cache
-//! entry; any bit drift between the fresh runs or across the disk
-//! round-trip fails the bench (`st bench` exits non-zero), which is what
-//! the CI step relies on.
+//! twice from scratch and round-tripped through the result store; any
+//! bit drift between the fresh runs or across the disk round-trip fails
+//! the bench (`st bench` exits non-zero), which is what the CI step
+//! relies on.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +21,6 @@ use st_core::{Experiment, SimReport, Simulator};
 
 use crate::job::JobSpec;
 use crate::logstore::LogStore;
-use crate::persist::PersistentCache;
 use crate::spec::experiment_by_id;
 
 /// One measured (workload × experiment) point.
@@ -52,8 +51,8 @@ pub struct BenchResult {
     pub total_seconds: f64,
     /// Geometric mean of `instr_per_sec` across points.
     pub geomean_instr_per_sec: f64,
-    /// Whether the determinism probe passed (fresh rerun and persistent
-    /// cache round-trip both bit-identical).
+    /// Whether the determinism probe passed (fresh rerun and result-store
+    /// round-trip both bit-identical).
     pub deterministic: bool,
     /// Human-readable determinism failure, when `!deterministic`.
     pub determinism_error: Option<String>,
@@ -428,7 +427,8 @@ pub fn run_store_bench(entries: u64) -> Result<StoreBenchResult, String> {
 }
 
 /// Simulates one probe point twice from scratch and round-trips it
-/// through a persistent-cache entry; any bit drift is an error.
+/// through the result store (store, drop, cold reopen); any bit drift
+/// is an error.
 fn determinism_probe(budget: u64) -> Result<(), String> {
     let spec = st_workloads::by_name("go").ok_or("probe workload `go` missing")?;
     let job = JobSpec::new(spec, budget)
@@ -439,25 +439,19 @@ fn determinism_probe(budget: u64) -> Result<(), String> {
         return Err("fresh rerun diverged from first simulation".to_string());
     }
     let dir = std::env::temp_dir().join(format!("st-bench-determinism-{}", std::process::id()));
-    let outcome = (|| {
-        let cache = PersistentCache::new(&dir);
-        let fp = job.fingerprint();
-        cache.store(fp, &fresh).map_err(|e| format!("cannot write probe cache entry: {e}"))?;
-        let loaded = cache
-            .load()
-            .into_iter()
-            .find(|(f, _)| *f == fp)
-            .map(|(_, r)| r)
-            .ok_or("probe cache entry unreadable after store")?;
-        if loaded != fresh {
-            return Err("persistent-cache round-trip altered the report".to_string());
-        }
-        Ok(())
-    })();
+    let _ = std::fs::remove_dir_all(&dir);
+    let fp = job.fingerprint();
+    let stored = LogStore::open(&dir).store(fp, &fresh);
+    let (_, loaded) = LogStore::open_loading(&dir);
     // Clean up on every path, not just success, so a failing probe does
     // not leave a stale directory a later same-PID run could read.
     let _ = std::fs::remove_dir_all(&dir);
-    outcome
+    stored.map_err(|e| format!("cannot write probe store entry: {e}"))?;
+    match loaded.as_slice() {
+        [(f, r)] if *f == fp && *r == fresh => Ok(()),
+        [(f, _)] if *f == fp => Err("result-store round-trip altered the report".to_string()),
+        _ => Err("probe store entry unreadable after store".to_string()),
+    }
 }
 
 #[cfg(test)]

@@ -36,14 +36,14 @@
 //!     Runs the long-lived sweep service: accepts specs over POST
 //!     /submit, serves every point cache-first from one shared engine
 //!     (result-store write-through), and streams back the canonical
-//!     tagged JSONL records. With --max-bytes N and a segment-log store
-//!     the service evicts least-recently-used entries after each
-//!     submission to keep the store under N bytes. With --fleet it is a
-//!     *coordinator* instead: each submission is partitioned by
-//!     fingerprint range across the listed remote `st serve` workers,
-//!     the returned streams are verified and merged byte-identically to
-//!     a local run, dead workers' unfinished ranges fail over to
-//!     survivors, and --max-inflight submissions stream concurrently
+//!     tagged JSONL records. With --max-bytes N the service evicts
+//!     least-recently-used entries after each submission to keep the
+//!     store under N bytes. With --fleet it is a *coordinator* instead:
+//!     each submission is partitioned by fingerprint range across the
+//!     listed remote `st serve` workers, the returned streams are
+//!     verified and merged byte-identically to a local run, dead
+//!     workers' unfinished ranges fail over to survivors, and
+//!     --max-inflight submissions stream concurrently
 //!     (the next one gets a structured 429). `st serve stop` asks a
 //!     running service or coordinator to shut down gracefully (SIGINT
 //!     does the same in-process).
@@ -70,7 +70,7 @@
 //! st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
 //!     Measures steady-state simulated instructions/sec of the core hot
 //!     loop per workload × experiment, verifies determinism (fresh rerun
-//!     + persistent-cache round-trip) and updates BENCH_sweep.json's
+//!     + result-store round-trip) and updates BENCH_sweep.json's
 //!     core_bench section. Exits non-zero if determinism breaks. With
 //!     --store it instead times the segment-log result store (bulk
 //!     append + cold load of 1M synthetic entries; 20k with --smoke)
@@ -102,26 +102,22 @@
 //! st list [workloads|experiments|figures|axes]
 //!     Shows what the other subcommands can reference.
 //!
-//! st cache [show|stats|migrate|compact|clear|clear-claims] [--out DIR]
+//! st cache [show|stats|compact|clear|clear-claims] [--out DIR]
 //! st cache evict --max-bytes N [--out DIR]
-//!     Manages the persistent result store. `show` (the default) lists
-//!     what is warm; `stats` prints live/dead byte counters; `migrate`
-//!     converts the legacy JSON directory (<out>/.cache) to the
-//!     append-only segment log (<out>/.store) with a verified bit-exact
-//!     round-trip; `compact` rewrites the segment log dropping dead
-//!     bytes; `evict` drops least-recently-used entries until the store
-//!     fits --max-bytes; `clear` removes every stored result;
+//!     Manages the result store (<out>/.store). `show` (the default)
+//!     lists what is warm; `stats` prints live/dead byte counters;
+//!     `compact` rewrites the segment log dropping dead bytes; `evict`
+//!     drops least-recently-used entries until the store fits
+//!     --max-bytes; `clear` removes every stored result;
 //!     `clear-claims` drops only the work-stealing claim files,
 //!     un-wedging a crashed `--steal` fleet without losing any cached
 //!     result.
 //! ```
 //!
 //! `repro` and `run` keep a persistent result store under the output
-//! directory by default: the append-only segment log at `<out>/.store`
-//! if one exists, otherwise the legacy JSON directory `<out>/.cache`.
+//! directory by default: the append-only segment log at `<out>/.store`.
 //! Entries load on start and every fresh simulation writes through, so
 //! repeated invocations and CI runs reuse points across processes.
-//! `st cache migrate` switches a directory to the segment format;
 //! `--no-cache` opts a run out entirely.
 
 use std::path::PathBuf;
@@ -135,11 +131,9 @@ use st_sweep::emit::{sweep_jsonl_with_pairing, sweep_table, write_text};
 use st_sweep::figures::{FigureCtx, ALL_FIGURES};
 use st_sweep::fleet::{FleetConfig, FleetServer};
 use st_sweep::loadgen::{self, LoadgenConfig};
-use st_sweep::persist::{self, MigrateStats};
 use st_sweep::service::{self, ServiceConfig};
 use st_sweep::{
-    all_experiments, audit, axes, client, shard, AxisValue, PersistentCache, Store, SweepEngine,
-    SweepSpec,
+    all_experiments, audit, axes, client, shard, AxisValue, LogStore, SweepEngine, SweepSpec,
 };
 
 fn main() {
@@ -197,7 +191,7 @@ USAGE:
              [--allow FILE]
     st calibrate [--seeds N] [--family NAME] [--csv PATH]
     st list [workloads|experiments|figures|axes]
-    st cache [show|stats|migrate|compact|clear|clear-claims] [--out DIR]
+    st cache [show|stats|compact|clear|clear-claims] [--out DIR]
     st cache evict --max-bytes N [--out DIR]
 
 OPTIONS:
@@ -217,9 +211,9 @@ OPTIONS:
                      overrides the spec — see `st list axes`)
     --out DIR        output directory (default: results/)
     --no-cache       skip the persistent result store under <out>
-    --max-bytes N    `cache evict`/`serve`: keep the segment-log store
-                     under N bytes by evicting least-recently-used
-                     entries (underscores allowed, e.g. 64_000_000)
+    --max-bytes N    `cache evict`/`serve`: keep the result store under
+                     N bytes by evicting least-recently-used entries
+                     (underscores allowed, e.g. 64_000_000)
     --shard I/N      `run`: execute only shard I (0-based) of an N-way
                      fingerprint partition, streaming <out>/<name>.shard-I.jsonl
                      for `st merge` instead of the normal outputs
@@ -332,7 +326,8 @@ impl CommonOpts {
         self.out.clone().unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// The persistent cache directory under the output directory.
+    /// The work-stealing claims root under the output directory
+    /// (`<out>/.cache`; results live in `<out>/.store`).
     fn cache_dir(&self) -> PathBuf {
         self.out_dir().join(".cache")
     }
@@ -342,9 +337,8 @@ impl CommonOpts {
         self.lanes.unwrap_or(1)
     }
 
-    /// An engine honouring `--threads`, `--lanes` and `--no-cache`; picks
-    /// whichever result-store format is present under the output
-    /// directory.
+    /// An engine honouring `--threads`, `--lanes` and `--no-cache`, over
+    /// the result store under the output directory.
     fn engine(&self) -> SweepEngine {
         if self.no_cache {
             SweepEngine::new(self.threads).with_lanes(self.lane_width())
@@ -582,8 +576,7 @@ fn cmd_repro(args: &[String]) -> i32 {
     );
     match engine.result_store() {
         Some(store) => println!(
-            "st repro: result store ({}) at {} ({} entries loaded)\n",
-            store.kind(),
+            "st repro: result store at {} ({} entries loaded)\n",
             store.dir().display(),
             engine.stats().loaded
         ),
@@ -1665,8 +1658,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     let engine = server.service().engine();
     match engine.result_store() {
         Some(store) => println!(
-            "st serve: result store ({}) at {} ({} entries loaded), {} simulation workers",
-            store.kind(),
+            "st serve: result store at {} ({} entries loaded), {} simulation workers",
             store.dir().display(),
             engine.stats().loaded,
             server.service().workers()
@@ -1977,20 +1969,19 @@ fn cmd_cache(args: &[String]) -> i32 {
         eprintln!("st cache: --max-bytes only applies to `st cache evict`\n{USAGE}");
         return 2;
     }
-    let out_dir = opts.out_dir();
+    let store_dir = LogStore::dir_under(&opts.out_dir());
     match action {
         None | Some("show") => {
             // One sequential pass: entries for the breakdown, counters
-            // for the header — whichever format is on disk.
-            let (store, entries, load) = Store::open_loading(&out_dir);
+            // for the header.
+            let (store, entries) = LogStore::open_loading(&store_dir);
             let s = store.stats();
             println!(
-                "result store ({}) at {}: {} entries ({} KiB live), {} skipped corrupt",
-                store.kind(),
+                "result store at {}: {} entries ({} KiB live), {} skipped corrupt",
                 store.dir().display(),
                 s.entries,
                 s.live_bytes / 1024,
-                load.skipped_corrupt
+                store.load_stats().skipped_corrupt
             );
             // Per-experiment breakdown: what kinds of points are warm.
             let mut by_experiment: std::collections::BTreeMap<String, u64> =
@@ -2010,9 +2001,9 @@ fn cmd_cache(args: &[String]) -> i32 {
             0
         }
         Some("stats") => {
-            let store = Store::open(&out_dir);
+            let store = LogStore::open(&store_dir);
             let s = store.stats();
-            println!("result store ({}) at {}:", store.kind(), store.dir().display());
+            println!("result store at {}:", store.dir().display());
             println!("  entries          {}", s.entries);
             println!("  live bytes       {}", s.live_bytes);
             println!("  dead bytes       {}", s.dead_bytes);
@@ -2023,23 +2014,14 @@ fn cmd_cache(args: &[String]) -> i32 {
             println!("  torn tail bytes  {}", s.torn_tail_bytes);
             println!("  evictions        {}", s.evictions);
             println!("  compactions      {}", s.compactions);
-            if matches!(store, Store::Json(_)) {
-                println!(
-                    "  (legacy JSON format: no compaction or eviction; convert with `st cache \
-                     migrate`)"
-                );
-            }
             0
         }
-        Some("migrate") => match persist::migrate(&out_dir) {
-            Ok(MigrateStats { migrated, skipped_corrupt, bytes }) => {
+        Some("compact") => match LogStore::open(&store_dir).compact() {
+            Ok(c) => {
                 println!(
-                    "st cache migrate: {} entries ({} KiB) now in the segment log at {} \
-                     (round-trip verified byte-exact), {} corrupt entries left behind",
-                    migrated,
-                    bytes / 1024,
-                    Store::log_dir(&out_dir).display(),
-                    skipped_corrupt
+                    "st cache compact: {} live records rewritten, {} -> {} bytes \
+                     ({} corrupt frames dropped)",
+                    c.live_records, c.before_bytes, c.after_bytes, c.dropped_corrupt
                 );
                 0
             }
@@ -2048,30 +2030,12 @@ fn cmd_cache(args: &[String]) -> i32 {
                 1
             }
         },
-        Some("compact") => {
-            let store = Store::open(&out_dir);
-            match store.compact() {
-                Ok(c) => {
-                    println!(
-                        "st cache compact: {} live records rewritten, {} -> {} bytes \
-                         ({} corrupt frames dropped)",
-                        c.live_records, c.before_bytes, c.after_bytes, c.dropped_corrupt
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("st cache: {e}");
-                    1
-                }
-            }
-        }
         Some("evict") => {
             let Some(max) = opts.max_bytes else {
                 eprintln!("st cache evict: --max-bytes N is required\n{USAGE}");
                 return 2;
             };
-            let store = Store::open(&out_dir);
-            match store.evict_to_budget(max) {
+            match LogStore::open(&store_dir).evict_to_budget(max) {
                 Ok(ev) => {
                     println!(
                         "st cache evict: {} entries ({} bytes) evicted; store is {} bytes \
@@ -2087,29 +2051,16 @@ fn cmd_cache(args: &[String]) -> i32 {
             }
         }
         Some("clear") => {
-            // Both formats can coexist transiently (e.g. fresh JSON
-            // entries written by an old binary next to a migrated
-            // store); clear removes every stored result regardless.
-            let mut removed: u64 = 0;
-            let log_dir = Store::log_dir(&out_dir);
-            if log_dir.is_dir() {
-                let s = st_sweep::LogStore::open(&log_dir);
-                removed += s.stats().entries;
-                drop(s);
-                if let Err(e) = std::fs::remove_dir_all(&log_dir) {
-                    eprintln!("st cache: could not clear {}: {e}", log_dir.display());
-                    return 1;
-                }
-            }
-            let cache = PersistentCache::new(Store::json_dir(&out_dir));
-            match cache.clear() {
-                Ok(n) => removed += n,
+            let removed = LogStore::open(&store_dir).stats().entries;
+            match std::fs::remove_dir_all(&store_dir) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => {
-                    eprintln!("st cache: could not clear {}: {e}", cache.dir().display());
+                    eprintln!("st cache: could not clear {}: {e}", store_dir.display());
                     return 1;
                 }
             }
-            println!("result store under {}: removed {removed} entries", out_dir.display());
+            println!("result store at {}: removed {removed} entries", store_dir.display());
             0
         }
         // Claims are pure work-stealing coordination, distinct from the
@@ -2134,8 +2085,8 @@ fn cmd_cache(args: &[String]) -> i32 {
         }
         Some(other) => {
             eprintln!(
-                "st cache: unknown action `{other}` (try `show`, `stats`, `migrate`, `compact`, \
-                 `evict`, `clear` or `clear-claims`)"
+                "st cache: unknown action `{other}` (try `show`, `stats`, `compact`, `evict`, \
+                 `clear` or `clear-claims`)"
             );
             2
         }

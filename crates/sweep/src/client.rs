@@ -330,6 +330,11 @@ mod tests {
             let mut drain = [0u8; 1024];
             let _ = std::io::Read::read(&mut stream, &mut drain);
             stream.write_all(reply.as_bytes()).expect("reply");
+            // Drain the rest of the request before closing: a socket
+            // closed with unread input resets the connection, and the
+            // client could then see the reset instead of the reply.
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
         });
         addr
     }

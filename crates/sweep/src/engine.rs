@@ -26,15 +26,14 @@ use st_core::SimReport;
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::JobSpec;
-use crate::logstore::LoadStats;
-use crate::persist::{PersistentCache, Store};
+use crate::logstore::{LoadStats, LogStore};
 
 /// Aggregate execution counters of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Simulations actually executed (cache misses).
     pub simulated: u64,
-    /// Entries preloaded from the persistent on-disk cache.
+    /// Entries preloaded from the on-disk result store.
     pub loaded: u64,
     /// Cache counters (hits include batch-level dedup).
     pub cache: CacheStats,
@@ -49,7 +48,7 @@ pub struct SweepEngine {
     simulated: AtomicU64,
     loaded: u64,
     load_stats: LoadStats,
-    persist: Option<Store>,
+    store: Option<LogStore>,
 }
 
 impl SweepEngine {
@@ -69,7 +68,7 @@ impl SweepEngine {
             simulated: AtomicU64::new(0),
             loaded: 0,
             load_stats: LoadStats::default(),
-            persist: None,
+            store: None,
         }
     }
 
@@ -89,53 +88,25 @@ impl SweepEngine {
         SweepEngine::new(0)
     }
 
-    /// An engine backed by the legacy JSON cache directory at `dir`
-    /// (conventionally `results/.cache/`): every readable entry is
-    /// preloaded into the in-memory cache, and every freshly simulated
-    /// point is written through, so repeated invocations reuse points
-    /// across processes. Prefer [`SweepEngine::with_result_store`],
-    /// which auto-detects the on-disk format from the output directory.
-    #[must_use]
-    pub fn with_persistent_cache(threads: usize, dir: impl AsRef<Path>) -> SweepEngine {
-        let cache = PersistentCache::new(dir.as_ref());
-        let (entries, summary) = cache.load_with_summary();
-        let stats = LoadStats {
-            entries: summary.entries,
-            skipped_corrupt: summary.skipped_corrupt,
-            ..LoadStats::default()
-        };
-        SweepEngine::assemble(threads, Store::Json(cache), entries, stats)
-    }
-
-    /// An engine backed by the result store under `out_dir`, in
-    /// whichever on-disk format is present: the append-only segment log
-    /// at `<out>/.store/` if it exists, else the legacy JSON directory
-    /// at `<out>/.cache/` (see [`Store::open`]). Every live entry is
-    /// preloaded in one sequential pass and every freshly simulated
-    /// point is written through.
+    /// An engine backed by the result store under `out_dir` (the
+    /// segment log at `<out>/.store/`, see [`LogStore::dir_under`]).
+    /// Every live entry is preloaded in one sequential pass and every
+    /// freshly simulated point is written through, so repeated
+    /// invocations reuse points across processes.
     #[must_use]
     pub fn with_result_store(threads: usize, out_dir: impl AsRef<Path>) -> SweepEngine {
-        let (store, entries, stats) = Store::open_loading(out_dir.as_ref());
-        SweepEngine::assemble(threads, store, entries, stats)
-    }
-
-    fn assemble(
-        threads: usize,
-        store: Store,
-        entries: Vec<(u64, SimReport)>,
-        stats: LoadStats,
-    ) -> SweepEngine {
+        let (store, entries) = LogStore::open_loading(LogStore::dir_under(out_dir.as_ref()));
         let mut engine = SweepEngine::new(threads);
         engine.loaded = engine.cache.preload(entries.into_iter().map(|(fp, r)| (fp, Arc::new(r))));
-        engine.load_stats = stats;
-        engine.persist = Some(store);
+        engine.load_stats = store.load_stats();
+        engine.store = Some(store);
         engine
     }
 
     /// The result store this engine writes through to, if any.
     #[must_use]
-    pub fn result_store(&self) -> Option<&Store> {
-        self.persist.as_ref()
+    pub fn result_store(&self) -> Option<&LogStore> {
+        self.store.as_ref()
     }
 
     /// What the startup load of the result store found (corrupt entries
@@ -259,12 +230,12 @@ impl SweepEngine {
             .collect();
         for ((fp, _), report) in fresh.iter().zip(&finished) {
             self.cache.insert(*fp, Arc::clone(report));
-            if let Some(persist) = &self.persist {
-                if let Err(e) = persist.store(*fp, report) {
+            if let Some(store) = &self.store {
+                if let Err(e) = store.store(*fp, report) {
                     eprintln!(
                         "warning: could not persist {:016x} under {}: {e}",
                         fp,
-                        persist.dir().display()
+                        store.dir().display()
                     );
                 }
             }
@@ -303,7 +274,7 @@ impl SweepEngine {
         order.iter().flat_map(|key| groups[key].chunks(self.lanes).map(<[usize]>::to_vec)).collect()
     }
 
-    /// Runs a single job through the cache (and the persistent
+    /// Runs a single job through the cache (and the result-store
     /// write-through, when configured).
     ///
     /// Convenience for streaming callers — the shard worker and the
@@ -345,17 +316,19 @@ mod tests {
 
     #[test]
     fn persistent_cache_survives_engine_restarts() {
-        let dir = std::env::temp_dir().join(format!("st-engine-persist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let out = std::env::temp_dir().join(format!("st-engine-persist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
 
-        let first = SweepEngine::with_persistent_cache(2, &dir);
+        let first = SweepEngine::with_result_store(2, &out);
         assert_eq!(first.stats().loaded, 0, "cold start");
         let out1 = first.run(&[job(7), job(8)]);
         assert_eq!(first.stats().simulated, 2);
+        assert!(LogStore::dir_under(&out).join("seg-0.log").is_file(), "written to the log");
+        assert!(!out.join(".cache").exists(), "no legacy JSON directory");
 
         // A brand-new engine (a new process, conceptually) preloads both
         // points and serves them without simulating.
-        let second = SweepEngine::with_persistent_cache(2, &dir);
+        let second = SweepEngine::with_result_store(2, &out);
         assert_eq!(second.stats().loaded, 2);
         let out2 = second.run(&[job(7), job(8)]);
         let stats = second.stats();
@@ -363,7 +336,7 @@ mod tests {
         assert_eq!(stats.cache.hits, 2);
         assert_eq!(out1, out2, "disk round-trip is bit-exact");
 
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&out);
     }
 
     #[test]
@@ -371,17 +344,19 @@ mod tests {
         let out = std::env::temp_dir().join(format!("st-engine-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
 
-        // Seed through the default (legacy JSON) format...
+        // Seed the segment log...
         let first = SweepEngine::with_result_store(2, &out);
-        assert_eq!(first.result_store().map(Store::kind), Some("json-dir"));
         let out1 = first.run(&[job(17), job(18)]);
         assert_eq!(first.stats().simulated, 2);
 
-        // ...convert in place, and the same constructor now preloads
-        // the segment log with bit-identical reports.
-        crate::persist::migrate(&out).expect("migrate");
+        // ...migrate every live record into a fresh segment (compaction
+        // deletes the old one), and a new engine preloads bit-identical
+        // reports from it.
+        let compacted = first.result_store().expect("store").compact().expect("compact");
+        assert_eq!(compacted.live_records, 2);
+        drop(first);
+        assert!(!LogStore::dir_under(&out).join("seg-0.log").exists(), "old segment swept");
         let second = SweepEngine::with_result_store(2, &out);
-        assert_eq!(second.result_store().map(Store::kind), Some("segment-log"));
         assert_eq!(second.stats().loaded, 2);
         let out2 = second.run(&[job(17), job(18)]);
         assert_eq!(second.stats().simulated, 0, "everything came from the segment log");
@@ -393,19 +368,6 @@ mod tests {
         assert_eq!(third.stats().loaded, 3);
 
         let _ = std::fs::remove_dir_all(&out);
-    }
-
-    #[test]
-    fn corrupt_legacy_entries_are_skipped_and_counted() {
-        let dir = std::env::temp_dir().join(format!("st-engine-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let first = SweepEngine::with_persistent_cache(2, &dir);
-        let _ = first.run(&[job(30), job(31)]);
-        std::fs::write(dir.join(format!("{:016x}.json", 0x5555u64)), "{torn").unwrap();
-        let second = SweepEngine::with_persistent_cache(2, &dir);
-        assert_eq!(second.stats().loaded, 2, "good entries still load");
-        assert_eq!(second.load_stats().skipped_corrupt, 1, "bad entry skipped and counted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -116,8 +116,7 @@ impl JobSpec {
     }
 
     /// [`JobSpec::fingerprint`] in its canonical text form: 16 lowercase
-    /// hex digits, zero-padded — the spelling used by persistent-cache
-    /// file names and shard records.
+    /// hex digits, zero-padded — the spelling used by shard records.
     #[must_use]
     pub fn fingerprint_hex(&self) -> String {
         format!("{:016x}", self.fingerprint())

@@ -1,11 +1,17 @@
-//! A minimal recursive JSON reader shared by the persistent cache, the
-//! perf-artifact writer and `st plot`.
+//! A minimal recursive JSON reader shared by the result store, shard
+//! documents, fleet worker streams, the perf-artifact writer, `st audit`
+//! and `st plot`.
 //!
-//! The spec parser is flat-only; cache entries and JSONL records need
+//! The spec parser is flat-only; store entries and JSONL records need
 //! strings with escapes, nested arrays/objects and nothing else the full
 //! grammar offers, so ~150 lines beat a vendored dependency. Numbers
 //! accept the non-standard `NaN`/`inf` tokens the exact float encoding
-//! of [`crate::persist`] may produce.
+//! of [`crate::persist`] may produce. Nesting deeper than a fixed limit
+//! is an error, so hostile input cannot exhaust the stack.
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document this crate writes (`BENCH_sweep.json`) nests 4 levels.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +30,7 @@ pub enum Json {
 impl Json {
     /// Parses one complete JSON document.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Reader { chars: text.chars().collect(), pos: 0 };
+        let mut p = Reader { chars: text.chars().collect(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.chars.len() {
@@ -95,6 +101,8 @@ impl Json {
 struct Reader {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays/objects currently open around the cursor.
+    depth: usize,
 }
 
 impl Reader {
@@ -121,8 +129,15 @@ impl Reader {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some(c @ ('{' | '[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if c == '{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some('"') => Ok(Json::Str(self.string()?)),
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_string()),
@@ -300,6 +315,17 @@ mod tests {
         assert_eq!(j.get("t").unwrap().as_str().unwrap(), "A");
         assert!(Json::parse(r#""\ud83d""#).is_err(), "unpaired high surrogate");
         assert!(Json::parse(r#""\ud83dA""#).is_err(), "invalid low surrogate");
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_limit() {
+        // 200,000 `[` used to recurse until the stack overflowed.
+        let err = Json::parse(&"[".repeat(200_000)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok(), "the limit itself still parses");
+        let past = format!("{{\"a\":{at_limit}}}");
+        assert!(Json::parse(&past).is_err(), "objects count towards the depth too");
     }
 
     #[test]

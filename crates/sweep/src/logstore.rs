@@ -1,12 +1,11 @@
-//! The append-only segment-log result store: `results/.store/seg-<n>.log`.
+//! The append-only segment-log result store: `<out>/.store/seg-<n>.log`.
 //!
-//! The legacy [`PersistentCache`](crate::PersistentCache) keeps one JSON
-//! file per fingerprint — fine at hundreds of entries, hopeless at the
-//! 10⁴–10⁵-point grids larger sweeps produce (inode churn, a full
-//! directory scan on every start, no eviction policy). [`LogStore`]
-//! replaces the directory with a handful of append-only segment files
-//! and an in-memory fingerprint → (segment, offset) index rebuilt by
-//! **one sequential read** per segment at startup.
+//! Every `st` command that keeps results — `repro`, `run`, `shard`,
+//! `serve` — writes them here. [`LogStore`] keeps a handful of
+//! append-only segment files and an in-memory fingerprint → (segment,
+//! offset) index rebuilt by **one sequential read** per segment at
+//! startup, so `st cache stats` and `GET /status` answer from the index
+//! instead of rescanning the disk.
 //!
 //! ## On-disk format
 //!
@@ -17,14 +16,22 @@
 //! [u32 payload_len LE][u8 kind][u64 fingerprint LE][u64 checksum LE][payload]
 //! ```
 //!
-//! `kind` is 0 for a put (payload = the exact bit-exact
-//! [`report_to_json`] line the JSON cache would have written) or 1 for a
-//! tombstone (empty payload, records an eviction). `checksum` is the
-//! same FNV-1a 64 the shard files use, folded over `kind ‖ fingerprint ‖
-//! payload` — every byte of a frame is covered, so any single-byte
-//! tamper is detected at load. Later frames supersede earlier ones for
-//! the same fingerprint (last-wins), which is what makes blind appends
-//! safe.
+//! `kind` is 0 for a put (payload = the bit-exact [`report_to_json`]
+//! line) or 1 for a tombstone (empty payload, records an eviction).
+//! `checksum` is the same FNV-1a 64 the shard files use, folded over
+//! `kind ‖ fingerprint ‖ payload` — every byte of a frame is covered, so
+//! any single-byte tamper is detected at load. Later frames supersede
+//! earlier ones for the same fingerprint (last-wins), which is what
+//! makes blind appends safe.
+//!
+//! Several handles may append to one directory at once (`st shard -j N`
+//! runs N processes over one store). Every segment is written in append
+//! mode, so two handles sharing a tail segment interleave whole frames
+//! instead of overwriting each other, and a handle that finds its next
+//! segment id already created by another writer takes the next free
+//! one. Recovery and compaction still assume no other process is
+//! writing: a torn-tail truncation at open could cut a frame another
+//! process is appending at that instant.
 //!
 //! ## Recovery posture
 //!
@@ -51,7 +58,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -86,8 +93,7 @@ impl Default for LogStoreConfig {
     }
 }
 
-/// What one startup scan found (the segment store's load stats; the
-/// legacy JSON directory maps its summary onto the same shape).
+/// What one startup scan found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
     /// Live entries indexed after last-wins/tombstone resolution.
@@ -108,8 +114,6 @@ pub struct LoadStats {
 /// and the service's `GET /status`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreStats {
-    /// `"segment-log"` or `"json-dir"`.
-    pub kind: &'static str,
     /// Live (indexed) entries.
     pub entries: u64,
     /// Bytes of live frames (payloads plus their frame headers).
@@ -118,7 +122,7 @@ pub struct StoreStats {
     pub dead_bytes: u64,
     /// Total bytes of all segment files on disk.
     pub file_bytes: u64,
-    /// Number of segment files (0 for the legacy JSON directory).
+    /// Number of segment files.
     pub segments: u64,
     /// Corrupt entries skipped at load.
     pub skipped_corrupt: u64,
@@ -238,6 +242,13 @@ impl Drop for PinGuard<'_> {
 }
 
 impl LogStore {
+    /// Where the result store of an output directory lives:
+    /// `<out>/.store`.
+    #[must_use]
+    pub fn dir_under(out_dir: &Path) -> PathBuf {
+        out_dir.join(".store")
+    }
+
     /// Opens (or creates) the store at `dir`, rebuilding the index with
     /// one sequential read per segment. Damage is recovered per the
     /// module docs — this never fails and never panics on bad bytes.
@@ -307,13 +318,6 @@ impl LogStore {
         self.append(KIND_PUT, fingerprint, report_to_json(report).as_bytes())
     }
 
-    /// Appends a pre-encoded payload verbatim — the migration path, so
-    /// the exact bytes of a legacy JSON entry become the frame payload
-    /// and byte-identity is provable.
-    pub(crate) fn append_raw(&self, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
-        self.append(KIND_PUT, fingerprint, payload)
-    }
-
     fn append(&self, kind: u8, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
         let mut inner = self.inner.lock().expect("logstore lock");
         append_locked(&self.dir, self.config, &mut inner, kind, fingerprint, payload)
@@ -370,7 +374,6 @@ impl LogStore {
         let file: u64 = inner.segs.values().sum();
         let headers = SEGMENT_HEADER_BYTES * inner.segs.len() as u64;
         StoreStats {
-            kind: "segment-log",
             entries: inner.index.len() as u64,
             live_bytes: live,
             dead_bytes: file.saturating_sub(live + headers),
@@ -695,7 +698,10 @@ fn append_locked(
         }
         return Err(e);
     }
-    active.bytes += frame.len() as u64;
+    // Every segment is opened in append mode, so the write landed at the
+    // end of the file even if another process appended to the same
+    // segment meanwhile; the descriptor's position is where it ended.
+    active.bytes = active.file.stream_position().unwrap_or(active.bytes + frame.len() as u64);
     let (id, bytes) = (active.id, active.bytes);
     inner.segs.insert(id, bytes);
     inner.appendable = Some(id);
@@ -714,12 +720,18 @@ fn append_locked(
     Ok(())
 }
 
-/// Creates the next segment file (header only) and registers it.
+/// Creates the next segment file (header only) and registers it. An id
+/// another writer on the same directory already created is skipped:
+/// the next free id is taken instead.
 fn create_segment(dir: &Path, inner: &mut Inner) -> std::io::Result<ActiveSeg> {
     std::fs::create_dir_all(dir)?;
-    let id = inner.segs.keys().next_back().map_or(0, |m| m + 1);
-    let path = segment_path(dir, id);
-    let mut file = OpenOptions::new().create_new(true).write(true).open(&path)?;
+    let mut id = inner.segs.keys().next_back().map_or(0, |m| m + 1);
+    let mut file = loop {
+        match OpenOptions::new().create_new(true).append(true).open(segment_path(dir, id)) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => id += 1,
+            opened => break opened?,
+        }
+    };
     file.write_all(&MAGIC)?;
     file.write_all(&FORMAT_VERSION.to_le_bytes())?;
     inner.segs.insert(id, SEGMENT_HEADER_BYTES);
@@ -855,6 +867,94 @@ mod tests {
         // And appends continue in the scanned tail segment.
         reopened.store(100, &report(100)).unwrap();
         assert_eq!(reopened.stats().entries, 13);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_same_fingerprint_stores_leave_one_valid_entry() {
+        // The sweep service makes write-through concurrent within one
+        // process: N threads racing the same fingerprint through one
+        // handle must each append a whole frame, and the surviving entry
+        // must be one complete, bit-exact report — never an interleaving
+        // of two.
+        let dir = tmp_dir("race");
+        let (a, b) = (report(10), report(11));
+        assert_ne!(report_to_json(&a), report_to_json(&b), "distinct payloads");
+        let store = LogStore::open(&dir);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (store, start, a, b) = (&store, &start, &a, &b);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..25 {
+                        let r = if (t + i) % 2 == 0 { a } else { b };
+                        store.store(0xfeed, r).expect("racing store");
+                    }
+                });
+            }
+        });
+        drop(store);
+        let (store, loaded) = LogStore::open_loading(&dir);
+        assert_eq!(loaded.len(), 1, "exactly one entry");
+        assert_eq!(store.load_stats().skipped_corrupt, 0, "no torn writes");
+        assert!(loaded[0].1 == a || loaded[0].1 == b, "entry is one complete report");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_handles_on_one_dir_lose_no_appends() {
+        // `st shard -j N` runs N processes over one store. With a 1-byte
+        // target every append rolls, so the handles race to create each
+        // new segment id; the loser must take the next free id rather
+        // than fail the append.
+        let dir = tmp_dir("two-handles");
+        let config = LogStoreConfig { segment_bytes: 1 };
+        let first = LogStore::open_with_config(&dir, config);
+        let second = LogStore::open_with_config(&dir, config);
+        let reports: Vec<SimReport> = (1..=4).map(report).collect();
+        for (i, r) in (0u64..).zip(&reports) {
+            first.store(i, r).expect("first handle appends");
+            second.store(100 + i, r).expect("second handle appends");
+        }
+        drop((first, second));
+        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+        let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(fps, vec![0, 1, 2, 3, 100, 101, 102, 103], "every write survives");
+        for (fp, r) in &loaded {
+            assert_eq!(*r, reports[(*fp % 100) as usize]);
+        }
+        assert_eq!(store.load_stats().skipped_corrupt, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn handles_sharing_a_tail_segment_lose_no_appends() {
+        // The second handle opens after the first created seg-0, so both
+        // append to the same file: neither may overwrite the other's
+        // frames, and each index must point at its own frames.
+        let dir = tmp_dir("shared-tail");
+        let reports: Vec<SimReport> = (0..4).map(report).collect();
+        let first = LogStore::open(&dir);
+        first.store(0, &reports[0]).expect("first handle creates seg-0");
+        let second = LogStore::open(&dir);
+        for i in 1..4u64 {
+            second.store(100 + i, &reports[i as usize]).expect("second handle appends");
+            first.store(i, &reports[i as usize]).expect("first handle appends");
+        }
+        for i in 0..4u64 {
+            let want = Some(report_to_json(&reports[i as usize]).into_bytes());
+            assert_eq!(first.raw_payload(i), want, "first handle's offset for {i}");
+            if i > 0 {
+                assert_eq!(second.raw_payload(100 + i), want, "second handle's offset for {i}");
+            }
+        }
+        drop((first, second));
+        let (store, loaded) = LogStore::open_loading(&dir);
+        let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(fps, vec![0, 1, 2, 3, 101, 102, 103], "every write survives");
+        assert_eq!(store.stats().segments, 1, "both handles appended to seg-0");
+        assert_eq!(store.load_stats().skipped_corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,27 +1,16 @@
-//! The persistent on-disk result cache.
+//! The exact [`SimReport`] JSON codec.
 //!
-//! Serialises [`SimReport`]s as single-line JSON under
-//! `<dir>/<fingerprint>.json` (by convention `results/.cache/`), so
-//! repeated `st` invocations and CI runs reuse simulation points across
-//! processes. The engine loads every entry on start and writes each
-//! freshly simulated point through (see
-//! [`SweepEngine::with_persistent_cache`](crate::SweepEngine::with_persistent_cache)).
+//! [`report_to_json`] serialises a report as one line of JSON and
+//! [`report_from_json`] parses it back. The result store
+//! ([`crate::logstore`]) keeps these lines as its frame payloads, and
+//! shard documents ([`crate::shard`]) carry them per record.
 //!
 //! Round-trips are **exact**: floats are written with Rust's shortest
 //! round-trip formatting and parsed back bit-identically, so a report
 //! served from disk is indistinguishable from a fresh simulation — the
 //! CI determinism check diffs JSONL output across cached and uncached
-//! runs. Corrupt or version-skewed entries are skipped and counted
-//! (treated as misses), never fatal.
-//!
-//! The one-file-per-fingerprint directory is now the **legacy** format:
-//! [`Store`] abstracts over it and the append-only segment log in
-//! [`crate::logstore`], and [`migrate`] converts a directory in place
-//! (proving a bit-exact round-trip before committing).
-
-use std::path::{Path, PathBuf};
-
-use crate::logstore::{CompactStats, EvictStats, LoadStats, LogStore, PinGuard, StoreStats};
+//! runs. A version-skewed or garbled line is an `Err`, which the store
+//! counts and treats as a miss.
 
 use st_bpred::{ConfidenceStats, PredictorStats};
 use st_core::SimReport;
@@ -31,383 +20,13 @@ use st_power::{EnergyReport, UNIT_COUNT};
 use crate::emit::json_escape;
 use crate::json::Json;
 
-/// Format version; bump when the encoding changes so stale cache dirs
-/// degrade to misses instead of mis-parses.
+/// Format version; bump when the encoding changes so stale store
+/// entries degrade to misses instead of mis-parses.
 const VERSION: u64 = 1;
-
-/// A directory of fingerprint-named report files.
-#[derive(Debug, Clone)]
-pub struct PersistentCache {
-    dir: PathBuf,
-}
-
-/// Aggregate numbers for `st cache`: what the directory holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistSummary {
-    /// Readable entries.
-    pub entries: u64,
-    /// Files that failed to parse (version skew or corruption) —
-    /// skipped and counted, matching the segment store's posture.
-    pub skipped_corrupt: u64,
-    /// Total bytes of all entry files.
-    pub bytes: u64,
-}
-
-impl PersistentCache {
-    /// A cache rooted at `dir` (created lazily on first store).
-    #[must_use]
-    pub fn new(dir: impl Into<PathBuf>) -> PersistentCache {
-        PersistentCache { dir: dir.into() }
-    }
-
-    /// The cache directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Loads every readable entry, sorted by fingerprint (deterministic
-    /// regardless of directory iteration order). Unreadable entries are
-    /// skipped.
-    #[must_use]
-    pub fn load(&self) -> Vec<(u64, SimReport)> {
-        self.load_with_summary().0
-    }
-
-    /// [`PersistentCache::load`] plus the directory summary, in one
-    /// directory pass (each entry file is read and parsed once).
-    #[must_use]
-    pub fn load_with_summary(&self) -> (Vec<(u64, SimReport)>, PersistSummary) {
-        let mut out = Vec::new();
-        let mut s = PersistSummary::default();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return (out, s) };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(fp) = fingerprint_of(&path) else { continue };
-            s.bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-            match std::fs::read_to_string(&path)
-                .map_err(|_| ())
-                .and_then(|t| report_from_json(&t).map_err(|_| ()))
-            {
-                Ok(report) => {
-                    s.entries += 1;
-                    out.push((fp, report));
-                }
-                Err(()) => s.skipped_corrupt += 1,
-            }
-        }
-        out.sort_by_key(|(fp, _)| *fp);
-        (out, s)
-    }
-
-    /// Writes one entry through to disk (atomically: temp file + rename,
-    /// so concurrent runs never observe a torn entry).
-    ///
-    /// The temp name is unique per *store*, not just per process — a
-    /// process id plus a process-wide counter — so threads of one
-    /// process (the sweep service serves many connections from one
-    /// engine) racing on the same fingerprint each write a private temp
-    /// file and the last rename wins with a complete entry.
-    pub fn store(&self, fingerprint: u64, report: &SimReport) -> std::io::Result<()> {
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = self.dir.join(format!(".tmp-{fingerprint:016x}-{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, report_to_json(report))?;
-        std::fs::rename(&tmp, self.entry_path(fingerprint))
-    }
-
-    /// Path of one entry file.
-    #[must_use]
-    pub fn entry_path(&self, fingerprint: u64) -> PathBuf {
-        self.dir.join(format!("{fingerprint:016x}.json"))
-    }
-
-    /// Scans the directory and summarises it (for `st cache`).
-    #[must_use]
-    pub fn summary(&self) -> PersistSummary {
-        self.load_with_summary().1
-    }
-
-    /// Deletes every entry file, returning how many were removed. Also
-    /// sweeps up orphaned `.tmp-*` files left by interrupted stores
-    /// (not counted).
-    pub fn clear(&self) -> std::io::Result<u64> {
-        let mut removed = 0;
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return Ok(0) };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if fingerprint_of(&path).is_some() {
-                std::fs::remove_file(&path)?;
-                removed += 1;
-            } else if path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(".tmp-"))
-            {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-        Ok(removed)
-    }
-}
-
-/// `<dir>/0123456789abcdef.json` → the fingerprint; anything else `None`.
-fn fingerprint_of(path: &Path) -> Option<u64> {
-    if path.extension()?.to_str()? != "json" {
-        return None;
-    }
-    let stem = path.file_stem()?.to_str()?;
-    if stem.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(stem, 16).ok()
-}
-
-// ---------------------------------------------------------------------
-// The store-format abstraction.
-// ---------------------------------------------------------------------
-
-/// A result store rooted at an output directory, in either on-disk
-/// format: the legacy JSON directory (`<out>/.cache/`) or the
-/// append-only segment log (`<out>/.store/`, see [`crate::logstore`]).
-///
-/// [`Store::open`] auto-detects the format — a `.store` directory wins,
-/// so running `st cache migrate` switches every tool that points at the
-/// same output directory, and a never-migrated directory behaves
-/// exactly as before.
-// A process holds one `Store` per engine/service, so the size skew
-// between the two variants is irrelevant; boxing would only add an
-// indirection to every cache write.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Store {
-    /// The legacy one-JSON-file-per-fingerprint directory.
-    Json(PersistentCache),
-    /// The append-only segment log.
-    Log(LogStore),
-}
-
-impl Store {
-    /// Where the legacy JSON format lives under an output directory.
-    #[must_use]
-    pub fn json_dir(out_dir: &Path) -> PathBuf {
-        out_dir.join(".cache")
-    }
-
-    /// Where the segment-log format lives under an output directory.
-    #[must_use]
-    pub fn log_dir(out_dir: &Path) -> PathBuf {
-        out_dir.join(".store")
-    }
-
-    /// Opens the store under `out_dir` in whichever format is present
-    /// (segment log if `<out>/.store` exists, legacy JSON otherwise)
-    /// without decoding any report.
-    #[must_use]
-    pub fn open(out_dir: &Path) -> Store {
-        let log = Store::log_dir(out_dir);
-        if log.is_dir() {
-            Store::Log(LogStore::open(log))
-        } else {
-            Store::Json(PersistentCache::new(Store::json_dir(out_dir)))
-        }
-    }
-
-    /// [`Store::open`] plus every live report (sorted by fingerprint)
-    /// and the load stats, in one pass — what the engine preload wants.
-    #[must_use]
-    pub fn open_loading(out_dir: &Path) -> (Store, Vec<(u64, SimReport)>, LoadStats) {
-        let log = Store::log_dir(out_dir);
-        if log.is_dir() {
-            let (store, entries) = LogStore::open_loading(log);
-            let stats = store.load_stats();
-            (Store::Log(store), entries, stats)
-        } else {
-            let cache = PersistentCache::new(Store::json_dir(out_dir));
-            let (entries, summary) = cache.load_with_summary();
-            let stats = LoadStats {
-                entries: summary.entries,
-                skipped_corrupt: summary.skipped_corrupt,
-                ..LoadStats::default()
-            };
-            (Store::Json(cache), entries, stats)
-        }
-    }
-
-    /// `"segment-log"` or `"json-dir"`.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Store::Json(_) => "json-dir",
-            Store::Log(_) => "segment-log",
-        }
-    }
-
-    /// The directory holding this store's files.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        match self {
-            Store::Json(c) => c.dir(),
-            Store::Log(s) => s.dir(),
-        }
-    }
-
-    /// Writes one report through (atomic rename for JSON, an appended
-    /// frame for the segment log; last-wins either way).
-    pub fn store(&self, fingerprint: u64, report: &SimReport) -> std::io::Result<()> {
-        match self {
-            Store::Json(c) => c.store(fingerprint, report),
-            Store::Log(s) => s.store(fingerprint, report),
-        }
-    }
-
-    /// Current accounting (the JSON format scans and parses its
-    /// directory to answer; the segment log answers from its index).
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            Store::Json(c) => {
-                let s = c.summary();
-                StoreStats {
-                    kind: self.kind(),
-                    entries: s.entries,
-                    live_bytes: s.bytes,
-                    file_bytes: s.bytes,
-                    skipped_corrupt: s.skipped_corrupt,
-                    ..StoreStats::default()
-                }
-            }
-            Store::Log(s) => s.stats(),
-        }
-    }
-
-    /// Pins fingerprints against eviction for the guard's lifetime.
-    /// `None` for the JSON format, which never evicts.
-    #[must_use]
-    pub fn pin(&self, fingerprints: &[u64]) -> Option<PinGuard<'_>> {
-        match self {
-            Store::Json(_) => None,
-            Store::Log(s) => Some(s.pin(fingerprints)),
-        }
-    }
-
-    /// Marks fingerprints recently-used for LRU eviction (no-op for the
-    /// JSON format).
-    pub fn touch_all(&self, fingerprints: &[u64]) {
-        if let Store::Log(s) = self {
-            s.touch_all(fingerprints);
-        }
-    }
-
-    /// Evicts least-recently-used entries until the store fits in
-    /// `max_bytes` (segment log only).
-    pub fn evict_to_budget(&self, max_bytes: u64) -> Result<EvictStats, String> {
-        match self {
-            Store::Json(_) => Err(
-                "the legacy JSON store has no eviction policy; convert it with `st cache migrate`"
-                    .to_string(),
-            ),
-            Store::Log(s) => s.evict_to_budget(max_bytes).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Rewrites live records into a fresh segment (segment log only).
-    pub fn compact(&self) -> Result<CompactStats, String> {
-        match self {
-            Store::Json(_) => Err(
-                "the legacy JSON store has nothing to compact; convert it with `st cache migrate`"
-                    .to_string(),
-            ),
-            Store::Log(s) => s.compact().map_err(|e| e.to_string()),
-        }
-    }
-}
-
-/// What [`migrate`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrateStats {
-    /// Entries carried into the segment store.
-    pub migrated: u64,
-    /// Corrupt JSON entries left behind (skipped, files kept in place).
-    pub skipped_corrupt: u64,
-    /// Payload bytes migrated.
-    pub bytes: u64,
-}
-
-/// Converts `<out>/.cache` (legacy JSON) into `<out>/.store` (segment
-/// log) in place, proving a bit-exact round-trip before committing.
-///
-/// Every entry file's **raw bytes** become the frame payload, the new
-/// store is built in a staging directory, every payload is read back
-/// and byte-compared, and only then does the staging directory rename
-/// to `.store` (the atomic commit point — a crash anywhere earlier
-/// leaves the JSON cache untouched). Migrated entry files are deleted
-/// afterwards; corrupt ones are skipped, counted and left in place.
-/// Migrating an empty or absent cache is allowed — it simply opts the
-/// output directory into the segment format.
-pub fn migrate(out_dir: &Path) -> Result<MigrateStats, String> {
-    let json_dir = Store::json_dir(out_dir);
-    let log_dir = Store::log_dir(out_dir);
-    if log_dir.exists() {
-        return Err(format!(
-            "segment store already exists at {} (nothing to migrate)",
-            log_dir.display()
-        ));
-    }
-    let mut stats = MigrateStats::default();
-    let mut entries: Vec<(u64, PathBuf, Vec<u8>)> = Vec::new();
-    if let Ok(dir) = std::fs::read_dir(&json_dir) {
-        for entry in dir.flatten() {
-            let path = entry.path();
-            let Some(fp) = fingerprint_of(&path) else { continue };
-            let parsed = std::fs::read(&path).ok().filter(|bytes| {
-                std::str::from_utf8(bytes).is_ok_and(|t| report_from_json(t).is_ok())
-            });
-            match parsed {
-                Some(bytes) => entries.push((fp, path, bytes)),
-                None => stats.skipped_corrupt += 1,
-            }
-        }
-    }
-    entries.sort_by_key(|(fp, _, _)| *fp);
-    let staging = out_dir.join(".store.migrating");
-    let _ = std::fs::remove_dir_all(&staging);
-    let store = LogStore::open(&staging);
-    for (fp, _, bytes) in &entries {
-        store.append_raw(*fp, bytes).map_err(|e| format!("cannot write segment store: {e}"))?;
-        stats.migrated += 1;
-        stats.bytes += bytes.len() as u64;
-    }
-    drop(store);
-    // Verify from a cold reopen: every payload must round-trip
-    // byte-identically before the JSON entries may be touched.
-    let check = LogStore::open(&staging);
-    for (fp, _, bytes) in &entries {
-        if check.raw_payload(*fp).as_deref() != Some(bytes.as_slice()) {
-            return Err(format!(
-                "verification failed: entry {fp:016x} did not round-trip byte-identically"
-            ));
-        }
-    }
-    drop(check);
-    std::fs::create_dir_all(&staging)
-        .map_err(|e| format!("cannot create {}: {e}", staging.display()))?;
-    std::fs::rename(&staging, &log_dir)
-        .map_err(|e| format!("cannot activate {}: {e}", log_dir.display()))?;
-    for (_, path, _) in &entries {
-        let _ = std::fs::remove_file(path);
-    }
-    Ok(stats)
-}
-
-// ---------------------------------------------------------------------
-// SimReport <-> JSON (exact round-trip).
-// ---------------------------------------------------------------------
 
 /// Exact float encoding: Rust's shortest round-trip representation
 /// (non-finite values render as `NaN`/`inf`, which [`report_from_json`]
-/// accepts — this is a private cache format, not interchange JSON).
+/// accepts — this is a private store format, not interchange JSON).
 fn num(v: f64) -> String {
     format!("{v}")
 }
@@ -592,122 +211,5 @@ mod tests {
         assert!(report_from_json("not json").is_err());
         assert!(report_from_json("{}").is_err());
         assert!(report_from_json("{\"v\":1}").is_err());
-    }
-
-    #[test]
-    fn concurrent_same_fingerprint_stores_leave_one_valid_entry() {
-        // The sweep service makes write-through concurrent within one
-        // process: N threads racing the same fingerprint must each write
-        // a private temp file, and the surviving entry must be one
-        // complete, bit-exact report — never an interleaving of two.
-        let dir = std::env::temp_dir().join(format!("st-persist-race-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = PersistentCache::new(&dir);
-        let (a, b) = (report(10), report(11));
-        assert_ne!(report_to_json(&a), report_to_json(&b), "distinct payloads");
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let (cache, a, b) = (&cache, &a, &b);
-                scope.spawn(move || {
-                    for i in 0..25 {
-                        let r = if (t + i) % 2 == 0 { a } else { b };
-                        cache.store(0xfeed, r).expect("racing store");
-                    }
-                });
-            }
-        });
-        let (entries, summary) = cache.load_with_summary();
-        assert_eq!(summary.entries, 1, "exactly one entry file");
-        assert_eq!(summary.skipped_corrupt, 0, "no torn writes");
-        assert!(entries[0].1 == a || entries[0].1 == b, "entry is one complete report");
-        let leftovers: Vec<String> = std::fs::read_dir(&dir)
-            .expect("dir")
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with(".tmp-"))
-            .collect();
-        assert!(leftovers.is_empty(), "every temp file was renamed: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_load_and_summarise() {
-        let dir = std::env::temp_dir().join(format!("st-persist-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = PersistentCache::new(&dir);
-        assert!(cache.load().is_empty(), "empty dir loads nothing");
-        let (a, b) = (report(5), report(6));
-        cache.store(0xabc, &a).expect("store a");
-        cache.store(0xdef, &b).expect("store b");
-        cache.store(0xdef, &b).expect("overwrite is fine");
-        // A foreign file is ignored.
-        std::fs::write(dir.join("README.txt"), "not a cache entry").unwrap();
-        // A corrupt entry is skipped on load but counted by summary.
-        std::fs::write(dir.join(format!("{:016x}.json", 0x1234u64)), "garbage").unwrap();
-        // An orphaned temp file from an interrupted store.
-        std::fs::write(dir.join(".tmp-00000000000000ff-1"), "torn write").unwrap();
-        let loaded = cache.load();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].0, 0xabc, "sorted by fingerprint");
-        assert_eq!(loaded[0].1, a);
-        assert_eq!(loaded[1].1, b);
-        let s = cache.summary();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.skipped_corrupt, 1);
-        assert!(s.bytes > 0);
-        assert_eq!(cache.clear().expect("clear"), 3);
-        assert!(cache.load().is_empty());
-        assert!(!dir.join(".tmp-00000000000000ff-1").exists(), "orphaned temp swept up");
-        assert!(dir.join("README.txt").exists(), "foreign files untouched");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrate_round_trips_byte_identically_and_switches_formats() {
-        let out = std::env::temp_dir().join(format!("st-migrate-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&out);
-        let cache = PersistentCache::new(Store::json_dir(&out));
-        let (a, b) = (report(20), report(21));
-        cache.store(0x20, &a).expect("store a");
-        cache.store(0x10, &b).expect("store b");
-        let raw_a = std::fs::read(cache.entry_path(0x20)).expect("raw a");
-        // One corrupt entry: skipped, counted, left in place.
-        let corrupt = cache.dir().join(format!("{:016x}.json", 0x99u64));
-        std::fs::write(&corrupt, "garbage").unwrap();
-
-        let stats = migrate(&out).expect("migrate");
-        assert_eq!(stats.migrated, 2);
-        assert_eq!(stats.skipped_corrupt, 1);
-        assert!(stats.bytes > 0);
-        assert!(Store::log_dir(&out).is_dir(), "segment store activated");
-        assert!(!cache.entry_path(0x20).exists(), "migrated JSON entries removed");
-        assert!(corrupt.exists(), "corrupt entry left for inspection");
-
-        // Auto-detection now opens the segment log, with identical data.
-        let (store, entries, load) = Store::open_loading(&out);
-        assert_eq!(store.kind(), "segment-log");
-        assert_eq!(load.entries, 2);
-        assert_eq!(entries, vec![(0x10, b), (0x20, a)]);
-        let Store::Log(log) = &store else { panic!("expected segment log") };
-        assert_eq!(log.raw_payload(0x20).as_deref(), Some(raw_a.as_slice()), "bytes verbatim");
-
-        // A second migrate refuses rather than clobbering.
-        assert!(migrate(&out).is_err());
-        let _ = std::fs::remove_dir_all(&out);
-    }
-
-    #[test]
-    fn migrating_an_absent_cache_opts_into_the_segment_format() {
-        let out = std::env::temp_dir().join(format!("st-migrate-empty-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&out);
-        let stats = migrate(&out).expect("migrate empty");
-        assert_eq!(stats, MigrateStats::default());
-        let store = Store::open(&out);
-        assert_eq!(store.kind(), "segment-log");
-        let r = report(22);
-        store.store(7, &r).expect("store through the abstraction");
-        let (_, entries, _) = Store::open_loading(&out);
-        assert_eq!(entries, vec![(7, r)]);
-        let _ = std::fs::remove_dir_all(&out);
     }
 }

@@ -74,7 +74,6 @@ use st_core::SimReport;
 use crate::emit;
 use crate::engine::SweepEngine;
 use crate::job::JobSpec;
-use crate::persist::Store;
 use crate::spec::{SweepPoint, SweepSpec};
 
 /// Largest request body the server will read, in bytes. Sweep specs are
@@ -127,30 +126,29 @@ pub fn install_sigint_handler() {
     }
 }
 
-/// How a [`Server`] builds its engine: where the shared persistent cache
+/// How a [`Server`] builds its engine: where the shared result store
 /// lives and how many simulations may run concurrently.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Output directory; the persistent result cache sits under
-    /// `<out>/.cache`, shared with `st run`/`st repro`/`st shard`.
+    /// Output directory; the result store sits under `<out>/.store`,
+    /// shared with `st run`/`st repro`/`st shard`.
     pub out: PathBuf,
     /// Simulation worker-pool size (`0` = auto-detect the hardware
     /// parallelism). Bounds concurrent simulations *across all
     /// connections* — the service's backpressure.
     pub threads: usize,
-    /// Skip the persistent on-disk cache (results are still memoised
-    /// in memory for the server's lifetime).
+    /// Skip the on-disk result store (results are still memoised in
+    /// memory for the server's lifetime).
     pub no_cache: bool,
-    /// Size budget for the segment store (`st serve --max-bytes`):
+    /// Size budget for the result store (`st serve --max-bytes`):
     /// after each submission the service evicts least-recently-used
     /// entries until the store fits. Entries of in-flight submissions
-    /// are pinned and never evicted. Ignored (with a startup warning)
-    /// for the legacy JSON format, which has no eviction policy.
+    /// are pinned and never evicted.
     pub max_store_bytes: Option<u64>,
 }
 
 impl Default for ServiceConfig {
-    /// The `st serve` defaults: cache under `results/.cache`, worker
+    /// The `st serve` defaults: store under `results/.store`, worker
     /// pool sized to the hardware, no size budget.
     fn default() -> ServiceConfig {
         ServiceConfig {
@@ -234,8 +232,8 @@ pub struct SweepService {
 
 impl SweepService {
     /// A service configured per `config` (engine + result-store preload
-    /// happen here, so construction may read `<out>/.store` or
-    /// `<out>/.cache`, and enforces the size budget once up front).
+    /// happen here, so construction reads `<out>/.store`, and enforces
+    /// the size budget once up front).
     #[must_use]
     pub fn new(config: &ServiceConfig) -> SweepService {
         let engine = if config.no_cache {
@@ -257,24 +255,21 @@ impl SweepService {
             max_store_bytes: config.max_store_bytes,
         };
         if service.max_store_bytes.is_some() {
-            match service.engine.result_store() {
-                Some(Store::Log(_)) => service.enforce_store_budget(),
-                Some(Store::Json(_)) => eprintln!(
-                    "st serve: --max-bytes needs the segment store; run `st cache migrate` \
-                     (budget ignored for the legacy JSON cache)"
-                ),
-                None => eprintln!("st serve: --max-bytes has no effect with --no-cache"),
+            if service.engine.result_store().is_some() {
+                service.enforce_store_budget();
+            } else {
+                eprintln!("st serve: --max-bytes has no effect with --no-cache");
             }
         }
         service
     }
 
-    /// Evicts down to the configured byte budget (segment store only;
-    /// pinned in-flight entries are exempt, so the store may run over
-    /// budget transiently while submissions stream).
+    /// Evicts down to the configured byte budget (pinned in-flight
+    /// entries are exempt, so the store may run over budget transiently
+    /// while submissions stream).
     fn enforce_store_budget(&self) {
         let Some(max) = self.max_store_bytes else { return };
-        if let Some(store @ Store::Log(_)) = self.engine.result_store() {
+        if let Some(store) = self.engine.result_store() {
             if let Err(e) = store.evict_to_budget(max) {
                 eprintln!("st serve: store eviction failed: {e}");
             }
@@ -397,7 +392,7 @@ impl SweepService {
         // stream: a concurrent budget enforcement must never evict an
         // entry this submission is about to read.
         let fingerprints: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
-        let pins = self.engine.result_store().and_then(|s| s.pin(&fingerprints));
+        let pins = self.engine.result_store().map(|s| s.pin(&fingerprints));
         let result = self.stream_inner(points, pairing, sink);
         drop(pins);
         if let Some(store) = self.engine.result_store() {
@@ -525,7 +520,7 @@ impl SweepService {
         // entries this range is about to read can never be evicted from
         // under it by a concurrent budget enforcement.
         let fingerprints: Vec<u64> = members.iter().map(|&i| points[i].job.fingerprint()).collect();
-        let pins = self.engine.result_store().and_then(|s| s.pin(&fingerprints));
+        let pins = self.engine.result_store().map(|s| s.pin(&fingerprints));
         let result = self.stream_points_inner(points, members, sink);
         drop(pins);
         if let Some(store) = self.engine.result_store() {
@@ -631,8 +626,7 @@ impl SweepService {
                 let dir =
                     format!("\"{}\"", emit::json_escape(&result_store.dir().display().to_string()));
                 let store = format!(
-                    "{{\"kind\":\"{}\",\"entries\":{},\"live_bytes\":{},\"dead_bytes\":{},\"file_bytes\":{},\"segments\":{},\"skipped_corrupt\":{},\"evictions\":{},\"compactions\":{}}}",
-                    s.kind,
+                    "{{\"entries\":{},\"live_bytes\":{},\"dead_bytes\":{},\"file_bytes\":{},\"segments\":{},\"skipped_corrupt\":{},\"evictions\":{},\"compactions\":{}}}",
                     s.entries,
                     s.live_bytes,
                     s.dead_bytes,
@@ -681,7 +675,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7077`) and builds the service —
-    /// including the persistent-cache preload, so a warm cache is ready
+    /// including the result-store preload, so a warm cache is ready
     /// before the first connection.
     ///
     /// # Errors
@@ -1143,8 +1137,9 @@ mod tests {
 
         // Every simulated point was written through; a fresh engine (a
         // restarted server, conceptually) preloads all four.
-        let reloaded = SweepEngine::with_persistent_cache(1, out.join(".cache"));
+        let reloaded = SweepEngine::with_result_store(1, &out);
         assert_eq!(reloaded.stats().loaded, 4, "all points persisted");
+        assert!(!out.join(".cache").exists(), "nothing written to a legacy JSON directory");
         let _ = std::fs::remove_dir_all(&out);
     }
 
@@ -1152,9 +1147,8 @@ mod tests {
     fn store_budget_is_enforced_after_submissions_but_never_mid_stream() {
         let out = std::env::temp_dir().join(format!("st-service-budget-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
-        // Opt the output directory into the segment store, then serve
-        // with a budget far below one submission's working set.
-        crate::persist::migrate(&out).expect("activate segment store");
+        // A fresh output directory, served with a budget far below one
+        // submission's working set.
         let config = ServiceConfig {
             out: out.clone(),
             threads: 2,
@@ -1176,12 +1170,11 @@ mod tests {
         // After the submission the budget applies: the store was evicted
         // and compacted down to (at most) the configured size.
         let stats = service.engine().result_store().expect("store").stats();
-        assert_eq!(stats.kind, "segment-log");
         assert!(stats.file_bytes <= 1024, "budget enforced: {stats:?}");
         assert!(stats.evictions > 0, "eviction actually ran: {stats:?}");
         assert!(stats.compactions > 0, "compaction actually ran: {stats:?}");
         let status = service.status_json();
-        assert!(status.contains("\"store\":{\"kind\":\"segment-log\""), "{status}");
+        assert!(status.contains("\"store\":{\"entries\":"), "{status}");
         assert!(status.contains("\"evictions\":"), "{status}");
         let _ = std::fs::remove_dir_all(&out);
     }

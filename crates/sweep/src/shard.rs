@@ -19,7 +19,7 @@
 //!   and a worker that exhausts its own range claims unstarted points
 //!   from the slowest remaining shard.
 //! * **[`merge`]** — unions shard documents back into the canonical
-//!   sweep output. Records carry the bit-exact persistent-cache encoding
+//!   sweep output. Records carry the bit-exact result-store encoding
 //!   of each report, so the merged JSONL/CSV is **byte-identical** to a
 //!   single-process `st run` of the same spec — the golden and property
 //!   tests pin this. Gaps, fingerprint mismatches, tampered records and
@@ -269,8 +269,8 @@ pub fn shard_header(spec: &SweepSpec, plan: &ShardPlan, shard: usize) -> String 
 }
 
 /// One `point` record (newline-terminated): the point's grid position,
-/// job fingerprint, report hash and the bit-exact persistent-cache
-/// encoding of the report itself.
+/// job fingerprint, report hash and the bit-exact result-store encoding
+/// of the report itself.
 #[must_use]
 pub fn point_record(seq: usize, point: &SweepPoint, report: &SimReport) -> String {
     let report_json = report_to_json(report);

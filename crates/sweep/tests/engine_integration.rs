@@ -111,7 +111,7 @@ fn axis_spec_runs_end_to_end_and_reuses_the_persistent_cache() {
 
     let dir = std::env::temp_dir().join(format!("st-it-axes-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let first = SweepEngine::with_persistent_cache(4, &dir);
+    let first = SweepEngine::with_result_store(4, &dir);
     let out1 = first.run(&jobs);
     // gating_threshold only distinguishes A7 points: BASE and C2 dedup
     // across the two threshold values (8 + 8 + 16 points -> 16 unique).
@@ -119,7 +119,7 @@ fn axis_spec_runs_end_to_end_and_reuses_the_persistent_cache() {
 
     // A fresh engine (new process, conceptually) serves the whole grid
     // from disk, bit-identically.
-    let second = SweepEngine::with_persistent_cache(4, &dir);
+    let second = SweepEngine::with_result_store(4, &dir);
     assert_eq!(second.stats().loaded, 16);
     let out2 = second.run(&jobs);
     assert_eq!(second.stats().simulated, 0, "fully served from the persistent cache");

@@ -110,7 +110,7 @@ fn st_run_shard_mode_covers_exactly_its_range_without_stealing() {
     assert!(claims_root.exists(), "steal mode leaves claim files");
     run_ok(st().args(["cache", "clear-claims", "--out"]).arg(&tmp));
     assert!(!claims_root.exists(), "clear-claims removes the claim tree");
-    assert!(tmp.join(".cache").exists(), "cached results survive clear-claims");
+    assert!(tmp.join(".store").join("seg-0.log").is_file(), "stored results survive clear-claims");
 
     let _ = std::fs::remove_dir_all(&tmp);
 }
