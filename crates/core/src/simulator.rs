@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use st_bpred::{ConfidenceStats, PredictorStats};
 use st_isa::{Program, WorkloadSpec};
-use st_pipeline::{Core, CoreBuilder, LaneGroup, MemSummary, PerfStats, PipelineConfig};
+use st_pipeline::{Core, CoreBuilder, MemSummary, PerfStats, PipelineConfig};
 use st_power::{savings_pct, EnergyReport, PowerConfig};
 
 use crate::experiments::{self, Experiment};
@@ -58,19 +58,12 @@ impl SimulatorBuilder {
     }
 
     /// Uses a pre-built program instead of generating one from a workload
-    /// spec (takes precedence over [`SimulatorBuilder::workload`]).
+    /// spec (takes precedence over [`SimulatorBuilder::workload`]). Pass
+    /// an `Arc<Program>` to run one generated program under several
+    /// simulators without copying it.
     #[must_use]
-    pub fn program(mut self, program: Program) -> SimulatorBuilder {
-        self.program = Some(Arc::new(program));
-        self
-    }
-
-    /// Uses a shared pre-built program image. Lane groups use this to
-    /// amortise program generation: every lane of a group holds the same
-    /// `Arc`, so decode tables and block metadata are resident once.
-    #[must_use]
-    pub fn program_shared(mut self, program: Arc<Program>) -> SimulatorBuilder {
-        self.program = Some(program);
+    pub fn program(mut self, program: impl Into<Arc<Program>>) -> SimulatorBuilder {
+        self.program = Some(program.into());
         self
     }
 
@@ -208,40 +201,6 @@ impl Simulator {
     #[must_use]
     pub fn core_mut(&mut self) -> &mut Core {
         &mut self.core
-    }
-
-    /// Runs several simulators as one lockstep [`LaneGroup`] on the calling
-    /// thread and returns their reports in input order.
-    ///
-    /// Each simulator keeps its own instruction budget, so lanes may finish
-    /// at different times (early finishers park). Reports are bit-identical
-    /// to running each simulator solo via [`Simulator::run`]; the payoff is
-    /// throughput — lanes of one group usually share a program image (built
-    /// with [`SimulatorBuilder::program_shared`]), amortising generation
-    /// cost and keeping the cycle loop's working set hot across points.
-    #[must_use]
-    pub fn run_lanes(sims: Vec<Simulator>) -> Vec<SimReport> {
-        let budgets: Vec<u64> = sims.iter().map(|s| s.max_instructions).collect();
-        let mut meta = Vec::with_capacity(sims.len());
-        let mut cores = Vec::with_capacity(sims.len());
-        for s in sims {
-            meta.push((s.workload_name, s.experiment_id, s.experiment_label));
-            cores.push(s.core);
-        }
-        let results = LaneGroup::new(cores).run(&budgets);
-        meta.into_iter()
-            .zip(results)
-            .map(|((workload, experiment, label), r)| SimReport {
-                workload,
-                experiment,
-                label,
-                perf: r.perf,
-                energy: r.energy,
-                bpred: r.bpred,
-                conf: r.conf,
-                mem: r.mem,
-            })
-            .collect()
     }
 }
 
@@ -418,28 +377,23 @@ mod tests {
     }
 
     #[test]
-    fn run_lanes_matches_solo_runs() {
+    fn shared_program_matches_generated_runs() {
+        // One program under four simulators, with divergent budgets,
+        // reports exactly what a per-run generation does.
         let program = Arc::new(workload(7).generate());
-        let exps = [
-            experiments::baseline(),
-            experiments::c2(),
-            experiments::a7(),
-            experiments::oracle_fetch(),
-        ];
-        let build = |e: Experiment, n: u64| {
-            Simulator::builder()
-                .program_shared(Arc::clone(&program))
-                .experiment(e)
+        for (e, n) in [
+            (experiments::baseline(), 8_000),
+            (experiments::c2(), 3_000),
+            (experiments::a7(), 8_000),
+            (experiments::oracle_fetch(), 1_000),
+        ] {
+            let shared = Simulator::builder()
+                .program(Arc::clone(&program))
+                .experiment(e.clone())
                 .max_instructions(n)
                 .build()
-        };
-        // Divergent budgets exercise early parking.
-        let budgets = [8_000u64, 3_000, 8_000, 1_000];
-        let solo: Vec<SimReport> =
-            exps.iter().zip(budgets).map(|(e, n)| build(e.clone(), n).run()).collect();
-        let lanes = Simulator::run_lanes(
-            exps.iter().zip(budgets).map(|(e, n)| build(e.clone(), n)).collect(),
-        );
-        assert_eq!(solo, lanes, "lane reports must be bit-identical to solo reports");
+                .run();
+            assert_eq!(shared, run(7, e, n));
+        }
     }
 }

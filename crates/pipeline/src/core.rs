@@ -164,9 +164,9 @@ impl CoreBuilder {
         CoreBuilder::shared(Arc::new(program))
     }
 
-    /// Starts building a core over a shared program image. Lane groups use
-    /// this to run N configuration points against one generated program
-    /// without cloning it per lane.
+    /// Starts building a core over a shared program image, so several
+    /// cores (one after another or at once) can run one generated program
+    /// without copying it.
     #[must_use]
     pub fn shared(program: Arc<Program>) -> CoreBuilder {
         CoreBuilder {
@@ -468,9 +468,6 @@ impl Core {
     }
 
     /// End-of-cycle bookkeeping: power accumulation and the cycle count.
-    /// Split out of [`Core::step`] so callers that interleave stages
-    /// across cores can still close each cycle identically to a solo
-    /// run.
     pub(crate) fn end_cycle(&mut self) {
         self.power.accumulate_cycle(&self.activity, &mut self.account);
         self.activity.clear();

@@ -62,12 +62,10 @@ pub mod core;
 mod frontend;
 mod hotstate;
 pub mod instr;
-pub mod lane;
 pub mod stats;
 
 pub use crate::core::{Core, CoreBuilder, SimResult};
 pub use config::{FuConfig, PipelineConfig};
 pub use controller::{BranchEvent, NullController, OracleMode, SpeculationController};
 pub use instr::{DynInstr, SeqNum};
-pub use lane::LaneGroup;
 pub use stats::{MemSummary, PerfStats};

@@ -4,15 +4,14 @@
 //! three instruments: the **repro** section (`st repro` wall-clock per
 //! figure plus cache effectiveness — the end-to-end number), the
 //! **core_bench** section (`st bench` steady-state simulated
-//! instructions/sec — the hot-loop number), the **store_bench** section
-//! (`st bench --store` bulk-append and cold-load timings of the
-//! segment-log result store) and the **lane_bench** section (`st bench
-//! --lanes N` lane-vs-solo end-to-end sweep throughput plus the lane
-//! determinism gate). Each tool updates its own section *in place* and
-//! preserves the others', so CI can run them in any order and upload
-//! one artifact. Every bench section also records the lane width,
-//! worker threads and host core count it ran with, so throughput
-//! trends stay comparable across machines.
+//! instructions/sec — the hot-loop number) and the **store_bench**
+//! section (`st bench --store` bulk-append and cold-load timings of the
+//! segment-log result store). Each tool updates its own section *in
+//! place* and preserves the others', so CI can run them in any order
+//! and upload one artifact. Every bench section also records the worker
+//! threads and host core count it ran with, so throughput trends stay
+//! comparable across machines. The tools write the file only when
+//! given `--bench-json PATH`.
 //!
 //! The top-level layout keeps the original `st repro` schema (`bench`,
 //! `total_seconds`, `figures`, …) so existing consumers keep parsing,
@@ -20,7 +19,7 @@
 
 use std::path::Path;
 
-use crate::bench::{BenchPoint, BenchResult, LaneBenchPoint, LaneBenchResult, StoreBenchResult};
+use crate::bench::{BenchPoint, BenchResult, StoreBenchResult};
 use crate::emit::{json_escape, json_num, write_text};
 use crate::json::Json;
 
@@ -68,8 +67,6 @@ pub struct ReproSection {
 pub struct CoreBenchSection {
     /// Unix time the bench finished.
     pub unix_time: u64,
-    /// Lane width the points ran at (the hot-loop bench is solo: 1).
-    pub lanes: u64,
     /// Worker threads (the hot-loop bench is single-threaded: 1).
     pub threads: u64,
     /// Host logical core count when the bench ran (0 = unknown).
@@ -88,7 +85,6 @@ impl CoreBenchSection {
     pub fn from_result(result: &BenchResult, unix_time: u64) -> CoreBenchSection {
         CoreBenchSection {
             unix_time,
-            lanes: 1,
             threads: 1,
             host_cores: host_cores(),
             geomean_instr_per_sec: result.geomean_instr_per_sec,
@@ -103,8 +99,6 @@ impl CoreBenchSection {
 pub struct StoreBenchSection {
     /// Unix time the bench finished.
     pub unix_time: u64,
-    /// Lane width (the store bench never simulates in lanes: 1).
-    pub lanes: u64,
     /// Worker threads (the store bench is single-threaded: 1).
     pub threads: u64,
     /// Host logical core count when the bench ran (0 = unknown).
@@ -129,7 +123,6 @@ impl StoreBenchSection {
     pub fn from_result(result: &StoreBenchResult, unix_time: u64) -> StoreBenchSection {
         StoreBenchSection {
             unix_time,
-            lanes: 1,
             threads: 1,
             host_cores: host_cores(),
             entries: result.entries,
@@ -138,51 +131,6 @@ impl StoreBenchSection {
             write_seconds: result.write_seconds,
             load_seconds: result.load_seconds,
             load_entries_per_sec: result.entries as f64 / result.load_seconds.max(1e-9),
-        }
-    }
-}
-
-/// The `st bench --lanes N` section: lane-vs-solo end-to-end sweep
-/// throughput, including the outcome of the lane determinism gate.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LaneBenchSection {
-    /// Unix time the bench finished.
-    pub unix_time: u64,
-    /// Lane width measured.
-    pub lanes: u64,
-    /// Worker threads (the lane bench is single-threaded: 1).
-    pub threads: u64,
-    /// Host logical core count when the bench ran (0 = unknown).
-    pub host_cores: u64,
-    /// Instruction budget per point.
-    pub instructions: u64,
-    /// Geomean solo instructions/sec across workloads.
-    pub geomean_solo_instr_per_sec: f64,
-    /// Geomean lane instructions/sec across workloads.
-    pub geomean_lane_instr_per_sec: f64,
-    /// Geomean lane / geomean solo — the headline lane payoff.
-    pub speedup: f64,
-    /// Whether every lane report was bit-identical to its solo twin.
-    pub identical: bool,
-    /// Per-workload measurements.
-    pub points: Vec<LaneBenchPoint>,
-}
-
-impl LaneBenchSection {
-    /// Builds the section from a lane-bench run.
-    #[must_use]
-    pub fn from_result(result: &LaneBenchResult, unix_time: u64) -> LaneBenchSection {
-        LaneBenchSection {
-            unix_time,
-            lanes: result.lanes,
-            threads: 1,
-            host_cores: host_cores(),
-            instructions: result.instructions,
-            geomean_solo_instr_per_sec: result.geomean_solo_instr_per_sec,
-            geomean_lane_instr_per_sec: result.geomean_lane_instr_per_sec,
-            speedup: result.speedup,
-            identical: result.identical,
-            points: result.points.clone(),
         }
     }
 }
@@ -291,7 +239,6 @@ pub fn update(
     repro: Option<&ReproSection>,
     core: Option<&CoreBenchSection>,
     store: Option<&StoreBenchSection>,
-    lane: Option<&LaneBenchSection>,
 ) -> std::io::Result<()> {
     let existing = std::fs::read_to_string(path).ok().and_then(|t| Json::parse(&t).ok());
     let preserved_repro;
@@ -318,22 +265,13 @@ pub fn update(
             preserved_store.as_ref()
         }
     };
-    let preserved_lane;
-    let lane = match lane {
-        Some(l) => Some(l),
-        None => {
-            preserved_lane = existing.as_ref().and_then(parse_lanes);
-            preserved_lane.as_ref()
-        }
-    };
-    write_text(path, &render(repro, core, store, lane))
+    write_text(path, &render(repro, core, store))
 }
 
 fn render(
     repro: Option<&ReproSection>,
     core: Option<&CoreBenchSection>,
     store: Option<&StoreBenchSection>,
-    lane: Option<&LaneBenchSection>,
 ) -> String {
     let mut out = String::from("{\n  \"bench\": \"st_repro\"");
     if let Some(r) = repro {
@@ -378,9 +316,8 @@ fn render(
             })
             .collect();
         out.push_str(&format!(
-            ",\n  \"core_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"geomean_instr_per_sec\": {},\n    \"deterministic\": {},\n    \"points\": [{}]\n  }}",
+            ",\n  \"core_bench\": {{\n    \"unix_time\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"geomean_instr_per_sec\": {},\n    \"deterministic\": {},\n    \"points\": [{}]\n  }}",
             c.unix_time,
-            c.lanes,
             c.threads,
             c.host_cores,
             json_num(c.geomean_instr_per_sec),
@@ -390,9 +327,8 @@ fn render(
     }
     if let Some(s) = store {
         out.push_str(&format!(
-            ",\n  \"store_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"entries\": {},\n    \"file_bytes\": {},\n    \"segments\": {},\n    \"write_seconds\": {},\n    \"load_seconds\": {},\n    \"load_entries_per_sec\": {}\n  }}",
+            ",\n  \"store_bench\": {{\n    \"unix_time\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"entries\": {},\n    \"file_bytes\": {},\n    \"segments\": {},\n    \"write_seconds\": {},\n    \"load_seconds\": {},\n    \"load_entries_per_sec\": {}\n  }}",
             s.unix_time,
-            s.lanes,
             s.threads,
             s.host_cores,
             s.entries,
@@ -401,37 +337,6 @@ fn render(
             json_num(s.write_seconds),
             json_num(s.load_seconds),
             json_num(s.load_entries_per_sec),
-        ));
-    }
-    if let Some(l) = lane {
-        let points: Vec<String> = l
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"workload\":\"{}\",\"points\":{},\"solo_seconds\":{},\"lane_seconds\":{},\"solo_instr_per_sec\":{},\"lane_instr_per_sec\":{},\"speedup\":{}}}",
-                    json_escape(&p.workload),
-                    p.points,
-                    json_num(p.solo_seconds),
-                    json_num(p.lane_seconds),
-                    json_num(p.solo_instr_per_sec),
-                    json_num(p.lane_instr_per_sec),
-                    json_num(p.speedup),
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            ",\n  \"lane_bench\": {{\n    \"unix_time\": {},\n    \"lanes\": {},\n    \"threads\": {},\n    \"host_cores\": {},\n    \"instructions\": {},\n    \"geomean_solo_instr_per_sec\": {},\n    \"geomean_lane_instr_per_sec\": {},\n    \"speedup\": {},\n    \"identical\": {},\n    \"points\": [{}]\n  }}",
-            l.unix_time,
-            l.lanes,
-            l.threads,
-            l.host_cores,
-            l.instructions,
-            json_num(l.geomean_solo_instr_per_sec),
-            json_num(l.geomean_lane_instr_per_sec),
-            json_num(l.speedup),
-            l.identical,
-            points.join(","),
         ));
     }
     out.push_str("\n}\n");
@@ -488,7 +393,6 @@ fn parse_core(json: &Json) -> Option<CoreBenchSection> {
     };
     Some(CoreBenchSection {
         unix_time: c.get("unix_time")?.as_u64().ok()?,
-        lanes: env_u64(c, "lanes"),
         threads: env_u64(c, "threads"),
         host_cores: env_u64(c, "host_cores"),
         geomean_instr_per_sec: c.get("geomean_instr_per_sec")?.as_f64().ok()?,
@@ -501,7 +405,6 @@ fn parse_store(json: &Json) -> Option<StoreBenchSection> {
     let s = json.get("store_bench")?;
     Some(StoreBenchSection {
         unix_time: s.get("unix_time")?.as_u64().ok()?,
-        lanes: env_u64(s, "lanes"),
         threads: env_u64(s, "threads"),
         host_cores: env_u64(s, "host_cores"),
         entries: s.get("entries")?.as_u64().ok()?,
@@ -510,39 +413,6 @@ fn parse_store(json: &Json) -> Option<StoreBenchSection> {
         write_seconds: s.get("write_seconds")?.as_f64().ok()?,
         load_seconds: s.get("load_seconds")?.as_f64().ok()?,
         load_entries_per_sec: s.get("load_entries_per_sec")?.as_f64().ok()?,
-    })
-}
-
-fn parse_lanes(json: &Json) -> Option<LaneBenchSection> {
-    let l = json.get("lane_bench")?;
-    let points = match l.get("points")? {
-        Json::Arr(items) => items
-            .iter()
-            .map(|p| {
-                Some(LaneBenchPoint {
-                    workload: p.get("workload")?.as_str().ok()?.to_string(),
-                    points: p.get("points")?.as_u64().ok()?,
-                    solo_seconds: p.get("solo_seconds")?.as_f64().ok()?,
-                    lane_seconds: p.get("lane_seconds")?.as_f64().ok()?,
-                    solo_instr_per_sec: p.get("solo_instr_per_sec")?.as_f64().ok()?,
-                    lane_instr_per_sec: p.get("lane_instr_per_sec")?.as_f64().ok()?,
-                    speedup: p.get("speedup")?.as_f64().ok()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        _ => return None,
-    };
-    Some(LaneBenchSection {
-        unix_time: l.get("unix_time")?.as_u64().ok()?,
-        lanes: l.get("lanes")?.as_u64().ok()?,
-        threads: env_u64(l, "threads"),
-        host_cores: env_u64(l, "host_cores"),
-        instructions: l.get("instructions")?.as_u64().ok()?,
-        geomean_solo_instr_per_sec: l.get("geomean_solo_instr_per_sec")?.as_f64().ok()?,
-        geomean_lane_instr_per_sec: l.get("geomean_lane_instr_per_sec")?.as_f64().ok()?,
-        speedup: l.get("speedup")?.as_f64().ok()?,
-        identical: l.get("identical")?.as_f64().ok()? != 0.0,
-        points,
     })
 }
 
@@ -576,7 +446,6 @@ mod tests {
     fn core() -> CoreBenchSection {
         CoreBenchSection {
             unix_time: 43,
-            lanes: 1,
             threads: 1,
             host_cores: 8,
             geomean_instr_per_sec: 5e5,
@@ -596,7 +465,6 @@ mod tests {
     fn store() -> StoreBenchSection {
         StoreBenchSection {
             unix_time: 44,
-            lanes: 1,
             threads: 1,
             host_cores: 8,
             entries: 20_000,
@@ -608,29 +476,6 @@ mod tests {
         }
     }
 
-    fn lane() -> LaneBenchSection {
-        LaneBenchSection {
-            unix_time: 45,
-            lanes: 4,
-            threads: 1,
-            host_cores: 8,
-            instructions: 10_000,
-            geomean_solo_instr_per_sec: 3e5,
-            geomean_lane_instr_per_sec: 5e5,
-            speedup: 5.0 / 3.0,
-            identical: true,
-            points: vec![LaneBenchPoint {
-                workload: "go".into(),
-                points: 4,
-                solo_seconds: 0.12,
-                lane_seconds: 0.07,
-                solo_instr_per_sec: 3e5,
-                lane_instr_per_sec: 5e5,
-                speedup: 5.0 / 3.0,
-            }],
-        }
-    }
-
     #[test]
     fn sections_survive_alternating_updates() {
         let dir = std::env::temp_dir().join(format!("st-artifact-test-{}", std::process::id()));
@@ -638,39 +483,35 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_sweep.json");
 
-        // Repro first, then the three benches: all four sections present
+        // Repro first, then the two benches: all three sections present
         // afterwards.
-        update(&path, Some(&repro()), None, None, None).expect("write repro");
-        update(&path, None, Some(&core()), None, None).expect("write core");
-        update(&path, None, None, Some(&store()), None).expect("write store");
-        update(&path, None, None, None, Some(&lane())).expect("write lane");
+        update(&path, Some(&repro()), None, None).expect("write repro");
+        update(&path, None, Some(&core()), None).expect("write core");
+        update(&path, None, None, Some(&store())).expect("write store");
         let text = std::fs::read_to_string(&path).unwrap();
         let json = Json::parse(&text).expect("valid json");
         let r = parse_repro(&json).expect("repro preserved");
         assert_eq!(r, repro());
         let c = parse_core(&json).expect("core preserved");
         assert_eq!(c, core());
-        let s = parse_store(&json).expect("store preserved");
+        let s = parse_store(&json).expect("store written");
         assert_eq!(s, store());
-        let l = parse_lanes(&json).expect("lane written");
-        assert_eq!(l, lane());
 
         // A later repro refresh keeps the other sections.
         let mut r2 = repro();
         r2.total_seconds = 9.0;
-        update(&path, Some(&r2), None, None, None).expect("update repro");
+        update(&path, Some(&r2), None, None).expect("update repro");
         let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(parse_repro(&json).unwrap().total_seconds, 9.0);
         assert_eq!(parse_core(&json).unwrap(), core(), "core section preserved");
         assert_eq!(parse_store(&json).unwrap(), store(), "store section preserved");
-        assert_eq!(parse_lanes(&json).unwrap(), lane(), "lane section preserved");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn env_fields_default_to_zero_on_old_sections() {
-        // A core_bench written before lanes/threads/host_cores existed
-        // still parses; the env fields report 0 (= unknown).
+        // A core_bench written before threads/host_cores existed still
+        // parses; the env fields report 0 (= unknown).
         let old = r#"{
   "bench": "st_repro",
   "core_bench": {
@@ -682,7 +523,7 @@ mod tests {
 }"#;
         let json = Json::parse(old).expect("old artifact parses");
         let c = parse_core(&json).expect("core section");
-        assert_eq!((c.lanes, c.threads, c.host_cores), (0, 0, 0));
+        assert_eq!((c.threads, c.host_cores), (0, 0));
         assert_eq!(c.geomean_instr_per_sec, 500000.0);
     }
 
@@ -739,10 +580,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("st-artifact-missing-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("BENCH_sweep.json");
-        update(&path, None, Some(&core()), None, None).expect("write into fresh dir");
+        update(&path, None, Some(&core()), None).expect("write into fresh dir");
         let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(parse_repro(&json).is_none());
-        assert!(parse_lanes(&json).is_none());
+        assert!(parse_store(&json).is_none());
         assert_eq!(parse_core(&json).unwrap(), core());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -249,6 +249,12 @@ impl Axis {
 /// intentional sweep (the CI generative gate uses 1000).
 pub const MAX_RANGE_VALUES: usize = 65_536;
 
+/// Upper bound on how many points one spec may expand to. Ranges within
+/// [`MAX_RANGE_VALUES`] on several axes still multiply; an expanded
+/// point takes about 1.2 KB, so this caps a grid near 300 MiB, far above
+/// any intentional sweep (`examples/gen-demo.toml` is 2,000 points).
+pub const MAX_GRID_POINTS: usize = 1 << 18;
+
 /// Splits `lo..hi` / `lo..=hi` into `(lo, inclusive, hi)`; `None` when
 /// the token is not a range.
 fn split_range_token(token: &str) -> Option<(&str, bool, &str)> {

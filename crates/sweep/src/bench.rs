@@ -14,10 +14,9 @@
 //! the bench (`st bench` exits non-zero), which is what the CI step
 //! relies on.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use st_core::{Experiment, SimReport, Simulator};
+use st_core::Simulator;
 
 use crate::job::JobSpec;
 use crate::logstore::LogStore;
@@ -165,201 +164,6 @@ pub fn run(config: &BenchConfig) -> Result<BenchResult, String> {
     })
 }
 
-/// Configuration of the lane bench (`st bench --lanes N`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneBenchConfig {
-    /// Workload names; each contributes one lane group.
-    pub workloads: Vec<String>,
-    /// Experiment ids assigned to lanes round-robin.
-    pub experiments: Vec<String>,
-    /// Lane width: points per workload, stepped in lockstep.
-    pub lanes: usize,
-    /// Instruction budget per point. Lane batching pays off most on
-    /// short points, where per-point setup (program generation, core
-    /// construction) rivals simulation time — exactly the dense-grid
-    /// regime ad-hoc `st run` sweeps live in — so this is deliberately
-    /// smaller than the hot-loop bench's steady-state budget.
-    pub instructions: u64,
-}
-
-impl LaneBenchConfig {
-    /// The full suite: every paper workload, lanes cycling through
-    /// BASE/C2/A7/OF (the golden-test experiment set).
-    #[must_use]
-    pub fn full(lanes: usize) -> LaneBenchConfig {
-        LaneBenchConfig {
-            workloads: st_workloads::all().into_iter().map(|i| i.spec.name).collect(),
-            experiments: vec!["BASE".into(), "C2".into(), "A7".into(), "OF".into()],
-            lanes: lanes.max(1),
-            instructions: 3_000,
-        }
-    }
-
-    /// The CI smoke suite: two workloads, small budgets.
-    #[must_use]
-    pub fn smoke(lanes: usize) -> LaneBenchConfig {
-        LaneBenchConfig {
-            workloads: vec!["go".into(), "gcc".into()],
-            instructions: 2_000,
-            ..LaneBenchConfig::full(lanes)
-        }
-    }
-}
-
-/// One workload's lane-vs-solo measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneBenchPoint {
-    /// Workload name.
-    pub workload: String,
-    /// Sweep points in the group (= lane width).
-    pub points: u64,
-    /// Seconds to run every point solo (generate + build + run each).
-    pub solo_seconds: f64,
-    /// Seconds to run the same points as one lane group (generate once,
-    /// build each, lockstep run).
-    pub lane_seconds: f64,
-    /// End-to-end simulated instructions per second, solo.
-    pub solo_instr_per_sec: f64,
-    /// End-to-end simulated instructions per second, lanes.
-    pub lane_instr_per_sec: f64,
-    /// `lane_instr_per_sec / solo_instr_per_sec`.
-    pub speedup: f64,
-}
-
-/// Result of one lane bench: per-workload points plus geomeans, and the
-/// outcome of the built-in determinism gate (lane reports byte-compared
-/// against the solo reports of the same grid).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneBenchResult {
-    /// Lane width measured.
-    pub lanes: u64,
-    /// Instruction budget per point.
-    pub instructions: u64,
-    /// Per-workload measurements, in configuration order.
-    pub points: Vec<LaneBenchPoint>,
-    /// Total wall-clock seconds across both timed passes.
-    pub total_seconds: f64,
-    /// Geomean solo instructions/sec across workloads.
-    pub geomean_solo_instr_per_sec: f64,
-    /// Geomean lane instructions/sec across workloads.
-    pub geomean_lane_instr_per_sec: f64,
-    /// `geomean_lane / geomean_solo` — the headline lane payoff.
-    pub speedup: f64,
-    /// Whether every lane report was bit-identical to its solo twin.
-    pub identical: bool,
-    /// Human-readable mismatch description, when `!identical`.
-    pub mismatch: Option<String>,
-}
-
-/// Runs the lane bench: for each workload, simulates `lanes` points
-/// (experiments round-robin) first solo — generate + build + run per
-/// point, the `--lanes 1` schedule — then as one lockstep lane group
-/// sharing a single generated program, and compares both wall-clock and
-/// report bytes. The byte comparison doubles as the CI lane-determinism
-/// gate: any divergence is reported in the result and `st bench` exits
-/// non-zero.
-///
-/// # Errors
-///
-/// Returns an error for unknown workload/experiment names or an empty
-/// experiment list. A report mismatch is *not* an `Err` — it is recorded
-/// in the result so the caller can still print the measurements.
-pub fn run_lane_bench(config: &LaneBenchConfig) -> Result<LaneBenchResult, String> {
-    if config.experiments.is_empty() {
-        return Err("lane bench needs at least one experiment".into());
-    }
-    let lanes = config.lanes.max(1);
-    let mut points = Vec::new();
-    let mut mismatch = None;
-    let mut solo_log_sum = 0.0;
-    let mut lane_log_sum = 0.0;
-    let mut total_seconds = 0.0;
-    for workload in &config.workloads {
-        let spec = st_workloads::by_name(workload)
-            .ok_or_else(|| format!("unknown workload `{workload}`"))?;
-        let exps: Vec<Experiment> = (0..lanes)
-            .map(|i| {
-                let id = &config.experiments[i % config.experiments.len()];
-                experiment_by_id(id).ok_or_else(|| format!("unknown experiment `{id}`"))
-            })
-            .collect::<Result<_, String>>()?;
-
-        // Solo pass: the --lanes 1 schedule. Each point pays its own
-        // program generation and core construction.
-        let solo_start = Instant::now();
-        let solo_reports: Vec<SimReport> = exps
-            .iter()
-            .map(|e| {
-                Simulator::builder()
-                    .workload(spec.clone())
-                    .experiment(e.clone())
-                    .max_instructions(config.instructions)
-                    .build()
-                    .run()
-            })
-            .collect();
-        let solo_seconds = solo_start.elapsed().as_secs_f64().max(1e-9);
-
-        // Lane pass: one generation, shared image, lockstep stepping.
-        let lane_start = Instant::now();
-        let program = Arc::new(spec.generate());
-        let sims: Vec<Simulator> = exps
-            .iter()
-            .map(|e| {
-                Simulator::builder()
-                    .program_shared(Arc::clone(&program))
-                    .experiment(e.clone())
-                    .max_instructions(config.instructions)
-                    .build()
-            })
-            .collect();
-        let lane_reports = Simulator::run_lanes(sims);
-        let lane_seconds = lane_start.elapsed().as_secs_f64().max(1e-9);
-
-        if mismatch.is_none() && lane_reports != solo_reports {
-            let lane = lane_reports
-                .iter()
-                .zip(&solo_reports)
-                .position(|(l, s)| l != s)
-                .unwrap_or_default();
-            mismatch = Some(format!(
-                "workload `{workload}`: lane {lane} ({}) diverged from its solo run",
-                exps[lane].id
-            ));
-        }
-
-        let simulated = lanes as f64 * config.instructions as f64;
-        let solo_instr_per_sec = simulated / solo_seconds;
-        let lane_instr_per_sec = simulated / lane_seconds;
-        solo_log_sum += solo_instr_per_sec.ln();
-        lane_log_sum += lane_instr_per_sec.ln();
-        total_seconds += solo_seconds + lane_seconds;
-        points.push(LaneBenchPoint {
-            workload: workload.clone(),
-            points: lanes as u64,
-            solo_seconds,
-            lane_seconds,
-            solo_instr_per_sec,
-            lane_instr_per_sec,
-            speedup: lane_instr_per_sec / solo_instr_per_sec,
-        });
-    }
-    let n = points.len().max(1) as f64;
-    let geomean_solo_instr_per_sec = if points.is_empty() { 0.0 } else { (solo_log_sum / n).exp() };
-    let geomean_lane_instr_per_sec = if points.is_empty() { 0.0 } else { (lane_log_sum / n).exp() };
-    Ok(LaneBenchResult {
-        lanes: lanes as u64,
-        instructions: config.instructions,
-        points,
-        total_seconds,
-        geomean_solo_instr_per_sec,
-        geomean_lane_instr_per_sec,
-        speedup: geomean_lane_instr_per_sec / geomean_solo_instr_per_sec.max(1e-9),
-        identical: mismatch.is_none(),
-        mismatch,
-    })
-}
-
 /// Result of one `st bench --store` invocation: how fast the segment
 /// log absorbs a bulk append and how fast a cold reopen (the one
 /// sequential startup pass) decodes it back.
@@ -490,36 +294,6 @@ mod tests {
         let cfg = BenchConfig::full().with_measure(50_000);
         assert_eq!(cfg.measure, 50_000);
         assert_eq!(cfg.warmup, 5_000);
-    }
-
-    #[test]
-    fn lane_bench_measures_and_stays_identical() {
-        let mut cfg = LaneBenchConfig::smoke(4);
-        cfg.workloads.truncate(1);
-        cfg.instructions = 1_000;
-        let r = run_lane_bench(&cfg).expect("lane bench runs");
-        assert_eq!(r.lanes, 4);
-        assert_eq!(r.points.len(), 1);
-        let p = &r.points[0];
-        assert_eq!(p.workload, "go");
-        assert_eq!(p.points, 4);
-        assert!(p.solo_instr_per_sec > 0.0);
-        assert!(p.lane_instr_per_sec > 0.0);
-        assert!(r.geomean_lane_instr_per_sec > 0.0);
-        assert!(r.speedup > 0.0);
-        assert!(r.identical, "lane determinism gate: {:?}", r.mismatch);
-    }
-
-    #[test]
-    fn lane_bench_rejects_unknown_names() {
-        let mut cfg = LaneBenchConfig::smoke(2);
-        cfg.workloads = vec!["nope".into()];
-        assert!(run_lane_bench(&cfg).unwrap_err().contains("nope"));
-        let mut cfg = LaneBenchConfig::smoke(2);
-        cfg.experiments = vec!["ZZ".into()];
-        assert!(run_lane_bench(&cfg).unwrap_err().contains("ZZ"));
-        cfg.experiments.clear();
-        assert!(run_lane_bench(&cfg).unwrap_err().contains("at least one experiment"));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! st repro [--threads N] [--instr N] [--out DIR] [--bench-json PATH] [--no-cache]
-//!     Regenerates every paper figure/table in one parallel, cached pass
-//!     and updates the BENCH_sweep.json perf artifact's repro section.
+//!     Regenerates every paper figure/table in one parallel, cached pass.
+//!     With --bench-json PATH it also records its timings in the repro
+//!     section of that BENCH_sweep.json-format file.
 //!
 //! st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
 //!        [--set axis=v1,v2]... [--no-cache] [--shard I/N [--steal]]
@@ -59,8 +60,9 @@
 //!            [--submissions M] [--priority N] [--smoke]
 //!            [--bench-json PATH]
 //!     Replays M concurrent submissions of the spec through N client
-//!     threads against a running service or fleet, then records
-//!     throughput and p50/p90/p99 latency into BENCH_service.json.
+//!     threads against a running service or fleet and reports throughput
+//!     and p50/p90/p99 latency; --bench-json PATH records them in a
+//!     BENCH_service.json-format file.
 //!     Failures (backpressure, truncation) are counted, never retried.
 //!
 //! st status [--addr HOST:PORT]
@@ -69,12 +71,12 @@
 //!
 //! st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
 //!     Measures steady-state simulated instructions/sec of the core hot
-//!     loop per workload × experiment, verifies determinism (fresh rerun
-//!     + result-store round-trip) and updates BENCH_sweep.json's
-//!     core_bench section. Exits non-zero if determinism breaks. With
-//!     --store it instead times the segment-log result store (bulk
-//!     append + cold load of 1M synthetic entries; 20k with --smoke)
-//!     and updates the store_bench section.
+//!     loop per workload × experiment and verifies determinism (fresh
+//!     rerun + result-store round-trip); --bench-json PATH records the
+//!     core_bench section of that BENCH_sweep.json-format file. Exits
+//!     non-zero if determinism breaks. With --store it instead times the
+//!     segment-log result store (bulk append + cold load of 1M synthetic
+//!     entries; 20k with --smoke), recorded as the store_bench section.
 //!
 //! st plot <jsonl> --x <key> --y <metric>
 //!     Renders a cached sweep JSONL as ASCII bar charts (one per
@@ -118,15 +120,14 @@
 //! directory by default: the append-only segment log at `<out>/.store`.
 //! Entries load on start and every fresh simulation writes through, so
 //! repeated invocations and CI runs reuse points across processes.
-//! `--no-cache` opts a run out entirely.
+//! `--no-cache` opts a run out entirely. Timing files are opt-in: no
+//! subcommand writes one unless given `--bench-json PATH`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use st_sweep::artifact::{
-    self, CoreBenchSection, LaneBenchSection, ReproSection, StoreBenchSection,
-};
-use st_sweep::bench::{BenchConfig, LaneBenchConfig};
+use st_sweep::artifact::{self, CoreBenchSection, ReproSection, StoreBenchSection};
+use st_sweep::bench::BenchConfig;
 use st_sweep::emit::{sweep_jsonl_with_pairing, sweep_table, write_text};
 use st_sweep::figures::{FigureCtx, ALL_FIGURES};
 use st_sweep::fleet::{FleetConfig, FleetServer};
@@ -169,9 +170,8 @@ const USAGE: &str = "\
 st — parallel, cache-aware sweeps over the Selective Throttling simulator
 
 USAGE:
-    st repro [--threads N] [--lanes N] [--instr N] [--out DIR] [--bench-json PATH]
-             [--no-cache]
-    st run <spec.toml|spec.json> [--threads N] [--lanes N] [--instr N] [--out DIR]
+    st repro [--threads N] [--instr N] [--out DIR] [--bench-json PATH] [--no-cache]
+    st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
            [--set axis=v1,v2]... [--no-cache] [--shard I/N [--steal]]
     st shard <spec.toml|spec.json> [-j N] [--instr N] [--out DIR]
            [--set axis=v1,v2]... [--no-cache]
@@ -184,7 +184,7 @@ USAGE:
     st status [--addr HOST:PORT]
     st loadgen <spec.toml|spec.json> [--addr HOST:PORT] [--clients N]
              [--submissions M] [--priority N] [--smoke] [--bench-json PATH]
-    st bench [--smoke] [--lanes N] [--instr N] [--bench-json PATH] [--store]
+    st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
     st plot <jsonl> --x <key> --y <metric>
     st audit <jsonl|spec.toml|spec.json> [--threads N] [--out DIR] [--no-cache]
              [--min-confidence low|medium|high] [--format table|jsonl]
@@ -200,11 +200,6 @@ OPTIONS:
                      workers simulate one point at a time, so `shard`
                      and `run --shard` parallelise via processes instead
                      and reject this flag)
-    --lanes N        `repro`/`run`: same-workload sweep points stepped in
-                     lockstep per worker pull (default 1; reports are
-                     bit-identical at any width; rejected in `run --shard`
-                     worker mode). `bench`: compare lane vs solo
-                     throughput and record a lane_bench section
     --instr N        instructions per simulation point (shorthand for
                      --set instructions=N; default: ST_BENCH_INSTR or 200000)
     --set a=v1,v2    bind sweep axis `a` to the given values (repeatable;
@@ -240,8 +235,10 @@ OPTIONS:
                      2 with --smoke)
     --submissions M  `loadgen`: total submissions across all clients
                      (default 32; 4 with --smoke)
-    --bench-json P   where `repro`/`bench` update BENCH_sweep.json and
-                     `loadgen` updates BENCH_service.json
+    --bench-json P   record timings in file P, in the BENCH_sweep.json
+                     format (`repro`/`bench`) or the BENCH_service.json
+                     format (`loadgen`); without it no timing file is
+                     written
     --smoke          `bench`/`loadgen`: small budgets for CI (`bench`
                      still runs the determinism probe)
     --store          `bench`: time the segment-log result store (bulk
@@ -270,12 +267,9 @@ miss-rate tolerance and 4 otherwise.
 /// Options shared by `repro`, `run` and `cache`.
 struct CommonOpts {
     threads: usize,
-    /// `--lanes N`: sweep points stepped in lockstep per worker pull;
-    /// `repro`/`run`/`bench` accept it.
-    lanes: Option<usize>,
     instr: Option<u64>,
     out: Option<PathBuf>,
-    /// `--bench-json` as given; only `repro` accepts it.
+    /// `--bench-json`: only `repro`, `bench` and `loadgen` accept it.
     bench_json: Option<PathBuf>,
     /// `--set axis=v1,v2` overrides, in order; only `run` accepts them.
     sets: Vec<String>,
@@ -332,19 +326,34 @@ impl CommonOpts {
         self.out_dir().join(".cache")
     }
 
-    /// Effective lane width (1 when `--lanes` was not given).
-    fn lane_width(&self) -> usize {
-        self.lanes.unwrap_or(1)
-    }
-
-    /// An engine honouring `--threads`, `--lanes` and `--no-cache`, over
-    /// the result store under the output directory.
+    /// An engine honouring `--threads` and `--no-cache`, over the result
+    /// store under the output directory.
     fn engine(&self) -> SweepEngine {
         if self.no_cache {
-            SweepEngine::new(self.threads).with_lanes(self.lane_width())
+            SweepEngine::new(self.threads)
         } else {
             SweepEngine::with_result_store(self.threads, self.out_dir())
-                .with_lanes(self.lane_width())
+        }
+    }
+
+    /// Writes a timing file through `write` when `--bench-json PATH` was
+    /// given, naming `cmd` in any error. Returns `false` when the write
+    /// failed.
+    fn record_bench_json(
+        &self,
+        cmd: &str,
+        write: impl FnOnce(&Path) -> std::io::Result<()>,
+    ) -> bool {
+        let Some(path) = &self.bench_json else { return true };
+        match write(path) {
+            Ok(()) => {
+                println!("  [perf] {}", path.display());
+                true
+            }
+            Err(e) => {
+                eprintln!("{cmd}: could not write {}: {e}", path.display());
+                false
+            }
         }
     }
 
@@ -385,7 +394,6 @@ impl CommonOpts {
 fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
     let mut opts = CommonOpts {
         threads: 0,
-        lanes: None,
         instr: None,
         out: None,
         bench_json: None,
@@ -420,15 +428,6 @@ fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
                 opts.threads = value_for("--threads")?
                     .parse()
                     .map_err(|_| "--threads expects an integer".to_string())?;
-            }
-            "--lanes" => {
-                let n: usize = value_for("--lanes")?
-                    .parse()
-                    .map_err(|_| "--lanes expects an integer".to_string())?;
-                if n == 0 {
-                    return Err("--lanes must be at least 1".to_string());
-                }
-                opts.lanes = Some(n);
             }
             "--instr" => {
                 opts.instr = Some(
@@ -558,8 +557,6 @@ fn cmd_repro(args: &[String]) -> i32 {
         );
         return 2;
     }
-    let bench_json_path =
-        opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
     let engine = opts.engine();
     let mut ctx = FigureCtx::from_env(&engine);
     ctx.out_dir = opts.out_dir();
@@ -567,12 +564,11 @@ fn cmd_repro(args: &[String]) -> i32 {
         ctx.instructions = n;
     }
     println!(
-        "st repro: {} figures, {} workloads x {} instructions, {} worker threads x {} lanes",
+        "st repro: {} figures, {} workloads x {} instructions, {} worker threads",
         ALL_FIGURES.len(),
         ctx.workloads.len(),
         ctx.instructions,
-        engine.threads(),
-        engine.lanes()
+        engine.threads()
     );
     match engine.result_store() {
         Some(store) => println!(
@@ -625,12 +621,8 @@ fn cmd_repro(args: &[String]) -> i32 {
         cache_loaded: stats.loaded,
         cache_hit_rate: stats.cache.hit_rate(),
     };
-    match artifact::update(&bench_json_path, Some(&repro), None, None, None) {
-        Ok(()) => println!("  [perf] {}", bench_json_path.display()),
-        Err(e) => {
-            eprintln!("st repro: could not write {}: {e}", bench_json_path.display());
-            return 1;
-        }
+    if !opts.record_bench_json("st repro", |p| artifact::update(p, Some(&repro), None, None)) {
+        return 1;
     }
     0
 }
@@ -666,9 +658,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         || opts.service_tier_flags()
         || opts.audit_flags()
     {
-        eprintln!(
-            "st bench: only --smoke, --instr, --bench-json, --store and --lanes apply\n{USAGE}"
-        );
+        eprintln!("st bench: only --smoke, --instr, --bench-json and --store apply\n{USAGE}");
         return 2;
     }
     if opts.store {
@@ -676,14 +666,7 @@ fn cmd_bench(args: &[String]) -> i32 {
             eprintln!("st bench: --instr does not apply to `st bench --store`\n{USAGE}");
             return 2;
         }
-        if opts.lanes.is_some() {
-            eprintln!("st bench: --lanes does not apply to `st bench --store`\n{USAGE}");
-            return 2;
-        }
         return cmd_bench_store(&opts);
-    }
-    if opts.lanes.is_some() {
-        return cmd_bench_lanes(&opts);
     }
     let mut config = if opts.smoke { BenchConfig::smoke() } else { BenchConfig::full() };
     if let Some(n) = opts.instr {
@@ -730,15 +713,9 @@ fn cmd_bench(args: &[String]) -> i32 {
         result.total_seconds
     );
 
-    let bench_json_path =
-        opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
     let core = CoreBenchSection::from_result(&result, unix_now());
-    match artifact::update(&bench_json_path, None, Some(&core), None, None) {
-        Ok(()) => println!("  [perf] {}", bench_json_path.display()),
-        Err(e) => {
-            eprintln!("st bench: could not write {}: {e}", bench_json_path.display());
-            return 1;
-        }
+    if !opts.record_bench_json("st bench", |p| artifact::update(p, None, Some(&core), None)) {
+        return 1;
     }
     if let Some(err) = &result.determinism_error {
         eprintln!("st bench: DETERMINISM FAILURE: {err}");
@@ -748,83 +725,10 @@ fn cmd_bench(args: &[String]) -> i32 {
     0
 }
 
-/// `st bench --lanes N`: measures the lane tier end-to-end. Every
-/// workload's grid points run once solo (generate + build + run each,
-/// the `--lanes 1` schedule) and once as a lockstep lane group; the
-/// reports are byte-compared (the lane determinism gate) and the
-/// throughput pair lands in BENCH_sweep.json's lane_bench section.
-fn cmd_bench_lanes(opts: &CommonOpts) -> i32 {
-    let lanes = opts.lane_width();
-    let mut config =
-        if opts.smoke { LaneBenchConfig::smoke(lanes) } else { LaneBenchConfig::full(lanes) };
-    if let Some(n) = opts.instr {
-        config.instructions = n.max(1);
-    }
-    println!(
-        "st bench --lanes {lanes}: {} workloads x {lanes} points, {} instructions per point \
-         (solo pass, then lockstep lanes)",
-        config.workloads.len(),
-        config.instructions
-    );
-    let result = match st_sweep::bench::run_lane_bench(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("st bench: {e}");
-            return 1;
-        }
-    };
-    let mut table = st_report::Table::new(vec![
-        "workload".to_string(),
-        "points".to_string(),
-        "solo instr/s".to_string(),
-        "lane instr/s".to_string(),
-        "speedup".to_string(),
-    ])
-    .with_title("lane vs solo sweep throughput");
-    for p in &result.points {
-        table.row(vec![
-            p.workload.clone(),
-            format!("{}", p.points),
-            format!("{:.0}", p.solo_instr_per_sec),
-            format!("{:.0}", p.lane_instr_per_sec),
-            format!("{:.2}x", p.speedup),
-        ]);
-    }
-    println!("{}", table.render());
-    println!(
-        "st bench --lanes {lanes}: geomean {:.0} -> {:.0} simulated instructions/s \
-         ({:.2}x over {} workloads, {:.2}s)",
-        result.geomean_solo_instr_per_sec,
-        result.geomean_lane_instr_per_sec,
-        result.speedup,
-        result.points.len(),
-        result.total_seconds
-    );
-    let bench_json_path =
-        opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
-    let section = LaneBenchSection::from_result(&result, unix_now());
-    match artifact::update(&bench_json_path, None, None, None, Some(&section)) {
-        Ok(()) => println!("  [perf] {}", bench_json_path.display()),
-        Err(e) => {
-            eprintln!("st bench: could not write {}: {e}", bench_json_path.display());
-            return 1;
-        }
-    }
-    if let Some(err) = &result.mismatch {
-        eprintln!("st bench: LANE DETERMINISM FAILURE: {err}");
-        return 1;
-    }
-    println!(
-        "st bench --lanes {lanes}: lane reports bit-identical to solo runs ({} workloads)",
-        result.points.len()
-    );
-    0
-}
-
 /// `st bench --store`: times the segment-log result store itself — bulk
 /// append of N synthetic entries followed by a cold reopen (the one
-/// sequential startup pass) — and records the numbers in
-/// BENCH_sweep.json's store_bench section.
+/// sequential startup pass) — and, given `--bench-json`, records the
+/// numbers in that file's store_bench section.
 fn cmd_bench_store(opts: &CommonOpts) -> i32 {
     let entries: u64 = if opts.smoke { 20_000 } else { 1_000_000 };
     println!(
@@ -852,15 +756,9 @@ fn cmd_bench_store(opts: &CommonOpts) -> i32 {
         result.load_seconds,
         result.entries as f64 / result.load_seconds.max(1e-9)
     );
-    let bench_json_path =
-        opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"));
     let section = StoreBenchSection::from_result(&result, unix_now());
-    match artifact::update(&bench_json_path, None, None, Some(&section), None) {
-        Ok(()) => println!("  [perf] {}", bench_json_path.display()),
-        Err(e) => {
-            eprintln!("st bench: could not write {}: {e}", bench_json_path.display());
-            return 1;
-        }
+    if !opts.record_bench_json("st bench", |p| artifact::update(p, None, None, Some(&section))) {
+        return 1;
     }
     0
 }
@@ -875,7 +773,6 @@ fn cmd_plot(args: &[String]) -> i32 {
     };
     if !opts.sets.is_empty()
         || opts.threads != 0
-        || opts.lanes.is_some()
         || opts.instr.is_some()
         || opts.out.is_some()
         || opts.no_cache
@@ -933,7 +830,6 @@ fn cmd_audit(args: &[String]) -> i32 {
     };
     if !opts.sets.is_empty()
         || opts.instr.is_some()
-        || opts.lanes.is_some()
         || opts.smoke
         || opts.bench_json.is_some()
         || opts.x.is_some()
@@ -1120,7 +1016,9 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     if opts.bench_json.is_some() {
-        eprintln!("st run: --bench-json only applies to `st repro`/`st bench`\n{USAGE}");
+        eprintln!(
+            "st run: --bench-json only applies to `st repro`/`st bench`/`st loadgen`\n{USAGE}"
+        );
         return 2;
     }
     if opts.smoke
@@ -1150,13 +1048,6 @@ fn cmd_run(args: &[String]) -> i32 {
         );
         return 2;
     }
-    if opts.shard.is_some() && opts.lanes.is_some() {
-        eprintln!(
-            "st run: --lanes has no effect in --shard mode (a shard worker simulates one \
-             point at a time; parallelise by running more shards)\n{USAGE}"
-        );
-        return 2;
-    }
     let spec = match load_spec("run", &opts) {
         Ok(s) => s,
         Err(code) => return code,
@@ -1178,12 +1069,11 @@ fn cmd_run(args: &[String]) -> i32 {
         .map(|p| p.bindings.iter().map(|(n, _)| (*n).to_string()).collect())
         .unwrap_or_default();
     println!(
-        "st run: sweep `{}`, {} points x {} instructions, {} worker threads x {} lanes{}",
+        "st run: sweep `{}`, {} points x {} instructions, {} worker threads{}",
         spec.name,
         points.len(),
         spec.instructions_label(),
         engine.threads(),
-        engine.lanes(),
         if bound.is_empty() {
             String::new()
         } else {
@@ -1326,7 +1216,6 @@ fn cmd_shard(args: &[String]) -> i32 {
         || opts.y.is_some()
         || opts.shard.is_some()
         || opts.steal
-        || opts.lanes.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -1449,7 +1338,6 @@ fn cmd_merge(args: &[String]) -> i32 {
         }
     };
     if opts.threads != 0
-        || opts.lanes.is_some()
         || opts.instr.is_some()
         || !opts.sets.is_empty()
         || opts.no_cache
@@ -1555,7 +1443,6 @@ fn reject_non_service_flags(
     let priority_misused = !allow_priority && opts.priority.is_some();
     if !opts.sets.is_empty()
         || opts.instr.is_some()
-        || opts.lanes.is_some()
         || opts.bench_json.is_some()
         || opts.smoke
         || opts.x.is_some()
@@ -1754,7 +1641,8 @@ fn serve_fleet(opts: &CommonOpts) -> i32 {
 }
 
 /// `st loadgen`: measured concurrent load against a running service or
-/// fleet, recorded into `BENCH_service.json`.
+/// fleet, recorded into a `BENCH_service.json`-format file when given
+/// `--bench-json`.
 fn cmd_loadgen(args: &[String]) -> i32 {
     let opts = match parse_common(args) {
         Ok(o) => o,
@@ -1766,7 +1654,6 @@ fn cmd_loadgen(args: &[String]) -> i32 {
     if !opts.sets.is_empty()
         || opts.instr.is_some()
         || opts.threads != 0
-        || opts.lanes.is_some()
         || opts.out.is_some()
         || opts.no_cache
         || opts.x.is_some()
@@ -1841,14 +1728,9 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         result.percentile_ms(0.90),
         result.percentile_ms(0.99)
     );
-    let bench_json_path =
-        opts.bench_json.clone().unwrap_or_else(|| PathBuf::from("BENCH_service.json"));
-    match artifact::update_service(&bench_json_path, &result.to_section(unix_now())) {
-        Ok(()) => println!("  [perf] {}", bench_json_path.display()),
-        Err(e) => {
-            eprintln!("st loadgen: could not write {}: {e}", bench_json_path.display());
-            return 1;
-        }
+    let section = result.to_section(unix_now());
+    if !opts.record_bench_json("st loadgen", |p| artifact::update_service(p, &section)) {
+        return 1;
     }
     if result.submissions == 0 {
         eprintln!("st loadgen: every submission failed");
@@ -1947,7 +1829,6 @@ fn cmd_cache(args: &[String]) -> i32 {
     // meaningless here; reject it rather than silently accepting flags
     // that do nothing.
     if opts.threads != 0
-        || opts.lanes.is_some()
         || opts.instr.is_some()
         || !opts.sets.is_empty()
         || opts.no_cache
@@ -1995,8 +1876,8 @@ fn cmd_cache(args: &[String]) -> i32 {
                 println!("  by experiment: {}", parts.join(", "));
             }
             println!(
-                "  (per-run hit rates are printed by `st run` / `st repro` and recorded in \
-                 BENCH_sweep.json)"
+                "  (per-run hit rates are printed by `st run` / `st repro` and recorded by \
+                 `st repro --bench-json`)"
             );
             0
         }

@@ -8,7 +8,11 @@
 //! 2. dedups identical points submitted in the same batch;
 //! 3. shards the remaining unique points across a worker pool (a shared
 //!    atomic work index over a fixed job list — no channels, no locks on
-//!    the hot path);
+//!    the hot path). The list is ordered by workload, and each worker
+//!    keeps the last program it generated and reuses it while the next
+//!    point's workload compares equal, so a batch generates each
+//!    workload's program about once per worker rather than once per
+//!    point;
 //! 4. reassembles results by submission index.
 //!
 //! Every simulation is a pure function of its [`JobSpec`] (the workload
@@ -23,9 +27,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use st_core::SimReport;
+use st_isa::{Program, WorkloadSpec};
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::job::JobSpec;
+use crate::job::{fnv1a64, JobSpec};
 use crate::logstore::{LoadStats, LogStore};
 
 /// Aggregate execution counters of an engine.
@@ -43,7 +48,6 @@ pub struct EngineStats {
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
-    lanes: usize,
     cache: ResultCache,
     simulated: AtomicU64,
     loaded: u64,
@@ -63,7 +67,6 @@ impl SweepEngine {
         };
         SweepEngine {
             threads,
-            lanes: 1,
             cache: ResultCache::new(),
             simulated: AtomicU64::new(0),
             loaded: 0,
@@ -72,13 +75,12 @@ impl SweepEngine {
         }
     }
 
-    /// Sets the lane width: how many same-workload points one worker
-    /// steps in lockstep per pull (`0` and `1` both mean solo execution).
-    /// Lane packing changes scheduling only — reports stay bit-identical
-    /// to solo runs at any width.
+    /// Does nothing and returns the engine unchanged. It remains only so
+    /// the benchmark package (`perfbench`), which still calls it, keeps
+    /// compiling; it goes once those calls do.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> SweepEngine {
-        self.lanes = lanes.max(1);
+    pub fn with_lanes(self, _: usize) -> SweepEngine {
         self
     }
 
@@ -120,12 +122,6 @@ impl SweepEngine {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Configured lane width (1 = solo execution).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Execution counters so far.
@@ -181,43 +177,34 @@ impl SweepEngine {
             })
             .collect();
 
-        // Phase 2: pack the unique misses into lane chunks and shard the
-        // chunks across the worker pool. At `lanes == 1` every chunk is a
-        // single point (the classic one-point-per-pull schedule); wider
-        // lanes pack up to `lanes` same-workload points per chunk so one
-        // worker steps them in lockstep over a shared program image.
-        let chunks = self.lane_chunks(&fresh);
+        // Phase 2: shard the unique misses across the worker pool. Workers
+        // pull from one atomic index over the misses ordered by workload,
+        // and each keeps the last program it generated, reusing it while
+        // the next point's workload compares equal. A worker holds at most
+        // one program, freed on the thread that built it.
+        let order = workload_order(&fresh);
         let results: Vec<OnceLock<Arc<SimReport>>> =
             (0..fresh.len()).map(|_| OnceLock::new()).collect();
-        let run_chunk = |chunk: &[usize]| match chunk {
-            [i] => {
-                results[*i].set(Arc::new(fresh[*i].1.run())).expect("slot set once");
-            }
-            _ => {
-                let specs: Vec<&JobSpec> = chunk.iter().map(|&i| fresh[i].1).collect();
-                for (&i, r) in chunk.iter().zip(crate::job::run_group(&specs)) {
-                    results[i].set(Arc::new(r)).expect("slot set once");
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut last: Option<(&WorkloadSpec, Arc<Program>)> = None;
+            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let job = fresh[i].1;
+                if last.as_ref().is_none_or(|(workload, _)| **workload != job.workload) {
+                    drop(last.take());
+                    last = Some((&job.workload, Arc::new(generate(&job.workload))));
                 }
+                let program = Arc::clone(&last.as_ref().expect("generated above").1);
+                results[i].set(Arc::new(job.run_on(program))).expect("slot set once");
             }
         };
-        let next = AtomicUsize::new(0);
-        // Worker count is chunk-aware: with lane packing there are only
-        // `chunks.len()` ≈ ⌈points/lanes⌉ schedulable units, so spawning
-        // `threads` workers regardless would oversubscribe with threads
-        // that never pull work.
-        let workers = self.threads.min(chunks.len());
+        let workers = self.threads.min(fresh.len());
         if workers <= 1 {
-            for chunk in &chunks {
-                run_chunk(chunk);
-            }
+            work();
         } else {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(c) else { break };
-                        run_chunk(chunk);
-                    });
+                    scope.spawn(work);
                 }
             });
         }
@@ -249,31 +236,6 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Packs fresh-point indices into lane chunks: points sharing a
-    /// `(workload, instructions)` pair — and therefore one generated
-    /// program and one budget regime — are grouped in first-seen order
-    /// and split into runs of at most `lanes` indices each.
-    fn lane_chunks(&self, fresh: &[(u64, &JobSpec)]) -> Vec<Vec<usize>> {
-        if self.lanes <= 1 {
-            return (0..fresh.len()).map(|i| vec![i]).collect();
-        }
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, (_, job)) in fresh.iter().enumerate() {
-            let key =
-                crate::job::fnv1a64(format!("{:?}/{}", job.workload, job.instructions).as_bytes());
-            groups
-                .entry(key)
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        order.iter().flat_map(|key| groups[key].chunks(self.lanes).map(<[usize]>::to_vec)).collect()
-    }
-
     /// Runs a single job through the cache (and the result-store
     /// write-through, when configured).
     ///
@@ -292,13 +254,63 @@ impl SweepEngine {
     }
 }
 
+/// Indices into `fresh`, grouped by workload with the groups in
+/// first-seen order and each group in submission order, so a worker's
+/// consecutive pulls mostly share a program. The grouping key is a hash;
+/// reuse itself is decided by comparing workloads, so a collision costs
+/// a regeneration, never a wrong result.
+fn workload_order(fresh: &[(u64, &JobSpec)]) -> Vec<usize> {
+    let mut groups: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut keyed: Vec<(usize, usize)> = fresh
+        .iter()
+        .enumerate()
+        .map(|(i, (_, job))| {
+            let key = fnv1a64(format!("{:?}", job.workload).as_bytes());
+            let first_seen = groups.len();
+            (*groups.entry(key).or_insert(first_seen), i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Generates `workload`'s program.
+fn generate(workload: &WorkloadSpec) -> Program {
+    #[cfg(test)]
+    tests::record_generation(workload);
+    workload.generate()
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
     use super::*;
-    use st_isa::WorkloadSpec;
+
+    /// Every program the engine has generated in this process, with the
+    /// thread that generated it.
+    static GENERATED: Mutex<Vec<(WorkloadSpec, ThreadId)>> = Mutex::new(Vec::new());
+
+    pub(super) fn record_generation(workload: &WorkloadSpec) {
+        GENERATED.lock().unwrap().push((workload.clone(), std::thread::current().id()));
+    }
+
+    /// The programs generated on the calling thread, in order. A
+    /// one-thread engine runs its batch on the caller, so a test sees
+    /// exactly its own generations.
+    fn generated_here() -> Vec<WorkloadSpec> {
+        let me = std::thread::current().id();
+        GENERATED.lock().unwrap().iter().filter(|(_, t)| *t == me).map(|(w, _)| w.clone()).collect()
+    }
 
     fn job(seed: u64) -> JobSpec {
         JobSpec::new(WorkloadSpec::builder("engine-test").seed(seed).blocks(64).build(), 1_000)
+    }
+
+    /// Each job run on its own through [`JobSpec::run`].
+    fn solo_runs(jobs: &[JobSpec]) -> Vec<Arc<SimReport>> {
+        jobs.iter().map(|j| Arc::new(j.run())).collect()
     }
 
     #[test]
@@ -371,9 +383,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_produce_identical_reports() {
+    fn thread_counts_produce_identical_reports() {
         // A mixed grid: two workloads × three experiments, plus one
-        // odd-budget point so a group splits unevenly across chunks.
+        // odd-budget point, which shares its workload's program because
+        // the budget does not shape the program.
         let mut jobs: Vec<JobSpec> = Vec::new();
         for seed in [41, 42] {
             for e in [
@@ -388,64 +401,59 @@ mod tests {
             WorkloadSpec::builder("engine-test").seed(41).blocks(64).build(),
             1_500,
         ));
-        let solo = SweepEngine::new(1).run(&jobs);
-        for lanes in [2, 4, 8] {
-            let engine = SweepEngine::new(2).with_lanes(lanes);
-            assert_eq!(engine.lanes(), lanes);
-            let out = engine.run(&jobs);
-            assert_eq!(solo, out, "lanes={lanes} must be bit-identical to solo");
+        let solo = solo_runs(&jobs);
+        for threads in [1, 2, 3] {
+            let engine = SweepEngine::new(threads);
+            assert_eq!(engine.run(&jobs), solo, "threads={threads} must match per-point runs");
             assert_eq!(engine.stats().simulated, jobs.len() as u64);
         }
     }
 
     #[test]
-    fn lane_chunks_respect_grouping_and_width() {
-        let engine = SweepEngine::new(1).with_lanes(4);
-        let a: Vec<JobSpec> = (0..6)
-            .map(|i| {
-                job(77).with_experiment(if i % 2 == 0 {
-                    st_core::experiments::baseline()
-                } else {
-                    st_core::experiments::c2()
-                })
-            })
-            .collect();
-        // 6 points, 2 distinct (the rest dedup away) → one 2-wide chunk.
-        let fresh: Vec<(u64, &JobSpec)> = a.iter().take(2).map(|j| (j.fingerprint(), j)).collect();
-        let chunks = engine.lane_chunks(&fresh);
-        assert_eq!(chunks, vec![vec![0, 1]]);
-        // Mixed workloads never share a chunk.
-        let other = job(78);
-        let fresh: Vec<(u64, &JobSpec)> = vec![
-            (a[0].fingerprint(), &a[0]),
-            (other.fingerprint(), &other),
-            (a[1].fingerprint(), &a[1]),
-        ];
-        let chunks = engine.lane_chunks(&fresh);
-        assert_eq!(chunks, vec![vec![0, 2], vec![1]]);
+    fn interleaved_workloads_generate_each_program_once() {
+        // Submitted A,B,A,B,A,B; at one thread the batch runs grouped by
+        // workload, so each program is generated once and reused twice.
+        let (a, b) = (job(61), job(62));
+        let jobs: Vec<JobSpec> = [
+            st_core::experiments::baseline(),
+            st_core::experiments::c2(),
+            st_core::experiments::a7(),
+        ]
+        .into_iter()
+        .flat_map(|e| [a.clone().with_experiment(e.clone()), b.clone().with_experiment(e)])
+        .collect();
+        let out = SweepEngine::new(1).run(&jobs);
+        assert_eq!(generated_here(), vec![a.workload, b.workload], "2 programs, not 6");
+        assert_eq!(out, solo_runs(&jobs));
     }
 
     #[test]
-    fn generated_workloads_group_by_seed_and_stay_lane_identical() {
-        // Two seeds of one family are *different* workloads: they must
-        // never share a lane chunk, while same-member points across
-        // experiments still pack together.
+    fn generated_members_never_share_a_program() {
+        // Two seeds of one family are different workloads: each gets its
+        // own program, while one member's points share theirs.
         let wl0 = st_workloads::by_name("gen:jit:0").expect("generative member");
         let wl1 = st_workloads::by_name("gen:jit:1").expect("generative member");
         let jobs = vec![
             JobSpec::new(wl0.clone(), 2_000),
             JobSpec::new(wl1.clone(), 2_000),
-            JobSpec::new(wl0, 2_000).with_experiment(st_core::experiments::a7()),
-            JobSpec::new(wl1, 2_000).with_experiment(st_core::experiments::c2()),
+            JobSpec::new(wl0.clone(), 2_000).with_experiment(st_core::experiments::a7()),
+            JobSpec::new(wl1.clone(), 2_000).with_experiment(st_core::experiments::c2()),
         ];
-        let engine = SweepEngine::new(1).with_lanes(4);
-        let fresh: Vec<(u64, &JobSpec)> = jobs.iter().map(|j| (j.fingerprint(), j)).collect();
-        let chunks = engine.lane_chunks(&fresh);
-        assert_eq!(chunks, vec![vec![0, 2], vec![1, 3]], "seeds must not co-pack");
+        let out = SweepEngine::new(1).run(&jobs);
+        assert_eq!(generated_here(), vec![wl0, wl1], "one program per member");
+        assert_eq!(out, solo_runs(&jobs), "reports must equal solo runs");
+    }
 
-        let solo = SweepEngine::new(1).run(&jobs);
-        let packed = SweepEngine::new(2).with_lanes(4).run(&jobs);
-        assert_eq!(solo, packed, "lane packing over generated workloads must be bit-identical");
+    #[test]
+    fn each_batch_regenerates_its_programs() {
+        let engine = SweepEngine::new(1);
+        let _ = engine.run(&[job(63), job(64)]);
+        let _ = engine.run(&[job(63).with_experiment(st_core::experiments::c2())]);
+        assert_eq!(
+            generated_here(),
+            vec![job(63).workload, job(64).workload, job(63).workload],
+            "no program outlives its batch"
+        );
     }
 
     #[test]

@@ -122,20 +122,24 @@ impl JobSpec {
         format!("{:016x}", self.fingerprint())
     }
 
-    /// Builds this point's simulator, optionally over a shared pre-built
-    /// program image (the lane tier generates each group's program once
-    /// and hands every lane the same `Arc`).
-    fn build_simulator(&self, program: Option<Arc<Program>>) -> Simulator {
+    /// Runs the simulation point to completion (synchronously, on the
+    /// calling thread).
+    #[must_use]
+    pub fn run(&self) -> SimReport {
+        self.run_on(Arc::new(self.workload.generate()))
+    }
+
+    /// Runs the point over `program`, which must be the program its
+    /// workload generates. The engine uses this to reuse one program
+    /// across consecutive points of a workload.
+    pub(crate) fn run_on(&self, program: Arc<Program>) -> SimReport {
         let builder = Simulator::builder()
+            .program(program)
             .config(self.config.clone())
             .power(self.power.clone())
             .experiment(self.experiment.clone())
             .max_instructions(self.instructions);
-        let builder = match program {
-            Some(p) => builder.program_shared(p),
-            None => builder.workload(self.workload.clone()),
-        };
-        match &self.estimator {
+        let sim = match &self.estimator {
             EstimatorChoice::Experiment => builder.build(),
             EstimatorChoice::Saturating(cfg) => {
                 builder.build_with_estimator(Box::new(SaturatingEstimator::new(*cfg)))
@@ -143,43 +147,8 @@ impl JobSpec {
             EstimatorChoice::Jrs { bytes } => {
                 builder.build_with_estimator(Box::new(JrsEstimator::with_table_bytes(*bytes)))
             }
-        }
-    }
-
-    /// Runs the simulation point to completion (synchronously, on the
-    /// calling thread).
-    #[must_use]
-    pub fn run(&self) -> SimReport {
-        self.build_simulator(None).run()
-    }
-}
-
-/// Runs several points of the *same workload* as one lockstep lane group
-/// on the calling thread, returning reports in input order.
-///
-/// The workload's program is generated once and shared by every lane, so
-/// generation cost and the decode/block working set are amortised across
-/// the group. Reports are bit-identical to [`JobSpec::run`] per point.
-///
-/// # Panics
-///
-/// Panics (debug builds) if the specs do not all share the first spec's
-/// workload — grouping points across workloads is an engine bug.
-#[must_use]
-pub fn run_group(specs: &[&JobSpec]) -> Vec<SimReport> {
-    match specs {
-        [] => Vec::new(),
-        [only] => vec![only.run()],
-        [first, rest @ ..] => {
-            debug_assert!(
-                rest.iter().all(|s| s.workload == first.workload),
-                "lane group mixes workloads"
-            );
-            let program = Arc::new(first.workload.generate());
-            let sims =
-                specs.iter().map(|s| s.build_simulator(Some(Arc::clone(&program)))).collect();
-            Simulator::run_lanes(sims)
-        }
+        };
+        sim.run()
     }
 }
 
@@ -223,18 +192,15 @@ mod tests {
     }
 
     #[test]
-    fn run_group_matches_solo_runs() {
-        let jobs: Vec<JobSpec> = [
+    fn run_on_a_shared_program_matches_run() {
+        let program = Arc::new(spec(5).generate());
+        for e in [
             st_core::experiments::baseline(),
             st_core::experiments::c2(),
             st_core::experiments::a7(),
-        ]
-        .into_iter()
-        .map(|e| JobSpec::new(spec(5), 3_000).with_experiment(e))
-        .collect();
-        let solo: Vec<SimReport> = jobs.iter().map(JobSpec::run).collect();
-        let grouped = run_group(&jobs.iter().collect::<Vec<&JobSpec>>());
-        assert_eq!(solo, grouped, "lane-group reports must match solo runs");
-        assert!(run_group(&[]).is_empty());
+        ] {
+            let job = JobSpec::new(spec(5), 3_000).with_experiment(e);
+            assert_eq!(job.run_on(Arc::clone(&program)), job.run(), "{}", job.experiment.id);
+        }
     }
 }

@@ -13,10 +13,11 @@
 //!   experiment × pipeline/power config × estimator × budget) with a
 //!   content-hash [`JobSpec::fingerprint`];
 //! * **[`SweepEngine`]** — a deterministic parallel executor: jobs shard
-//!   across a worker pool, results assemble in submission order, and a
-//!   fingerprint-keyed [`ResultCache`] simulates each distinct point
-//!   exactly once per engine lifetime. Thread count cannot influence any
-//!   result bit;
+//!   across a worker pool in workload order, each worker reusing the
+//!   last program it generated, results assemble in submission order,
+//!   and a fingerprint-keyed [`ResultCache`] simulates each distinct
+//!   point exactly once per engine lifetime. Thread count cannot
+//!   influence any result bit;
 //! * **[`logstore`]** — the on-disk result store, an append-only
 //!   segment log (`<out>/.store/seg-<n>.log`) with crash-safe recovery,
 //!   compaction and LRU size-budget eviction; reports are kept in the
@@ -58,7 +59,7 @@
 //!   backpressure) plus per-request priorities;
 //! * **[`loadgen`](mod@loadgen)** — the measured-load harness behind
 //!   `st loadgen`: concurrent submission replay with throughput and
-//!   p50/p90/p99 latency recorded into `BENCH_service.json`;
+//!   p50/p90/p99 latency, recorded into `BENCH_service.json` when asked;
 //! * **[`plot`]** — ASCII charts over cached sweep JSONL;
 //! * **[`audit`](mod@audit)** — the deterministic findings engine behind
 //!   `st audit`: pure rules over canonically-ordered sweep records

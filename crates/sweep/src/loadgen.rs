@@ -4,9 +4,9 @@
 //! `st serve` or `st serve --fleet` endpoint and measures what the
 //! ROADMAP calls the "heavy traffic" story: sustained submission
 //! throughput and per-submission latency percentiles (p50/p90/p99).
-//! Results land in `BENCH_service.json` via
-//! [`crate::artifact::update_service`], so CI tracks service capacity as
-//! a number, not a claim.
+//! With `--bench-json PATH` the results land in a `BENCH_service.json`
+//! file via [`crate::artifact::update_service`], so CI tracks service
+//! capacity as a number, not a claim.
 //!
 //! The harness is deliberately honest about what it measures: every
 //! client thread drives complete `/submit` round trips through the real

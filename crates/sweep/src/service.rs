@@ -1309,6 +1309,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_grids_get_a_400_and_the_service_keeps_serving() {
+        let config = ServiceConfig { no_cache: true, ..ServiceConfig::default() };
+        let (_, addr, handle) = start(&config);
+
+        let huge = "workloads = [\"go\"]\nexperiments = [\"C2\"]\n[axis]\n\
+                    ruu_size = \"2..4096\"\nlsq_size = \"2..2048\"\nfetch_width = \"1..16\"\n";
+        let e = client::submit(&addr, huge, &mut Vec::new()).expect_err("oversized grid");
+        assert!(e.0.contains("400"), "{e}");
+        assert!(e.0.contains("251289720 points"), "{e}");
+        let status = client::status(&addr).expect("the service still answers");
+        assert!(status.contains("\"kind\":\"status\""), "{status}");
+
+        client::shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean shutdown");
+    }
+
+    #[test]
     fn bad_requests_get_structured_errors() {
         let config = ServiceConfig { no_cache: true, ..ServiceConfig::default() };
         let (_, addr, handle) = start(&config);

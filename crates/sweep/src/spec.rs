@@ -32,7 +32,7 @@
 
 use st_core::Experiment;
 
-use crate::axes::{self, Axis, AxisBinding, AxisValue};
+use crate::axes::{self, Axis, AxisBinding, AxisValue, MAX_GRID_POINTS};
 use crate::job::JobSpec;
 
 /// Errors produced while parsing or resolving a sweep spec.
@@ -241,7 +241,9 @@ impl SweepSpec {
     /// Expands the grid into concrete points: the cartesian product of
     /// all bound axes (canonical registry order, first axis varying
     /// slowest) × workloads × (baseline + experiments), with each
-    /// point's axis bindings attached for downstream grouping.
+    /// point's axis bindings attached for downstream grouping. A grid of
+    /// more than [`MAX_GRID_POINTS`] points is an error, reported before
+    /// anything is derived or allocated.
     pub fn points(&self) -> Result<Vec<SweepPoint>, SpecError> {
         // `workload_seed` re-derives generative workloads and is a no-op
         // on fixed profiles; binding it without a single `gen:` workload
@@ -252,6 +254,17 @@ impl SweepSpec {
             return err("axis `workload_seed` needs at least one generative workload \
                  (`gen:<family>:<seed>`); fixed profiles ignore the seed"
                 .to_string());
+        }
+        match self.grid_size() {
+            Some(n) if n <= MAX_GRID_POINTS => {}
+            n => {
+                let count =
+                    n.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string());
+                return err(format!(
+                    "the grid expands to {count} points (limit {MAX_GRID_POINTS}); bind fewer \
+                     axis values"
+                ));
+            }
         }
         let members = self.generative_members()?;
         let experiments = self.resolve_experiments()?;
@@ -293,6 +306,21 @@ impl SweepSpec {
             }
         }
         Ok(points)
+    }
+
+    /// How many points [`SweepSpec::points`] expands to: the bound axes'
+    /// cardinalities × workloads (the paper's eight when unset) ×
+    /// (baseline + experiments), or `None` when that overflows.
+    fn grid_size(&self) -> Option<usize> {
+        let workloads = if self.workloads.is_empty() {
+            st_workloads::all().len()
+        } else {
+            self.workloads.len()
+        };
+        let per_workload = usize::from(self.baseline) + self.experiments.len().max(1);
+        self.axes
+            .iter()
+            .try_fold(workloads.checked_mul(per_workload)?, |n, b| n.checked_mul(b.values.len()))
     }
 
     /// Expands the grid into bare jobs (see [`SweepSpec::points`] for the
@@ -1015,6 +1043,44 @@ mod tests {
         let points = mixed.points().expect("points");
         let names: Vec<&str> = points.iter().map(|p| p.job.workload.name.as_str()).collect();
         assert_eq!(names, vec!["go", "gen:jit:5"]);
+    }
+
+    #[test]
+    fn oversized_grids_are_rejected_before_expansion() {
+        // 4094 x 2046 x 15 window/queue/width values x (baseline + C2):
+        // expanding it would need ~3 GB for the axis combinations alone.
+        let spec = SweepSpec::parse(
+            "name = \"huge\"\n\
+             workloads = [\"go\"]\n\
+             experiments = [\"C2\"]\n\
+             \n\
+             [axis]\n\
+             ruu_size = \"2..4096\"\n\
+             lsq_size = \"2..2048\"\n\
+             fetch_width = \"1..16\"\n",
+        )
+        .expect("parse");
+        assert_eq!(spec.grid_size(), Some(251_289_720));
+        let e = spec.points().unwrap_err();
+        assert!(e.0.contains("251289720 points"), "{e}");
+        assert!(e.0.contains(&format!("limit {MAX_GRID_POINTS}")), "{e}");
+
+        // A product past usize::MAX is caught by the checked multiply.
+        let mut overflowing = SweepSpec::new("overflow");
+        for (name, range) in [
+            ("ruu_size", "16..1024"),
+            ("ifq_size", "16..1024"),
+            ("lsq_size", "16..1024"),
+            ("predictor_kb", "16..1024"),
+            ("estimator_kb", "16..1024"),
+            ("instructions", "1..65537"),
+        ] {
+            let values = axes::axis(name).expect("registered").values_from_token(range);
+            overflowing.set_axis(name, values.expect("in domain")).expect("bind");
+        }
+        assert_eq!(overflowing.grid_size(), None);
+        let e = overflowing.points().unwrap_err();
+        assert!(e.0.contains("more than"), "{e}");
     }
 
     #[test]

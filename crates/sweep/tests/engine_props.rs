@@ -1,14 +1,18 @@
-//! Property test for the lane tier: for a *random* sweep spec (random
+//! Property test for the sweep engine: for a *random* sweep spec (random
 //! workload subset, experiment list, window sizes, gating threshold and
-//! instruction budget) the engine's JSONL output at every lane width in
-//! {1, 2, 4, 8} is byte-identical to the solo (`--lanes 1`) schedule.
+//! instruction budget) the engine's JSONL output at 1 and 3 threads is
+//! byte-identical to the JSONL built from running every point on its own
+//! through [`JobSpec::run`].
 //!
-//! This is the lane tier's core contract — lanes change how points are
-//! *scheduled*, never what they compute — probed over the spec space
+//! This is the contract of the engine's scheduling — workload ordering,
+//! per-worker program reuse, batch dedup and thread count change how
+//! points run, never what they compute — probed over the spec space
 //! rather than at a handful of pinned points like the goldens.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use st_sweep::{SweepEngine, SweepSpec};
+use st_sweep::{JobSpec, SweepEngine, SweepSpec};
 
 /// Workload pool the mask draws from (a subset keeps cases fast; the
 /// goldens already cover every paper workload).
@@ -25,19 +29,23 @@ fn spec_toml(wmask: u8, with_a7: bool, ruu: u64, gate: u64, instructions: u64) -
     let workloads = if picked.is_empty() { "\"go\"".to_string() } else { picked.join(", ") };
     let experiments = if with_a7 { "\"C2\", \"A7\"" } else { "\"C2\"" };
     format!(
-        "name = \"lane-props\"\nworkloads = [{workloads}]\nexperiments = [{experiments}]\n\n\
+        "name = \"engine-props\"\nworkloads = [{workloads}]\nexperiments = [{experiments}]\n\n\
          [axis]\nruu_size = [{ruu}, {}]\ngating_threshold = [{gate}]\ninstructions = {instructions}\n",
         ruu * 2,
     )
 }
 
-/// Runs the spec through the engine at the given lane width and renders
-/// the same JSONL document `st run` emits.
-fn jsonl_at_lanes(toml: &str, lanes: usize) -> String {
+/// Renders the same JSONL document `st run` emits for the spec, with the
+/// reports from the engine at `threads` workers, or, at `None`, from
+/// running each point on its own.
+fn jsonl(toml: &str, threads: Option<usize>) -> String {
     let spec = SweepSpec::parse(toml).expect("random spec parses");
     let points = spec.points().expect("points resolve");
-    let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
-    let reports = SweepEngine::new(1).with_lanes(lanes).run(&jobs);
+    let jobs: Vec<JobSpec> = points.iter().map(|p| p.job.clone()).collect();
+    let reports = match threads {
+        Some(n) => SweepEngine::new(n).run(&jobs),
+        None => jobs.iter().map(|j| Arc::new(j.run())).collect(),
+    };
     st_sweep::emit::sweep_jsonl(&points, &reports)
 }
 
@@ -45,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn every_lane_width_emits_the_solo_jsonl_bytes(
+    fn every_thread_count_emits_the_per_point_jsonl_bytes(
         wmask in 1u8..16,
         with_a7 in any::<bool>(),
         ruu_pick in 0usize..3,
@@ -54,14 +62,13 @@ proptest! {
     ) {
         let ruu = [16u64, 32, 64][ruu_pick];
         let toml = spec_toml(wmask, with_a7, ruu, gate, instructions);
-        let solo = jsonl_at_lanes(&toml, 1);
-        for lanes in [2usize, 4, 8] {
-            let laned = jsonl_at_lanes(&toml, lanes);
+        let per_point = jsonl(&toml, None);
+        for threads in [1usize, 3] {
             prop_assert_eq!(
-                &laned,
-                &solo,
-                "lane width {} diverged from solo for spec:\n{}",
-                lanes,
+                &jsonl(&toml, Some(threads)),
+                &per_point,
+                "{} threads diverged from per-point runs for spec:\n{}",
+                threads,
                 toml
             );
         }

@@ -71,12 +71,16 @@ const GOLDEN_REPORT_HASHES: [(&str, &str, u64); 32] = [
     ("twolf", "OF", 0x391f87144f5b6da5),
 ];
 
-fn golden_report(workload: &str, experiment: &str) -> SimReport {
+fn golden_job(workload: &str, experiment: &str) -> JobSpec {
     let spec =
         st_workloads::by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
     let experiment = st_sweep::experiment_by_id(experiment)
         .unwrap_or_else(|| panic!("unknown experiment {experiment}"));
-    JobSpec::new(spec, GOLDEN_INSTRUCTIONS).with_experiment(experiment).run()
+    JobSpec::new(spec, GOLDEN_INSTRUCTIONS).with_experiment(experiment)
+}
+
+fn golden_report(workload: &str, experiment: &str) -> SimReport {
+    golden_job(workload, experiment).run()
 }
 
 fn report_hash(r: &SimReport) -> u64 {
@@ -103,41 +107,28 @@ fn per_report_goldens_match_seed_implementation() {
     );
 }
 
-/// The per-report goldens again, but retired through the lane tier: each
-/// workload's four experiments run as one lockstep [`run_group`] lane
-/// group — the exact grouping `st run --lanes 4` would form — and every
-/// report must still hash to the seed constants. This is the contract
-/// that lanes are a *scheduling* change, not a semantic one.
+/// The per-report goldens again, but all 32 points submitted as one
+/// two-thread engine batch: the engine orders the batch by workload and
+/// each worker reuses its last generated program, and every report must
+/// still hash to the seed constants. Program reuse is a scheduling
+/// change, not a semantic one.
 #[test]
-fn per_report_goldens_match_at_lane_width_4() {
+fn per_report_goldens_match_as_one_engine_batch() {
+    let jobs: Vec<JobSpec> =
+        GOLDEN_REPORT_HASHES.iter().map(|(w, e, _)| golden_job(w, e)).collect();
+    let reports = SweepEngine::new(2).run(&jobs);
     let mut failures = Vec::new();
-    for chunk in GOLDEN_REPORT_HASHES.chunks(GOLDEN_EXPERIMENTS.len()) {
-        let workload = chunk[0].0;
-        let jobs: Vec<JobSpec> = chunk
-            .iter()
-            .map(|(w, experiment, _)| {
-                assert_eq!(*w, workload, "golden table must stay workload-major");
-                let spec = st_workloads::by_name(workload)
-                    .unwrap_or_else(|| panic!("unknown workload {workload}"));
-                JobSpec::new(spec, GOLDEN_INSTRUCTIONS).with_experiment(
-                    st_sweep::experiment_by_id(experiment)
-                        .unwrap_or_else(|| panic!("unknown experiment {experiment}")),
-                )
-            })
-            .collect();
-        let reports = st_sweep::job::run_group(&jobs.iter().collect::<Vec<&JobSpec>>());
-        for ((_, experiment, expected), report) in chunk.iter().zip(&reports) {
-            let got = report_hash(report);
-            if got != *expected {
-                failures.push(format!(
-                    "  ({workload:?}, {experiment:?}, 0x{got:016x}), // was 0x{expected:016x}"
-                ));
-            }
+    for ((workload, experiment, expected), report) in GOLDEN_REPORT_HASHES.iter().zip(&reports) {
+        let got = report_hash(report);
+        if got != *expected {
+            failures.push(format!(
+                "  ({workload:?}, {experiment:?}, 0x{got:016x}), // was 0x{expected:016x}"
+            ));
         }
     }
     assert!(
         failures.is_empty(),
-        "lane-group reports drifted from the seed goldens for {} point(s):\n{}",
+        "engine-batch reports drifted from the seed goldens for {} point(s):\n{}",
         failures.len(),
         failures.join("\n")
     );
@@ -147,19 +138,18 @@ fn per_report_goldens_match_at_lane_width_4() {
 /// JSONL document, captured from the seed implementation.
 const GOLDEN_AXES_DEMO_JSONL_HASH: u64 = 0x39e2fd25c2ed3b85;
 
-fn axes_demo_jsonl_at_lanes(lanes: usize) -> String {
+fn axes_demo_jsonl_at_threads(threads: usize) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/axes-demo.toml");
     let text = std::fs::read_to_string(path).expect("read examples/axes-demo.toml");
     let spec = SweepSpec::parse(&text).expect("parse axes-demo spec");
     let points = spec.points().expect("resolve points");
     let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
-    let engine = SweepEngine::new(1).with_lanes(lanes);
-    let reports = engine.run(&jobs);
+    let reports = SweepEngine::new(threads).run(&jobs);
     st_sweep::emit::sweep_jsonl(&points, &reports)
 }
 
 fn axes_demo_jsonl() -> String {
-    axes_demo_jsonl_at_lanes(1)
+    axes_demo_jsonl_at_threads(1)
 }
 
 #[test]
@@ -174,13 +164,13 @@ fn axes_demo_jsonl_matches_checked_in_hash() {
 }
 
 #[test]
-fn axes_demo_jsonl_matches_golden_at_lane_width_4() {
-    // The engine's lane scheduler (grouping, chunking, lockstep
-    // execution) must reproduce the same golden bytes as the solo path.
-    let got = fnv1a64(axes_demo_jsonl_at_lanes(4).as_bytes());
+fn axes_demo_jsonl_matches_golden_at_4_threads() {
+    // Four workers splitting the workload-ordered batch, each reusing
+    // its own programs, must reproduce the one-thread golden bytes.
+    let got = fnv1a64(axes_demo_jsonl_at_threads(4).as_bytes());
     assert_eq!(
         got, GOLDEN_AXES_DEMO_JSONL_HASH,
-        "lane-4 axes-demo JSONL diverged from the solo golden (got 0x{got:016x})"
+        "4-thread axes-demo JSONL diverged from the golden (got 0x{got:016x})"
     );
 }
 
@@ -231,17 +221,17 @@ workload_seed = [0, 1, 2]\n";
 /// calibration loop, grid expansion order or report encoding change.
 const GOLDEN_GEN_JSONL_HASH: u64 = 0x7fb45a60cdc35bcd;
 
-fn gen_sweep_jsonl_at_lanes(lanes: usize) -> String {
+fn gen_sweep_jsonl_at_threads(threads: usize) -> String {
     let spec = SweepSpec::parse(GOLDEN_GEN_SPEC).expect("parse golden gen spec");
     let points = spec.points().expect("resolve gen points");
     let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
-    let reports = SweepEngine::new(1).with_lanes(lanes).run(&jobs);
+    let reports = SweepEngine::new(threads).run(&jobs);
     st_sweep::emit::sweep_jsonl(&points, &reports)
 }
 
 #[test]
 fn gen_sweep_jsonl_matches_checked_in_hash() {
-    let got = fnv1a64(gen_sweep_jsonl_at_lanes(1).as_bytes());
+    let got = fnv1a64(gen_sweep_jsonl_at_threads(1).as_bytes());
     assert_eq!(
         got, GOLDEN_GEN_JSONL_HASH,
         "generative sweep JSONL drifted (got 0x{got:016x}); if the derivation or \
@@ -250,11 +240,11 @@ fn gen_sweep_jsonl_matches_checked_in_hash() {
 }
 
 #[test]
-fn gen_sweep_jsonl_matches_golden_at_lane_width_4() {
-    let got = fnv1a64(gen_sweep_jsonl_at_lanes(4).as_bytes());
+fn gen_sweep_jsonl_matches_golden_at_4_threads() {
+    let got = fnv1a64(gen_sweep_jsonl_at_threads(4).as_bytes());
     assert_eq!(
         got, GOLDEN_GEN_JSONL_HASH,
-        "lane-4 generative sweep JSONL diverged from the solo golden (got 0x{got:016x})"
+        "4-thread generative sweep JSONL diverged from the golden (got 0x{got:016x})"
     );
 }
 
@@ -358,7 +348,7 @@ fn print_goldens() {
     println!("];");
     let hash = fnv1a64(axes_demo_jsonl().as_bytes());
     println!("const GOLDEN_AXES_DEMO_JSONL_HASH: u64 = 0x{hash:016x};");
-    let hash = fnv1a64(gen_sweep_jsonl_at_lanes(1).as_bytes());
+    let hash = fnv1a64(gen_sweep_jsonl_at_threads(1).as_bytes());
     println!("const GOLDEN_GEN_JSONL_HASH: u64 = 0x{hash:016x};");
     let hash = fnv1a64(axes_demo_audit_jsonl().as_bytes());
     println!("const GOLDEN_AXES_DEMO_AUDIT_HASH: u64 = 0x{hash:016x};");

@@ -230,8 +230,8 @@ fn fill<'a>(
 
 /// Resolves one family member, memoised process-wide. Because
 /// [`derive()`](fn@derive) is pure, memoisation is observationally invisible — it
-/// only saves re-running the calibration when grid expansion, lane
-/// grouping and emitters all resolve the same name. Distinct members
+/// only saves re-running the calibration when grid expansion, the
+/// engine and emitters all resolve the same name. Distinct members
 /// derive concurrently; concurrent callers of one member wait for a
 /// single derivation.
 #[must_use]

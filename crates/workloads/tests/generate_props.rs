@@ -52,7 +52,7 @@ proptest! {
 
 /// Two independent (memo-free) derivations of the same member must
 /// build byte-identical specs *and* byte-identical programs — the
-/// determinism that makes fingerprints, the result cache, lane groups,
+/// determinism that makes fingerprints, the result cache, program reuse,
 /// shard plans and fleet partitioning safe for generated workloads.
 #[test]
 fn identical_seeds_derive_byte_identical_programs() {
