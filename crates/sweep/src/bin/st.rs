@@ -7,22 +7,14 @@
 //!     section of that BENCH_sweep.json-format file.
 //!
 //! st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
-//!        [--set axis=v1,v2]... [--no-cache] [--shard I/N [--steal]]
+//!        [--set axis=v1,v2]... [--no-cache] [--shard I/N]
 //!     Executes a declarative sweep grid; emits JSONL + CSV results
 //!     (tagged with each point's axis bindings) and baseline comparisons.
 //!     With --shard I/N it executes only shard I of a deterministic
-//!     N-way fingerprint partition, streaming a self-describing
-//!     <out>/<name>.shard-I.jsonl for `st merge` (the mode external
-//!     launchers like xargs or SLURM array jobs invoke); --steal adds
-//!     claim-file work stealing over the shared cache directory.
-//!
-//! st shard <spec.toml|spec.json> [-j N] [--instr N] [--out DIR]
-//!          [--set axis=v1,v2]... [--no-cache]
-//!     Spawns N local `st run --shard i/N --steal` worker processes over
-//!     the same spec and waits for them; workers that finish their range
-//!     steal unstarted points from the slowest shard. Workers simulate
-//!     one point at a time (that is what lets them stream records and
-//!     steal at point granularity), so parallelism comes from -j.
+//!     N-way fingerprint partition on --threads worker threads and
+//!     writes a self-describing <out>/<name>.shard-I.jsonl for
+//!     `st merge` (the mode external launchers like xargs or SLURM
+//!     array jobs invoke, one process per shard).
 //!
 //! st merge <shard.jsonl>... [--out DIR]
 //!     Unions shard files back into the canonical sweep JSONL + CSV —
@@ -104,22 +96,20 @@
 //! st list [workloads|experiments|figures|axes]
 //!     Shows what the other subcommands can reference.
 //!
-//! st cache [show|stats|compact|clear|clear-claims] [--out DIR]
+//! st cache [show|stats|compact|clear] [--out DIR]
 //! st cache evict --max-bytes N [--out DIR]
 //!     Manages the result store (<out>/.store). `show` (the default)
 //!     lists what is warm; `stats` prints live/dead byte counters;
 //!     `compact` rewrites the segment log dropping dead bytes; `evict`
 //!     drops least-recently-used entries until the store fits
-//!     --max-bytes; `clear` removes every stored result;
-//!     `clear-claims` drops only the work-stealing claim files,
-//!     un-wedging a crashed `--steal` fleet without losing any cached
-//!     result.
+//!     --max-bytes; `clear` removes every stored result.
 //! ```
 //!
 //! `repro` and `run` keep a persistent result store under the output
 //! directory by default: the append-only segment log at `<out>/.store`.
-//! Entries load on start and every fresh simulation writes through, so
-//! repeated invocations and CI runs reuse points across processes.
+//! Entries load on start and every fresh simulation writes through as
+//! soon as it finishes, so repeated invocations, CI runs and reruns of
+//! a killed run reuse points across processes.
 //! `--no-cache` opts a run out entirely. Timing files are opt-in: no
 //! subcommand writes one unless given `--bench-json PATH`.
 
@@ -142,7 +132,6 @@ fn main() {
     let code = match args.first().map(String::as_str) {
         Some("repro") => cmd_repro(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
@@ -172,9 +161,7 @@ st — parallel, cache-aware sweeps over the Selective Throttling simulator
 USAGE:
     st repro [--threads N] [--instr N] [--out DIR] [--bench-json PATH] [--no-cache]
     st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
-           [--set axis=v1,v2]... [--no-cache] [--shard I/N [--steal]]
-    st shard <spec.toml|spec.json> [-j N] [--instr N] [--out DIR]
-           [--set axis=v1,v2]... [--no-cache]
+           [--set axis=v1,v2]... [--no-cache] [--shard I/N]
     st merge <shard.jsonl>... [--out DIR]
     st serve [stop] [--addr HOST:PORT] [--out DIR] [--threads N] [--no-cache]
              [--max-bytes N]
@@ -191,15 +178,12 @@ USAGE:
              [--allow FILE]
     st calibrate [--seeds N] [--family NAME] [--csv PATH]
     st list [workloads|experiments|figures|axes]
-    st cache [show|stats|compact|clear|clear-claims] [--out DIR]
+    st cache [show|stats|compact|clear] [--out DIR]
     st cache evict --max-bytes N [--out DIR]
 
 OPTIONS:
     --threads N      worker threads (default: all hardware threads;
-                     results are bit-identical for any value; shard
-                     workers simulate one point at a time, so `shard`
-                     and `run --shard` parallelise via processes instead
-                     and reject this flag)
+                     results are bit-identical for any value)
     --instr N        instructions per simulation point (shorthand for
                      --set instructions=N; default: ST_BENCH_INSTR or 200000)
     --set a=v1,v2    bind sweep axis `a` to the given values (repeatable;
@@ -210,13 +194,8 @@ OPTIONS:
                      N bytes by evicting least-recently-used entries
                      (underscores allowed, e.g. 64_000_000)
     --shard I/N      `run`: execute only shard I (0-based) of an N-way
-                     fingerprint partition, streaming <out>/<name>.shard-I.jsonl
+                     fingerprint partition, writing <out>/<name>.shard-I.jsonl
                      for `st merge` instead of the normal outputs
-    --steal          `run --shard`: claim each point via the shared cache
-                     directory and steal unstarted points from slower
-                     shards after finishing the own range
-    -j, --jobs N     `shard`: worker processes to spawn (default: all
-                     hardware threads)
     --addr H:P       `serve`/`submit`/`status`/`loadgen`: the sweep
                      service address (default 127.0.0.1:7077; `serve
                      --addr H:0` binds an ephemeral port and prints it)
@@ -277,10 +256,6 @@ struct CommonOpts {
     no_cache: bool,
     /// `--shard i/n`: only `run` accepts it.
     shard: Option<(usize, usize)>,
-    /// `--steal`: only `run --shard` accepts it.
-    steal: bool,
-    /// `-j`/`--jobs`: only `shard` accepts it.
-    jobs: Option<usize>,
     /// `--smoke`: only `bench` accepts it.
     smoke: bool,
     /// `--addr`: only `serve`/`submit`/`status` accept it.
@@ -320,12 +295,6 @@ impl CommonOpts {
         self.out.clone().unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// The work-stealing claims root under the output directory
-    /// (`<out>/.cache`; results live in `<out>/.store`).
-    fn cache_dir(&self) -> PathBuf {
-        self.out_dir().join(".cache")
-    }
-
     /// An engine honouring `--threads` and `--no-cache`, over the result
     /// store under the output directory.
     fn engine(&self) -> SweepEngine {
@@ -355,12 +324,6 @@ impl CommonOpts {
                 false
             }
         }
-    }
-
-    /// Whether any sharding flag (`--shard`, `--steal`, `-j`) was given;
-    /// commands other than `run`/`shard` reject them.
-    fn sharding_flags(&self) -> bool {
-        self.shard.is_some() || self.steal || self.jobs.is_some()
     }
 
     /// The sweep-service address (default `127.0.0.1:7077`).
@@ -400,8 +363,6 @@ fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
         sets: Vec::new(),
         no_cache: false,
         shard: None,
-        steal: false,
-        jobs: None,
         smoke: false,
         addr: None,
         x: None,
@@ -442,12 +403,6 @@ fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
             "--no-cache" => opts.no_cache = true,
             "--shard" => {
                 opts.shard = Some(shard::parse_shard_arg(&value_for("--shard")?).map_err(|e| e.0)?);
-            }
-            "--steal" => opts.steal = true,
-            "-j" | "--jobs" => {
-                opts.jobs = Some(
-                    value_for("-j")?.parse().map_err(|_| "-j expects an integer".to_string())?,
-                );
             }
             "--smoke" => opts.smoke = true,
             "--addr" => opts.addr = Some(value_for("--addr")?),
@@ -502,7 +457,7 @@ fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
             "--format" => opts.format = Some(value_for("--format")?),
             "--allow" => opts.allow = Some(PathBuf::from(value_for("--allow")?)),
             "--bench-json" => opts.bench_json = Some(PathBuf::from(value_for("--bench-json")?)),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             positional => opts.positional.push(positional.to_string()),
         }
     }
@@ -544,7 +499,7 @@ fn cmd_repro(args: &[String]) -> i32 {
     if opts.smoke
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -552,8 +507,8 @@ fn cmd_repro(args: &[String]) -> i32 {
         || opts.audit_flags()
     {
         eprintln!(
-            "st repro: --smoke/--x/--y/--shard/--steal/-j/--store and the service/fleet/audit \
-             flags apply elsewhere\n{USAGE}"
+            "st repro: --smoke/--x/--y/--shard/--store and the service/fleet/audit flags apply \
+             elsewhere\n{USAGE}"
         );
         return 2;
     }
@@ -652,7 +607,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         || opts.threads != 0
         || opts.out.is_some()
         || opts.no_cache
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.service_tier_flags()
@@ -778,7 +733,7 @@ fn cmd_plot(args: &[String]) -> i32 {
         || opts.no_cache
         || opts.smoke
         || opts.bench_json.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -834,7 +789,7 @@ fn cmd_audit(args: &[String]) -> i32 {
         || opts.bench_json.is_some()
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -966,9 +921,7 @@ fn cmd_audit(args: &[String]) -> i32 {
 }
 
 /// Loads the spec file named by the single positional argument and
-/// applies the `--instr` and `--set` overrides: the shared front half of
-/// `st run` and `st shard` (workers spawned by `st shard` re-derive the
-/// exact same spec from the same arguments). Errors are printed; the
+/// applies the `--instr` and `--set` overrides. Errors are printed; the
 /// returned code is the process exit code.
 fn load_spec(cmd: &str, opts: &CommonOpts) -> Result<SweepSpec, i32> {
     let [path] = opts.positional.as_slice() else {
@@ -1024,7 +977,6 @@ fn cmd_run(args: &[String]) -> i32 {
     if opts.smoke
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.jobs.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -1032,19 +984,8 @@ fn cmd_run(args: &[String]) -> i32 {
         || opts.audit_flags()
     {
         eprintln!(
-            "st run: --smoke/--x/--y/-j/--store and the service/fleet/audit flags apply to `st \
-             bench`/`st plot`/`st shard`/`st serve`/`st cache`/`st loadgen`/`st audit`\n{USAGE}"
-        );
-        return 2;
-    }
-    if opts.steal && opts.shard.is_none() {
-        eprintln!("st run: --steal requires --shard I/N\n{USAGE}");
-        return 2;
-    }
-    if opts.shard.is_some() && opts.threads != 0 {
-        eprintln!(
-            "st run: --threads has no effect in --shard mode (a shard worker simulates one \
-             point at a time; parallelise by running more shards)\n{USAGE}"
+            "st run: --smoke/--x/--y/--store and the service/fleet/audit flags apply to `st \
+             bench`/`st plot`/`st serve`/`st cache`/`st loadgen`/`st audit`\n{USAGE}"
         );
         return 2;
     }
@@ -1139,8 +1080,8 @@ fn cmd_run(args: &[String]) -> i32 {
     0
 }
 
-/// `st run --shard I/N`: execute one shard of the grid, streaming the
-/// shard document for a later `st merge`.
+/// `st run --shard I/N`: execute one shard of the grid on the engine's
+/// worker pool and write the shard document for a later `st merge`.
 fn run_one_shard(
     opts: &CommonOpts,
     spec: &SweepSpec,
@@ -1156,176 +1097,28 @@ fn run_one_shard(
         }
     };
     let engine = opts.engine();
-    let claims = opts.steal.then(|| shard::ClaimDir::new(&opts.cache_dir(), spec));
-    let path = shard::shard_path(&opts.out_dir(), &spec.name, index);
-    if let Some(parent) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("st run: cannot create {}: {e}", parent.display());
-            return 1;
-        }
-    }
-    let mut file = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("st run: cannot create {}: {e}", path.display());
-            return 1;
-        }
-    };
     println!(
-        "st run: shard {index}/{of} of sweep `{}`: {} of {} points in range{}",
+        "st run: shard {index}/{of} of sweep `{}`: {} of {} points in range, {} worker threads",
         spec.name,
         plan.members(index).len(),
         plan.points(),
-        if opts.steal { ", work stealing on" } else { "" }
+        engine.threads()
     );
     let start = Instant::now();
-    let stats =
-        match shard::run_shard(spec, points, &plan, index, &engine, claims.as_ref(), &mut file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("st run: shard {index}/{of} failed: {e}");
-                return 1;
-            }
-        };
-    let engine_stats = engine.stats();
+    let document = shard::run_shard(spec, points, &plan, index, &engine);
+    let stats = engine.stats();
     println!(
-        "st run: shard {index}/{of} complete in {:.2}s: {} ran, {} stolen, {} ceded \
-         ({} simulated, {} loaded from disk)",
+        "st run: shard {index}/{of} complete in {:.2}s ({} simulated, {} loaded from disk)",
         start.elapsed().as_secs_f64(),
-        stats.ran,
-        stats.stolen,
-        stats.ceded,
-        engine_stats.simulated,
-        engine_stats.loaded,
+        stats.simulated,
+        stats.loaded,
     );
+    let path = shard::shard_path(&opts.out_dir(), &spec.name, index);
+    if let Err(e) = write_text(&path, &document) {
+        eprintln!("st run: could not write {}: {e}", path.display());
+        return 1;
+    }
     println!("  [shard] {}", path.display());
-    0
-}
-
-fn cmd_shard(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st shard: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if opts.bench_json.is_some()
-        || opts.smoke
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.steal
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!("st shard: only -j, --instr, --set, --out and --no-cache apply\n{USAGE}");
-        return 2;
-    }
-    if opts.threads != 0 {
-        eprintln!(
-            "st shard: workers simulate one point at a time; use -j N for parallelism\n{USAGE}"
-        );
-        return 2;
-    }
-    let spec = match load_spec("shard", &opts) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let points = match spec.points() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("st shard: {e}");
-            return 1;
-        }
-    };
-    let workers = match opts.jobs {
-        Some(0) | None => {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
-        }
-        Some(n) => n,
-    };
-    // Claims coordinate the fleet; clear any stale ones from a previous
-    // (possibly crashed) run of the same spec before spawning.
-    let claims = shard::ClaimDir::new(&opts.cache_dir(), &spec);
-    if let Err(e) = claims.reset() {
-        eprintln!("st shard: cannot reset claims at {}: {e}", claims.dir().display());
-        return 1;
-    }
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("st shard: cannot locate own executable: {e}");
-            return 1;
-        }
-    };
-    let out_dir = opts.out_dir();
-    println!(
-        "st shard: sweep `{}`, {} points across {workers} worker processes (work stealing on)",
-        spec.name,
-        points.len(),
-    );
-    let start = Instant::now();
-    let mut children = Vec::with_capacity(workers);
-    for index in 0..workers {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("run")
-            .arg(&opts.positional[0])
-            .arg("--shard")
-            .arg(format!("{index}/{workers}"))
-            .arg("--steal")
-            .arg("--out")
-            .arg(&out_dir);
-        if let Some(n) = opts.instr {
-            cmd.arg("--instr").arg(n.to_string());
-        }
-        for set in &opts.sets {
-            cmd.arg("--set").arg(set);
-        }
-        if opts.no_cache {
-            cmd.arg("--no-cache");
-        }
-        match cmd.spawn() {
-            Ok(child) => children.push((index, child)),
-            Err(e) => {
-                eprintln!("st shard: cannot spawn worker {index}: {e}");
-                for (_, mut running) in children {
-                    let _ = running.kill();
-                    let _ = running.wait();
-                }
-                return 1;
-            }
-        }
-    }
-    let mut failed = false;
-    for (index, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                eprintln!("st shard: worker {index} exited with {status}");
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("st shard: worker {index} did not report a status: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("st shard: at least one worker failed; shard files are incomplete");
-        return 1;
-    }
-    let shard_files: Vec<String> = (0..workers)
-        .map(|i| shard::shard_path(&out_dir, &spec.name, i).display().to_string())
-        .collect();
-    println!(
-        "st shard: {workers} workers complete in {:.2}s; merge with:\n  st merge {}",
-        start.elapsed().as_secs_f64(),
-        shard_files.join(" ")
-    );
     0
 }
 
@@ -1345,7 +1138,7 @@ fn cmd_merge(args: &[String]) -> i32 {
         || opts.smoke
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.addr.is_some()
         || opts.max_bytes.is_some()
         || opts.store
@@ -1377,13 +1170,11 @@ fn cmd_merge(args: &[String]) -> i32 {
         }
     };
 
-    // Per-shard diagnostics: who contributed what, and how much work
-    // moved across the planned ranges.
+    // Per-shard diagnostics: who contributed what.
     let mut diag = st_report::Table::new(vec![
         "shard".to_string(),
         "file".to_string(),
         "records".to_string(),
-        "stolen".to_string(),
         "duplicates".to_string(),
     ])
     .with_title(format!("merge `{}` diagnostics", merged.spec.name));
@@ -1392,19 +1183,13 @@ fn cmd_merge(args: &[String]) -> i32 {
             c.shard.to_string(),
             path.clone(),
             c.records.to_string(),
-            c.stolen.to_string(),
             c.duplicates.to_string(),
         ]);
     }
     println!("{}", diag.render());
     println!(
-        "st merge: {} points reassembled from {} shard files \
-         ({} records, {} duplicate, {} stolen)",
-        merged.stats.points,
-        merged.stats.shards,
-        merged.stats.records,
-        merged.stats.duplicates,
-        merged.stats.stolen,
+        "st merge: {} points reassembled from {} shard files ({} records, {} duplicate)",
+        merged.stats.points, merged.stats.shards, merged.stats.records, merged.stats.duplicates,
     );
 
     let out_dir = opts.out_dir();
@@ -1447,7 +1232,7 @@ fn reject_non_service_flags(
         || opts.smoke
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.store
         || opts.clients.is_some()
         || opts.submissions.is_some()
@@ -1658,7 +1443,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         || opts.no_cache
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.max_bytes.is_some()
         || opts.store
         || opts.fleet_flags()
@@ -1836,7 +1621,7 @@ fn cmd_cache(args: &[String]) -> i32 {
         || opts.smoke
         || opts.x.is_some()
         || opts.y.is_some()
-        || opts.sharding_flags()
+        || opts.shard.is_some()
         || opts.addr.is_some()
         || opts.store
         || opts.service_tier_flags()
@@ -1944,30 +1729,10 @@ fn cmd_cache(args: &[String]) -> i32 {
             println!("result store at {}: removed {removed} entries", store_dir.display());
             0
         }
-        // Claims are pure work-stealing coordination, distinct from the
-        // cached results: clearing them un-wedges a crashed or re-run
-        // `--steal` fleet without throwing away any simulated point.
-        Some("clear-claims") => {
-            let claims_root = opts.cache_dir().join("claims");
-            match std::fs::remove_dir_all(&claims_root) {
-                Ok(()) => {
-                    println!("claims at {}: cleared", claims_root.display());
-                    0
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    println!("claims at {}: nothing to clear", claims_root.display());
-                    0
-                }
-                Err(e) => {
-                    eprintln!("st cache: could not clear {}: {e}", claims_root.display());
-                    1
-                }
-            }
-        }
         Some(other) => {
             eprintln!(
-                "st cache: unknown action `{other}` (try `show`, `stats`, `compact`, `evict`, \
-                 `clear` or `clear-claims`)"
+                "st cache: unknown action `{other}` (try `show`, `stats`, `compact`, `evict` or \
+                 `clear`)"
             );
             2
         }

@@ -12,7 +12,9 @@
 //!    keeps the last program it generated and reuses it while the next
 //!    point's workload compares equal, so a batch generates each
 //!    workload's program about once per worker rather than once per
-//!    point;
+//!    point. A worker writes each report to the cache and the result
+//!    store as soon as it finishes it, so a process killed mid-batch
+//!    keeps every point it completed;
 //! 4. reassembles results by submission index.
 //!
 //! Every simulation is a pure function of its [`JobSpec`] (the workload
@@ -138,7 +140,10 @@ impl SweepEngine {
     ///
     /// Results are bit-identical regardless of the worker count: each job
     /// is a pure function of its spec, and assembly is by submission
-    /// index, not completion order.
+    /// index, not completion order. Each freshly simulated report is
+    /// written to the cache and through to the result store the moment
+    /// its worker finishes it, so a run killed partway resumes from
+    /// every point it completed.
     ///
     /// # Panics
     ///
@@ -181,7 +186,8 @@ impl SweepEngine {
         // pull from one atomic index over the misses ordered by workload,
         // and each keeps the last program it generated, reusing it while
         // the next point's workload compares equal. A worker holds at most
-        // one program, freed on the thread that built it.
+        // one program, freed on the thread that built it, and publishes
+        // each report as soon as it has it.
         let order = workload_order(&fresh);
         let results: Vec<OnceLock<Arc<SimReport>>> =
             (0..fresh.len()).map(|_| OnceLock::new()).collect();
@@ -189,13 +195,15 @@ impl SweepEngine {
         let work = || {
             let mut last: Option<(&WorkloadSpec, Arc<Program>)> = None;
             while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let job = fresh[i].1;
+                let (fp, job) = fresh[i];
                 if last.as_ref().is_none_or(|(workload, _)| **workload != job.workload) {
                     drop(last.take());
                     last = Some((&job.workload, Arc::new(generate(&job.workload))));
                 }
                 let program = Arc::clone(&last.as_ref().expect("generated above").1);
-                results[i].set(Arc::new(job.run_on(program))).expect("slot set once");
+                let report = Arc::new(job.run_on(program));
+                self.publish(fp, &report);
+                results[i].set(report).expect("slot set once");
             }
         };
         let workers = self.threads.min(fresh.len());
@@ -208,25 +216,12 @@ impl SweepEngine {
                 }
             });
         }
-        self.simulated.fetch_add(fresh.len() as u64, Ordering::Relaxed);
 
-        // Phase 3: publish to the cache and assemble in submission order.
+        // Phase 3: assemble in submission order.
         let finished: Vec<Arc<SimReport>> = results
             .into_iter()
             .map(|cell| cell.into_inner().expect("worker filled every slot"))
             .collect();
-        for ((fp, _), report) in fresh.iter().zip(&finished) {
-            self.cache.insert(*fp, Arc::clone(report));
-            if let Some(store) = &self.store {
-                if let Err(e) = store.store(*fp, report) {
-                    eprintln!(
-                        "warning: could not persist {:016x} under {}: {e}",
-                        fp,
-                        store.dir().display()
-                    );
-                }
-            }
-        }
         slots
             .into_iter()
             .map(|slot| match slot {
@@ -236,17 +231,33 @@ impl SweepEngine {
             .collect()
     }
 
+    /// Counts one fresh simulation and writes its report to the cache
+    /// and through to the result store, if any. A failed store write
+    /// only warns: the report is still served from the cache.
+    fn publish(&self, fp: u64, report: &Arc<SimReport>) {
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        self.cache.insert(fp, Arc::clone(report));
+        if let Some(store) = &self.store {
+            if let Err(e) = store.store(fp, report) {
+                eprintln!(
+                    "warning: could not persist {fp:016x} under {}: {e}",
+                    store.dir().display()
+                );
+            }
+        }
+    }
+
     /// Runs a single job through the cache (and the result-store
     /// write-through, when configured).
     ///
-    /// Convenience for streaming callers — the shard worker and the
-    /// sweep service emit each point as it completes rather than
-    /// batching a whole grid — with the same determinism and
-    /// memoisation as [`SweepEngine::run`]. All engine methods take
-    /// `&self` and are safe to call from many threads at once (the
-    /// service does); note that two *concurrent* `run_one` calls for
-    /// the same not-yet-cached fingerprint will both simulate it —
-    /// callers that overlap requests de-duplicate in flight (see
+    /// Convenience for streaming callers — the sweep service emits each
+    /// point as it completes rather than batching a whole grid — with
+    /// the same determinism and memoisation as [`SweepEngine::run`].
+    /// All engine methods take `&self` and are safe to call from many
+    /// threads at once (the service does); note that two *concurrent*
+    /// `run_one` calls for the same not-yet-cached fingerprint will both
+    /// simulate it — callers that overlap requests de-duplicate in
+    /// flight (see
     /// [`SweepService::compute`](crate::service::SweepService::compute)).
     #[must_use]
     pub fn run_one(&self, job: &JobSpec) -> Arc<SimReport> {

@@ -22,9 +22,9 @@
 //!   segment log (`<out>/.store/seg-<n>.log`) with crash-safe recovery,
 //!   compaction and LRU size-budget eviction; reports are kept in the
 //!   exact JSON codec of **[`persist`]**.
-//!   [`SweepEngine::with_result_store`] preloads it and writes fresh
-//!   points through, so repeated invocations reuse work across
-//!   processes;
+//!   [`SweepEngine::with_result_store`] preloads it and writes each
+//!   fresh point through as soon as it finishes, so repeated (or
+//!   killed and restarted) invocations reuse work across processes;
 //! * **[`SweepSpec`]** — a declarative workload × experiment × axis grid
 //!   (`axis.<name>` keys with legacy aliases), buildable in code or
 //!   parsed from a small TOML/JSON document;
@@ -35,10 +35,11 @@
 //! * **[`bench`](mod@bench)** — steady-state hot-loop microbenchmarks
 //!   (simulated instructions/sec) with a built-in determinism probe;
 //! * **[`shard`](mod@shard)** — sharded multi-process sweeps: a
-//!   deterministic fingerprint-range [`ShardPlan`], a streaming shard
-//!   worker with file-lock work stealing over the shared cache
-//!   directory, and [`shard::merge`], which unions shard documents back
-//!   into output byte-identical to a single-process run;
+//!   deterministic fingerprint-range [`ShardPlan`], the shard worker
+//!   ([`shard::run_shard`], one engine batch per shard) that external
+//!   launchers start once per shard, and [`shard::merge`], which unions
+//!   shard documents back into output byte-identical to a
+//!   single-process run;
 //! * **[`service`](mod@service)** — the long-running sweep daemon
 //!   behind `st serve`: a hand-rolled HTTP/1.1 + JSONL wire protocol on
 //!   `std::net` that accepts submitted specs, serves every point
@@ -72,13 +73,12 @@
 //!   core_bench sections, updated independently);
 //! * the **`st`** binary — `st repro` regenerates the whole paper in one
 //!   parallel pass, `st run spec.toml` executes ad-hoc sweeps (`--set`
-//!   overrides any axis, `--shard i/n` runs one shard), `st shard`
-//!   spawns a local work-stealing worker fleet, `st merge` reassembles
-//!   shard outputs, `st serve` runs the long-lived sweep service
-//!   (`--fleet` turns it into a coordinator over remote workers),
-//!   `st submit`/`st status` talk to it, `st loadgen` measures it under
-//!   concurrent load, `st bench` measures the hot
-//!   loop and gates determinism, `st plot` charts cached JSONL,
+//!   overrides any axis, `--shard i/n` runs one shard), `st merge`
+//!   reassembles shard outputs, `st serve` runs the long-lived sweep
+//!   service (`--fleet` turns it into a coordinator over remote
+//!   workers), `st submit`/`st status` talk to it, `st loadgen` measures
+//!   it under concurrent load, `st bench` measures the hot loop and
+//!   gates determinism, `st plot` charts cached JSONL,
 //!   `st audit` turns a sweep (JSONL or spec) into gateable findings,
 //!   `st list` shows what is available and `st cache` inspects,
 //!   compacts and size-bounds the result store.
@@ -136,5 +136,5 @@ pub use job::{EstimatorChoice, JobSpec};
 pub use loadgen::{LoadgenConfig, LoadgenResult};
 pub use logstore::{LoadStats, LogStore, StoreStats};
 pub use service::{Server, ServiceConfig, SweepService};
-pub use shard::{ClaimDir, ShardError, ShardPlan};
+pub use shard::{ShardError, ShardPlan};
 pub use spec::{all_experiments, experiment_by_id, SpecError, SweepPoint, SweepSpec};

@@ -1,11 +1,11 @@
 //! The append-only segment-log result store: `<out>/.store/seg-<n>.log`.
 //!
-//! Every `st` command that keeps results — `repro`, `run`, `shard`,
-//! `serve` — writes them here. [`LogStore`] keeps a handful of
-//! append-only segment files and an in-memory fingerprint → (segment,
-//! offset) index rebuilt by **one sequential read** per segment at
-//! startup, so `st cache stats` and `GET /status` answer from the index
-//! instead of rescanning the disk.
+//! Every `st` command that keeps results — `repro`, `run`, `serve` —
+//! writes them here. [`LogStore`] keeps a handful of append-only segment
+//! files and an in-memory fingerprint → (segment, offset) index rebuilt
+//! by **one sequential read** per segment at startup, so `st cache
+//! stats` and `GET /status` answer from the index instead of rescanning
+//! the disk.
 //!
 //! ## On-disk format
 //!
@@ -24,12 +24,12 @@
 //! earlier ones for the same fingerprint (last-wins), which is what
 //! makes blind appends safe.
 //!
-//! Several handles may append to one directory at once (`st shard -j N`
-//! runs N processes over one store). Every segment is written in append
-//! mode, so two handles sharing a tail segment interleave whole frames
-//! instead of overwriting each other, and a handle that finds its next
-//! segment id already created by another writer takes the next free
-//! one. Recovery and compaction still assume no other process is
+//! Several handles may append to one directory at once (concurrent
+//! `st run --shard i/N` workers share one `--out` store). Every segment
+//! is written in append mode, so two handles sharing a tail segment
+//! interleave whole frames instead of overwriting each other, and a
+//! handle that finds its next segment id already created by another
+//! writer takes the next free one. Recovery and compaction still assume no other process is
 //! writing: a torn-tail truncation at open could cut a frame another
 //! process is appending at that instant.
 //!
@@ -904,7 +904,7 @@ mod tests {
 
     #[test]
     fn two_handles_on_one_dir_lose_no_appends() {
-        // `st shard -j N` runs N processes over one store. With a 1-byte
+        // N `st run --shard i/N` workers share one store. With a 1-byte
         // target every append rolls, so the handles race to create each
         // new segment id; the loser must take the next free id rather
         // than fail the append.

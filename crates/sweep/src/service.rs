@@ -131,7 +131,7 @@ pub fn install_sigint_handler() {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Output directory; the result store sits under `<out>/.store`,
-    /// shared with `st run`/`st repro`/`st shard`.
+    /// shared with `st run`/`st repro`.
     pub out: PathBuf,
     /// Simulation worker-pool size (`0` = auto-detect the hardware
     /// parallelism). Bounds concurrent simulations *across all

@@ -1,9 +1,8 @@
-//! Sharded multi-process sweeps: partition, execute, steal, merge.
+//! Sharded multi-process sweeps: partition, execute, merge.
 //!
-//! One process can no longer keep up with dense design-space sweeps, so
-//! this module splits an expanded sweep into `n` deterministic shards
-//! that independent **processes** (or hosts sharing a filesystem)
-//! execute and a separate step reassembles:
+//! This module splits an expanded sweep into `n` deterministic shards
+//! that independent **processes** (or hosts) execute and a separate step
+//! reassembles:
 //!
 //! * **[`ShardPlan`]** — partitions the expanded point list *by
 //!   fingerprint range*: points sort by their content-hash
@@ -11,13 +10,12 @@
 //!   into `n` near-equal contiguous ranges. The plan is a pure function
 //!   of the spec, so every worker derives the same partition without
 //!   coordination.
-//! * **[`run_shard`]** — the worker loop behind `st run --shard i/n`:
-//!   streams one self-describing record per completed point into
-//!   `results/<name>.shard-<i>.jsonl` (header first, then points as they
-//!   finish). With a [`ClaimDir`] it also *steals*: each point is
-//!   claimed via an atomic file creation in the shared cache directory,
-//!   and a worker that exhausts its own range claims unstarted points
-//!   from the slowest remaining shard.
+//! * **[`run_shard`]** — the worker behind `st run --shard i/n`: runs
+//!   the shard's range as one [`SweepEngine::run`] batch and renders
+//!   `results/<name>.shard-<i>.jsonl` (header first, then the points in
+//!   fingerprint order). External launchers (xargs, SLURM array jobs)
+//!   start one worker per shard; the engine writes each finished point
+//!   through to the result store, so a killed worker's rerun resumes.
 //! * **[`merge`]** — unions shard documents back into the canonical
 //!   sweep output. Records carry the bit-exact result-store encoding
 //!   of each report, so the merged JSONL/CSV is **byte-identical** to a
@@ -28,7 +26,7 @@
 //! ## Shard document format
 //!
 //! A shard file is JSON lines: a `shard` header followed by `point`
-//! records (in completion order — `merge` canonicalises):
+//! records (in fingerprint order; `merge` accepts any order):
 //!
 //! ```text
 //! {"kind":"shard","v":1,"name":"axes-demo","shard":0,"of":2,"points":12,"spec":"{...}"}
@@ -41,7 +39,6 @@
 //! `fp` is the point's job fingerprint (position check), `hash` the
 //! FNV-1a of the `report` bytes (tamper check).
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use st_core::SimReport;
@@ -86,7 +83,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ShardError> {
 /// into `n` contiguous chunks whose sizes differ by at most one, so each
 /// shard owns one contiguous fingerprint interval. Because fingerprints
 /// are content hashes, the partition is a pure function of the spec:
-/// every worker, on any host, derives the same plan.
+/// every worker, on any host, derives the same plan. The plan holds
+/// only the sorted order and computes each shard's chunk on demand, so
+/// its size is O(points) for any shard count.
 ///
 /// ```
 /// use st_sweep::ShardPlan;
@@ -96,19 +95,15 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ShardError> {
 /// // Contiguous fingerprint ranges: {0x10, 0x20} then {0x30, 0x40}.
 /// assert_eq!(plan.members(0), &[1, 3]);
 /// assert_eq!(plan.members(1), &[0, 2]);
-/// assert_eq!(plan.home(3), 0);
 /// # Ok::<(), st_sweep::ShardError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     of: usize,
-    /// Point index -> owning shard.
-    home: Vec<usize>,
-    /// Per shard: owned point indices, ascending by `(fingerprint, index)`.
-    members: Vec<Vec<usize>>,
-    /// Per shard: the inclusive `[lo, hi]` fingerprint interval it owns
-    /// (`None` for surplus shards with no points).
-    ranges: Vec<Option<(u64, u64)>>,
+    /// Per point (by index): its fingerprint.
+    fingerprints: Vec<u64>,
+    /// Every point index, ascending by `(fingerprint, index)`.
+    order: Vec<usize>,
 }
 
 impl ShardPlan {
@@ -123,26 +118,7 @@ impl ShardPlan {
         }
         let mut order: Vec<usize> = (0..fingerprints.len()).collect();
         order.sort_by_key(|&i| (fingerprints[i], i));
-        let base = fingerprints.len() / of;
-        let extra = fingerprints.len() % of;
-        let mut home = vec![0usize; fingerprints.len()];
-        let mut members = Vec::with_capacity(of);
-        let mut ranges = Vec::with_capacity(of);
-        let mut cursor = 0;
-        for shard in 0..of {
-            let size = base + usize::from(shard < extra);
-            let chunk: Vec<usize> = order[cursor..cursor + size].to_vec();
-            for &i in &chunk {
-                home[i] = shard;
-            }
-            ranges.push(match (chunk.first(), chunk.last()) {
-                (Some(&first), Some(&last)) => Some((fingerprints[first], fingerprints[last])),
-                _ => None,
-            });
-            members.push(chunk);
-            cursor += size;
-        }
-        Ok(ShardPlan { of, home, members, ranges })
+        Ok(ShardPlan { of, fingerprints: fingerprints.to_vec(), order })
     }
 
     /// A plan over an already-expanded point list.
@@ -160,19 +136,24 @@ impl ShardPlan {
     /// Total number of points across all shards.
     #[must_use]
     pub fn points(&self) -> usize {
-        self.home.len()
+        self.order.len()
     }
 
-    /// The shard that owns point `seq`.
-    #[must_use]
-    pub fn home(&self, seq: usize) -> usize {
-        self.home[seq]
-    }
-
-    /// The point indices shard `shard` owns, in fingerprint order.
+    /// The point indices shard `shard` owns, in fingerprint order: the
+    /// `shard`-th of `of` contiguous chunks of the sorted order, the
+    /// first `points % of` chunks one point longer than the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= of`.
     #[must_use]
     pub fn members(&self, shard: usize) -> &[usize] {
-        &self.members[shard]
+        assert!(shard < self.of, "shard {shard} out of range for a {}-way plan", self.of);
+        let (base, extra) = (self.points() / self.of, self.points() % self.of);
+        // `shard * base` stays below the point count: a non-zero `base`
+        // means `of <= points`.
+        let start = shard * base + shard.min(extra);
+        &self.order[start..start + base + usize::from(shard < extra)]
     }
 
     /// The inclusive `[lo, hi]` fingerprint interval shard `shard` owns,
@@ -190,7 +171,9 @@ impl ShardPlan {
     /// [`merge`] tolerates).
     #[must_use]
     pub fn range(&self, shard: usize) -> Option<(u64, u64)> {
-        self.ranges[shard]
+        let members = self.members(shard);
+        let (first, last) = (members.first()?, members.last()?);
+        Some((self.fingerprints[*first], self.fingerprints[*last]))
     }
 
     /// Every point index whose fingerprint falls inside the inclusive
@@ -284,9 +267,9 @@ pub fn point_record(seq: usize, point: &SweepPoint, report: &SimReport) -> Strin
 
 /// Renders one complete shard document without executing anything: the
 /// header plus a record for every point the plan assigns to `shard`,
-/// drawing reports from an already-executed full grid. This is the
-/// no-stealing shape `st run --shard i/n` produces; tests and doctests
-/// use it to exercise [`merge`] without spawning processes.
+/// drawing reports from an already-executed full grid. Byte-identical to
+/// what [`run_shard`] renders; tests and doctests use it to exercise
+/// [`merge`] without spawning processes.
 #[must_use]
 pub fn shard_document(
     spec: &SweepSpec,
@@ -296,196 +279,45 @@ pub fn shard_document(
     shard: usize,
 ) -> String {
     debug_assert_eq!(points.len(), reports.len(), "one report per point");
-    let mut out = shard_header(spec, plan, shard);
-    for &seq in plan.members(shard) {
-        out.push_str(&point_record(seq, &points[seq], reports[seq].borrow()));
-    }
-    out
+    let members = plan.members(shard);
+    render(spec, points, plan, shard, members.iter().map(|&seq| (seq, reports[seq].borrow())))
 }
 
-// ---------------------------------------------------------------------
-// Claims: file-lock work stealing over the shared cache directory.
-// ---------------------------------------------------------------------
-
-/// A directory of per-point claim files shared by every worker of one
-/// sweep, conventionally `<out>/.cache/claims/<name>-<spec hash>/`.
-///
-/// A worker *claims* a point before simulating it by atomically creating
-/// `<dir>/<seq>` (`O_CREAT|O_EXCL` semantics via
-/// [`std::fs::OpenOptions::create_new`]); exactly one worker wins each
-/// point, which is what makes cross-shard work stealing race-free on any
-/// shared filesystem. Claims are pure coordination — results still flow
-/// through shard documents and the persistent result cache — and they
-/// persist until reset: `st shard` calls [`ClaimDir::reset`] before
-/// spawning its fleet, while externally launched `--steal` fleets clear
-/// stale claims with `st cache clear-claims` before a re-run.
-#[derive(Debug, Clone)]
-pub struct ClaimDir {
-    dir: PathBuf,
-}
-
-impl ClaimDir {
-    /// The claim directory for `spec` under `cache_dir`, named by the
-    /// sweep name plus the hash of the canonical spec so distinct sweeps
-    /// (or edited specs) never share claims.
-    #[must_use]
-    pub fn new(cache_dir: &Path, spec: &SweepSpec) -> ClaimDir {
-        let sanitized: String = spec
-            .name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        let tag = format!("{sanitized}-{:016x}", fnv1a64(spec.to_json().as_bytes()));
-        ClaimDir { dir: cache_dir.join("claims").join(tag) }
-    }
-
-    /// The directory claims live in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Clears stale claims from a previous (possibly crashed) run and
-    /// ensures the directory exists. `st shard` calls this once before
-    /// spawning workers; workers themselves never reset.
-    pub fn reset(&self) -> std::io::Result<()> {
-        match std::fs::remove_dir_all(&self.dir) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        std::fs::create_dir_all(&self.dir)
-    }
-
-    /// Atomically claims point `seq`: `Ok(true)` if this caller won it,
-    /// `Ok(false)` if another worker already holds it.
-    pub fn claim(&self, seq: usize) -> std::io::Result<bool> {
-        std::fs::create_dir_all(&self.dir)?;
-        match std::fs::OpenOptions::new().write(true).create_new(true).open(self.path(seq)) {
-            Ok(_) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Whether point `seq` is already claimed (advisory: the answer can
-    /// change immediately; [`ClaimDir::claim`] is the authoritative
-    /// operation).
-    #[must_use]
-    pub fn is_claimed(&self, seq: usize) -> bool {
-        self.path(seq).exists()
-    }
-
-    fn path(&self, seq: usize) -> PathBuf {
-        self.dir.join(seq.to_string())
-    }
-}
-
-/// What one worker did: counters reported by [`run_shard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Points this worker simulated from its own range.
-    pub ran: usize,
-    /// Points this worker stole from other shards' ranges.
-    pub stolen: usize,
-    /// Points of its own range another worker claimed first.
-    pub ceded: usize,
-}
-
-/// Executes one shard of a sweep, streaming the shard document to `sink`
-/// (header first, then one record as each point completes).
-///
-/// Without `claims`, the worker runs exactly its planned range — the
-/// mode for external launchers (xargs, SLURM array jobs) that assign
-/// disjoint shards. With `claims`, every point is claimed before it is
-/// simulated, and a worker that exhausts its own range steals unstarted
-/// points from the *slowest* shard (the one with the most unclaimed work
-/// left), scanning that range from the back to stay out of its owner's
-/// way.
+/// Executes one shard of a sweep — the points the plan assigns to
+/// `shard`, as one [`SweepEngine::run`] batch — and renders its shard
+/// document. `st run --shard i/n` writes the result to
+/// [`shard_path`]; the engine has already written every finished point
+/// through to its result store, so a killed worker's rerun resumes from
+/// there.
+#[must_use]
 pub fn run_shard(
     spec: &SweepSpec,
     points: &[SweepPoint],
     plan: &ShardPlan,
     shard: usize,
     engine: &SweepEngine,
-    claims: Option<&ClaimDir>,
-    sink: &mut dyn Write,
-) -> std::io::Result<WorkerStats> {
-    assert!(shard < plan.of(), "shard {shard} out of range for a {}-way plan", plan.of());
+) -> String {
     assert_eq!(plan.points(), points.len(), "plan and point list disagree");
-    let mut stats = WorkerStats::default();
-    sink.write_all(shard_header(spec, plan, shard).as_bytes())?;
-    sink.flush()?;
+    let members = plan.members(shard);
+    let jobs: Vec<_> = members.iter().map(|&seq| points[seq].job.clone()).collect();
+    let reports = engine.run(&jobs);
+    render(spec, points, plan, shard, members.iter().copied().zip(reports.iter().map(|r| &**r)))
+}
 
-    let run_point = |seq: usize, sink: &mut dyn Write| -> std::io::Result<()> {
-        let report = engine.run_one(&points[seq].job);
-        sink.write_all(point_record(seq, &points[seq], &report).as_bytes())?;
-        sink.flush()
-    };
-
-    // Own range first, in fingerprint order.
-    for &seq in plan.members(shard) {
-        match claims {
-            Some(c) if !c.claim(seq)? => stats.ceded += 1,
-            _ => {
-                run_point(seq, sink)?;
-                stats.ran += 1;
-            }
-        }
+/// The one shard-document renderer: the header, then a record per
+/// `(seq, report)` pair in the order given.
+fn render<'r>(
+    spec: &SweepSpec,
+    points: &[SweepPoint],
+    plan: &ShardPlan,
+    shard: usize,
+    records: impl Iterator<Item = (usize, &'r SimReport)>,
+) -> String {
+    let mut out = shard_header(spec, plan, shard);
+    for (seq, report) in records {
+        out.push_str(&point_record(seq, &points[seq], report));
     }
-
-    // Then steal, one point at a time, re-assessing who is slowest after
-    // each win. Claims are monotonic between resets, so once a point has
-    // been observed claimed it never needs another filesystem stat —
-    // `seen` keeps the scan O(points) total instead of O(points) per
-    // stolen point (which matters on the shared-NFS multi-host setup).
-    if let Some(claims) = claims {
-        /// Checks (and remembers) whether `seq` is claimed: a claim
-        /// never un-happens between resets, so each point costs at most
-        /// one filesystem stat over the worker's whole lifetime.
-        fn observe(claims: &ClaimDir, seen: &mut [bool], seq: usize) -> bool {
-            if !seen[seq] {
-                seen[seq] = claims.is_claimed(seq);
-            }
-            seen[seq]
-        }
-        let mut seen = vec![false; points.len()];
-        for &seq in plan.members(shard) {
-            seen[seq] = true; // own range fully resolved above
-        }
-        loop {
-            let slowest = (0..plan.of())
-                .filter(|&s| s != shard)
-                .map(|s| {
-                    let members = plan.members(s);
-                    (s, members.iter().filter(|&&seq| !observe(claims, &mut seen, seq)).count())
-                })
-                .max_by_key(|&(s, unclaimed)| (unclaimed, std::cmp::Reverse(s)));
-            let Some((victim, unclaimed)) = slowest else { break };
-            if unclaimed == 0 {
-                break;
-            }
-            let mut won = false;
-            for &seq in plan.members(victim).iter().rev() {
-                if !observe(claims, &mut seen, seq) {
-                    let claimed = claims.claim(seq)?;
-                    seen[seq] = true;
-                    if claimed {
-                        run_point(seq, sink)?;
-                        stats.stolen += 1;
-                        won = true;
-                        break;
-                    }
-                }
-            }
-            if !won {
-                // Everything we saw as unclaimed was taken under us;
-                // re-scan (the counts above will now reflect it).
-                continue;
-            }
-        }
-    }
-    Ok(stats)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -499,9 +331,6 @@ pub struct ShardContribution {
     pub shard: usize,
     /// Point records the document carried.
     pub records: usize,
-    /// Records for points the plan assigns to a *different* shard —
-    /// work stealing (or overlapping external runs) in action.
-    pub stolen: usize,
     /// Records that duplicated an already-merged point (bit-identical,
     /// or the merge would have failed).
     pub duplicates: usize,
@@ -518,8 +347,6 @@ pub struct MergeStats {
     pub points: usize,
     /// Bit-identical duplicate records tolerated.
     pub duplicates: usize,
-    /// Records found outside their home shard's range.
-    pub stolen: usize,
 }
 
 /// A successfully merged sweep: the canonical outputs plus diagnostics.
@@ -597,15 +424,12 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
             reference.points
         ));
     }
-    let plan = ShardPlan::for_points(&points, reference.of)?;
-
     // Pass 2: collect records, first writer wins, overlaps must match.
     let mut slots: Vec<Option<MergedRecord>> = (0..points.len()).map(|_| None).collect();
     let mut stats = MergeStats { shards: documents.len(), ..MergeStats::default() };
     let mut contributions = Vec::with_capacity(documents.len());
     for (d, (doc, header)) in documents.iter().zip(&headers).enumerate() {
-        let mut contribution =
-            ShardContribution { shard: header.shard, records: 0, stolen: 0, duplicates: 0 };
+        let mut contribution = ShardContribution { shard: header.shard, records: 0, duplicates: 0 };
         for (lineno, line) in doc.as_ref().lines().enumerate().skip(1) {
             if line.trim().is_empty() {
                 continue;
@@ -614,10 +438,6 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
             let record = parse_record(line, &points).map_err(|e| at(e.0))?;
             contribution.records += 1;
             stats.records += 1;
-            if plan.home(record.seq) != header.shard {
-                contribution.stolen += 1;
-                stats.stolen += 1;
-            }
             let seq = record.seq;
             match &slots[seq] {
                 None => slots[seq] = Some(record),
@@ -804,14 +624,12 @@ mod tests {
     fn plan_partitions_by_contiguous_fingerprint_ranges() {
         let fps = [90u64, 10, 70, 30, 50];
         let plan = ShardPlan::new(&fps, 2).expect("plan");
-        // Sorted fps: 10(1) 30(3) 50(4) | 70(2) 90(0); first shard gets
-        // the extra point.
+        // Sorted fps: 10(1) 30(3) 50(4) | 70(2) 90(0); shard 0 gets the
+        // extra point.
         assert_eq!(plan.members(0), &[1, 3, 4]);
         assert_eq!(plan.members(1), &[2, 0]);
-        assert_eq!(plan.home(4), 0);
-        assert_eq!(plan.home(0), 1);
         assert_eq!(plan.points(), 5);
-        // Every point has exactly one home.
+        // Every point belongs to exactly one shard.
         let mut all: Vec<usize> = (0..plan.of()).flat_map(|s| plan.members(s).to_vec()).collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
@@ -830,6 +648,23 @@ mod tests {
         let ties = ShardPlan::new(&[7, 7, 7, 7], 2).expect("ties");
         assert_eq!(ties.members(0), &[0, 1]);
         assert_eq!(ties.members(1), &[2, 3]);
+    }
+
+    #[test]
+    fn plan_memory_does_not_grow_with_the_shard_count() {
+        // Nothing is allocated per shard, so any count plans instantly:
+        // the first `points` shards own one point each, in fingerprint
+        // order, and every later one is empty.
+        let plan = ShardPlan::new(&[30, 10, 20], usize::MAX).expect("plan");
+        assert_eq!(plan.of(), usize::MAX);
+        assert_eq!(
+            (plan.members(0), plan.members(1), plan.members(2)),
+            (&[1][..], &[2][..], &[0][..])
+        );
+        assert_eq!(plan.range(2), Some((30, 30)));
+        assert!(plan.members(3).is_empty());
+        assert!(plan.members(usize::MAX - 1).is_empty());
+        assert_eq!(plan.range(usize::MAX - 1), None);
     }
 
     #[test]
@@ -885,8 +720,22 @@ mod tests {
             assert_eq!(merged.stats.points, points.len());
             assert_eq!(merged.stats.records, points.len());
             assert_eq!(merged.stats.duplicates, 0);
-            assert_eq!(merged.stats.stolen, 0);
         }
+    }
+
+    #[test]
+    fn merge_survives_a_header_with_a_huge_shard_count() {
+        // A lone shard 0 of 10^12 that carries every point is a complete,
+        // consistent set: merging it must not plan (or allocate) per
+        // shard.
+        let spec = tiny_spec();
+        let (points, reports) = executed(&spec);
+        let plan = ShardPlan::for_points(&points, 1).expect("plan");
+        let doc = shard_document(&spec, &points, &reports, &plan, 0);
+        let huge = doc.replacen("\"of\":1,", "\"of\":1000000000000,", 1);
+        assert_ne!(huge, doc);
+        let merged = merge(&[huge]).expect("a consistent document set");
+        assert_eq!(merged.jsonl, crate::emit::sweep_jsonl(&points, &reports));
     }
 
     #[test]
@@ -960,67 +809,20 @@ mod tests {
     }
 
     #[test]
-    fn run_shard_without_claims_covers_exactly_its_range() {
+    fn run_shard_covers_exactly_its_range() {
         let spec = tiny_spec();
-        let points = spec.points().expect("points");
+        let (points, reports) = executed(&spec);
         let plan = ShardPlan::for_points(&points, 2).expect("plan");
-        let engine = SweepEngine::new(1);
-        let mut docs = Vec::new();
-        for shard in 0..2 {
-            let mut buf = Vec::new();
-            let stats =
-                run_shard(&spec, &points, &plan, shard, &engine, None, &mut buf).expect("runs");
-            assert_eq!(stats.ran, plan.members(shard).len());
-            assert_eq!((stats.stolen, stats.ceded), (0, 0));
-            docs.push(String::from_utf8(buf).expect("utf8"));
+        for threads in [1, 2] {
+            let engine = SweepEngine::new(threads);
+            let docs: Vec<String> =
+                (0..2).map(|shard| run_shard(&spec, &points, &plan, shard, &engine)).collect();
+            for (shard, doc) in docs.iter().enumerate() {
+                assert_eq!(doc, &shard_document(&spec, &points, &reports, &plan, shard));
+            }
+            assert_eq!(engine.stats().simulated, points.len() as u64, "each point ran once");
+            let merged = merge(&docs).expect("merge");
+            assert_eq!(merged.jsonl, crate::emit::sweep_jsonl(&points, &reports));
         }
-        let merged = merge(&docs).expect("merge");
-        let (points2, reports) = executed(&spec);
-        assert_eq!(points2, merged.points);
-        assert_eq!(merged.jsonl, crate::emit::sweep_jsonl(&merged.points, &reports));
-    }
-
-    #[test]
-    fn claimed_points_are_exclusive_and_stealing_covers_the_grid() {
-        let spec = tiny_spec();
-        let points = spec.points().expect("points");
-        let plan = ShardPlan::for_points(&points, 2).expect("plan");
-        let dir = std::env::temp_dir().join(format!("st-claims-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let claims = ClaimDir::new(&dir, &spec);
-        claims.reset().expect("reset");
-        assert!(claims.claim(0).expect("claim"), "first claim wins");
-        assert!(!claims.claim(0).expect("claim"), "second claim loses");
-        assert!(claims.is_claimed(0));
-        assert!(!claims.is_claimed(1));
-        claims.reset().expect("reset clears");
-        assert!(!claims.is_claimed(0), "reset forgets stale claims");
-
-        // Worker 0 pre-claims EVERYTHING of its own range, then worker 1
-        // runs with stealing: it executes its range plus nothing of
-        // shard 0 (already claimed), and worker 0's points never get
-        // simulated twice.
-        for &seq in plan.members(0) {
-            assert!(claims.claim(seq).expect("pre-claim"));
-        }
-        let engine = SweepEngine::new(1);
-        let mut buf = Vec::new();
-        let stats =
-            run_shard(&spec, &points, &plan, 1, &engine, Some(&claims), &mut buf).expect("runs");
-        assert_eq!(stats.ran, plan.members(1).len());
-        assert_eq!(stats.stolen, 0, "shard 0's points were all claimed");
-
-        // Fresh claims: a single stealing worker sweeps the whole grid.
-        claims.reset().expect("reset");
-        let mut buf = Vec::new();
-        let stats =
-            run_shard(&spec, &points, &plan, 0, &engine, Some(&claims), &mut buf).expect("runs");
-        assert_eq!(stats.ran, plan.members(0).len());
-        assert_eq!(stats.stolen, plan.members(1).len(), "stole the other shard's range");
-        let doc = String::from_utf8(buf).expect("utf8");
-        let merged = merge(&[doc]).expect("one shard covered everything");
-        assert_eq!(merged.stats.stolen, plan.members(1).len());
-        assert_eq!(merged.stats.points, points.len());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

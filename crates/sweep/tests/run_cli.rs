@@ -1,9 +1,11 @@
 //! CLI contracts of the sweep-running subcommands through the real `st`
 //! binary: an oversized grid is a one-line runtime error, not an
-//! allocation abort, and a plain `st repro` writes only under `--out`.
+//! allocation abort, a plain `st repro` writes only under `--out`, and a
+//! killed `st run` keeps every point it finished.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn st() -> Command {
     Command::new(env!("CARGO_BIN_EXE_st"))
@@ -63,4 +65,69 @@ fn a_plain_repro_writes_nothing_outside_its_out_dir() {
     left.sort();
     assert_eq!(left, vec!["out".to_string()], "no timing file without --bench-json");
     let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn a_killed_run_keeps_its_finished_points_in_the_store() {
+    let dir = empty_dir("killed");
+    let spec = dir.join("kill.toml");
+    // At one thread the short point runs first; the second would run for
+    // hours, so the run is always killed inside it.
+    std::fs::write(
+        &spec,
+        "name = \"kill\"\nworkloads = [\"go\"]\nbaseline = false\n\n\
+         [axis]\ninstructions = [2_000, 10_000_000_000]\n",
+    )
+    .expect("write spec");
+    let out = dir.join("out");
+    let mut child = st()
+        .arg("run")
+        .arg(&spec)
+        .args(["--threads", "1", "--out"])
+        .arg(&out)
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn st run");
+
+    // Poll a copy of the segment log (opening the live one could race
+    // the child's appends) until it holds the short point.
+    let segment = st_sweep::LogStore::dir_under(&out).join("seg-0.log");
+    let probe = dir.join("probe");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let seen = loop {
+        if let Some(status) = child.try_wait().expect("poll st run") {
+            break Err(format!("st run exited ({status}) inside a point of 10^10 instructions"));
+        }
+        if Instant::now() > deadline {
+            break Err("the finished point never reached the store".to_string());
+        }
+        let _ = std::fs::remove_dir_all(&probe);
+        std::fs::create_dir_all(&probe).expect("probe dir");
+        if std::fs::copy(&segment, probe.join("seg-0.log")).is_ok()
+            && st_sweep::LogStore::open(&probe).stats().entries == 1
+        {
+            break Ok(());
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let _ = child.kill();
+    let _ = child.wait();
+    seen.expect("the short point is stored while the run is still going");
+
+    // Resume with the endless point swapped for another short one: the
+    // rerun loads the stored point, simulates only the new one, and
+    // writes what a fresh run writes.
+    let resumed = ["--set", "instructions=2_000,6_000", "--threads", "1", "--out"];
+    let rerun = st().arg("run").arg(&spec).args(resumed).arg(&out).output().expect("rerun runs");
+    let reference = dir.join("reference");
+    let fresh = st().arg("run").arg(&spec).args(resumed).arg(&reference).arg("--no-cache").output();
+    assert!(fresh.expect("reference runs").status.success());
+    let stdout = String::from_utf8_lossy(&rerun.stdout);
+    assert!(rerun.status.success(), "{}", stderr(&rerun));
+    assert!(stdout.contains("(1 simulated, 1 loaded from disk"), "{stdout}");
+    for file in ["kill.jsonl", "kill.csv"] {
+        let read = |d: &PathBuf| std::fs::read(d.join(file)).expect("output written");
+        assert_eq!(read(&out), read(&reference), "{file} must match a fresh run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
