@@ -51,19 +51,26 @@ fn index_bits(entries: usize) -> u8 {
 
 /// gshare (McFarling 1993): a table of 2-bit counters indexed by
 /// `PC ⊕ global history`.
+///
+/// Each counter is one byte holding 0..=3, with the rules of a 2-bit
+/// [`SatCounter`]: it saturates at 0 and 3, 2 and 3 predict taken, and 1
+/// and 2 are the weak states. A `SatCounter` also stores its width, so
+/// this halves the host table (32 KB for the paper's 8 KB budget).
 #[derive(Debug, Clone)]
 pub struct Gshare {
-    table: Vec<SatCounter>,
+    table: Vec<u8>,
     mask: u64,
     hist_bits: u8,
 }
 
 impl Gshare {
     /// Default cap on the global-history length. Capping history below the
-    /// index width (and XOR-folding the PC over the full index) trades a
-    /// little correlation reach for far less context dilution; it also
-    /// gives the monotone accuracy-vs-size scaling the paper's Figure 7
-    /// relies on.
+    /// index width (and XOR-folding the PC over the full index) trades
+    /// correlation reach for less context dilution. Every table of 1 KB
+    /// or more then hashes the same 12 history bits, so a larger table
+    /// only separates more PCs. The cap does not give Figure 7's
+    /// accuracy-vs-size scaling: the eight profiles measure bit-equal miss
+    /// rates at 4, 8 and 64 KB (ROADMAP, "Figure 7 is flat").
     pub const DEFAULT_HISTORY_CAP: u8 = 12;
 
     /// Creates a gshare predictor with `entries` 2-bit counters and the
@@ -89,7 +96,7 @@ impl Gshare {
         // integer branch streams are taken-heavy, so this halves the
         // cold-context tax of large, sparsely trained tables.
         Gshare {
-            table: vec![SatCounter::with_value(2, 2); entries],
+            table: vec![2; entries],
             mask: entries as u64 - 1,
             hist_bits: index_bits(entries).min(history_cap),
         }
@@ -113,13 +120,14 @@ impl Gshare {
 
 impl DirectionPredictor for Gshare {
     fn predict(&self, pc: Pc, history: u64) -> Prediction {
-        let c = &self.table[self.index(pc, history)];
-        Prediction { taken: c.taken(), weak: c.is_weak() }
+        let c = self.table[self.index(pc, history)];
+        Prediction { taken: c >= 2, weak: c == 1 || c == 2 }
     }
 
     fn update(&mut self, pc: Pc, history: u64, taken: bool, _predicted_taken: bool) {
         let idx = self.index(pc, history);
-        self.table[idx].train(taken);
+        let c = &mut self.table[idx];
+        *c = if taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
     }
 
     fn history_bits(&self) -> u8 {
@@ -291,6 +299,7 @@ impl DirectionPredictor for StaticTaken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_isa::hash::mix2;
 
     #[test]
     fn gshare_sizes() {
@@ -303,6 +312,59 @@ mod tests {
         assert_eq!(g.history_bits(), 15);
         let g = Gshare::with_history_limit(256, 15);
         assert_eq!(g.history_bits(), 8, "index width still bounds history");
+    }
+
+    /// gshare as it was with a 2-bit [`SatCounter`] per entry: the
+    /// reference the one-byte table must match.
+    struct SatGshare {
+        table: Vec<SatCounter>,
+        mask: u64,
+    }
+
+    impl SatGshare {
+        fn with_table_bytes(bytes: usize) -> SatGshare {
+            let entries = bytes * 4;
+            SatGshare {
+                table: vec![SatCounter::with_value(2, 2); entries],
+                mask: entries as u64 - 1,
+            }
+        }
+
+        fn index(&self, pc: Pc, history: u64) -> usize {
+            (((pc.addr() >> 2) ^ history) & self.mask) as usize
+        }
+
+        fn predict(&self, pc: Pc, history: u64) -> Prediction {
+            let c = &self.table[self.index(pc, history)];
+            Prediction { taken: c.taken(), weak: c.is_weak() }
+        }
+
+        fn update(&mut self, pc: Pc, history: u64, taken: bool) {
+            let idx = self.index(pc, history);
+            self.table[idx].train(taken);
+        }
+    }
+
+    #[test]
+    fn one_byte_counters_predict_like_sat_counters() {
+        for bytes in [1, 8 * 1024, 64 * 1024] {
+            let mut fast = Gshare::with_table_bytes(bytes);
+            let mut reference = SatGshare::with_table_bytes(bytes);
+            let mask = (1u64 << fast.history_bits()) - 1;
+            let mut history = 0u64;
+            for i in 0..200_000u64 {
+                let h = mix2(bytes as u64, i);
+                // A few hundred hot branches, so counters saturate both ways.
+                let pc = Pc(0x40_0000 + 4 * (h % 300));
+                let predicted = fast.predict(pc, history);
+                assert_eq!(predicted, reference.predict(pc, history), "{bytes} B, step {i}");
+                // Mostly biased by PC, sometimes flipped.
+                let taken = (pc.addr() >> 2).is_multiple_of(3) != (h >> 40).is_multiple_of(5);
+                fast.update(pc, history, taken, predicted.taken);
+                reference.update(pc, history, taken);
+                history = ((history << 1) | u64::from(taken)) & mask;
+            }
+        }
     }
 
     #[test]

@@ -103,19 +103,41 @@ impl BranchBehavior {
 }
 
 /// Mutable architectural state of one static branch.
+///
+/// A state starts at [`BranchState::default`] and advances only through
+/// [`BranchModel::next_outcome`] of one model, which keeps the invariant
+/// `phase == count % period`: the period is the trip count of a `Loop`
+/// model (at least 1), the clamped length of a `Pattern` (1..=64), and 1
+/// (so `phase == 0`) for every other model. The phase lets loop and
+/// pattern outcomes skip the 64-bit division [`BranchModel::outcome_at`]
+/// spends on `count`; the fields are private so nothing else can break
+/// the invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BranchState {
+    count: u64,
+    last_taken: bool,
+    phase: u32,
+}
+
+impl BranchState {
     /// Number of architectural (committed-path) occurrences so far.
-    pub count: u64,
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
     /// Outcome of the most recent architectural occurrence.
-    pub last_taken: bool,
+    #[must_use]
+    pub fn last_taken(&self) -> bool {
+        self.last_taken
+    }
 }
 
 /// A behaviour model bound to a per-branch seed: the object the walker and
 /// the wrong-path machinery query for outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchModel {
-    behavior: BranchBehavior,
+    pub(crate) behavior: BranchBehavior,
     seed: u64,
 }
 
@@ -133,15 +155,41 @@ impl BranchModel {
     }
 
     /// Architectural outcome of the next occurrence; advances `state`.
+    /// Equal to `outcome_at(state.count(), state.last_taken())`.
     pub fn next_outcome(&self, state: &mut BranchState) -> bool {
-        let taken = self.outcome_at(state.count, state.last_taken);
+        let taken = self.current_outcome(state);
         state.count += 1;
         state.last_taken = taken;
+        state.phase += 1;
+        if state.phase == self.period() {
+            state.phase = 0;
+        }
         taken
     }
 
+    /// The length of the cycle `BranchState::phase` counts through.
+    fn period(&self) -> u32 {
+        match self.behavior {
+            BranchBehavior::Loop { trip } => trip.max(1),
+            BranchBehavior::Pattern { len, .. } => u32::from(len.clamp(1, 64)),
+            _ => 1,
+        }
+    }
+
+    /// [`Self::outcome_at`] for the occurrence `state` is at, with loop
+    /// and pattern positions read from the state's phase.
+    fn current_outcome(&self, state: &BranchState) -> bool {
+        debug_assert!(state.phase < self.period(), "state advanced by another model");
+        match self.behavior {
+            BranchBehavior::Loop { trip } => state.phase != trip.max(1) - 1,
+            BranchBehavior::Pattern { bits, .. } => (bits >> state.phase) & 1 == 1,
+            _ => self.outcome_at(state.count, state.last_taken),
+        }
+    }
+
     /// Outcome the branch *would* produce at occurrence `n` given the
-    /// previous outcome `last` — pure, does not advance anything.
+    /// previous outcome `last` — pure, does not advance anything. The
+    /// reference the phase-driven [`Self::next_outcome`] matches.
     #[must_use]
     pub fn outcome_at(&self, n: u64, last: bool) -> bool {
         match self.behavior {
@@ -180,7 +228,7 @@ impl BranchModel {
             // the outcome the branch would produce "next".
             BranchBehavior::Loop { .. }
             | BranchBehavior::Pattern { .. }
-            | BranchBehavior::Alternating => self.outcome_at(state.count, state.last_taken),
+            | BranchBehavior::Alternating => self.current_outcome(state),
             _ => {
                 let h = mix3(self.seed ^ WRONG_PATH_SALT, state.count, salt);
                 bernoulli(h, self.behavior.taken_rate())
@@ -287,6 +335,78 @@ mod tests {
         let _ = m.speculative_outcome(&st, 1);
         let _ = m.speculative_outcome(&st, 2);
         assert_eq!(st, snapshot);
+    }
+
+    /// `speculative_outcome` as it was before states kept a phase: the
+    /// reference the phase-driven version must match.
+    fn reference_speculative(m: &BranchModel, st: &BranchState, salt: u64) -> bool {
+        match m.behavior {
+            BranchBehavior::Loop { .. }
+            | BranchBehavior::Pattern { .. }
+            | BranchBehavior::Alternating => m.outcome_at(st.count, st.last_taken),
+            _ => {
+                let h = mix3(m.seed ^ WRONG_PATH_SALT, st.count, salt);
+                bernoulli(h, m.behavior.taken_rate())
+            }
+        }
+    }
+
+    /// Steps `st` through `n` occurrences, checking each against the pure
+    /// reference `outcome_at` and the reference speculative outcome.
+    fn check_against_reference(m: &BranchModel, st: &mut BranchState, n: u64) {
+        for _ in 0..n {
+            let (count, last) = (st.count, st.last_taken);
+            for salt in [0, count, u64::MAX] {
+                assert_eq!(
+                    m.speculative_outcome(st, salt),
+                    reference_speculative(m, st, salt),
+                    "{:?}: speculative outcome at occurrence {count}",
+                    m.behavior
+                );
+            }
+            assert_eq!(
+                m.next_outcome(st),
+                m.outcome_at(count, last),
+                "{:?}: occurrence {count}",
+                m.behavior
+            );
+            assert_eq!(st.count, count + 1);
+            assert_eq!(u64::from(st.phase), st.count % u64::from(m.period()), "{:?}", m.behavior);
+        }
+    }
+
+    #[test]
+    fn phase_driven_outcomes_match_the_pure_reference() {
+        let bits = 0x9e37_79b9_7f4a_7c15;
+        let mut models: Vec<BranchModel> = [0, 1, 2, 7, u32::MAX]
+            .map(|trip| BranchModel::new(BranchBehavior::Loop { trip }, 3))
+            .into();
+        models.extend(
+            [0, 1, 2, 63, 64, 255]
+                .map(|len| BranchModel::new(BranchBehavior::Pattern { bits, len }, 5)),
+        );
+        models.extend([
+            BranchModel::new(BranchBehavior::Biased { p_taken: 0.3 }, 7),
+            BranchModel::new(BranchBehavior::Markov { p_tt: 0.9, p_nn: 0.8 }, 9),
+            BranchModel::new(BranchBehavior::Alternating, 11),
+        ]);
+        for m in &models {
+            // Several periods from the start (every period but the loop's
+            // u32::MAX trip is at most 64).
+            let mut st = BranchState::default();
+            check_against_reference(m, &mut st, 5 * 64 + 3);
+            // Across the end of a period: a state the invariant allows,
+            // two periods in and (periods allowing) four occurrences
+            // before the wrap.
+            let period = u64::from(m.period());
+            let count = 2 * period + period.saturating_sub(4);
+            let mut st = BranchState {
+                count,
+                last_taken: m.outcome_at(count - 1, false),
+                phase: (count % period) as u32,
+            };
+            check_against_reference(m, &mut st, 9);
+        }
     }
 
     #[test]

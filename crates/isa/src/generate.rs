@@ -409,7 +409,9 @@ struct Knobs {
     mix_w: [f64; 5],
     p_inner: f64,
     branch_frac: f64,
-    spread: f64,
+    /// `None` for the spec's own knobs, a phase's `spread_scale` for its
+    /// own; [`BiasedDraw::p_taken`] turns it into the bias spread.
+    spread_scale: Option<f64>,
     loop_trip: (u32, u32),
     pattern_len: (u8, u8),
     markov_stay: (f64, f64),
@@ -424,7 +426,7 @@ impl Knobs {
             mix_w: w,
             p_inner: w[0].clamp(0.0, 0.9),
             branch_frac: s.branch_frac,
-            spread: s.hard_bias_spread,
+            spread_scale: None,
             loop_trip: s.loop_trip,
             pattern_len: s.pattern_len,
             markov_stay: s.markov_stay,
@@ -433,18 +435,79 @@ impl Knobs {
         }
     }
 
-    fn phase(s: &WorkloadSpec, p: &PhaseSpec) -> Knobs {
+    fn phase(p: &PhaseSpec) -> Knobs {
         let w = p.mix.normalized();
         Knobs {
             mix_w: w,
             p_inner: w[0].clamp(0.0, 0.9),
             branch_frac: p.branch_frac,
-            spread: (s.hard_bias_spread * p.spread_scale).clamp(0.0, 0.5),
+            spread_scale: Some(p.spread_scale),
             loop_trip: p.loop_trip,
             pattern_len: p.pattern_len,
             markov_stay: p.markov_stay,
             mem_frac: p.mem_frac,
             locality_jump: p.locality_jump,
+        }
+    }
+}
+
+/// One `Biased` hammock branch as generated: the uniform draw its bias
+/// came from and the knob set that scaled it.
+#[derive(Debug, Clone, Copy)]
+struct BiasedDraw {
+    branch: BranchId,
+    /// The one `[0, 1)` draw `gen_range` makes for a float.
+    u: f64,
+    /// The knob set's [`Knobs::spread_scale`].
+    spread_scale: Option<f64>,
+}
+
+impl BiasedDraw {
+    /// The branch's `p_taken` when the spec's `hard_bias_spread` is
+    /// `hard_bias_spread`: `0.5 + rng.gen_range(-s..=s)` with this draw,
+    /// where `s` is the spread itself, or a phase's scaled spread clamped
+    /// to `[0, 0.5]`. Generation and [`RebiasableProgram::rebias`] both
+    /// call this, so a re-biased program is the one generated at its
+    /// spread.
+    fn p_taken(&self, hard_bias_spread: f64) -> f64 {
+        let s = match self.spread_scale {
+            None => hard_bias_spread,
+            Some(scale) => (hard_bias_spread * scale).clamp(0.0, 0.5),
+        };
+        // `gen_range(lo..=hi)` on `f64` is `lo + u * (hi - lo)`.
+        0.5 + (-s + self.u * (s - -s))
+    }
+}
+
+/// A generated program that moves to another `hard_bias_spread` in place.
+///
+/// The spread reaches only the `p_taken` of `Biased` hammock branches,
+/// each one uniform draw scaled by its knob set's spread. The sampler
+/// draws exactly one word per float whatever the range, so every other
+/// draw, and every other byte of the program, is the same at any spread.
+/// [`RebiasableProgram::rebias`] rewrites just those biases, which lets
+/// a calibration bisect on one generated program.
+#[derive(Debug, Clone)]
+pub struct RebiasableProgram {
+    program: Program,
+    biased: Vec<BiasedDraw>,
+}
+
+impl RebiasableProgram {
+    /// The program at the spread it was generated or last re-biased at.
+    #[must_use]
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Sets every `Biased` branch to the bias it is generated with when
+    /// the spec's `hard_bias_spread` is `hard_bias_spread`: the program
+    /// then equals that spec's [`WorkloadSpec::generate`].
+    pub fn rebias(&mut self, hard_bias_spread: f64) {
+        for draw in &self.biased {
+            let p_taken = draw.p_taken(hard_bias_spread);
+            self.program.branches[draw.branch.index()].behavior =
+                BranchBehavior::Biased { p_taken };
         }
     }
 }
@@ -470,7 +533,7 @@ impl<'a> ProgramGenerator<'a> {
             .iter()
             .map(|p| {
                 cum += p.weight / total.max(1e-12);
-                (cum, Knobs::phase(spec, p))
+                (cum, Knobs::phase(p))
             })
             .collect();
         ProgramGenerator { spec, base, phased }
@@ -516,12 +579,21 @@ impl<'a> ProgramGenerator<'a> {
     /// calibration in `st-workloads` depends on.
     #[must_use]
     pub fn generate(&self) -> Program {
+        self.generate_rebiasable().program
+    }
+
+    /// [`Self::generate`], keeping the draws of the program's `Biased`
+    /// branches so [`RebiasableProgram::rebias`] can move it to another
+    /// `hard_bias_spread` without generating again.
+    #[must_use]
+    pub fn generate_rebiasable(&self) -> RebiasableProgram {
         let s = self.spec;
         let mut rng = StdRng::seed_from_u64(s.seed);
         let n = s.n_blocks as usize;
 
         let mut blocks: Vec<BasicBlock> = Vec::with_capacity(n);
         let mut branches: Vec<BranchModel> = Vec::new();
+        let mut biased: Vec<BiasedDraw> = Vec::new();
         let mut streams: Vec<MemStreamSpec> = Vec::new();
         // Ring of recently written registers for dependence generation.
         let mut recent: Vec<Reg> = Vec::with_capacity(8);
@@ -573,7 +645,8 @@ impl<'a> ProgramGenerator<'a> {
                     // stable) while fetch still truly diverges on a
                     // misprediction.
                     let id = BranchId(branches.len() as u32);
-                    branches.push(BranchModel::new(self.gen_hammock(&mut rng, k), rng.gen()));
+                    let behavior = self.gen_hammock(&mut rng, k, id, &mut biased);
+                    branches.push(BranchModel::new(behavior, rng.gen()));
                     instrs.extend(self.gen_branch_seq(&mut rng, &mut recent, &mut streams, k));
                     let term = Terminator::Branch {
                         branch: id,
@@ -654,8 +727,9 @@ impl<'a> ProgramGenerator<'a> {
             vec![self.gen_body_instr(&mut rng, &mut recent, &mut streams, k), Instr::jump()];
         push_block(&mut blocks, &mut pc, instrs, Terminator::Jump(BlockId(0)));
 
-        Program::new(s.name.clone(), blocks, branches, streams, BlockId(0))
-            .expect("generator produces valid programs")
+        let program = Program::new(s.name.clone(), blocks, branches, streams, BlockId(0))
+            .expect("generator produces valid programs");
+        RebiasableProgram { program, biased }
     }
 
     /// Body-block length (instructions including the terminator slot).
@@ -664,9 +738,16 @@ impl<'a> ProgramGenerator<'a> {
         rng.gen_range(2..=max.max(2))
     }
 
-    /// Behaviour of a hammock (non-loop) branch, drawn from the non-loop
-    /// portion of the mix.
-    fn gen_hammock(&self, rng: &mut StdRng, k: &Knobs) -> BranchBehavior {
+    /// Behaviour of hammock (non-loop) branch `id`, drawn from the
+    /// non-loop portion of the mix. A `Biased` draw is also recorded in
+    /// `biased`.
+    fn gen_hammock(
+        &self,
+        rng: &mut StdRng,
+        k: &Knobs,
+        id: BranchId,
+        biased: &mut Vec<BiasedDraw>,
+    ) -> BranchBehavior {
         let w = k.mix_w;
         let total = (w[1] + w[2] + w[3] + w[4]).max(1e-9);
         let r: f64 = rng.gen::<f64>() * total;
@@ -674,8 +755,9 @@ impl<'a> ProgramGenerator<'a> {
             let len = rng.gen_range(k.pattern_len.0..=k.pattern_len.1.max(k.pattern_len.0)).max(1);
             BranchBehavior::Pattern { bits: rng.gen::<u64>(), len }
         } else if r < w[1] + w[2] {
-            let spread = k.spread;
-            BranchBehavior::Biased { p_taken: 0.5 + rng.gen_range(-spread..=spread) }
+            let draw = BiasedDraw { branch: id, u: rng.gen(), spread_scale: k.spread_scale };
+            biased.push(draw);
+            BranchBehavior::Biased { p_taken: draw.p_taken(self.spec.hard_bias_spread) }
         } else if r < w[1] + w[2] + w[3] {
             let (lo, hi) = k.markov_stay;
             BranchBehavior::Markov {
@@ -1029,6 +1111,24 @@ mod tests {
         let narrow = spread_of(&build(0.1));
         assert!(wide > 0.1 && wide <= 0.2 + 1e-9, "0.4 × 0.5 caps biases at 0.2: {wide}");
         assert!(narrow <= 0.05 + 1e-9, "0.1 × 0.5 caps biases at 0.05: {narrow}");
+    }
+
+    #[test]
+    fn a_biased_draw_replays_gen_range_bit_for_bit() {
+        // `BiasedDraw::p_taken` re-derives `0.5 + gen_range(-s..=s)` from
+        // the draw alone; pin it to the sampler at random words, spreads
+        // and phase scales (some past the 0.5 clamp).
+        let mut rng = StdRng::seed_from_u64(23);
+        for i in 0..10_000 {
+            let word: u64 = rng.gen();
+            let spread: f64 = rng.gen_range(0.0..=1.0);
+            let spread_scale = (i % 2 == 1).then(|| rng.gen_range(0.1..=2.0));
+            let s = spread_scale.map_or(spread, |scale| (spread * scale).clamp(0.0, 0.5));
+            let sampled = 0.5 + StdRng::seed_from_u64(word).gen_range(-s..=s);
+            let u = StdRng::seed_from_u64(word).gen();
+            let draw = BiasedDraw { branch: BranchId(0), u, spread_scale };
+            assert_eq!(draw.p_taken(spread).to_bits(), sampled.to_bits(), "spread {spread}");
+        }
     }
 
     #[test]

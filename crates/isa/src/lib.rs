@@ -49,7 +49,9 @@ pub mod types;
 pub mod walker;
 
 pub use behavior::{BranchBehavior, BranchModel, BranchState};
-pub use generate::{BranchMix, PhaseSpec, ProgramGenerator, WorkloadSpec, WorkloadSpecBuilder};
+pub use generate::{
+    BranchMix, PhaseSpec, ProgramGenerator, RebiasableProgram, WorkloadSpec, WorkloadSpecBuilder,
+};
 pub use memstream::MemStreamSpec;
 pub use op::{Instr, OpClass, Terminator};
 pub use program::{BasicBlock, Program, ProgramError};

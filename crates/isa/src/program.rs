@@ -126,7 +126,8 @@ impl std::error::Error for ProgramError {}
 pub struct Program {
     name: String,
     blocks: Vec<BasicBlock>,
-    branches: Vec<BranchModel>,
+    /// Re-biased in place by [`crate::RebiasableProgram`].
+    pub(crate) branches: Vec<BranchModel>,
     streams: Vec<MemStreamSpec>,
     entry: BlockId,
     /// Sorted block start addresses for PC lookup.

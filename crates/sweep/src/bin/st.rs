@@ -113,6 +113,7 @@
 //! `--no-cache` opts a run out entirely. Timing files are opt-in: no
 //! subcommand writes one unless given `--bench-json PATH`.
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -140,12 +141,11 @@ fn main() {
         Some("bench") => cmd_bench(&args[1..]),
         Some("plot") => cmd_plot(&args[1..]),
         Some("audit") => cmd_audit(&args[1..]),
-        Some("calibrate") => cmd_calibrate(&args[1..]),
-        Some("list") => cmd_list(&args[1..]),
+        Some("calibrate") => to_stdout(|out| cmd_calibrate(&args[1..], out)),
+        Some("list") => to_stdout(|out| cmd_list(&args[1..], out)),
         Some("cache") => cmd_cache(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
-            0
+            to_stdout(|out| out.write_all(USAGE.as_bytes()).map(|()| 0))
         }
         Some(other) => {
             eprintln!("st: unknown subcommand `{other}`\n{USAGE}");
@@ -153,6 +153,23 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+/// Runs a command that writes its report to `out`, stdout. A reader that
+/// closes the pipe early (`st list | head -2`) ends the command quietly
+/// with exit 0. SIGPIPE stays ignored, as Rust starts every program, so
+/// `serve`, `submit`, `status`, `loadgen` and the fleet get `EPIPE` from a
+/// peer that hangs up instead of being killed.
+fn to_stdout(cmd: impl FnOnce(&mut dyn Write) -> io::Result<i32>) -> i32 {
+    let mut out = io::stdout();
+    match cmd(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("st: writing to stdout: {e}");
+            1
+        }
+    }
 }
 
 const USAGE: &str = "\
@@ -232,7 +249,8 @@ OPTIONS:
     --allow FILE     `audit`: suppress findings whose 16-hex-digit
                      fingerprint is listed (one per line, # comments)
     --seeds N        `calibrate`: seeds probed per generative family
-                     (default 8)
+                     (default 8; families x seeds is capped like a
+                     spec's grid)
     --family NAME    `calibrate`: probe only the named family
     --csv PATH       `calibrate`: also write the table as CSV (the CI
                      calibration artifact)
@@ -1745,7 +1763,7 @@ fn cmd_cache(args: &[String]) -> i32 {
 /// member falls outside its family tolerance — the CI gate for the
 /// generative suite — and writes the table as CSV for the workflow
 /// artifact when `--csv` is given.
-fn cmd_calibrate(args: &[String]) -> i32 {
+fn cmd_calibrate(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     let mut seeds: u64 = 8;
     let mut family_filter: Option<String> = None;
     let mut csv: Option<PathBuf> = None;
@@ -1772,7 +1790,7 @@ fn cmd_calibrate(args: &[String]) -> i32 {
         })();
         if let Err(e) = parsed {
             eprintln!("st calibrate: {e}\n{USAGE}");
-            return 2;
+            return Ok(2);
         }
     }
     let families: Vec<&st_workloads::Family> = st_workloads::families()
@@ -1786,18 +1804,31 @@ fn cmd_calibrate(args: &[String]) -> i32 {
             family_filter.unwrap_or_default(),
             known.join(", ")
         );
-        return 2;
+        return Ok(2);
+    }
+    // Bound the member list before building it, as a spec's grid is.
+    let count = families.len() as u128 * u128::from(seeds);
+    if count > axes::MAX_GRID_POINTS as u128 {
+        eprintln!(
+            "st calibrate: --seeds {seeds} over {} famil{} is {count} members (limit {})\n{USAGE}",
+            families.len(),
+            if families.len() == 1 { "y" } else { "ies" },
+            axes::MAX_GRID_POINTS
+        );
+        return Ok(2);
     }
 
-    println!(
+    writeln!(
+        out,
         "st calibrate: {} famil{} x {seeds} seeds (gshare miss-rate targets)",
         families.len(),
         if families.len() == 1 { "y" } else { "ies" }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:<22} {:>7} {:>9} {:>10} {:>10} {:>7}  status",
         "workload", "target", "achieved", "deviation", "tolerance", "spread"
-    );
+    )?;
     let mut csv_text =
         String::from("family,seed,target,achieved,deviation,tolerance,spread,within\n");
     let mut out_of_tolerance = 0u64;
@@ -1814,7 +1845,8 @@ fn cmd_calibrate(args: &[String]) -> i32 {
                 out_of_tolerance += 1;
             }
             worst = worst.max(deviation);
-            println!(
+            writeln!(
+                out,
                 "  {:<22} {:>7.4} {:>9.4} {:>10.4} {:>10.4} {:>7.4}  {}",
                 st_workloads::generate::member_name(family, seed),
                 family.target_miss,
@@ -1823,7 +1855,7 @@ fn cmd_calibrate(args: &[String]) -> i32 {
                 family.tolerance,
                 cal.spread,
                 if within { "ok" } else { "OUT" }
-            );
+            )?;
             csv_text.push_str(&format!(
                 "{},{seed},{:.6},{:.6},{:.6},{:.6},{:.6},{within}\n",
                 family.name,
@@ -1834,95 +1866,101 @@ fn cmd_calibrate(args: &[String]) -> i32 {
                 cal.spread
             ));
         }
-        println!(
+        writeln!(
+            out,
             "  {:<22} worst deviation {:.4} of tolerance {:.4}",
             format!("gen:{}:*", family.name),
             worst,
             family.tolerance
-        );
+        )?;
     }
     if let Some(path) = csv {
         if let Err(e) = std::fs::write(&path, csv_text) {
             eprintln!("st calibrate: writing {}: {e}", path.display());
-            return 1;
+            return Ok(1);
         }
-        println!("st calibrate: wrote {}", path.display());
+        writeln!(out, "st calibrate: wrote {}", path.display())?;
     }
     if out_of_tolerance > 0 {
         eprintln!("st calibrate: {out_of_tolerance} member(s) outside family tolerance");
-        return 4;
+        return Ok(4);
     }
-    println!("st calibrate: all probed members within tolerance");
-    0
+    writeln!(out, "st calibrate: all probed members within tolerance")?;
+    Ok(0)
 }
 
-fn cmd_list(args: &[String]) -> i32 {
+fn cmd_list(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     let what = args.first().map(String::as_str).unwrap_or("all");
     let mut shown = false;
     if matches!(what, "all" | "workloads") {
-        println!("workloads (paper Table 2 stand-ins):");
+        writeln!(out, "workloads (paper Table 2 stand-ins):")?;
         for info in st_workloads::all() {
-            println!(
+            writeln!(
+                out,
                 "  {:<10} {:<12} gshare-8KB miss {:>5.1}%",
                 info.spec.name,
                 info.suite,
                 100.0 * info.paper_miss_rate
-            );
+            )?;
         }
-        println!();
-        println!(
+        writeln!(out)?;
+        writeln!(
+            out,
             "generative families (members `gen:<family>:<seed>`; reseed via axis.workload_seed):"
-        );
+        )?;
         for f in st_workloads::families() {
-            println!(
+            writeln!(
+                out,
                 "  gen:{:<10} target miss {:>4.1}% +/-{:>3.1}pp  {}",
                 format!("{}:*", f.name),
                 100.0 * f.target_miss,
                 100.0 * f.tolerance,
                 f.summary
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
         shown = true;
     }
     if matches!(what, "all" | "experiments") {
-        println!("experiments:");
+        writeln!(out, "experiments:")?;
         for e in all_experiments() {
-            println!("  {:<5} {}", e.id, e.label);
+            writeln!(out, "  {:<5} {}", e.id, e.label)?;
         }
-        println!();
+        writeln!(out)?;
         shown = true;
     }
     if matches!(what, "all" | "axes") {
-        println!("sweep axes (bind via `axis.<name>` spec keys or `st run --set`):");
+        writeln!(out, "sweep axes (bind via `axis.<name>` spec keys or `st run --set`):")?;
         let header = ["axis", "domain", "default", "paper", "controls"];
-        println!(
+        writeln!(
+            out,
             "  {:<17} {:<12} {:>8}  {:<16} {}",
             header[0], header[1], header[2], header[3], header[4]
-        );
+        )?;
         for a in axes::registry() {
-            println!(
+            writeln!(
+                out,
                 "  {:<17} {:<12} {:>8}  {:<16} {}",
                 a.name,
                 a.domain.describe(),
                 a.default.canonical(),
                 a.paper,
                 a.summary
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
         shown = true;
     }
     if matches!(what, "all" | "figures") {
-        println!("figures/tables (`st repro` regenerates all of these):");
+        writeln!(out, "figures/tables (`st repro` regenerates all of these):")?;
         for (name, _) in ALL_FIGURES {
-            println!("  {name}");
+            writeln!(out, "  {name}")?;
         }
         shown = true;
     }
     if !shown {
         eprintln!("st list: unknown category `{what}` (try workloads|experiments|figures|axes)");
-        return 2;
+        return Ok(2);
     }
-    0
+    Ok(0)
 }

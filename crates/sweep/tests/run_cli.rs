@@ -1,8 +1,10 @@
 //! CLI contracts of the sweep-running subcommands through the real `st`
-//! binary: an oversized grid is a one-line runtime error, not an
-//! allocation abort, a plain `st repro` writes only under `--out`, and a
-//! killed `st run` keeps every point it finished.
+//! binary: an oversized grid or seed range is a one-line error, not an
+//! allocation abort, a plain `st repro` writes only under `--out`, a
+//! killed `st run` keeps every point it finished, and a reader that
+//! hangs up early ends `st list` and `st calibrate` quietly.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -21,6 +23,70 @@ fn empty_dir(name: &str) -> PathBuf {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).to_string()
+}
+
+/// Runs `cmd` to completion; fails the test, killing the child, if it
+/// runs longer than `limit`.
+fn output_within(cmd: &mut Command, limit: Duration) -> Output {
+    let start = Instant::now();
+    let mut child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("spawns");
+    while child.try_wait().expect("polls the child").is_none() {
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            panic!("{cmd:?} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    child.wait_with_output().expect("collects output")
+}
+
+#[test]
+fn an_oversized_seed_range_is_a_usage_error_naming_count_and_limit() {
+    let limit = format!("(limit {})", st_sweep::axes::MAX_GRID_POINTS);
+    let mut widest = st();
+    widest.args(["calibrate", "--seeds", "18446744073709551615"]);
+    // Under a 4 GB address-space cap, where building the member list
+    // used to abort.
+    let mut capped = Command::new("sh");
+    capped.args(["-c", "ulimit -v 4000000 && exec \"$0\" calibrate --seeds 10000000"]);
+    capped.arg(env!("CARGO_BIN_EXE_st"));
+    for (mut cmd, count) in
+        [(widest, "is 73786976294838206460 members"), (capped, "is 40000000 members")]
+    {
+        let out = output_within(&mut cmd, Duration::from_secs(1));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}: {err}");
+        assert!(err.starts_with("st calibrate: --seeds "), "{err}");
+        assert!(err.contains(count) && err.contains(&limit), "{err}");
+    }
+    let out = st().args(["calibrate", "--seeds", "2"]).output().expect("runs");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
+#[test]
+fn a_reader_that_hangs_up_ends_list_and_calibrate_quietly() {
+    for args in [&["list"][..], &["calibrate", "--seeds", "2"]] {
+        // Hang up after one line, and before reading anything.
+        for read_a_line in [true, false] {
+            let mut child = st()
+                .args(args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawns");
+            let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+            if read_a_line {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("reads a line");
+                assert!(line.ends_with('\n'), "st {args:?} printed {line:?}");
+            }
+            drop(reader);
+            let out = child.wait_with_output().expect("waits");
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(0), "st {args:?}: {err}");
+            assert!(!err.contains("panicked"), "st {args:?}: {err}");
+        }
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! rate so profiles can be anchored to the paper's Table 2.
 
 use st_bpred::{DirectionPredictor, GlobalHistory, Gshare};
-use st_isa::{BranchState, Program, WorkloadSpec};
+use st_isa::{BranchState, Program, ProgramGenerator, WorkloadSpec};
 
 /// Measures the misprediction rate an in-order gshare of `table_bytes`
 /// sees on the workload's committed instruction stream: the first
@@ -100,9 +100,13 @@ pub struct Calibration {
 /// The spread knob is *structure-stable*: changing it alters only the bias
 /// values of the hard branches, not which branches exist or where they
 /// point, so the miss rate responds monotonically (smaller spread ⇒ biases
-/// closer to 50/50 ⇒ more misses). This is the search used to derive the
-/// constants in [`crate::profiles`]; it is exposed so the calibration is
-/// reproducible.
+/// closer to 50/50 ⇒ more misses). The search therefore generates the
+/// program once and [re-biases](st_isa::RebiasableProgram::rebias) it at
+/// each midpoint; every probe measures exactly the program
+/// `spec.generate()` builds at that spread, as
+/// [`measure_gshare_miss_rate`] would. This is the search used to derive
+/// the constants in [`crate::profiles`]; it is exposed so the calibration
+/// is reproducible.
 #[must_use]
 pub fn calibrate_hardness(
     base: &WorkloadSpec,
@@ -113,11 +117,11 @@ pub fn calibrate_hardness(
     let mut lo = 0.02f64; // hardest sensible spread
     let mut hi = 0.50f64; // easiest
     let mut best = Calibration { spread: base.hard_bias_spread, achieved: f64::NAN };
+    let mut program = ProgramGenerator::new(base).generate_rebiasable();
     for _ in 0..iterations {
         let mid = 0.5 * (lo + hi);
-        let mut spec = base.clone();
-        spec.hard_bias_spread = mid;
-        let rate = measure_gshare_miss_rate(&spec, instructions, 8 * 1024);
+        program.rebias(mid);
+        let rate = gshare_miss_rate(program.program(), instructions / 2, instructions, 8 * 1024);
         best = Calibration { spread: mid, achieved: rate };
         if rate > target {
             lo = mid; // too hard: widen the bias spread
@@ -131,7 +135,9 @@ pub fn calibrate_hardness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_isa::{BranchMix, OpClass, Walker};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use st_isa::{BranchBehavior, BranchId, BranchMix, OpClass, Walker};
 
     /// The instruction-by-instruction walk the block-stepping probe
     /// replaced, kept as the reference it must match bit for bit.
@@ -219,6 +225,56 @@ mod tests {
             }
         }
         assert_eq!(probes, 16 * 4 * 6);
+    }
+
+    /// Asserts `a` and `b` are one program: equal blocks, streams and
+    /// layout, and branch models with bit-equal parameters.
+    fn assert_same_program(a: &Program, b: &Program, what: &str) {
+        // Debug prints every float in its shortest round-trip form, so
+        // equal text means bit-equal fields (no generated float is NaN).
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+        for i in 0..a.branch_count() {
+            let id = BranchId(i as u32);
+            if let (BranchBehavior::Biased { p_taken: p }, BranchBehavior::Biased { p_taken: q }) =
+                (a.branch_model(id).behavior(), b.branch_model(id).behavior())
+            {
+                assert_eq!(p.to_bits(), q.to_bits(), "{what}: branch {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebiased_program_is_the_one_generated_at_its_spread() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut spreads = vec![0.02, 0.5];
+        spreads.extend((0..4).map(|_| rng.gen_range(0.0..=1.0)));
+        spreads.push(0.02);
+        let mut biased_seen = 0;
+        for f in crate::families() {
+            for seed in [0, 38, 5_000_017, rng.gen::<u64>()] {
+                let base = (f.base)(seed);
+                let mut program = ProgramGenerator::new(&base).generate_rebiasable();
+                assert_same_program(program.program(), &base.generate(), &base.name);
+                for &spread in &spreads {
+                    program.rebias(spread);
+                    let mut spec = base.clone();
+                    spec.hard_bias_spread = spread;
+                    let what = format!("{} re-biased to {spread}", base.name);
+                    assert_same_program(program.program(), &spec.generate(), &what);
+                }
+                biased_seen += (0..program.program().branch_count())
+                    .filter(|&i| {
+                        let model = program.program().branch_model(BranchId(i as u32));
+                        matches!(model.behavior(), BranchBehavior::Biased { .. })
+                    })
+                    .count();
+            }
+        }
+        assert!(biased_seen > 500, "only {biased_seen} biased branches re-biased");
+        // jit's compiled phase scales the spread by 1.6, so at 0.5 its
+        // biases reach the phase clamp.
+        let jit = crate::generate::family("jit").expect("jit family");
+        assert!((jit.base)(0).phases.iter().any(|p| 0.5 * p.spread_scale > 0.5));
     }
 
     #[test]
