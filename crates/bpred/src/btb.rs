@@ -20,6 +20,9 @@ struct BtbEntry {
 #[derive(Debug, Clone)]
 pub struct Btb {
     sets: usize,
+    /// log2 of `sets`: the set count is a power of two (a divisor of the
+    /// power-of-two entry count), so the tag is a shift, not a division.
+    set_bits: u32,
     ways: usize,
     entries: Vec<BtbEntry>,
     tick: u64,
@@ -40,6 +43,7 @@ impl Btb {
         assert!(ways > 0 && entries.is_multiple_of(ways), "ways must divide entries");
         Btb {
             sets: entries / ways,
+            set_bits: (entries / ways).trailing_zeros(),
             ways,
             entries: vec![BtbEntry::default(); entries],
             tick: 0,
@@ -59,7 +63,7 @@ impl Btb {
     }
 
     fn tag_of(&self, pc: Pc) -> u64 {
-        (pc.addr() >> 2) / self.sets as u64
+        (pc.addr() >> 2) >> self.set_bits
     }
 
     /// Looks up the predicted target for the control instruction at `pc`.

@@ -99,6 +99,7 @@ impl Core {
                 self.checkpoints.release(cp);
             }
 
+            self.charge_requests(h, e.requests);
             self.account.settle(&self.slab.get(h).ledger, InstrFate::Committed);
             self.perf.committed += 1;
             if let Some(trace) = &mut self.commit_trace {
@@ -152,7 +153,7 @@ impl Core {
                 deps.drain_row(slot, |dep_slot| {
                     let dep = ruu.get_mut(dep_slot).expect("dependant slot live");
                     for w in &mut dep.src_wait {
-                        if *w == Some(seq) {
+                        if w.is_some_and(|p| p.seq == seq) {
                             *w = None;
                             dep.wait_count -= 1;
                         }
@@ -206,13 +207,14 @@ impl Core {
             // Unhook from producers still in flight so a reused slot
             // cannot receive a stale wakeup.
             for w in e.src_wait.into_iter().flatten() {
-                if let Some(pslot) = self.find_ruu(w) {
-                    self.ruu_deps.clear(pslot, s);
+                if self.in_flight(w).is_some() {
+                    self.ruu_deps.clear(w.slot as usize, s);
                 }
             }
             if let Some(cp) = e.rename_checkpoint {
                 self.checkpoints.release(cp);
             }
+            self.charge_requests(e.h, e.requests);
             self.account.settle(&self.slab.get(e.h).ledger, InstrFate::Squashed);
             self.perf.squashed += 1;
             self.slab.release(e.h);
@@ -262,106 +264,120 @@ impl Core {
     // ------------------------------------------------------------------
 
     pub(crate) fn issue(&mut self) {
-        let mut issued = 0;
-        let oracle = self.controller.oracle();
-        // Snapshot the raised request lines in program order (no entry
+        // Visit the raised request lines in program order: the front
+        // segment of the ring, then the wrapped one. Each word of the
+        // bitset is copied before its bits are visited, and no entry
         // joins or leaves the request set mid-stage except by issuing,
-        // which only clears its own snapshot bit after its visit).
-        let mut requesting = std::mem::take(&mut self.issue_scratch);
-        requesting.clear();
+        // which clears only its own bit after its visit, so the copy is
+        // the stage-start snapshot.
+        let mut issued = 0;
         let (seg_a, seg_b) = self.ruu.segments();
-        self.ruu_request.collect_in(seg_a, &mut requesting);
-        self.ruu_request.collect_in(seg_b, &mut requesting);
-        for &slot in &requesting {
-            let e = self.ruu.get(slot).expect("requesting slot live");
-            debug_assert!(!e.issued && !e.completed && e.wait_count == 0);
-            let h = e.h;
-            let (no_select_trigger, wrong_path, op) = {
-                let d = self.slab.get(h);
-                (d.no_select_trigger, d.wrong_path, d.op)
-            };
-            // Selection throttling: the no-select bit keeps the entry from
-            // raising its request line while the trigger is unresolved
-            // (Figure 2) — which also saves the selection-arbitration
-            // energy charged to requesting entries below.
-            if let Some(trigger) = no_select_trigger {
-                if self.branch_unresolved(trigger) {
-                    self.perf.selection_blocked += 1;
-                    continue;
-                }
-                self.slab.get_mut(h).no_select_trigger = None;
-            }
-            if oracle == OracleMode::Select && wrong_path {
+        for seg in [seg_a, seg_b] {
+            if seg.is_empty() {
                 continue;
             }
-
-            // The entry raises its request line: selection arbitration
-            // burns window energy every cycle the entry competes, granted
-            // or not (this is the activity the no-select bit suppresses).
-            self.activity.add(Unit::Window, 1);
-            let window_event = self.ev[Unit::Window.index()];
-            self.slab.get_mut(h).ledger.charge(Unit::Window, window_event);
-
-            if issued >= self.config.issue_width {
-                continue; // requesting but no issue slot this cycle
-            }
-
-            let latency = match op {
-                OpClass::IntAlu | OpClass::Branch => self.int_alu.try_acquire(self.cycle),
-                OpClass::IntMult => self.int_mult.try_acquire(self.cycle),
-                OpClass::FpAlu => self.fp_alu.try_acquire(self.cycle),
-                OpClass::FpMult => self.fp_mult.try_acquire(self.cycle),
-                OpClass::Load | OpClass::Store => {
-                    if let Some(lat) = self.mem_issue_latency(slot) {
-                        self.mem_ports.try_acquire(self.cycle).map(|port_lat| port_lat + lat)
-                    } else {
-                        continue; // memory-ordering block, retry next cycle
+            for w in seg.start / 64..=(seg.end - 1) / 64 {
+                let mut word = self.ruu_request.word_in(w, &seg);
+                while word != 0 {
+                    let slot = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    if self.select(slot, issued) {
+                        issued += 1;
                     }
                 }
-                OpClass::Jump | OpClass::Nop => unreachable!("complete at dispatch"),
-            };
-            let Some(latency) = latency else { continue };
-
-            let e = self.ruu.get_mut(slot).expect("live");
-            e.issued = true;
-            let seq = e.seq;
-            let lsq_slot = e.lsq_slot;
-            let done = self.cycle + u64::from(latency + self.config.exec_extra_latency).max(1);
-            self.wheel.push(self.cycle, done, Completion { seq, slot: slot as u32 });
-            self.ruu_request.clear(slot);
-
-            // FU energy (the window read was charged with the request).
-            self.activity.add(Unit::Alu, 1);
-            let alu_event = self.ev[Unit::Alu.index()];
-            let lsq_event = self.ev[Unit::Lsq.index()];
-            let d = self.slab.get_mut(h);
-            d.ledger.charge(Unit::Alu, alu_event);
-            if op.is_mem() {
-                self.activity.add(Unit::Lsq, 1);
-                d.ledger.charge(Unit::Lsq, lsq_event);
-            }
-
-            self.perf.issued += 1;
-            if wrong_path {
-                self.perf.wrong_path_issued += 1;
-            }
-            issued += 1;
-
-            if op == OpClass::Store {
-                self.lsq_mark_issued(lsq_slot as usize);
             }
         }
-        self.issue_scratch = requesting;
     }
 
-    /// Marks an LSQ entry's address as computed.
-    fn lsq_mark_issued(&mut self, slot: usize) {
-        if let Some(l) = self.lsq.get_mut(slot) {
-            l.issued = true;
-            if l.is_store {
-                self.lsq_unissued_stores.clear(slot);
+    /// Selection and execute start for the requesting entry at `slot`,
+    /// with `issued` instructions already issued this cycle; returns
+    /// whether it issued.
+    fn select(&mut self, slot: usize, issued: u32) -> bool {
+        let e = self.ruu.get(slot).expect("requesting slot live");
+        debug_assert!(!e.issued && !e.completed && e.wait_count == 0);
+        let (h, op, wrong_path) = (e.h, e.op, e.wrong_path);
+        // Selection throttling: the no-select bit keeps the entry from
+        // raising its request line while the trigger is unresolved
+        // (Figure 2) — which also saves the selection-arbitration
+        // energy counted for requesting entries below.
+        if let Some(trigger) = e.no_select {
+            if self.in_flight(trigger).is_some_and(|t| !t.completed) {
+                self.perf.selection_blocked += 1;
+                return false;
             }
+            self.ruu.get_mut(slot).expect("live").no_select = None;
         }
+        if self.oracle == OracleMode::Select && wrong_path {
+            return false;
+        }
+
+        // The entry raises its request line: selection arbitration
+        // burns window energy every cycle the entry competes, granted
+        // or not (this is the activity the no-select bit suppresses).
+        // The ledger charge waits for commit or squash.
+        self.activity.add(Unit::Window, 1);
+        self.ruu.get_mut(slot).expect("live").requests += 1;
+
+        if issued >= self.config.issue_width {
+            return false; // requesting but no issue slot this cycle
+        }
+
+        let latency = match op {
+            OpClass::IntAlu | OpClass::Branch => self.int_alu.try_acquire(self.cycle),
+            OpClass::IntMult => self.int_mult.try_acquire(self.cycle),
+            OpClass::FpAlu => self.fp_alu.try_acquire(self.cycle),
+            OpClass::FpMult => self.fp_mult.try_acquire(self.cycle),
+            OpClass::Load | OpClass::Store => {
+                // A memory-ordering block retries next cycle.
+                let Some(lat) = self.mem_issue_latency(slot) else { return false };
+                self.mem_ports.try_acquire(self.cycle).map(|port_lat| port_lat + lat)
+            }
+            OpClass::Jump | OpClass::Nop => unreachable!("complete at dispatch"),
+        };
+        let Some(latency) = latency else { return false };
+
+        let e = self.ruu.get_mut(slot).expect("live");
+        e.issued = true;
+        let seq = e.seq;
+        let done = self.cycle + u64::from(latency + self.config.exec_extra_latency).max(1);
+        self.wheel.push(self.cycle, done, Completion { seq, slot: slot as u32 });
+        self.ruu_request.clear(slot);
+
+        // FU energy (the window read was counted with the request).
+        self.activity.add(Unit::Alu, 1);
+        let alu_event = self.ev[Unit::Alu.index()];
+        let lsq_event = self.ev[Unit::Lsq.index()];
+        let d = self.slab.get_mut(h);
+        d.ledger.charge(Unit::Alu, alu_event);
+        if op.is_mem() {
+            self.activity.add(Unit::Lsq, 1);
+            d.ledger.charge(Unit::Lsq, lsq_event);
+        }
+
+        self.perf.issued += 1;
+        if wrong_path {
+            self.perf.wrong_path_issued += 1;
+        }
+        true
+    }
+
+    /// Marks the store at LSQ `slot` as having computed its address (a
+    /// store that found no memory port retries, so this can repeat).
+    fn lsq_mark_issued(&mut self, slot: usize) {
+        let l = self.lsq.get_mut(slot).expect("store LSQ entry live");
+        debug_assert!(l.is_store);
+        if !l.issued {
+            l.issued = true;
+            self.stores_addressed += 1;
+        }
+        self.lsq_unissued_stores.clear(slot);
+    }
+
+    /// Whether a store older than the load at LSQ `lsq_slot` has not yet
+    /// computed its address.
+    fn older_store_unaddressed(&self, lsq_slot: usize) -> bool {
+        let (seg_a, seg_b) = self.lsq.segments_before(lsq_slot);
+        self.lsq_unissued_stores.any_in(seg_a) || self.lsq_unissued_stores.any_in(seg_b)
     }
 
     /// Memory-ordering check for the memory instruction at RUU `slot`;
@@ -372,15 +388,9 @@ impl Core {
     /// forwards when the youngest older store matches its address.
     fn mem_issue_latency(&mut self, slot: usize) -> Option<u32> {
         let e = self.ruu.get(slot).expect("live slot");
-        let seq = e.seq;
-        let lsq_slot = e.lsq_slot as usize;
-        let h = e.h;
-        let (is_store, addr, wrong_path) = {
-            let d = self.slab.get(h);
-            (d.op == OpClass::Store, d.mem_addr.expect("memory op carries address"), d.wrong_path)
-        };
+        let (seq, lsq_slot, h, wrong_path) = (e.seq, e.lsq_slot as usize, e.h, e.wrong_path);
 
-        if is_store {
+        if e.op == OpClass::Store {
             // Stores only compute their address here; data goes to the
             // cache at commit.
             self.lsq_mark_issued(lsq_slot);
@@ -390,8 +400,22 @@ impl Core {
         // Loads: all older stores must have known addresses. The unissued
         // mask covers exactly the live stores, and everything older than
         // this load sits in the ring segments before its slot.
-        let (seg_a, seg_b) = self.lsq.segments_before(lsq_slot);
-        if self.lsq_unissued_stores.any_in(seg_a) || self.lsq_unissued_stores.any_in(seg_b) {
+        //
+        // A load found blocked stays blocked until some store address
+        // becomes known, which moves `stores_addressed`: squashing an
+        // older store squashes this load too, a store retires only after
+        // it has issued, and dispatch is in order, so every store
+        // dispatched since is younger. While the count has not moved
+        // the scan would answer the same, so it is skipped.
+        if e.blocked_at == self.stores_addressed {
+            debug_assert!(
+                self.older_store_unaddressed(lsq_slot),
+                "skipped blocked-load check disagrees with the LSQ scan"
+            );
+            return None;
+        }
+        if self.older_store_unaddressed(lsq_slot) {
+            self.ruu.get_mut(slot).expect("live").blocked_at = self.stores_addressed;
             return None; // unknown older store address
         }
         // Forward when the youngest older store matches. The link recorded
@@ -399,6 +423,7 @@ impl Core {
         // a younger entry, and in-order commit guarantees that if the
         // linked store retired, no older store remains either.
         let load = self.lsq.get(lsq_slot).expect("load LSQ entry live");
+        let addr = load.addr;
         let forward = load.prev_store_slot != NO_STORE_SLOT
             && self
                 .lsq

@@ -2,10 +2,10 @@
 //!
 //! The pipeline is mechanism; policies live in `st-core`. Each cycle the
 //! core asks its [`SpeculationController`] how many instructions fetch and
-//! decode may process, whether newly dispatched instructions must carry a
-//! no-select tag, and whether an oracle mode is active; in return the
-//! controller receives every branch prediction (with its confidence
-//! estimate), resolution and squash.
+//! decode may process and whether newly dispatched instructions must carry
+//! a no-select tag; its oracle mode is read once, when the core is built.
+//! In return the controller receives every branch prediction (with its
+//! confidence estimate), resolution and squash.
 
 use st_bpred::Confidence;
 use st_isa::Pc;
@@ -76,7 +76,9 @@ pub trait SpeculationController: std::fmt::Debug + Send {
         None
     }
 
-    /// Active oracle mode (constant per run for the §3 experiments).
+    /// Active oracle mode (the §3 experiments). Constant for the
+    /// controller's lifetime: the core reads it once, when it is built,
+    /// and never asks again.
     fn oracle(&self) -> OracleMode {
         OracleMode::None
     }

@@ -19,7 +19,12 @@
 //!   draining one mask row instead of walking the window;
 //! * selection requests are a bitset (`hotstate::Bits`) iterated in
 //!   program order, so issue touches only entries whose request lines are
-//!   raised instead of every window slot;
+//!   raised instead of every window slot. Each entry mirrors what
+//!   selection reads (op, wrong-path flag, no-select tag), so a visit
+//!   stays inside the window;
+//! * an entry names its producers and its no-select trigger branch by
+//!   sequence number *and* RUU slot (`InFlight`), so "is it still in
+//!   flight?" is one slot read, never a search of the window;
 //! * completion events sit in an `hotstate::EventWheel` rather than an
 //!   ordered tree map;
 //! * conditional-branch rename checkpoints are pooled
@@ -55,7 +60,7 @@ use st_power::{
 };
 
 use crate::config::PipelineConfig;
-use crate::controller::{NullController, SpeculationController};
+use crate::controller::{NullController, OracleMode, SpeculationController};
 use crate::hotstate::{
     Bits, CheckpointPool, Completion, DepMatrix, EventWheel, FuPool, InstrSlab, RenameTable, Ring,
 };
@@ -64,7 +69,7 @@ use crate::stats::{MemSummary, PerfStats};
 
 /// Instruction waiting between fetch and rename (models the in-order
 /// front-end latency). Holds a handle into the instruction slab — the
-/// ~200 B body stays slot-resident from fetch to retirement.
+/// 144 B body stays slot-resident from fetch to retirement.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IfqSlot {
     /// Slab handle of the instruction body.
@@ -75,20 +80,51 @@ pub(crate) struct IfqSlot {
 /// Sentinel for "no LSQ entry" in [`RuuEntry::lsq_slot`].
 pub(crate) const NO_LSQ_SLOT: u32 = u32::MAX;
 
+/// Sentinel for "never found blocked" in [`RuuEntry::blocked_at`].
+pub(crate) const NOT_BLOCKED: u64 = u64::MAX;
+
+/// An instruction named by its sequence number and the RUU slot it was
+/// dispatched into.
+///
+/// A slot is stable while its entry lives and sequence numbers are never
+/// reused, so `ruu[slot].seq == seq` holds exactly while the instruction
+/// is in flight: the same answer a search of the window by `seq` gives,
+/// at the cost of one slot read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InFlight {
+    pub(crate) seq: SeqNum,
+    pub(crate) slot: u32,
+}
+
 /// Register update unit (instruction window + reorder buffer) entry.
 ///
 /// Scheduling state only: the instruction body lives in the slab behind
-/// `h` and is mutated in place. `seq` is mirrored here because it is on
-/// the hottest lookup paths (window binary search, completion-event
-/// validation) — one word instead of a slab dereference.
+/// `h` and is mutated in place. `seq`, `op` and `wrong_path` are
+/// mirrored here because selection reads them every cycle an entry
+/// requests: one window read instead of a slab dereference.
 #[derive(Debug)]
 pub(crate) struct RuuEntry {
     /// Slab handle of the instruction body.
     pub(crate) h: u32,
     /// Mirror of the body's sequence number.
     pub(crate) seq: SeqNum,
+    /// Mirror of the body's operation class.
+    pub(crate) op: OpClass,
+    /// Mirror of the body's wrong-path flag.
+    pub(crate) wrong_path: bool,
+    /// Selection-throttling tag: the entry may not be *selected* while
+    /// this trigger branch is unresolved (Figure 2's no-select bit).
+    /// Wakeup is unaffected.
+    pub(crate) no_select: Option<InFlight>,
+    /// Cycles this entry raised its request line, whose window events
+    /// are charged to its ledger when it commits or squashes.
+    pub(crate) requests: u32,
+    /// For a load found blocked behind an older store with an unknown
+    /// address: [`Core::stores_addressed`] at that check, else
+    /// [`NOT_BLOCKED`].
+    pub(crate) blocked_at: u64,
     /// Unresolved producers per source operand.
-    pub(crate) src_wait: [Option<SeqNum>; 2],
+    pub(crate) src_wait: [Option<InFlight>; 2],
     /// Number of unresolved producers (0 = operands ready).
     pub(crate) wait_count: u8,
     pub(crate) issued: bool,
@@ -259,6 +295,9 @@ impl CoreBuilder {
         let line_bytes = u64::from(self.config.mem.l1i.line_bytes as u32);
         let icache_share =
             power.event_energy(Unit::ICache) / (line_bytes / st_isa::INSTR_BYTES) as f64;
+        let idle = CycleActivity::default();
+        let idle_energy = power.per_unit_energy(&idle);
+        let oracle = controller.oracle();
         Core {
             mem: MemoryHierarchy::new(self.config.mem.clone()),
             power,
@@ -268,6 +307,7 @@ impl CoreBuilder {
             predictor,
             estimator,
             controller,
+            oracle,
             walker,
             ghr,
             fetch_pc,
@@ -279,10 +319,10 @@ impl CoreBuilder {
             ruu,
             ruu_request: Bits::new(ruu_cap),
             ruu_deps: DepMatrix::new(ruu_cap),
-            issue_scratch: Vec::with_capacity(ruu_cap),
             lsq,
             lsq_unissued_stores: Bits::new(lsq_cap),
             lsq_last_store: NO_STORE_SLOT,
+            stores_addressed: 0,
             rename: RenameTable::new(),
             checkpoints: CheckpointPool::default(),
             int_alu: FuPool::new(fu.int_alu.0, fu.int_alu.1, true),
@@ -294,7 +334,9 @@ impl CoreBuilder {
             finishing: Vec::new(),
             cycle: 0,
             next_seq: 0,
-            activity: CycleActivity::default(),
+            activity: idle,
+            last_activity: idle,
+            last_energy: idle_energy,
             account: EnergyAccount::new(),
             perf: PerfStats::default(),
             bstats: PredictorStats::default(),
@@ -314,6 +356,8 @@ pub struct Core {
     pub(crate) predictor: Box<dyn DirectionPredictor>,
     pub(crate) estimator: Box<dyn ConfidenceEstimator>,
     pub(crate) controller: Box<dyn SpeculationController>,
+    /// The controller's oracle mode, constant per run and read once.
+    pub(crate) oracle: OracleMode,
     pub(crate) btb: Btb,
     pub(crate) mem: MemoryHierarchy,
     pub(crate) power: PowerModel,
@@ -341,14 +385,15 @@ pub struct Core {
     pub(crate) ruu_request: Bits,
     /// Wakeup matrix: row = producer slot, bits = waiting slots.
     pub(crate) ruu_deps: DepMatrix,
-    /// Reused buffer for the per-cycle request-line snapshot.
-    pub(crate) issue_scratch: Vec<usize>,
     pub(crate) lsq: Ring<LsqEntry>,
     /// LSQ slots holding stores whose address is not yet computed.
     pub(crate) lsq_unissued_stores: Bits,
     /// Physical LSQ slot of the youngest live store ([`NO_STORE_SLOT`] if
     /// none was ever pushed; validated against reuse before use).
     pub(crate) lsq_last_store: u32,
+    /// Store addresses computed so far. A load blocked behind an unknown
+    /// older store address stays blocked until this count moves.
+    pub(crate) stores_addressed: u64,
     pub(crate) rename: RenameTable,
     pub(crate) checkpoints: CheckpointPool,
     pub(crate) int_alu: FuPool,
@@ -365,6 +410,10 @@ pub struct Core {
     pub(crate) cycle: u64,
     pub(crate) next_seq: u64,
     pub(crate) activity: CycleActivity,
+    /// The last cycle's activity whose energy was computed, and that
+    /// energy per unit.
+    pub(crate) last_activity: CycleActivity,
+    pub(crate) last_energy: [f64; UNIT_COUNT],
     pub(crate) account: EnergyAccount,
     pub(crate) perf: PerfStats,
     pub(crate) bstats: PredictorStats,
@@ -468,8 +517,18 @@ impl Core {
     }
 
     /// End-of-cycle bookkeeping: power accumulation and the cycle count.
+    ///
+    /// A cycle's energy is a function of its activity alone, and stalled
+    /// stretches repeat one activity exactly, so the per-unit energies
+    /// are recomputed only when the activity differs from the last
+    /// cycle's. The account still receives every cycle's 11 additions in
+    /// unit order.
     pub(crate) fn end_cycle(&mut self) {
-        self.power.accumulate_cycle(&self.activity, &mut self.account);
+        if self.activity != self.last_activity {
+            self.last_energy = self.power.per_unit_energy(&self.activity);
+            self.last_activity = self.activity;
+        }
+        self.account.add_cycle(&self.last_energy);
         self.activity.clear();
         self.cycle += 1;
         self.perf.cycles = self.cycle;
@@ -481,12 +540,27 @@ impl Core {
         self.ruu.find_by_key(seq, |e| e.seq)
     }
 
-    /// Whether the branch with sequence number `seq` is still in flight and
-    /// unresolved (used by the no-select logic).
-    pub(crate) fn branch_unresolved(&self, seq: SeqNum) -> bool {
-        match self.find_ruu(seq) {
-            Some(slot) => !self.ruu.get(slot).expect("live slot").completed,
-            None => false, // resolved and committed, or squashed
+    /// The window entry of `r`, if it is still in flight.
+    pub(crate) fn in_flight(&self, r: InFlight) -> Option<&RuuEntry> {
+        let live = self.ruu.get(r.slot as usize).filter(|e| e.seq == r.seq);
+        debug_assert_eq!(
+            live.map(|_| r.slot as usize),
+            self.find_ruu(r.seq),
+            "slot check disagrees with the window search for {}",
+            r.seq
+        );
+        live
+    }
+
+    /// Charges the window events of the `requests` cycles an entry raised
+    /// its request line to its ledger, before the ledger settles. Every
+    /// window charge is the same `ev[Window]`, so the `f32` sum depends
+    /// only on how many there are, not on when they were added.
+    pub(crate) fn charge_requests(&mut self, h: u32, requests: u32) {
+        let window_event = self.ev[Unit::Window.index()];
+        let ledger = &mut self.slab.get_mut(h).ledger;
+        for _ in 0..requests {
+            ledger.charge(Unit::Window, window_event);
         }
     }
 
@@ -523,7 +597,6 @@ impl Core {
             hist_checkpoint: None,
             hist_at_predict: 0,
             mem_addr,
-            no_select_trigger: None,
             ledger: st_power::EnergyLedger::default(),
         }
     }

@@ -10,7 +10,7 @@ use st_isa::OpClass;
 use st_power::Unit;
 
 use crate::controller::{BranchEvent, OracleMode};
-use crate::core::{Core, IfqSlot, LsqEntry, RuuEntry, NO_LSQ_SLOT};
+use crate::core::{Core, IfqSlot, InFlight, LsqEntry, RuuEntry, NOT_BLOCKED, NO_LSQ_SLOT};
 
 impl Core {
     // ------------------------------------------------------------------
@@ -25,7 +25,7 @@ impl Core {
         // the gate; without this, a decode stall could strand its own
         // trigger branch in the fetch queue forever.
         let horizon = self.controller.decode_bypass_horizon();
-        let oracle = self.controller.oracle();
+        let oracle = self.oracle;
         let mut dispatched = 0;
         let mut gated = false;
         while dispatched < width {
@@ -75,7 +75,7 @@ impl Core {
                     Some((producer, pslot)) => {
                         match self.ruu.get(pslot) {
                             Some(p) if p.seq == producer && !p.completed => {
-                                src_wait[i] = Some(producer);
+                                src_wait[i] = Some(InFlight { seq: producer, slot: pslot as u32 });
                                 wait_count += 1;
                                 self.ruu_deps.set(pslot, ruu_slot);
                             }
@@ -93,9 +93,14 @@ impl Core {
                 self.rename.set(dest, seq, ruu_slot);
             }
 
-            // Selection-throttling tag (Figure 2's no-select bit).
-            let no_select_trigger = match self.controller.no_select_trigger() {
-                Some(trigger) if trigger < seq && self.branch_unresolved(trigger) => Some(trigger),
+            // Selection-throttling tag (Figure 2's no-select bit): set
+            // while the trigger branch is in flight and unresolved, with
+            // the trigger's slot so issue can re-check it without a search.
+            let no_select = match self.controller.no_select_trigger() {
+                Some(trigger) if trigger < seq => self
+                    .find_ruu(trigger)
+                    .filter(|&t| !self.ruu.get(t).expect("found slot live").completed)
+                    .map(|t| InFlight { seq: trigger, slot: t as u32 }),
                 _ => None,
             };
 
@@ -115,7 +120,6 @@ impl Core {
                     d.ledger
                         .charge(Unit::Regfile, f64::from(ready_reads) * ev[Unit::Regfile.index()]);
                 }
-                d.no_select_trigger = no_select_trigger;
             }
 
             let completed = matches!(op, OpClass::Jump | OpClass::Nop);
@@ -144,6 +148,11 @@ impl Core {
             let slot = self.ruu.push_back(RuuEntry {
                 h,
                 seq,
+                op,
+                wrong_path,
+                no_select,
+                requests: 0,
+                blocked_at: NOT_BLOCKED,
                 src_wait,
                 wait_count,
                 issued: completed,
@@ -173,7 +182,7 @@ impl Core {
         if self.cycle < self.fetch_stall_until {
             return;
         }
-        let oracle = self.controller.oracle();
+        let oracle = self.oracle;
         if oracle == OracleMode::Fetch && !self.on_correct_path {
             return; // oracle fetch: never fetch down a wrong path
         }

@@ -17,14 +17,15 @@
 //! * [`EventWheel`] — completion events bucketed by cycle modulo a
 //!   power-of-two horizon (amortised O(1) push/drain, no tree rebalance;
 //!   an overflow map keeps exotic latencies correct);
-//! * [`FuPool`] — functional-unit arbitration with a free counter and a
-//!   min-heap of busy-until times instead of a per-dispatch linear scan;
+//! * [`FuPool`] — functional-unit arbitration: a per-cycle counter for
+//!   pipelined pools, a free counter and a min-heap of busy-until times
+//!   for unpipelined ones, instead of a per-dispatch linear scan;
 //! * [`RenameTable`] / [`CheckpointPool`] — the rename map as a flat
 //!   sentinel-coded array with recycled checkpoint storage (conditional
 //!   branches snapshot the map; the pool removes the per-branch
 //!   allocation);
 //! * [`InstrSlab`] — slot-resident [`DynInstr`] bodies. In-flight
-//!   structures (IFQ, RUU) move 4-byte handles; the ~200 B payload is
+//!   structures (IFQ, RUU) move 4-byte handles; the 144 B payload is
 //!   written once at fetch and dropped in place at commit/squash,
 //!   eliminating the IFQ→RUU and retire-time memmoves the PR 3 profile
 //!   flagged.
@@ -51,7 +52,7 @@ use crate::instr::{DynInstr, SeqNum};
 /// from then on the IFQ and RUU move only the returned 4-byte handle.
 /// The body is mutated in place (ledger charges, prediction fields) and
 /// dropped in place when the instruction commits or squashes, so the
-/// ~200 B payload is never copied between pipeline structures. Handles
+/// 144 B payload is never copied between pipeline structures. Handles
 /// are recycled through a free list; occupancy is bounded by
 /// `ifq_size + ruu_size`.
 #[derive(Debug)]
@@ -304,6 +305,21 @@ impl Bits {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
+    /// Word `w` of the bitset with every bit outside `range` cleared.
+    pub(crate) fn word_in(&self, w: usize, range: &std::ops::Range<usize>) -> u64 {
+        let mut word = self.words[w];
+        if w == range.start / 64 {
+            word &= !0u64 << (range.start % 64);
+        }
+        if w == (range.end - 1) / 64 {
+            let top = range.end - w * 64;
+            if top < 64 {
+                word &= (1u64 << top) - 1;
+            }
+        }
+        word
+    }
+
     /// Whether any bit in `[range.start, range.end)` is set (early-exits
     /// on the first nonzero masked word — this sits on the load-issue
     /// memory-ordering path).
@@ -311,58 +327,7 @@ impl Bits {
         if range.start >= range.end {
             return false;
         }
-        let (start, end) = (range.start, range.end);
-        let first_word = start / 64;
-        let last_word = (end - 1) / 64;
-        for w in first_word..=last_word {
-            let mut word = self.words[w];
-            if w == first_word {
-                word &= !0u64 << (start % 64);
-            }
-            if w == last_word {
-                let top = end - w * 64;
-                if top < 64 {
-                    word &= (1u64 << top) - 1;
-                }
-            }
-            if word != 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Calls `f` for every set bit in `[range.start, range.end)`, in
-    /// ascending index order.
-    pub(crate) fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
-        if range.start >= range.end {
-            return;
-        }
-        let (start, end) = (range.start, range.end);
-        let first_word = start / 64;
-        let last_word = (end - 1) / 64;
-        for w in first_word..=last_word {
-            let mut word = self.words[w];
-            if w == first_word {
-                word &= !0u64 << (start % 64);
-            }
-            if w == last_word {
-                let top = end - w * 64;
-                if top < 64 {
-                    word &= (1u64 << top) - 1;
-                }
-            }
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                f(w * 64 + bit);
-                word &= word - 1;
-            }
-        }
-    }
-
-    /// Appends every set bit in the range to `out`, ascending.
-    pub(crate) fn collect_in(&self, range: std::ops::Range<usize>, out: &mut Vec<usize>) {
-        self.for_each_in(range, |i| out.push(i));
+        (range.start / 64..=(range.end - 1) / 64).any(|w| self.word_in(w, &range) != 0)
     }
 }
 
@@ -469,6 +434,9 @@ impl EventWheel {
     /// Moves every event scheduled for exactly `cycle` into `out`.
     pub(crate) fn drain_into(&mut self, cycle: u64, out: &mut Vec<Completion>) {
         out.append(&mut self.slots[(cycle & self.mask) as usize]);
+        if self.overflow.is_empty() {
+            return;
+        }
         if let Some(mut v) = self.overflow.remove(&cycle) {
             out.append(&mut v);
         }
@@ -481,32 +449,53 @@ impl EventWheel {
 
 /// One functional-unit pool with min-tracked availability.
 ///
-/// Instead of scanning a `free_at` array per acquisition, the pool keeps
-/// a count of free units plus a min-heap of busy-until times; expired
-/// reservations are folded back into the free count on access. Which
-/// physical unit serves a request is unobservable (units are identical),
-/// so this is behaviourally exact.
+/// A pipelined unit is busy only in the cycle it accepts an operation,
+/// so a pipelined pool counts the operations accepted in the current
+/// cycle: with `now` monotone across calls, every earlier reservation has
+/// expired, exactly as a list of busy-until times would report. An
+/// unpipelined pool keeps a count of free units plus a min-heap of
+/// busy-until times; expired reservations are folded back into the free
+/// count on access. Which physical unit serves a request is unobservable
+/// (units are identical), so both are behaviourally exact.
 #[derive(Debug)]
 pub(crate) struct FuPool {
+    /// Unpipelined pools: units free now. Pipelined pools: all units.
     free: u32,
     busy_until: BinaryHeap<Reverse<u64>>,
     latency: u32,
     pipelined: bool,
+    /// Pipelined pools: the cycle `accepted` counts for.
+    cycle: u64,
+    /// Pipelined pools: operations accepted in `cycle`.
+    accepted: u32,
 }
 
 impl FuPool {
     pub(crate) fn new(count: u32, latency: u32, pipelined: bool) -> FuPool {
         FuPool {
             free: count,
-            busy_until: BinaryHeap::with_capacity(count as usize),
+            busy_until: BinaryHeap::with_capacity(if pipelined { 0 } else { count as usize }),
             latency,
             pipelined,
+            cycle: 0,
+            accepted: 0,
         }
     }
 
     /// Acquires a unit if one is free at `now` (monotone across calls),
     /// returning its operation latency.
     pub(crate) fn try_acquire(&mut self, now: u64) -> Option<u32> {
+        if self.pipelined {
+            if now != self.cycle {
+                self.cycle = now;
+                self.accepted = 0;
+            }
+            if self.accepted == self.free {
+                return None;
+            }
+            self.accepted += 1;
+            return Some(self.latency);
+        }
         while let Some(&Reverse(t)) = self.busy_until.peek() {
             if t > now {
                 break;
@@ -518,8 +507,7 @@ impl FuPool {
             return None;
         }
         self.free -= 1;
-        let busy = if self.pipelined { 1 } else { u64::from(self.latency) };
-        self.busy_until.push(Reverse(now + busy));
+        self.busy_until.push(Reverse(now + u64::from(self.latency)));
         Some(self.latency)
     }
 }
@@ -650,7 +638,6 @@ mod tests {
             hist_checkpoint: None,
             hist_at_predict: 0,
             mem_addr: None,
-            no_select_trigger: None,
             ledger: st_power::EnergyLedger::default(),
         };
         let mut slab = InstrSlab::with_capacity(4);
@@ -739,15 +726,25 @@ mod tests {
         for i in [0, 63, 64, 127, 128, 199] {
             b.set(i);
         }
-        let mut seen = Vec::new();
-        b.collect_in(0..200, &mut seen);
-        assert_eq!(seen, vec![0, 63, 64, 127, 128, 199]);
-        seen.clear();
-        b.collect_in(63..128, &mut seen);
-        assert_eq!(seen, vec![63, 64, 127]);
-        seen.clear();
-        b.collect_in(64..64, &mut seen);
-        assert!(seen.is_empty());
+        // Set bits of a range, read word by word as the issue stage does.
+        let in_range = |range: std::ops::Range<usize>| {
+            let mut seen = Vec::new();
+            if range.is_empty() {
+                return seen;
+            }
+            for w in range.start / 64..=(range.end - 1) / 64 {
+                let mut word = b.word_in(w, &range);
+                while word != 0 {
+                    seen.push(w * 64 + word.trailing_zeros() as usize);
+                    word &= word - 1;
+                }
+            }
+            seen
+        };
+        assert_eq!(in_range(0..200), vec![0, 63, 64, 127, 128, 199]);
+        assert_eq!(in_range(63..128), vec![63, 64, 127]);
+        assert_eq!(in_range(1..63), Vec::<usize>::new());
+        assert!(in_range(64..64).is_empty());
         assert!(b.any_in(199..200));
         assert!(!b.any_in(129..199));
         b.clear(64);
@@ -810,6 +807,67 @@ mod tests {
         assert_eq!(q.try_acquire(5), Some(4));
         assert_eq!(q.try_acquire(5), None);
         assert_eq!(q.try_acquire(6), Some(4));
+    }
+
+    /// The heap-only pool the counter replaced for pipelined units.
+    struct HeapFuPool {
+        free: u32,
+        busy_until: BinaryHeap<Reverse<u64>>,
+        latency: u32,
+        pipelined: bool,
+    }
+
+    impl HeapFuPool {
+        fn try_acquire(&mut self, now: u64) -> Option<u32> {
+            while let Some(&Reverse(t)) = self.busy_until.peek() {
+                if t > now {
+                    break;
+                }
+                self.busy_until.pop();
+                self.free += 1;
+            }
+            if self.free == 0 {
+                return None;
+            }
+            self.free -= 1;
+            let busy = if self.pipelined { 1 } else { u64::from(self.latency) };
+            self.busy_until.push(Reverse(now + busy));
+            Some(self.latency)
+        }
+    }
+
+    #[test]
+    fn fu_pools_agree_with_the_heap_pool() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for pipelined in [true, false] {
+            for (count, latency) in [(0, 1), (1, 1), (1, 3), (2, 4), (8, 1), (4, 20)] {
+                let mut pool = FuPool::new(count, latency, pipelined);
+                let mut reference =
+                    HeapFuPool { free: count, busy_until: BinaryHeap::new(), latency, pipelined };
+                let mut now = 0u64;
+                for step in 0..20_000 {
+                    let r = next();
+                    // Several requests per cycle, idle gaps, and cycles
+                    // that skip ahead past every reservation.
+                    now += match r % 8 {
+                        0..=3 => 0,
+                        4..=6 => 1,
+                        _ => r >> 59,
+                    };
+                    assert_eq!(
+                        pool.try_acquire(now),
+                        reference.try_acquire(now),
+                        "pipelined {pipelined}, {count} x latency {latency}, step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,11 +58,6 @@ pub struct DynInstr {
     /// Effective address for loads/stores.
     pub mem_addr: Option<u64>,
 
-    /// Selection-throttling tag: the instruction may not be *selected* for
-    /// issue while the trigger branch is unresolved (Figure 2's no-select
-    /// bit). Wakeup is unaffected.
-    pub no_select_trigger: Option<SeqNum>,
-
     /// Energy attributed to this instruction so far.
     pub ledger: EnergyLedger,
 }
@@ -118,9 +113,14 @@ mod tests {
             hist_checkpoint: None,
             hist_at_predict: 0,
             mem_addr: None,
-            no_select_trigger: None,
             ledger: EnergyLedger::default(),
         }
+    }
+
+    #[test]
+    fn body_size_matches_the_documented_slab_payload() {
+        // The slab and IFQ docs quote this size.
+        assert_eq!(std::mem::size_of::<DynInstr>(), 144);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! the *wasted* account. This reproduces the measurement behind the paper's
 //! Table 1 column 2 and the oracle experiments of §3.
 
-use crate::model::CycleEnergy;
 use crate::unit::{Unit, UNIT_COUNT};
 
 /// Final fate of a dynamic instruction.
@@ -72,10 +71,11 @@ impl EnergyAccount {
         EnergyAccount::default()
     }
 
-    /// Integrates one cycle's energy.
-    pub fn add_cycle(&mut self, energy: &CycleEnergy) {
+    /// Integrates one cycle's per-unit energy
+    /// ([`crate::PowerModel::per_unit_energy`]).
+    pub fn add_cycle(&mut self, per_unit: &[f64; UNIT_COUNT]) {
         self.cycles += 1;
-        for (acc, e) in self.per_unit.iter_mut().zip(energy.per_unit.iter()) {
+        for (acc, e) in self.per_unit.iter_mut().zip(per_unit.iter()) {
             *acc += e;
         }
     }
@@ -187,8 +187,8 @@ mod tests {
         let mut a = CycleActivity::default();
         a.add(Unit::Alu, 4);
         let e = model.cycle_energy(&a);
-        acc.add_cycle(&e);
-        acc.add_cycle(&e);
+        acc.add_cycle(&e.per_unit);
+        acc.add_cycle(&e.per_unit);
         assert_eq!(acc.cycles, 2);
         assert!((acc.total_energy() - 2.0 * e.total).abs() < 1e-18);
     }

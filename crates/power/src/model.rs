@@ -156,14 +156,21 @@ pub struct CycleEnergy {
     pub per_unit: [f64; UNIT_COUNT],
 }
 
+/// Event counts below this bound read a unit's cycle energy and
+/// share-weighted usage from a table; larger counts (a huge window's
+/// writeback burst) evaluate the formula.
+const TABLE_COUNTS: usize = 64;
+
 /// The compiled power model.
 ///
 /// All per-unit constants of the cc3 formula (peak cycle energy, active
-/// scale, clamped port counts) are precomputed at construction, so the
-/// per-cycle [`PowerModel::cycle_energy`] does no division for idle or
-/// saturated units and never re-derives geometry from the configuration.
-/// The precomputed products are the *same* f64 operations the formula
-/// performed inline, so results are bit-identical.
+/// scale, clamped port counts) are precomputed at construction. So is the
+/// formula's per-unit result for every event count below 64: a unit's
+/// cycle energy and its share-weighted usage depend only on its own
+/// count, and the table holds exactly the values the formula returns for
+/// each count, so a cycle that reads the table adds the same f64 values
+/// in the same order as one that evaluates the formula, and results are
+/// bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     config: PowerConfig,
@@ -182,6 +189,10 @@ pub struct PowerModel {
     /// accumulated in `Unit::all()` order exactly as the per-cycle loop
     /// used to, so the precomputed value is bit-identical.
     weight_sum: f64,
+    /// `(cycle energy, share × usage)` per unit and event count below
+    /// `TABLE_COUNTS`, at `unit.index() * TABLE_COUNTS + count`. The
+    /// clock's rows are unused: its energy follows the other units.
+    table: Vec<(f64, f64)>,
 }
 
 impl PowerModel {
@@ -216,7 +227,7 @@ impl PowerModel {
                 weight_sum += config.shares[u.index()];
             }
         }
-        PowerModel {
+        let mut model = PowerModel {
             config,
             event_energy,
             idle_energy,
@@ -224,7 +235,14 @@ impl PowerModel {
             active_scale,
             ports_clamped,
             weight_sum,
-        }
+            table: Vec::new(),
+        };
+        model.table = Unit::all()
+            .into_iter()
+            .flat_map(|u| (0..TABLE_COUNTS as u32).map(move |count| (u, count)))
+            .map(|(u, count)| model.unit_cycle(u, count))
+            .collect();
+        model
     }
 
     /// The underlying configuration.
@@ -259,28 +277,41 @@ impl PowerModel {
         (count / ports).min(1.0)
     }
 
-    /// The per-unit cycle energies (shared core of [`PowerModel::cycle_energy`]
-    /// and [`PowerModel::accumulate_cycle`]).
+    /// One non-clock unit's cycle energy and share-weighted usage at
+    /// `count` events: the formula behind the table.
+    fn unit_cycle(&self, unit: Unit, count: u32) -> (f64, f64) {
+        let usage = self.usage(unit, count);
+        let weighted = self.config.shares[unit.index()] * usage;
+        let energy = match self.config.gating {
+            ClockGating::Cc3 { .. } => {
+                self.idle_energy[unit.index()] + self.active_scale[unit.index()] * usage
+            }
+            ClockGating::None => self.idle_energy[unit.index()],
+        };
+        (energy, weighted)
+    }
+
+    /// The per-unit cycle energies for one cycle's activity.
     ///
     /// The clock unit's usage is the share-weighted mean usage of all other
     /// units, reflecting that under cc3 the clock tree's load is the sum of
     /// the clocked (ungated) regions.
-    fn per_unit_energy(&self, activity: &CycleActivity) -> [f64; UNIT_COUNT] {
+    #[must_use]
+    pub fn per_unit_energy(&self, activity: &CycleActivity) -> [f64; UNIT_COUNT] {
         let mut per_unit = [0.0; UNIT_COUNT];
         let mut weighted_usage = 0.0;
-        let cc3 = matches!(self.config.gating, ClockGating::Cc3 { .. });
         for u in Unit::all() {
             if u == Unit::Clock {
                 continue;
             }
-            let usage = self.usage(u, activity.count(u));
-            let share = self.config.shares[u.index()];
-            weighted_usage += share * usage;
-            per_unit[u.index()] = if cc3 {
-                self.idle_energy[u.index()] + self.active_scale[u.index()] * usage
+            let count = activity.count(u);
+            let (energy, weighted) = if (count as usize) < TABLE_COUNTS {
+                self.table[u.index() * TABLE_COUNTS + count as usize]
             } else {
-                self.idle_energy[u.index()]
+                self.unit_cycle(u, count)
             };
+            weighted_usage += weighted;
+            per_unit[u.index()] = energy;
         }
         let clock_usage =
             if self.weight_sum > 0.0 { weighted_usage / self.weight_sum } else { 0.0 };
@@ -298,18 +329,6 @@ impl PowerModel {
     pub fn cycle_energy(&self, activity: &CycleActivity) -> CycleEnergy {
         let per_unit = self.per_unit_energy(activity);
         CycleEnergy { total: per_unit.iter().sum(), per_unit }
-    }
-
-    /// Integrates one cycle's energy straight into `account`: the exact
-    /// additions `account.add_cycle(&self.cycle_energy(a))` performs,
-    /// without materialising the `total` (which the hot loop never reads)
-    /// or copying the report struct.
-    pub fn accumulate_cycle(&self, activity: &CycleActivity, account: &mut crate::EnergyAccount) {
-        let per_unit = self.per_unit_energy(activity);
-        account.cycles += 1;
-        for (acc, e) in account.per_unit.iter_mut().zip(per_unit.iter()) {
-            *acc += e;
-        }
     }
 
     /// Peak power of the modelled chip in watts.
@@ -430,6 +449,83 @@ mod tests {
         assert!(!a.is_idle());
         a.clear();
         assert!(a.is_idle());
+    }
+
+    /// The per-cycle formula the table replaced, evaluated in full for
+    /// every unit and every cycle.
+    fn formula_per_unit(m: &PowerModel, activity: &CycleActivity) -> [f64; UNIT_COUNT] {
+        let mut per_unit = [0.0; UNIT_COUNT];
+        let mut weighted_usage = 0.0;
+        let cc3 = matches!(m.config.gating, ClockGating::Cc3 { .. });
+        for u in Unit::all() {
+            if u == Unit::Clock {
+                continue;
+            }
+            let usage = m.usage(u, activity.count(u));
+            let share = m.config.shares[u.index()];
+            weighted_usage += share * usage;
+            per_unit[u.index()] = if cc3 {
+                m.idle_energy[u.index()] + m.active_scale[u.index()] * usage
+            } else {
+                m.idle_energy[u.index()]
+            };
+        }
+        let clock_usage = if m.weight_sum > 0.0 { weighted_usage / m.weight_sum } else { 0.0 };
+        per_unit[Unit::Clock.index()] = match m.config.gating {
+            ClockGating::None => m.idle_energy[Unit::Clock.index()],
+            ClockGating::Cc3 { idle_frac } => {
+                m.max_energy[Unit::Clock.index()] * (idle_frac + (1.0 - idle_frac) * clock_usage)
+            }
+        };
+        per_unit
+    }
+
+    #[test]
+    fn table_and_memo_match_the_formula_bit_for_bit() {
+        let bits = |a: &[f64; UNIT_COUNT]| a.map(f64::to_bits);
+        let mut fractional = PowerConfig::paper_default();
+        for (i, p) in fractional.ports.iter_mut().enumerate() {
+            *p = [0.5, 1.5, 2.75, 7.3, 23.9][i % 5];
+        }
+        let mut huge = PowerConfig::paper_default();
+        huge.ports = [1e9; UNIT_COUNT];
+        for base in [PowerConfig::paper_default(), fractional, huge] {
+            for gating in [ClockGating::paper_default(), ClockGating::None] {
+                let m = PowerModel::new(PowerConfig { gating, ..base.clone() });
+                // One unit busy at each count up to and past the table,
+                // then every unit busy at once, with the counts staggered.
+                let mut activities = Vec::new();
+                for count in 0..=TABLE_COUNTS as u32 {
+                    for u in Unit::all() {
+                        let mut a = CycleActivity::default();
+                        a.add(u, count);
+                        activities.push(a);
+                    }
+                    let mut a = CycleActivity::default();
+                    for u in Unit::all() {
+                        a.add(u, (count + 7 * u.index() as u32) % (TABLE_COUNTS as u32 + 6));
+                    }
+                    activities.push(a);
+                    activities.push(a); // a repeat, as a stalled cycle
+                }
+                // The memo of `Core::end_cycle`: recompute on change only.
+                let mut memo_account = crate::EnergyAccount::new();
+                let mut formula_account = crate::EnergyAccount::new();
+                let mut last = CycleActivity::default();
+                let mut last_energy = m.per_unit_energy(&last);
+                for a in &activities {
+                    let formula = formula_per_unit(&m, a);
+                    assert_eq!(bits(&m.per_unit_energy(a)), bits(&formula), "{gating:?} {a:?}");
+                    if *a != last {
+                        last_energy = m.per_unit_energy(a);
+                        last = *a;
+                    }
+                    memo_account.add_cycle(&last_energy);
+                    formula_account.add_cycle(&formula);
+                }
+                assert_eq!(bits(&memo_account.per_unit), bits(&formula_account.per_unit));
+            }
+        }
     }
 
     #[test]

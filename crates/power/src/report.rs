@@ -143,7 +143,7 @@ mod tests {
         a.add(Unit::Alu, 4);
         a.add(Unit::ICache, 1);
         for _ in 0..1000 {
-            acc.add_cycle(&model.cycle_energy(&a));
+            acc.add_cycle(&model.per_unit_energy(&a));
         }
         let mut l = EnergyLedger::default();
         l.charge(Unit::Alu, model.event_energy(Unit::Alu));

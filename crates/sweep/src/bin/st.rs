@@ -498,6 +498,32 @@ fn parse_set(arg: &str) -> Result<(String, Vec<AxisValue>), String> {
     Ok((name.to_string(), out))
 }
 
+/// Checks the instruction budget `st repro` or `st bench` will run at
+/// against the `instructions` axis domain, the rule `st run` applies
+/// through its spec, before any work starts: `--instr N`, and with
+/// `env` a set `ST_BENCH_INSTR` (which `st repro` reads when `--instr`
+/// is absent). The error names the value and the domain.
+fn check_instr_budget(instr: Option<u64>, env: bool) -> Result<(), String> {
+    let axis = axes::axis("instructions").expect("instructions is a registered axis");
+    let mut given = Vec::new();
+    if let Some(n) = instr {
+        given.push(("--instr", n.to_string()));
+    }
+    if let Some(v) = std::env::var_os("ST_BENCH_INSTR").filter(|_| env) {
+        given.push(("ST_BENCH_INSTR", v.to_string_lossy().into_owned()));
+    }
+    for (source, text) in given {
+        let n = text.replace('_', "").parse::<u64>();
+        if !n.is_ok_and(|n| axis.validate(&AxisValue::Int(n)).is_ok()) {
+            return Err(format!(
+                "{source}={text} is not in the instructions domain {}",
+                axis.domain.describe()
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_repro(args: &[String]) -> i32 {
     let opts = match parse_common(args) {
         Ok(o) => o,
@@ -528,6 +554,10 @@ fn cmd_repro(args: &[String]) -> i32 {
             "st repro: --smoke/--x/--y/--shard/--store and the service/fleet/audit flags apply \
              elsewhere\n{USAGE}"
         );
+        return 2;
+    }
+    if let Err(e) = check_instr_budget(opts.instr, true) {
+        eprintln!("st repro: {e}\n{USAGE}");
         return 2;
     }
     let engine = opts.engine();
@@ -640,6 +670,10 @@ fn cmd_bench(args: &[String]) -> i32 {
             return 2;
         }
         return cmd_bench_store(&opts);
+    }
+    if let Err(e) = check_instr_budget(opts.instr, false) {
+        eprintln!("st bench: {e}\n{USAGE}");
+        return 2;
     }
     let mut config = if opts.smoke { BenchConfig::smoke() } else { BenchConfig::full() };
     if let Some(n) = opts.instr {

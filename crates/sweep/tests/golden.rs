@@ -13,6 +13,8 @@
 //! 2. **Sweep JSONL golden** — the full `examples/axes-demo.toml` sweep
 //!    renders through the same JSONL builder `st run` uses, and the
 //!    whole document's hash is pinned.
+//! 3. **Off-paper goldens** — a corner grid of the machine-shape axes
+//!    and a few reports under cc0 power, pinned the same two ways.
 //!
 //! If a change is *supposed* to alter simulation results, regenerate the
 //! constants with:
@@ -221,12 +223,18 @@ workload_seed = [0, 1, 2]\n";
 /// calibration loop, grid expansion order or report encoding change.
 const GOLDEN_GEN_JSONL_HASH: u64 = 0x7fb45a60cdc35bcd;
 
-fn gen_sweep_jsonl_at_threads(threads: usize) -> String {
-    let spec = SweepSpec::parse(GOLDEN_GEN_SPEC).expect("parse golden gen spec");
-    let points = spec.points().expect("resolve gen points");
+/// The JSONL document `st run` writes for the spec `text`, simulated on
+/// `threads` engine threads.
+fn spec_jsonl(text: &str, threads: usize) -> String {
+    let spec = SweepSpec::parse(text).expect("parse golden spec");
+    let points = spec.points().expect("resolve golden points");
     let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
     let reports = SweepEngine::new(threads).run(&jobs);
     st_sweep::emit::sweep_jsonl(&points, &reports)
+}
+
+fn gen_sweep_jsonl_at_threads(threads: usize) -> String {
+    spec_jsonl(GOLDEN_GEN_SPEC, threads)
 }
 
 #[test]
@@ -264,6 +272,85 @@ fn two_way_sharded_gen_sweep_merges_to_the_same_golden_bytes() {
         got, GOLDEN_GEN_JSONL_HASH,
         "sharded+merged generative sweep JSONL diverged from the single-process golden \
          (got 0x{got:016x})"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Off-paper goldens: the goldens above cover only the paper machine.
+// These pin the simulator at the corners of the machine-shape axes and
+// under the cc0 power model, so a hot-path change that is exact on the
+// paper configuration but not at a tiny or huge window, a one-wide or
+// sixteen-wide front end, or ungated power fails here.
+// ---------------------------------------------------------------------
+
+/// The corner grid: smallest and largest window, LSQ, fetch width and
+/// depth (16 machines) × a fixed and a generative workload × BASE plus
+/// selective throttling, gating and the three oracles, at 3k
+/// instructions. 192 reports and 160 comparisons. It covers oracle
+/// decode, oracle select and no-select tagging, and its largest window
+/// raises hundreds of window events in one cycle.
+const GOLDEN_CORNER_SPEC: &str = "name = \"golden-corner\"\n\
+workloads = [\"go\", \"gen:server:3\"]\n\
+experiments = [\"C2\", \"A7\", \"OF\", \"OD\", \"OS\"]\n\
+baseline = true\n\
+\n\
+[axis]\n\
+instructions = 3000\n\
+ruu_size = [2, 4096]\n\
+lsq_size = [2, 2048]\n\
+fetch_width = [1, 16]\n\
+depth = [6, 64]\n";
+
+/// FNV-1a hash of the corner grid's JSONL document.
+const GOLDEN_CORNER_JSONL_HASH: u64 = 0x8a2b70c16278ea67;
+
+#[test]
+fn corner_grid_jsonl_matches_checked_in_hash() {
+    let jsonl = spec_jsonl(GOLDEN_CORNER_SPEC, 2);
+    assert_eq!(jsonl.lines().count(), 352, "192 reports + 160 comparisons");
+    let got = fnv1a64(jsonl.as_bytes());
+    assert_eq!(
+        got, GOLDEN_CORNER_JSONL_HASH,
+        "corner-grid JSONL drifted (got 0x{got:016x}); if intentional, update \
+         GOLDEN_CORNER_JSONL_HASH"
+    );
+}
+
+/// `(workload, experiment, fnv1a64(report_to_json(report)))` under cc0
+/// (`ClockGating::None`: every unit at peak power every cycle) at the
+/// per-report golden budget.
+const GOLDEN_CC0_REPORT_HASHES: [(&str, &str, u64); 4] = [
+    ("go", "BASE", 0xebc009e0a061f928),
+    ("go", "C2", 0xdef0a432dac9e6da),
+    ("twolf", "BASE", 0x0be806d30b0f5a5f),
+    ("twolf", "C2", 0x9858da77da2f0999),
+];
+
+fn cc0_report(workload: &str, experiment: &str) -> SimReport {
+    let cc0 = st_power::PowerConfig {
+        gating: st_power::ClockGating::None,
+        ..st_power::PowerConfig::paper_default()
+    };
+    golden_job(workload, experiment).with_power(cc0).run()
+}
+
+#[test]
+fn cc0_report_goldens_match_checked_in_hashes() {
+    let mut failures = Vec::new();
+    for (workload, experiment, expected) in GOLDEN_CC0_REPORT_HASHES {
+        let got = report_hash(&cc0_report(workload, experiment));
+        if got != expected {
+            failures.push(format!(
+                "  ({workload:?}, {experiment:?}, 0x{got:016x}), // was 0x{expected:016x}"
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "cc0 reports drifted for {} point(s); if intentional, update \
+         GOLDEN_CC0_REPORT_HASHES to:\n{}",
+        failures.len(),
+        failures.join("\n")
     );
 }
 
@@ -354,4 +441,12 @@ fn print_goldens() {
     println!("const GOLDEN_AXES_DEMO_AUDIT_HASH: u64 = 0x{hash:016x};");
     let hash = fnv1a64(audit_jsonl_for_spec(GOLDEN_REPRO_AUDIT_SPEC).as_bytes());
     println!("const GOLDEN_REPRO_AUDIT_HASH: u64 = 0x{hash:016x};");
+    let hash = fnv1a64(spec_jsonl(GOLDEN_CORNER_SPEC, 2).as_bytes());
+    println!("const GOLDEN_CORNER_JSONL_HASH: u64 = 0x{hash:016x};");
+    println!("const GOLDEN_CC0_REPORT_HASHES: [(&str, &str, u64); 4] = [");
+    for (workload, experiment, _) in GOLDEN_CC0_REPORT_HASHES {
+        let hash = report_hash(&cc0_report(workload, experiment));
+        println!("    (\"{workload}\", \"{experiment}\", 0x{hash:016x}),");
+    }
+    println!("];");
 }

@@ -115,6 +115,34 @@ fn an_oversized_grid_is_a_runtime_error_naming_count_and_limit() {
 }
 
 #[test]
+fn an_instruction_budget_outside_the_axis_domain_is_a_usage_error() {
+    let domain = "is not in the instructions domain 1..=10000000000";
+    let cases: [(&[&str], Option<&str>, &str); 5] = [
+        (&["repro", "--instr", "0"], None, "st repro: --instr=0 "),
+        (&["repro"], Some("0"), "st repro: ST_BENCH_INSTR=0 "),
+        (&["repro"], Some("2k"), "st repro: ST_BENCH_INSTR=2k "),
+        (&["repro", "--instr", "20000000000"], None, "st repro: --instr=20000000000 "),
+        (&["bench", "--smoke", "--instr", "0"], None, "st bench: --instr=0 "),
+    ];
+    let dir = empty_dir("bad-budget");
+    for (args, env, prefix) in cases {
+        let mut cmd = st();
+        cmd.args(args).current_dir(&dir).env_remove("ST_BENCH_INSTR");
+        if let Some(v) = env {
+            cmd.env("ST_BENCH_INSTR", v);
+        }
+        let out = output_within(&mut cmd, Duration::from_secs(1));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}: {err}");
+        assert!(err.starts_with(&format!("{prefix}{domain}")), "{args:?} {env:?}: {err}");
+    }
+    // Nothing ran, so nothing was written; `st repro --instr 2000`
+    // still runs (a_plain_repro_writes_nothing_outside_its_out_dir).
+    assert_eq!(std::fs::read_dir(&dir).expect("list dir").count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_plain_repro_writes_nothing_outside_its_out_dir() {
     let cwd = empty_dir("repro-cwd");
     let out = st()
