@@ -1,13 +1,16 @@
 //! CLI contracts of the sweep-running subcommands through the real `st`
 //! binary: an oversized grid or seed range is a one-line error, not an
-//! allocation abort, a plain `st repro` writes only under `--out`, a
-//! killed `st run` keeps every point it finished, and a reader that
-//! hangs up early ends `st list` and `st calibrate` quietly.
+//! allocation abort, a plain `st repro` writes only under `--out` and
+//! its CSVs and printed figures keep their pinned bytes, a killed
+//! `st run` keeps every point it finished, and a reader that hangs up
+//! early ends `st list` and `st calibrate` quietly.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use st_sweep::job::fnv1a64;
 
 fn st() -> Command {
     Command::new(env!("CARGO_BIN_EXE_st"))
@@ -142,12 +145,23 @@ fn an_instruction_budget_outside_the_axis_domain_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `fnv1a64` over every CSV `st repro --instr 2000` writes (22 files:
+/// each file name, a NUL, then its bytes, in file-name order). The CSVs
+/// do not depend on the thread count.
+const REPRO_CSVS_FNV: u64 = 8290212466170060542;
+
+/// `fnv1a64` over the figures' printed output of `st repro --instr 2000`:
+/// stdout after the `st repro:` header lines and before the
+/// `st repro complete` line, with the out-dir path masked as `<out>`.
+const REPRO_STDOUT_FNV: u64 = 17017926170950584882;
+
 #[test]
 fn a_plain_repro_writes_nothing_outside_its_out_dir() {
     let cwd = empty_dir("repro-cwd");
+    let out_dir = cwd.join("out");
     let out = st()
         .args(["repro", "--instr", "2000", "--threads", "1", "--out"])
-        .arg(cwd.join("out"))
+        .arg(&out_dir)
         .current_dir(&cwd)
         .output()
         .expect("runs");
@@ -157,7 +171,37 @@ fn a_plain_repro_writes_nothing_outside_its_out_dir() {
         .map(|e| e.expect("entry").file_name().to_string_lossy().to_string())
         .collect();
     left.sort();
-    assert_eq!(left, vec!["out".to_string()], "no timing file without --bench-json");
+    assert_eq!(left, vec!["out".to_string()], "no timing file outside --out");
+
+    // The bytes the paper's figures come to: every CSV and every printed
+    // table.
+    let mut csvs: Vec<String> = std::fs::read_dir(&out_dir)
+        .expect("list out")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().to_string())
+        .filter(|name| name.ends_with(".csv"))
+        .collect();
+    csvs.sort();
+    assert_eq!(csvs.len(), 22, "{csvs:?}");
+    let mut bytes = Vec::new();
+    for name in &csvs {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(0);
+        bytes.extend(std::fs::read(out_dir.join(name)).expect("read csv"));
+    }
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let figures: String = stdout
+        .lines()
+        .skip_while(|line| line.starts_with("st repro: "))
+        .take_while(|line| !line.starts_with("st repro complete"))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let figures = figures.replace(out_dir.to_str().expect("utf-8 path"), "<out>");
+    let got = (fnv1a64(&bytes), fnv1a64(figures.as_bytes()));
+    assert_eq!(
+        got,
+        (REPRO_CSVS_FNV, REPRO_STDOUT_FNV),
+        "st repro's CSVs or printed figures moved; stdout:\n{figures}"
+    );
     let _ = std::fs::remove_dir_all(&cwd);
 }
 
