@@ -10,8 +10,8 @@
 //!   mispredictions (precision of the low label).
 //!
 //! §4.3 reports SPEC ≈ 60 %, PVN ≈ 45 % for the modified BPRU estimator and
-//! SPEC ≈ 90 %, PVN ≈ 24 % for JRS; `conf_metrics` in `st-bench` reproduces
-//! that comparison.
+//! SPEC ≈ 90 %, PVN ≈ 24 % for JRS; `st repro`'s `conf_metrics` table
+//! reproduces that comparison.
 
 use crate::confidence::Confidence;
 

@@ -1,9 +1,9 @@
 //! # st-report — table and figure rendering
 //!
-//! Plain-text reporting used by the `st-bench` harness to regenerate the
-//! paper's tables and figures: aligned text tables, CSV emitters, simple
-//! ASCII bar charts (the "figures"), and the aggregate helpers the paper
-//! uses (arithmetic mean bars, percent formatting).
+//! Plain-text reporting used by `st repro` (`st_sweep::figures`) to
+//! regenerate the paper's tables and figures: aligned text tables, CSV
+//! emitters, simple ASCII bar charts (the "figures"), and the aggregate
+//! helpers the paper uses (arithmetic mean bars, percent formatting).
 //!
 //! Everything renders to `String` so tests can assert on output and the
 //! harness can both print and persist results.

@@ -1,12 +1,10 @@
 //! `st bench` — steady-state microbenchmarks of the simulator core.
 //!
-//! Where `BENCH_sweep.json`'s repro section records wall-clock per
-//! *figure* (dominated by the sweep engine's batching and caching), this
-//! module measures the hot loop itself: each point builds one core, runs
-//! a warm-up budget to fill the caches/predictors, then times a
-//! measurement budget and reports **simulated instructions per second**
-//! at steady state. That is the number the flat-array/bitset core work
-//! optimises, and the one CI tracks across commits.
+//! Where the repository benchmark (`perfbench`) times whole commands end
+//! to end, this module measures the hot loop itself: each point builds
+//! one core, runs a warm-up budget to fill the caches/predictors, then
+//! times a measurement budget and reports **simulated instructions per
+//! second** at steady state.
 //!
 //! The suite doubles as a determinism gate: one probe point is simulated
 //! twice from scratch and round-tripped through the result store; any
@@ -29,8 +27,6 @@ pub struct BenchPoint {
     pub workload: String,
     /// Experiment id.
     pub experiment: String,
-    /// Instructions in the measured (post-warm-up) segment.
-    pub instructions: u64,
     /// Wall-clock seconds for the measured segment.
     pub seconds: f64,
     /// Steady-state simulated instructions per second.
@@ -50,10 +46,9 @@ pub struct BenchResult {
     pub total_seconds: f64,
     /// Geometric mean of `instr_per_sec` across points.
     pub geomean_instr_per_sec: f64,
-    /// Whether the determinism probe passed (fresh rerun and result-store
-    /// round-trip both bit-identical).
-    pub deterministic: bool,
-    /// Human-readable determinism failure, when `!deterministic`.
+    /// Why the determinism probe failed (a fresh rerun or the
+    /// result-store round-trip was not bit-identical); `None` when it
+    /// passed.
     pub determinism_error: Option<String>,
 }
 
@@ -144,7 +139,6 @@ pub fn run(config: &BenchConfig) -> Result<BenchResult, String> {
             points.push(BenchPoint {
                 workload: workload.clone(),
                 experiment: experiment.clone(),
-                instructions: config.measure,
                 seconds,
                 instr_per_sec,
                 cycles_per_sec: cycles as f64 / seconds,
@@ -154,13 +148,11 @@ pub fn run(config: &BenchConfig) -> Result<BenchResult, String> {
     }
     let geomean_instr_per_sec =
         if points.is_empty() { 0.0 } else { (log_sum / points.len() as f64).exp() };
-    let determinism_error = determinism_probe(config.determinism_budget).err();
     Ok(BenchResult {
         points,
         total_seconds,
         geomean_instr_per_sec,
-        deterministic: determinism_error.is_none(),
-        determinism_error,
+        determinism_error: determinism_probe(config.determinism_budget).err(),
     })
 }
 
@@ -276,7 +268,7 @@ mod tests {
         assert!(p.cycles_per_sec > 0.0);
         assert!(p.ipc > 0.0);
         assert!(r.geomean_instr_per_sec > 0.0);
-        assert!(r.deterministic, "determinism probe: {:?}", r.determinism_error);
+        assert_eq!(r.determinism_error, None, "determinism probe");
     }
 
     #[test]

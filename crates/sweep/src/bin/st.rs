@@ -1,10 +1,11 @@
 //! `st` — the unified sweep CLI.
 //!
 //! ```text
-//! st repro [--threads N] [--instr N] [--out DIR] [--bench-json PATH] [--no-cache]
-//!     Regenerates every paper figure/table in one parallel, cached pass.
-//!     With --bench-json PATH it also records its timings in the repro
-//!     section of that BENCH_sweep.json-format file.
+//! st repro [--threads N] [--instr N] [--out DIR] [--no-cache]
+//!     Regenerates every paper figure/table: the union of their grids
+//!     runs as one parallel, cached engine batch, then each figure
+//!     prints its tables and writes its CSVs from its slice of the
+//!     results.
 //!
 //! st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
 //!        [--set axis=v1,v2]... [--no-cache] [--shard I/N]
@@ -61,14 +62,13 @@
 //!     Prints the service's GET /status counters (cache size, in-flight
 //!     points, served/simulated totals) as one line of JSON.
 //!
-//! st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
+//! st bench [--smoke] [--instr N] [--store]
 //!     Measures steady-state simulated instructions/sec of the core hot
 //!     loop per workload × experiment and verifies determinism (fresh
-//!     rerun + result-store round-trip); --bench-json PATH records the
-//!     core_bench section of that BENCH_sweep.json-format file. Exits
-//!     non-zero if determinism breaks. With --store it instead times the
-//!     segment-log result store (bulk append + cold load of 1M synthetic
-//!     entries; 20k with --smoke), recorded as the store_bench section.
+//!     rerun + result-store round-trip). Exits non-zero if determinism
+//!     breaks. With --store it instead times the segment-log result
+//!     store (bulk append + cold load of 1M synthetic entries; 20k with
+//!     --smoke).
 //!
 //! st plot <jsonl> --x <key> --y <metric>
 //!     Renders a cached sweep JSONL as ASCII bar charts (one per
@@ -110,17 +110,16 @@
 //! Entries load on start and every fresh simulation writes through as
 //! soon as it finishes, so repeated invocations, CI runs and reruns of
 //! a killed run reuse points across processes.
-//! `--no-cache` opts a run out entirely. Timing files are opt-in: no
-//! subcommand writes one unless given `--bench-json PATH`.
+//! `--no-cache` opts a run out entirely. Only `st loadgen` writes a
+//! timing file, and only when given `--bench-json PATH`.
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use st_sweep::artifact::{self, CoreBenchSection, ReproSection, StoreBenchSection};
 use st_sweep::bench::BenchConfig;
 use st_sweep::emit::{sweep_jsonl_with_pairing, sweep_table, write_text};
-use st_sweep::figures::{FigureCtx, ALL_FIGURES};
+use st_sweep::figures::{self, FigureCtx, FIGURES};
 use st_sweep::fleet::{FleetConfig, FleetServer};
 use st_sweep::loadgen::{self, LoadgenConfig};
 use st_sweep::service::{self, ServiceConfig};
@@ -176,7 +175,7 @@ const USAGE: &str = "\
 st — parallel, cache-aware sweeps over the Selective Throttling simulator
 
 USAGE:
-    st repro [--threads N] [--instr N] [--out DIR] [--bench-json PATH] [--no-cache]
+    st repro [--threads N] [--instr N] [--out DIR] [--no-cache]
     st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
            [--set axis=v1,v2]... [--no-cache] [--shard I/N]
     st merge <shard.jsonl>... [--out DIR]
@@ -188,7 +187,7 @@ USAGE:
     st status [--addr HOST:PORT]
     st loadgen <spec.toml|spec.json> [--addr HOST:PORT] [--clients N]
              [--submissions M] [--priority N] [--smoke] [--bench-json PATH]
-    st bench [--smoke] [--instr N] [--bench-json PATH] [--store]
+    st bench [--smoke] [--instr N] [--store]
     st plot <jsonl> --x <key> --y <metric>
     st audit <jsonl|spec.toml|spec.json> [--threads N] [--out DIR] [--no-cache]
              [--min-confidence low|medium|high] [--format table|jsonl]
@@ -201,8 +200,10 @@ USAGE:
 OPTIONS:
     --threads N      worker threads (default: all hardware threads;
                      results are bit-identical for any value)
-    --instr N        instructions per simulation point (shorthand for
-                     --set instructions=N; default: ST_BENCH_INSTR or 200000)
+    --instr N        instructions per simulation point: `repro` (default
+                     200000); `run` (shorthand for --set instructions=N);
+                     `bench` (measured instructions per point, 200000;
+                     20000 with --smoke)
     --set a=v1,v2    bind sweep axis `a` to the given values (repeatable;
                      overrides the spec — see `st list axes`)
     --out DIR        output directory (default: results/)
@@ -231,10 +232,9 @@ OPTIONS:
                      2 with --smoke)
     --submissions M  `loadgen`: total submissions across all clients
                      (default 32; 4 with --smoke)
-    --bench-json P   record timings in file P, in the BENCH_sweep.json
-                     format (`repro`/`bench`) or the BENCH_service.json
-                     format (`loadgen`); without it no timing file is
-                     written
+    --bench-json P   `loadgen`: record throughput and latency in file P,
+                     in the BENCH_service.json format; without it no
+                     timing file is written
     --smoke          `bench`/`loadgen`: small budgets for CI (`bench`
                      still runs the determinism probe)
     --store          `bench`: time the segment-log result store (bulk
@@ -266,7 +266,7 @@ struct CommonOpts {
     threads: usize,
     instr: Option<u64>,
     out: Option<PathBuf>,
-    /// `--bench-json`: only `repro`, `bench` and `loadgen` accept it.
+    /// `--bench-json`: only `loadgen` accepts it.
     bench_json: Option<PathBuf>,
     /// `--set axis=v1,v2` overrides, in order; only `run` accepts them.
     sets: Vec<String>,
@@ -320,27 +320,6 @@ impl CommonOpts {
             SweepEngine::new(self.threads)
         } else {
             SweepEngine::with_result_store(self.threads, self.out_dir())
-        }
-    }
-
-    /// Writes a timing file through `write` when `--bench-json PATH` was
-    /// given, naming `cmd` in any error. Returns `false` when the write
-    /// failed.
-    fn record_bench_json(
-        &self,
-        cmd: &str,
-        write: impl FnOnce(&Path) -> std::io::Result<()>,
-    ) -> bool {
-        let Some(path) = &self.bench_json else { return true };
-        match write(path) {
-            Ok(()) => {
-                println!("  [perf] {}", path.display());
-                true
-            }
-            Err(e) => {
-                eprintln!("{cmd}: could not write {}: {e}", path.display());
-                false
-            }
         }
     }
 
@@ -498,30 +477,18 @@ fn parse_set(arg: &str) -> Result<(String, Vec<AxisValue>), String> {
     Ok((name.to_string(), out))
 }
 
-/// Checks the instruction budget `st repro` or `st bench` will run at
+/// Checks the `--instr N` budget `st repro` or `st bench` will run at
 /// against the `instructions` axis domain, the rule `st run` applies
-/// through its spec, before any work starts: `--instr N`, and with
-/// `env` a set `ST_BENCH_INSTR` (which `st repro` reads when `--instr`
-/// is absent). The error names the value and the domain.
-fn check_instr_budget(instr: Option<u64>, env: bool) -> Result<(), String> {
+/// through its spec, before any work starts. The error names the value
+/// and the domain.
+fn check_instr_budget(instr: Option<u64>) -> Result<(), String> {
     let axis = axes::axis("instructions").expect("instructions is a registered axis");
-    let mut given = Vec::new();
-    if let Some(n) = instr {
-        given.push(("--instr", n.to_string()));
-    }
-    if let Some(v) = std::env::var_os("ST_BENCH_INSTR").filter(|_| env) {
-        given.push(("ST_BENCH_INSTR", v.to_string_lossy().into_owned()));
-    }
-    for (source, text) in given {
-        let n = text.replace('_', "").parse::<u64>();
-        if !n.is_ok_and(|n| axis.validate(&AxisValue::Int(n)).is_ok()) {
-            return Err(format!(
-                "{source}={text} is not in the instructions domain {}",
-                axis.domain.describe()
-            ));
+    match instr {
+        Some(n) if axis.validate(&AxisValue::Int(n)).is_err() => {
+            Err(format!("--instr={n} is not in the instructions domain {}", axis.domain.describe()))
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn cmd_repro(args: &[String]) -> i32 {
@@ -540,6 +507,10 @@ fn cmd_repro(args: &[String]) -> i32 {
         eprintln!("st repro: --set only applies to `st run`\n{USAGE}");
         return 2;
     }
+    if opts.bench_json.is_some() {
+        eprintln!("st repro: --bench-json only applies to `st loadgen`\n{USAGE}");
+        return 2;
+    }
     if opts.smoke
         || opts.x.is_some()
         || opts.y.is_some()
@@ -556,7 +527,7 @@ fn cmd_repro(args: &[String]) -> i32 {
         );
         return 2;
     }
-    if let Err(e) = check_instr_budget(opts.instr, true) {
+    if let Err(e) = check_instr_budget(opts.instr) {
         eprintln!("st repro: {e}\n{USAGE}");
         return 2;
     }
@@ -568,7 +539,7 @@ fn cmd_repro(args: &[String]) -> i32 {
     }
     println!(
         "st repro: {} figures, {} workloads x {} instructions, {} worker threads",
-        ALL_FIGURES.len(),
+        FIGURES.len(),
         ctx.workloads.len(),
         ctx.instructions,
         engine.threads()
@@ -582,24 +553,13 @@ fn cmd_repro(args: &[String]) -> i32 {
         None => println!("st repro: result store disabled (--no-cache)\n"),
     }
 
-    let wall = Instant::now();
-    let mut timings: Vec<(&str, f64)> = Vec::new();
-    for (name, generate) in ALL_FIGURES {
-        println!("==================================================================");
-        println!("== {name}");
-        println!("==================================================================");
-        let start = Instant::now();
-        generate(&ctx);
-        timings.push((name, start.elapsed().as_secs_f64()));
-    }
-    let total = wall.elapsed().as_secs_f64();
+    let start = Instant::now();
+    figures::run_all(&ctx);
+    let total = start.elapsed().as_secs_f64();
 
     let stats = engine.stats();
     println!("==================================================================");
     println!("st repro complete in {total:.2}s; CSVs in {}/", ctx.out_dir.display());
-    for (name, secs) in &timings {
-        println!("  {name:<18} {secs:>8.2}s");
-    }
     println!(
         "  cache: {} distinct points simulated, {} loaded from disk, {} hits / {} misses ({:.1}% hit rate)",
         stats.simulated,
@@ -608,25 +568,6 @@ fn cmd_repro(args: &[String]) -> i32 {
         stats.cache.misses,
         100.0 * stats.cache.hit_rate()
     );
-
-    let stats = engine.stats();
-    let repro = ReproSection {
-        unix_time: unix_now(),
-        threads: engine.threads() as u64,
-        instructions_per_point: ctx.instructions,
-        workloads: ctx.workloads.len() as u64,
-        total_seconds: total,
-        figures: timings.iter().map(|(name, secs)| ((*name).to_string(), *secs)).collect(),
-        simulated_points: stats.simulated,
-        cache_hits: stats.cache.hits,
-        cache_misses: stats.cache.misses,
-        cache_entries: stats.cache.entries,
-        cache_loaded: stats.loaded,
-        cache_hit_rate: stats.cache.hit_rate(),
-    };
-    if !opts.record_bench_json("st repro", |p| artifact::update(p, Some(&repro), None, None)) {
-        return 1;
-    }
     0
 }
 
@@ -649,6 +590,10 @@ fn cmd_bench(args: &[String]) -> i32 {
         eprintln!("st bench: unexpected argument `{unexpected}`\n{USAGE}");
         return 2;
     }
+    if opts.bench_json.is_some() {
+        eprintln!("st bench: --bench-json only applies to `st loadgen`\n{USAGE}");
+        return 2;
+    }
     if !opts.sets.is_empty()
         || opts.x.is_some()
         || opts.y.is_some()
@@ -661,7 +606,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         || opts.service_tier_flags()
         || opts.audit_flags()
     {
-        eprintln!("st bench: only --smoke, --instr, --bench-json and --store apply\n{USAGE}");
+        eprintln!("st bench: only --smoke, --instr and --store apply\n{USAGE}");
         return 2;
     }
     if opts.store {
@@ -669,9 +614,9 @@ fn cmd_bench(args: &[String]) -> i32 {
             eprintln!("st bench: --instr does not apply to `st bench --store`\n{USAGE}");
             return 2;
         }
-        return cmd_bench_store(&opts);
+        return cmd_bench_store(opts.smoke);
     }
-    if let Err(e) = check_instr_budget(opts.instr, false) {
+    if let Err(e) = check_instr_budget(opts.instr) {
         eprintln!("st bench: {e}\n{USAGE}");
         return 2;
     }
@@ -719,11 +664,6 @@ fn cmd_bench(args: &[String]) -> i32 {
         result.points.len(),
         result.total_seconds
     );
-
-    let core = CoreBenchSection::from_result(&result, unix_now());
-    if !opts.record_bench_json("st bench", |p| artifact::update(p, None, Some(&core), None)) {
-        return 1;
-    }
     if let Some(err) = &result.determinism_error {
         eprintln!("st bench: DETERMINISM FAILURE: {err}");
         return 1;
@@ -733,11 +673,10 @@ fn cmd_bench(args: &[String]) -> i32 {
 }
 
 /// `st bench --store`: times the segment-log result store itself — bulk
-/// append of N synthetic entries followed by a cold reopen (the one
-/// sequential startup pass) — and, given `--bench-json`, records the
-/// numbers in that file's store_bench section.
-fn cmd_bench_store(opts: &CommonOpts) -> i32 {
-    let entries: u64 = if opts.smoke { 20_000 } else { 1_000_000 };
+/// append of N synthetic entries (20k with `--smoke`, else 1M) followed
+/// by a cold reopen (the one sequential startup pass).
+fn cmd_bench_store(smoke: bool) -> i32 {
+    let entries: u64 = if smoke { 20_000 } else { 1_000_000 };
     println!(
         "st bench --store: {entries} synthetic entries (bulk append, then one cold \
          sequential load)"
@@ -763,10 +702,6 @@ fn cmd_bench_store(opts: &CommonOpts) -> i32 {
         result.load_seconds,
         result.entries as f64 / result.load_seconds.max(1e-9)
     );
-    let section = StoreBenchSection::from_result(&result, unix_now());
-    if !opts.record_bench_json("st bench", |p| artifact::update(p, None, None, Some(&section))) {
-        return 1;
-    }
     0
 }
 
@@ -1021,9 +956,7 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     if opts.bench_json.is_some() {
-        eprintln!(
-            "st run: --bench-json only applies to `st repro`/`st bench`/`st loadgen`\n{USAGE}"
-        );
+        eprintln!("st run: --bench-json only applies to `st loadgen`\n{USAGE}");
         return 2;
     }
     if opts.smoke
@@ -1565,9 +1498,12 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         result.percentile_ms(0.90),
         result.percentile_ms(0.99)
     );
-    let section = result.to_section(unix_now());
-    if !opts.record_bench_json("st loadgen", |p| artifact::update_service(p, &section)) {
-        return 1;
+    if let Some(path) = &opts.bench_json {
+        if let Err(e) = loadgen::update_service(path, &result.to_section(unix_now())) {
+            eprintln!("st loadgen: could not write {}: {e}", path.display());
+            return 1;
+        }
+        println!("  [perf] {}", path.display());
     }
     if result.submissions == 0 {
         eprintln!("st loadgen: every submission failed");
@@ -1987,8 +1923,8 @@ fn cmd_list(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     }
     if matches!(what, "all" | "figures") {
         writeln!(out, "figures/tables (`st repro` regenerates all of these):")?;
-        for (name, _) in ALL_FIGURES {
-            writeln!(out, "  {name}")?;
+        for figure in FIGURES {
+            writeln!(out, "  {}", figure.name)?;
         }
         shown = true;
     }

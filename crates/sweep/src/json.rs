@@ -1,6 +1,5 @@
 //! A minimal recursive JSON reader shared by the result store, shard
-//! documents, fleet worker streams, the perf-artifact writer, `st audit`
-//! and `st plot`.
+//! documents, fleet worker streams, `st audit` and `st plot`.
 //!
 //! The spec parser is flat-only; store entries and JSONL records need
 //! strings with escapes, nested arrays/objects and nothing else the full
@@ -10,7 +9,8 @@
 //! is an error, so hostile input cannot exhaust the stack.
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The deepest
-/// document this crate writes (`BENCH_sweep.json`) nests 4 levels.
+/// document this crate writes (an `st run --shard` document) nests 3
+/// levels.
 const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.

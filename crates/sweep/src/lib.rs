@@ -30,8 +30,9 @@
 //!   parsed from a small TOML/JSON document;
 //! * **[`emit`]** — JSON-lines, CSV and `st-report` table emitters, with
 //!   per-point axis tagging;
-//! * **[`figures`]** — every paper figure/table expressed as a grid
-//!   submitted to a shared engine;
+//! * **[`figures`]** — every paper figure/table as data: the grid of
+//!   points it needs plus a render step, so `st repro` runs the union
+//!   of all ten grids as one engine batch;
 //! * **[`bench`](mod@bench)** — steady-state hot-loop microbenchmarks
 //!   (simulated instructions/sec) with a built-in determinism probe;
 //! * **[`shard`](mod@shard)** — sharded multi-process sweeps: a
@@ -69,11 +70,9 @@
 //!   [`Finding`] confidence-tagged and fingerprinted so a checked-in
 //!   `audit.allow` file can suppress known findings and CI can gate on
 //!   the rest;
-//! * **[`artifact`]** — the `BENCH_sweep.json` writer (repro +
-//!   core_bench sections, updated independently);
-//! * the **`st`** binary — `st repro` regenerates the whole paper in one
-//!   parallel pass, `st run spec.toml` executes ad-hoc sweeps (`--set`
-//!   overrides any axis, `--shard i/n` runs one shard), `st merge`
+//! * the **`st`** binary — `st repro` regenerates the whole paper as one
+//!   parallel engine batch, `st run spec.toml` executes ad-hoc sweeps
+//!   (`--set` overrides any axis, `--shard i/n` runs one shard), `st merge`
 //!   reassembles shard outputs, `st serve` runs the long-lived sweep
 //!   service (`--fleet` turns it into a coordinator over remote
 //!   workers), `st submit`/`st status` talk to it, `st loadgen` measures
@@ -106,7 +105,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod artifact;
 pub mod audit;
 pub mod axes;
 pub mod bench;

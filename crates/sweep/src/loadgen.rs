@@ -5,8 +5,8 @@
 //! ROADMAP calls the "heavy traffic" story: sustained submission
 //! throughput and per-submission latency percentiles (p50/p90/p99).
 //! With `--bench-json PATH` the results land in a `BENCH_service.json`
-//! file via [`crate::artifact::update_service`], so CI tracks service
-//! capacity as a number, not a claim.
+//! file via [`update_service`], so CI tracks service capacity as a
+//! number, not a claim.
 //!
 //! The harness is deliberately honest about what it measures: every
 //! client thread drives complete `/submit` round trips through the real
@@ -16,12 +16,13 @@
 //! silently retried — if admission control sheds load, the artifact
 //! shows it.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::artifact::ServiceBenchSection;
 use crate::client;
+use crate::emit::{json_num, write_text};
 
 /// One load-generation run: who to hammer, how hard.
 #[derive(Debug, Clone)]
@@ -109,6 +110,71 @@ impl LoadgenResult {
             max_ms: self.latencies_ms.last().copied().unwrap_or(0.0),
         }
     }
+}
+
+/// The `st loadgen` section of `BENCH_service.json`: measured service
+/// throughput and latency percentiles under concurrent submission load
+/// — the CI-tracked "heavy traffic" number.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ServiceBenchSection {
+    /// Unix time the load run finished.
+    pub unix_time: u64,
+    /// Concurrent client threads.
+    pub clients: u64,
+    /// Submissions completed successfully.
+    pub submissions: u64,
+    /// Submissions that failed (backpressure, dead fleet, …).
+    pub failures: u64,
+    /// Records streamed per successful submission.
+    pub records_per_submission: u64,
+    /// Wall-clock seconds for the whole run.
+    pub total_seconds: f64,
+    /// Successful submissions per second.
+    pub submissions_per_sec: f64,
+    /// Records per second across all successful submissions.
+    pub records_per_sec: f64,
+    /// Median submission latency, milliseconds.
+    pub p50_ms: f64,
+    /// 90th-percentile submission latency, milliseconds.
+    pub p90_ms: f64,
+    /// 99th-percentile submission latency, milliseconds.
+    pub p99_ms: f64,
+    /// Mean submission latency, milliseconds.
+    pub mean_ms: f64,
+    /// Fastest submission, milliseconds.
+    pub min_ms: f64,
+    /// Slowest submission, milliseconds.
+    pub max_ms: f64,
+}
+
+/// Writes the `st loadgen` artifact (`BENCH_service.json`): a `bench`
+/// discriminator and the `service_bench` section.
+///
+/// # Errors
+///
+/// Returns an I/O error if the file cannot be written.
+pub fn update_service(path: &Path, service: &ServiceBenchSection) -> std::io::Result<()> {
+    let s = service;
+    write_text(
+        path,
+        &format!(
+            "{{\n  \"bench\": \"st_service\",\n  \"service_bench\": {{\n    \"unix_time\": {},\n    \"clients\": {},\n    \"submissions\": {},\n    \"failures\": {},\n    \"records_per_submission\": {},\n    \"total_seconds\": {},\n    \"submissions_per_sec\": {},\n    \"records_per_sec\": {},\n    \"p50_ms\": {},\n    \"p90_ms\": {},\n    \"p99_ms\": {},\n    \"mean_ms\": {},\n    \"min_ms\": {},\n    \"max_ms\": {}\n  }}\n}}\n",
+            s.unix_time,
+            s.clients,
+            s.submissions,
+            s.failures,
+            s.records_per_submission,
+            json_num(s.total_seconds),
+            json_num(s.submissions_per_sec),
+            json_num(s.records_per_sec),
+            json_num(s.p50_ms),
+            json_num(s.p90_ms),
+            json_num(s.p99_ms),
+            json_num(s.mean_ms),
+            json_num(s.min_ms),
+            json_num(s.max_ms),
+        ),
+    )
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice: element
@@ -216,9 +282,32 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact;
+    use crate::json::Json;
     use crate::service::{Server, ServiceConfig};
     use std::sync::Arc;
+
+    /// Reads a `BENCH_service.json` back into its section (`None` if the
+    /// file is missing or malformed).
+    fn read_service(path: &Path) -> Option<ServiceBenchSection> {
+        let json = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+        let s = json.get("service_bench")?;
+        Some(ServiceBenchSection {
+            unix_time: s.get("unix_time")?.as_u64().ok()?,
+            clients: s.get("clients")?.as_u64().ok()?,
+            submissions: s.get("submissions")?.as_u64().ok()?,
+            failures: s.get("failures")?.as_u64().ok()?,
+            records_per_submission: s.get("records_per_submission")?.as_u64().ok()?,
+            total_seconds: s.get("total_seconds")?.as_f64().ok()?,
+            submissions_per_sec: s.get("submissions_per_sec")?.as_f64().ok()?,
+            records_per_sec: s.get("records_per_sec")?.as_f64().ok()?,
+            p50_ms: s.get("p50_ms")?.as_f64().ok()?,
+            p90_ms: s.get("p90_ms")?.as_f64().ok()?,
+            p99_ms: s.get("p99_ms")?.as_f64().ok()?,
+            mean_ms: s.get("mean_ms")?.as_f64().ok()?,
+            min_ms: s.get("min_ms")?.as_f64().ok()?,
+            max_ms: s.get("max_ms")?.as_f64().ok()?,
+        })
+    }
 
     #[test]
     fn percentiles_follow_the_nearest_rank_method() {
@@ -265,8 +354,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_service.json");
-        artifact::update_service(&path, &result.to_section(42)).expect("write artifact");
-        let section = artifact::read_service(&path).expect("read back");
+        update_service(&path, &result.to_section(42)).expect("write artifact");
+        let section = read_service(&path).expect("read back");
         assert_eq!(section.submissions, 4);
         assert_eq!(section.p50_ms, result.percentile_ms(0.5));
         assert_eq!(section.p99_ms, result.percentile_ms(0.99));
@@ -275,6 +364,34 @@ mod tests {
 
         crate::client::shutdown(&addr).expect("shutdown");
         handle.join().expect("server thread").expect("clean shutdown");
+    }
+
+    #[test]
+    fn service_section_round_trips_through_its_own_file() {
+        let dir = std::env::temp_dir().join(format!("st-loadgen-service-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_service.json");
+        let section = ServiceBenchSection {
+            unix_time: 45,
+            clients: 8,
+            submissions: 32,
+            failures: 0,
+            records_per_submission: 24,
+            total_seconds: 2.5,
+            submissions_per_sec: 12.8,
+            records_per_sec: 307.2,
+            p50_ms: 40.0,
+            p90_ms: 55.5,
+            p99_ms: 61.25,
+            mean_ms: 42.0,
+            min_ms: 30.0,
+            max_ms: 62.0,
+        };
+        update_service(&path, &section).expect("write service bench");
+        assert_eq!(read_service(&path), Some(section), "bit-exact round trip");
+        assert!(read_service(&dir.join("nope.json")).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

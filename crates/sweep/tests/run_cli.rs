@@ -120,24 +120,20 @@ fn an_oversized_grid_is_a_runtime_error_naming_count_and_limit() {
 #[test]
 fn an_instruction_budget_outside_the_axis_domain_is_a_usage_error() {
     let domain = "is not in the instructions domain 1..=10000000000";
-    let cases: [(&[&str], Option<&str>, &str); 5] = [
-        (&["repro", "--instr", "0"], None, "st repro: --instr=0 "),
-        (&["repro"], Some("0"), "st repro: ST_BENCH_INSTR=0 "),
-        (&["repro"], Some("2k"), "st repro: ST_BENCH_INSTR=2k "),
-        (&["repro", "--instr", "20000000000"], None, "st repro: --instr=20000000000 "),
-        (&["bench", "--smoke", "--instr", "0"], None, "st bench: --instr=0 "),
+    let bench_json = "only applies to `st loadgen`";
+    let cases: [(&[&str], String); 5] = [
+        (&["repro", "--instr", "0"], format!("st repro: --instr=0 {domain}")),
+        (&["repro", "--instr", "20000000000"], format!("st repro: --instr=20000000000 {domain}")),
+        (&["bench", "--smoke", "--instr", "0"], format!("st bench: --instr=0 {domain}")),
+        (&["repro", "--bench-json", "b.json"], format!("st repro: --bench-json {bench_json}")),
+        (&["bench", "--bench-json", "b.json"], format!("st bench: --bench-json {bench_json}")),
     ];
     let dir = empty_dir("bad-budget");
-    for (args, env, prefix) in cases {
-        let mut cmd = st();
-        cmd.args(args).current_dir(&dir).env_remove("ST_BENCH_INSTR");
-        if let Some(v) = env {
-            cmd.env("ST_BENCH_INSTR", v);
-        }
-        let out = output_within(&mut cmd, Duration::from_secs(1));
+    for (args, prefix) in cases {
+        let out = output_within(st().args(args).current_dir(&dir), Duration::from_secs(1));
         let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}: {err}");
-        assert!(err.starts_with(&format!("{prefix}{domain}")), "{args:?} {env:?}: {err}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with(&prefix), "{args:?}: {err}");
     }
     // Nothing ran, so nothing was written; `st repro --instr 2000`
     // still runs (a_plain_repro_writes_nothing_outside_its_out_dir).
@@ -189,6 +185,9 @@ fn a_plain_repro_writes_nothing_outside_its_out_dir() {
         bytes.extend(std::fs::read(out_dir.join(name)).expect("read csv"));
     }
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    // 536 requests over 440 distinct points, in one batch.
+    let cache = "440 distinct points simulated, 0 loaded from disk, 96 hits / 440 misses";
+    assert!(stdout.contains(cache), "{stdout}");
     let figures: String = stdout
         .lines()
         .skip_while(|line| line.starts_with("st repro: "))
