@@ -50,7 +50,7 @@ impl<'a> FigureCtx<'a> {
     }
 
     /// One baseline job per workload at `config`, in workload order.
-    fn baselines(&self, config: &PipelineConfig) -> Vec<JobSpec> {
+    pub(crate) fn baselines(&self, config: &PipelineConfig) -> Vec<JobSpec> {
         self.workloads
             .iter()
             .map(|info| {
@@ -142,7 +142,7 @@ pub const ALL_FIGURES: [(&str, FigureFn); 10] = [
 
 /// The grid of a figure panel: the baselines at `config`, then the same
 /// workloads under each experiment in turn.
-fn panel_jobs(
+pub(crate) fn panel_jobs(
     ctx: &FigureCtx<'_>,
     config: &PipelineConfig,
     experiments: &[Experiment],
@@ -164,19 +164,19 @@ fn average_vs(baselines: &[Arc<SimReport>], reports: &[Arc<SimReport>]) -> Compa
 /// One experiment's per-benchmark comparisons plus the average (the
 /// contents of one row of a Figure 3/4/5 panel).
 #[derive(Debug)]
-struct PanelRow {
+pub(crate) struct PanelRow {
     /// Experiment id (e.g. "A5").
     id: String,
     /// Figure legend label.
     label: String,
     /// Per-workload comparisons, in workload order.
-    per_workload: Vec<(String, Comparison)>,
+    pub(crate) per_workload: Vec<(String, Comparison)>,
     /// Arithmetic-mean comparison (the paper's "Average" bars).
     average: Comparison,
 }
 
 /// The panel rows of a [`panel_jobs`] grid's reports.
-fn panel_rows(experiments: &[Experiment], reports: &[Arc<SimReport>]) -> Vec<PanelRow> {
+pub(crate) fn panel_rows(experiments: &[Experiment], reports: &[Arc<SimReport>]) -> Vec<PanelRow> {
     let n = reports.len() / (experiments.len() + 1);
     let (baselines, variants) = reports.split_at(n);
     experiments
@@ -197,7 +197,7 @@ fn panel_rows(experiments: &[Experiment], reports: &[Arc<SimReport>]) -> Vec<Pan
 
 /// Formats a figure panel (one metric across experiments × workloads) as
 /// a table: rows = experiments, columns = workloads + Average.
-fn panel_table(
+pub(crate) fn panel_table(
     title: &str,
     rows: &[PanelRow],
     metric: impl Fn(&Comparison) -> f64,
@@ -904,19 +904,15 @@ mod tests {
         let rows = panel_rows(&a5, &reports);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].per_workload.len(), 2);
+        // A second panel over the same config reuses all baselines.
+        let before = engine.stats().simulated;
+        let a6 = [st_core::experiments::a6()];
+        let rows2 = panel_rows(&a6, &engine.run(&panel_jobs(&ctx, &cfg, &a6)));
+        assert_eq!(rows2[0].id, "A6");
+        assert_eq!(engine.stats().simulated, before + 2, "only the A6 points are new");
         let t = panel_table("t", &rows, |c| c.energy_savings_pct, 1, "%");
         assert_eq!(t.len(), 1);
         assert!(t.render().contains("A5"));
-
-        // Rerunning the baselines simulates nothing; a second panel over
-        // the same config simulates only its own points.
-        let before = engine.stats().simulated;
-        assert_eq!(engine.run(&ctx.baselines(&cfg)), reports[..2]);
-        assert_eq!(engine.stats().simulated, before, "no re-simulation");
-        let a6 = [st_core::experiments::a6()];
-        let rows = panel_rows(&a6, &engine.run(&panel_jobs(&ctx, &cfg, &a6)));
-        assert_eq!(rows[0].id, "A6");
-        assert_eq!(engine.stats().simulated, before + 2, "only the A6 points are new");
     }
 
     #[test]

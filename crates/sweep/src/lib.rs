@@ -136,3 +136,50 @@ pub use logstore::{LoadStats, LogStore, StoreStats};
 pub use service::{Server, ServiceConfig, SweepService};
 pub use shard::{ShardError, ShardPlan};
 pub use spec::{all_experiments, experiment_by_id, SpecError, SweepPoint, SweepSpec};
+
+#[cfg(test)]
+mod tests {
+    //! The figure-panel path `st repro` takes, at a two-workload,
+    //! 2 000-instruction budget.
+
+    use st_pipeline::PipelineConfig;
+
+    use crate::figures::{panel_jobs, panel_rows, panel_table, FigureCtx};
+    use crate::SweepEngine;
+
+    fn tiny_ctx(engine: &SweepEngine) -> FigureCtx<'_> {
+        let mut ctx = FigureCtx::from_env(engine);
+        ctx.instructions = 2_000;
+        ctx.workloads.truncate(2);
+        ctx
+    }
+
+    #[test]
+    fn panel_runs_on_tiny_budget() {
+        let engine = SweepEngine::new(2);
+        let ctx = tiny_ctx(&engine);
+        let cfg = PipelineConfig::paper_default();
+        let a5 = [st_core::experiments::a5()];
+        let reports = engine.run(&panel_jobs(&ctx, &cfg, &a5));
+        assert_eq!(reports.len(), 4, "two baselines, then two A5 points");
+        let rows = panel_rows(&a5, &reports);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].per_workload.len(), 2);
+        let t = panel_table("t", &rows, |c| c.energy_savings_pct, 1, "%");
+        assert_eq!(t.len(), 1);
+        assert!(t.render().contains("A5"));
+    }
+
+    #[test]
+    fn rerunning_baselines_hits_the_cache() {
+        let engine = SweepEngine::new(2);
+        let ctx = tiny_ctx(&engine);
+        let cfg = PipelineConfig::paper_default();
+        let a = engine.run(&ctx.baselines(&cfg));
+        assert_eq!(a.len(), 2);
+        let simulated = engine.stats().simulated;
+        let b = engine.run(&ctx.baselines(&cfg));
+        assert_eq!(a, b);
+        assert_eq!(engine.stats().simulated, simulated, "no re-simulation");
+    }
+}
