@@ -11,7 +11,7 @@
 //! * **Figure 1** (oracle potential study): [`oracle_fetch`],
 //!   [`oracle_decode`], [`oracle_select`].
 
-use st_bpred::{ConfidenceEstimator, JrsEstimator, SaturatingEstimator};
+use st_bpred::{ConfidenceEstimator, JrsEstimator, SaturatingConfig, SaturatingEstimator};
 use st_pipeline::{OracleMode, SpeculationController};
 
 use crate::gating::PipelineGatingController;
@@ -85,14 +85,46 @@ impl Experiment {
         }
     }
 
-    /// Instantiates the matching confidence estimator at the given
+    /// The confidence estimator this experiment runs at the given
     /// hardware budget: JRS (MDC threshold 12) for Pipeline Gating, the
-    /// BPRU-style four-level estimator for everything else.
+    /// paper-default BPRU-style four-level estimator for everything else.
+    #[must_use]
+    pub fn estimator_spec(&self, bytes: usize) -> EstimatorSpec {
+        match self.kind {
+            ExperimentKind::Gating { .. } => EstimatorSpec::Jrs { bytes },
+            _ => EstimatorSpec::Saturating(SaturatingConfig {
+                bytes,
+                ..SaturatingConfig::paper_default()
+            }),
+        }
+    }
+
+    /// Instantiates [`Experiment::estimator_spec`] at the given budget.
     #[must_use]
     pub fn make_estimator(&self, bytes: usize) -> Box<dyn ConfidenceEstimator> {
-        match self.kind {
-            ExperimentKind::Gating { .. } => Box::new(JrsEstimator::with_table_bytes(bytes)),
-            _ => Box::new(SaturatingEstimator::with_table_bytes(bytes)),
+        self.estimator_spec(bytes).build()
+    }
+}
+
+/// A confidence estimator spelled out: its design and configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EstimatorSpec {
+    /// A BPRU-style saturating estimator.
+    Saturating(SaturatingConfig),
+    /// A JRS (resetting-counter, MDC threshold 12) estimator.
+    Jrs {
+        /// Hardware budget in bytes.
+        bytes: usize,
+    },
+}
+
+impl EstimatorSpec {
+    /// Instantiates the estimator.
+    #[must_use]
+    pub fn build(&self) -> Box<dyn ConfidenceEstimator> {
+        match *self {
+            EstimatorSpec::Saturating(cfg) => Box::new(SaturatingEstimator::new(cfg)),
+            EstimatorSpec::Jrs { bytes } => Box::new(JrsEstimator::with_table_bytes(bytes)),
         }
     }
 }
@@ -484,6 +516,14 @@ mod tests {
         assert_eq!(a7().make_estimator(8 * 1024).name(), "jrs");
         assert_eq!(c2().make_estimator(8 * 1024).name(), "bpru-sat");
         assert_eq!(baseline().make_estimator(8 * 1024).name(), "bpru-sat");
+        assert_eq!(a7().estimator_spec(4096), EstimatorSpec::Jrs { bytes: 4096 });
+        assert_eq!(
+            c2().estimator_spec(4096),
+            EstimatorSpec::Saturating(SaturatingConfig {
+                bytes: 4096,
+                ..SaturatingConfig::paper_default()
+            })
+        );
     }
 
     #[test]

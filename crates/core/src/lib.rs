@@ -55,7 +55,7 @@ pub mod selective;
 pub mod simulator;
 pub mod throttle;
 
-pub use experiments::{Experiment, ExperimentKind};
+pub use experiments::{EstimatorSpec, Experiment, ExperimentKind};
 pub use gating::PipelineGatingController;
 pub use oracle::OracleController;
 pub use selective::SelectiveThrottleController;

@@ -60,7 +60,7 @@
 //!
 //! st status [--addr HOST:PORT]
 //!     Prints the service's GET /status counters (cache size, in-flight
-//!     points, served/simulated totals) as one line of JSON.
+//!     points, served/simulated/aliased totals) as one line of JSON.
 //!
 //! st bench [--smoke] [--instr N] [--store]
 //!     Measures steady-state simulated instructions/sec of the core hot
@@ -561,8 +561,9 @@ fn cmd_repro(args: &[String]) -> i32 {
     println!("==================================================================");
     println!("st repro complete in {total:.2}s; CSVs in {}/", ctx.out_dir.display());
     println!(
-        "  cache: {} distinct points simulated, {} loaded from disk, {} hits / {} misses ({:.1}% hit rate)",
+        "  cache: {} simulated, {} aliased, {} loaded from disk, {} hits / {} misses ({:.1}% hit rate)",
         stats.simulated,
+        stats.aliased,
         stats.loaded,
         stats.cache.hits,
         stats.cache.misses,
@@ -1010,10 +1011,11 @@ fn cmd_run(args: &[String]) -> i32 {
     let reports = engine.run(&jobs);
     let stats = engine.stats();
     println!(
-        "st run: complete in {:.2}s ({} simulated, {} loaded from disk, {:.1}% cache hit rate)\n",
+        "st run: complete in {:.2}s ({} simulated, {} loaded from disk, {} aliased, {:.1}% cache hit rate)\n",
         start.elapsed().as_secs_f64(),
         stats.simulated,
         stats.loaded,
+        stats.aliased,
         100.0 * stats.cache.hit_rate()
     );
 
@@ -1093,10 +1095,11 @@ fn run_one_shard(
     let document = shard::run_shard(spec, points, &plan, index, &engine);
     let stats = engine.stats();
     println!(
-        "st run: shard {index}/{of} complete in {:.2}s ({} simulated, {} loaded from disk)",
+        "st run: shard {index}/{of} complete in {:.2}s ({} simulated, {} loaded from disk, {} aliased)",
         start.elapsed().as_secs_f64(),
         stats.simulated,
         stats.loaded,
+        stats.aliased,
     );
     let path = shard::shard_path(&opts.out_dir(), &spec.name, index);
     if let Err(e) = write_text(&path, &document) {
@@ -1334,8 +1337,8 @@ fn cmd_serve(args: &[String]) -> i32 {
     }
     let stats = server.service().engine().stats();
     println!(
-        "st serve: shut down gracefully ({} points simulated this run, {} cache entries warm)",
-        stats.simulated, stats.cache.entries
+        "st serve: shut down gracefully ({} points simulated this run, {} aliased, {} cache entries warm)",
+        stats.simulated, stats.aliased, stats.cache.entries
     );
     0
 }

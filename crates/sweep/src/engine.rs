@@ -1,32 +1,46 @@
 //! The deterministic parallel executor.
 //!
 //! [`SweepEngine::run`] takes a batch of [`JobSpec`]s and returns their
-//! reports *in submission order*. Internally it:
+//! reports *in submission order*. A job's fingerprint is the identity of
+//! its report, labels included; its simulation key is the identity of
+//! the machine it simulates (see [`crate::job`]). Internally the engine:
 //!
 //! 1. fingerprints every job and answers what it can from the
-//!    [`ResultCache`];
-//! 2. dedups identical points submitted in the same batch;
-//! 3. shards the remaining unique points across a worker pool (a shared
-//!    atomic work index over a fixed job list — no channels, no locks on
-//!    the hot path). The list is ordered by workload, and each worker
-//!    keeps the last program it generated and reuses it while the next
-//!    point's workload compares equal, so a batch generates each
-//!    workload's program about once per worker rather than once per
-//!    point. A worker writes each report to the cache and the result
-//!    store as soon as it finishes it, so a process killed mid-batch
-//!    keeps every point it completed;
+//!    [`ResultCache`], deduping identical points submitted in the same
+//!    batch;
+//! 2. keys every remaining miss by the machine it simulates. The first
+//!    job in submission order with a given key is the *twin* that gets
+//!    simulated; each later job whose machine compares equal to the
+//!    twin's is an *alias* of it. An alias whose machine this engine
+//!    already simulated in an earlier batch is served at once;
+//! 3. shards the twins across a worker pool (a shared atomic work index
+//!    over a fixed job list — no channels, no locks on the hot path).
+//!    The list is ordered by workload, and each worker keeps the last
+//!    program it generated and reuses it while the next point's
+//!    workload compares equal, so a batch generates each workload's
+//!    program about once per worker rather than once per point. A
+//!    worker publishes each report, and then each of its aliases'
+//!    relabelled reports, to the cache and the result store as soon as
+//!    it finishes the simulation, so a process killed mid-batch keeps
+//!    every point it completed;
 //! 4. reassembles results by submission index.
+//!
+//! An alias's report is its twin's under the alias's own experiment id
+//! and label, cached and stored under the alias's own fingerprint, so
+//! every output byte is the same as if it had been simulated.
 //!
 //! Every simulation is a pure function of its [`JobSpec`] (the workload
 //! seed fixes the program; the pipeline is cycle-deterministic), so the
 //! thread count and OS scheduling cannot influence any result bit —
 //! `--threads 1` and `--threads N` produce identical output, which the
-//! integration tests assert.
+//! integration tests assert. Twins are chosen in submission order, so
+//! which jobs are simulated does not depend on the thread count either.
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use st_core::SimReport;
 use st_isa::{Program, WorkloadSpec};
@@ -38,8 +52,13 @@ use crate::logstore::{LoadStats, LogStore};
 /// Aggregate execution counters of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Simulations actually executed (cache misses).
+    /// Simulations actually executed.
     pub simulated: u64,
+    /// Cache misses served without a simulation of their own: each is
+    /// the report of another job that simulates the same machine, under
+    /// this job's experiment id and label. `simulated + aliased` is the
+    /// number of cache misses.
+    pub aliased: u64,
     /// Entries preloaded from the on-disk result store.
     pub loaded: u64,
     /// Cache counters (hits include batch-level dedup).
@@ -51,7 +70,11 @@ pub struct EngineStats {
 pub struct SweepEngine {
     threads: usize,
     cache: ResultCache,
+    /// Every machine this engine simulated, by simulation key: the job
+    /// that ran it and its report.
+    twins: Mutex<HashMap<u64, (JobSpec, Arc<SimReport>)>>,
     simulated: AtomicU64,
+    aliased: AtomicU64,
     loaded: u64,
     load_stats: LoadStats,
     store: Option<LogStore>,
@@ -70,7 +93,9 @@ impl SweepEngine {
         SweepEngine {
             threads,
             cache: ResultCache::new(),
+            twins: Mutex::new(HashMap::new()),
             simulated: AtomicU64::new(0),
+            aliased: AtomicU64::new(0),
             loaded: 0,
             load_stats: LoadStats::default(),
             store: None,
@@ -131,6 +156,7 @@ impl SweepEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             simulated: self.simulated.load(Ordering::Relaxed),
+            aliased: self.aliased.load(Ordering::Relaxed),
             loaded: self.loaded,
             cache: self.cache.stats(),
         }
@@ -140,10 +166,12 @@ impl SweepEngine {
     ///
     /// Results are bit-identical regardless of the worker count: each job
     /// is a pure function of its spec, and assembly is by submission
-    /// index, not completion order. Each freshly simulated report is
-    /// written to the cache and through to the result store the moment
-    /// its worker finishes it, so a run killed partway resumes from
-    /// every point it completed.
+    /// index, not completion order. Each machine is simulated once: a
+    /// job that simulates the same machine as an earlier one, in this
+    /// batch or an earlier one, gets that report relabelled. Each fresh
+    /// report is written to the cache and through to the result store
+    /// the moment its worker finishes it, so a run killed partway
+    /// resumes from every point it completed.
     ///
     /// # Panics
     ///
@@ -151,62 +179,94 @@ impl SweepEngine {
     /// error).
     #[must_use]
     pub fn run(&self, jobs: &[JobSpec]) -> Vec<Arc<SimReport>> {
-        // Phase 1: resolve against the cache and dedup within the batch.
-        // `slots[i]` is either a finished report or an index into `fresh`.
+        // Phase 1: resolve against the cache, dedup within the batch, and
+        // group the misses by machine. `slots[i]` is either a finished
+        // report or an index into `fresh`, the distinct missed points in
+        // submission order. A point in `fresh` is either a twin, listed
+        // in `twins` and simulated, or an alias listed under its twin in
+        // `aliases`.
         enum Slot {
             Done(Arc<SimReport>),
             Fresh(usize),
         }
-        let mut fresh: Vec<(u64, &JobSpec)> = Vec::new();
-        let mut fresh_index: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
+        let mut fresh: Vec<(u64, u64, &JobSpec)> = Vec::new();
+        let mut fresh_index: HashMap<u64, usize> = HashMap::new();
+        let mut twin_index: HashMap<u64, usize> = HashMap::new();
+        let mut twins: Vec<usize> = Vec::new();
+        let mut aliases: Vec<Vec<usize>> = Vec::new();
         let slots: Vec<Slot> = jobs
             .iter()
             .map(|job| {
                 let fp = job.fingerprint();
-                if let Some(hit) = match fresh_index.get(&fp) {
+                if let Some(&idx) = fresh_index.get(&fp) {
                     // A duplicate of a point already scheduled in this
                     // batch: count it as a hit, don't re-consult the map.
-                    Some(&idx) => {
-                        self.cache.count_dedup_hit();
-                        return Slot::Fresh(idx);
-                    }
-                    None => self.cache.get(fp),
-                } {
+                    self.cache.count_dedup_hit();
+                    return Slot::Fresh(idx);
+                }
+                if let Some(hit) = self.cache.get(fp) {
                     return Slot::Done(hit);
                 }
+                let key = job.simulation_key();
+                if let Some(twin) = self.simulated_twin(key, job) {
+                    let report = Arc::new(job.report_from(&twin));
+                    self.publish_alias(fp, &report);
+                    return Slot::Done(report);
+                }
                 let idx = fresh.len();
-                fresh.push((fp, job));
+                fresh.push((fp, key, job));
                 fresh_index.insert(fp, idx);
+                aliases.push(Vec::new());
+                match twin_index.get(&key) {
+                    Some(&twin) if fresh[twin].2.same_machine(job) => aliases[twin].push(idx),
+                    _ => {
+                        // A new machine, or a key collision with another
+                        // machine: either way this point is simulated.
+                        twin_index.entry(key).or_insert(idx);
+                        twins.push(idx);
+                    }
+                }
                 Slot::Fresh(idx)
             })
             .collect();
 
-        // Phase 2: shard the unique misses across the worker pool. Workers
-        // pull from one atomic index over the misses ordered by workload,
-        // and each keeps the last program it generated, reusing it while
-        // the next point's workload compares equal. A worker holds at most
+        // Phase 2: shard the twins across the worker pool. Workers pull
+        // from one atomic index over the twins ordered by workload, and
+        // each keeps the last program it generated, reusing it while the
+        // next point's workload compares equal. A worker holds at most
         // one program, freed on the thread that built it, and publishes
-        // each report as soon as it has it.
-        let order = workload_order(&fresh);
+        // each report, then its aliases' reports, as soon as it has it.
+        let order = workload_order(twins.iter().map(|&i| (i, fresh[i].2)));
         let results: Vec<OnceLock<Arc<SimReport>>> =
             (0..fresh.len()).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let work = || {
             let mut last: Option<(&WorkloadSpec, Arc<Program>)> = None;
             while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let (fp, job) = fresh[i];
+                let (fp, key, job) = fresh[i];
                 if last.as_ref().is_none_or(|(workload, _)| **workload != job.workload) {
                     drop(last.take());
                     last = Some((&job.workload, Arc::new(generate(&job.workload))));
                 }
                 let program = Arc::clone(&last.as_ref().expect("generated above").1);
                 let report = Arc::new(job.run_on(program));
+                self.simulated.fetch_add(1, Ordering::Relaxed);
                 self.publish(fp, &report);
+                self.twins
+                    .lock()
+                    .expect("twin map poisoned")
+                    .entry(key)
+                    .or_insert_with(|| (job.clone(), Arc::clone(&report)));
+                for &a in &aliases[i] {
+                    let (alias_fp, _, alias) = fresh[a];
+                    let relabelled = Arc::new(alias.report_from(&report));
+                    self.publish_alias(alias_fp, &relabelled);
+                    results[a].set(relabelled).expect("slot set once");
+                }
                 results[i].set(report).expect("slot set once");
             }
         };
-        let workers = self.threads.min(fresh.len());
+        let workers = self.threads.min(twins.len());
         if workers <= 1 {
             work();
         } else {
@@ -231,11 +291,24 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Counts one fresh simulation and writes its report to the cache
-    /// and through to the result store, if any. A failed store write
-    /// only warns: the report is still served from the cache.
+    /// The report of the machine `job` simulates, if this engine already
+    /// simulated it under key `key`. The machines are compared field by
+    /// field, so a key collision is a miss, never a wrong report.
+    fn simulated_twin(&self, key: u64, job: &JobSpec) -> Option<Arc<SimReport>> {
+        let twins = self.twins.lock().expect("twin map poisoned");
+        twins.get(&key).filter(|(twin, _)| twin.same_machine(job)).map(|(_, r)| Arc::clone(r))
+    }
+
+    /// Counts one alias and publishes its relabelled report.
+    fn publish_alias(&self, fp: u64, report: &Arc<SimReport>) {
+        self.aliased.fetch_add(1, Ordering::Relaxed);
+        self.publish(fp, report);
+    }
+
+    /// Writes a fresh report to the cache and through to the result
+    /// store, if any. A failed store write only warns: the report is
+    /// still served from the cache.
     fn publish(&self, fp: u64, report: &Arc<SimReport>) {
-        self.simulated.fetch_add(1, Ordering::Relaxed);
         self.cache.insert(fp, Arc::clone(report));
         if let Some(store) = &self.store {
             if let Err(e) = store.store(fp, report) {
@@ -255,9 +328,9 @@ impl SweepEngine {
     /// the same determinism and memoisation as [`SweepEngine::run`].
     /// All engine methods take `&self` and are safe to call from many
     /// threads at once (the service does); note that two *concurrent*
-    /// `run_one` calls for the same not-yet-cached fingerprint will both
+    /// `run_one` calls for the same not-yet-simulated machine will both
     /// simulate it — callers that overlap requests de-duplicate in
-    /// flight (see
+    /// flight by simulation key (see
     /// [`SweepService::compute`](crate::service::SweepService::compute)).
     #[must_use]
     pub fn run_one(&self, job: &JobSpec) -> Arc<SimReport> {
@@ -265,17 +338,16 @@ impl SweepEngine {
     }
 }
 
-/// Indices into `fresh`, grouped by workload with the groups in
-/// first-seen order and each group in submission order, so a worker's
-/// consecutive pulls mostly share a program. The grouping key is a hash;
-/// reuse itself is decided by comparing workloads, so a collision costs
-/// a regeneration, never a wrong result.
-fn workload_order(fresh: &[(u64, &JobSpec)]) -> Vec<usize> {
-    let mut groups: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut keyed: Vec<(usize, usize)> = fresh
-        .iter()
-        .enumerate()
-        .map(|(i, (_, job))| {
+/// The indices of `jobs`, given in submission order, grouped by
+/// workload with the groups in first-seen order and each group in
+/// submission order, so a worker's consecutive pulls mostly share a
+/// program. The grouping key is a hash; reuse itself is decided by
+/// comparing workloads, so a collision costs a regeneration, never a
+/// wrong result.
+fn workload_order<'a>(jobs: impl Iterator<Item = (usize, &'a JobSpec)>) -> Vec<usize> {
+    let mut groups: HashMap<u64, usize> = HashMap::new();
+    let mut keyed: Vec<(usize, usize)> = jobs
+        .map(|(i, job)| {
             let key = fnv1a64(format!("{:?}", job.workload).as_bytes());
             let first_seen = groups.len();
             (*groups.entry(key).or_insert(first_seen), i)
@@ -294,6 +366,7 @@ fn generate(workload: &WorkloadSpec) -> Program {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
@@ -465,6 +538,122 @@ mod tests {
             vec![job(63).workload, job(64).workload, job(63).workload],
             "no program outlives its batch"
         );
+    }
+
+    #[test]
+    fn aliases_share_their_twins_run_and_keep_their_own_labels() {
+        // Pipeline Gating as A7, B9 and C7, and A5's policy as C1, with
+        // a repeated B9: two machines, five fingerprints.
+        use st_core::experiments::{a5, a7, b9, c1, c7};
+        let jobs: Vec<JobSpec> =
+            [a7(), a5(), b9(), c1(), c7(), b9()].map(|e| job(71).with_experiment(e)).to_vec();
+        let solo = solo_runs(&jobs);
+        for threads in [1, 2, 3] {
+            let engine = SweepEngine::new(threads);
+            let out = engine.run(&jobs);
+            assert_eq!(out, solo, "threads={threads}: each alias equals its own run");
+            let ids: Vec<&str> = out.iter().map(|r| r.experiment.as_str()).collect();
+            assert_eq!(ids, ["A7", "A5", "B9", "C1", "C7", "B9"]);
+            let stats = engine.stats();
+            assert_eq!((stats.simulated, stats.aliased), (2, 3), "threads={threads}");
+            assert_eq!((stats.cache.hits, stats.cache.misses), (1, 5), "an alias is a miss");
+        }
+    }
+
+    #[test]
+    fn an_alias_in_a_later_batch_simulates_nothing() {
+        let engine = SweepEngine::new(1);
+        let a5 = job(72).with_experiment(st_core::experiments::a5());
+        let c1 = job(72).with_experiment(st_core::experiments::c1());
+        let _ = engine.run(std::slice::from_ref(&a5));
+        let out = engine.run(std::slice::from_ref(&c1));
+        assert_eq!(*out[0], c1.run(), "the relabelled report is C1's own");
+        assert_eq!(generated_here(), vec![a5.workload], "the second batch ran nothing");
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.aliased, stats.cache.misses), (1, 1, 2));
+        // The alias was cached under its own fingerprint.
+        let _ = engine.run(std::slice::from_ref(&c1));
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.aliased, stats.cache.hits), (1, 1, 1));
+    }
+
+    #[test]
+    fn an_explicit_estimator_and_the_experiments_own_share_one_run() {
+        use crate::job::EstimatorChoice;
+        let bytes = job(73).config.estimator_bytes;
+        let bpru =
+            st_bpred::SaturatingConfig { bytes, ..st_bpred::SaturatingConfig::paper_default() };
+        let gating = job(73).with_experiment(st_core::experiments::a7());
+        let jobs = vec![
+            job(73),
+            job(73).with_estimator(EstimatorChoice::Saturating(bpru)),
+            gating.clone(),
+            gating.with_estimator(EstimatorChoice::Jrs { bytes }),
+        ];
+        let fingerprints: HashSet<u64> = jobs.iter().map(JobSpec::fingerprint).collect();
+        assert_eq!(fingerprints.len(), 4, "the spelled-out choice is another report identity");
+        let engine = SweepEngine::new(1);
+        assert_eq!(engine.run(&jobs), solo_runs(&jobs));
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.aliased), (2, 2));
+    }
+
+    #[test]
+    fn different_machines_never_share_a_run() {
+        use st_core::experiments::{a5, a7, baseline, c2};
+        let base = job(74).with_experiment(c2());
+        let with = |change: &dyn Fn(&mut JobSpec)| {
+            let mut j = base.clone();
+            change(&mut j);
+            j
+        };
+        let jobs = vec![
+            base.clone(),
+            // The experiment's kind (under C2's id and label here).
+            with(&|j| j.experiment.kind = a5().kind),
+            with(&|j| j.experiment = baseline()),
+            with(&|j| j.experiment = a7()),
+            with(&|j| j.experiment = a7().with_gating_threshold(3)),
+            // Every pipeline-config field.
+            with(&|j| j.config.depth += 1),
+            with(&|j| j.config.fetch_width = 4),
+            with(&|j| j.config.max_taken_per_cycle += 1),
+            with(&|j| j.config.decode_width = 4),
+            with(&|j| j.config.issue_width = 4),
+            with(&|j| j.config.commit_width = 4),
+            with(&|j| j.config.front_latency += 1),
+            with(&|j| j.config.exec_extra_latency += 1),
+            with(&|j| j.config.extra_mispredict_penalty += 1),
+            with(&|j| j.config.ruu_size /= 2),
+            with(&|j| j.config.lsq_size /= 2),
+            with(&|j| j.config.ifq_size /= 2),
+            with(&|j| j.config.fu.int_alu.0 -= 1),
+            with(&|j| j.config.mem.memory_latency += 1),
+            with(&|j| j.config.predictor_bytes *= 2),
+            with(&|j| j.config.estimator_bytes /= 2),
+            with(&|j| j.config.jump_btb_miss_bubble += 1),
+            // Every power-config field.
+            with(&|j| j.power.total_watts *= 2.0),
+            with(&|j| j.power.frequency_hz *= 2.0),
+            with(&|j| j.power.shares[0] *= 2.0),
+            with(&|j| j.power.ports[0] += 1.0),
+            with(&|j| j.power.gating = st_power::ClockGating::None),
+            // The estimator, the budget and the workload.
+            with(&|j| j.estimator = crate::job::EstimatorChoice::Jrs { bytes: 1024 }),
+            with(&|j| j.instructions += 1),
+            with(&|j| j.workload.seed += 1),
+        ];
+        let keys: HashSet<u64> = jobs.iter().map(JobSpec::simulation_key).collect();
+        assert_eq!(keys.len(), jobs.len(), "every machine has a key of its own");
+        for (i, a) in jobs.iter().enumerate() {
+            for b in &jobs[i + 1..] {
+                assert!(!a.same_machine(b), "{a:?} and {b:?} are different machines");
+            }
+        }
+        let engine = SweepEngine::new(2);
+        assert_eq!(engine.run(&jobs), solo_runs(&jobs));
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.aliased), (jobs.len() as u64, 0));
     }
 
     #[test]

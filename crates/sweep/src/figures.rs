@@ -10,7 +10,8 @@
 //! batch.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use st_core::{average_comparison, compare, Comparison, Experiment, SimReport};
 use st_pipeline::PipelineConfig;
@@ -433,7 +434,7 @@ fn no_jobs(_: &FigureCtx<'_>) -> Vec<JobSpec> {
 }
 
 /// Table 2: benchmark characteristics (no simulation jobs; measures the
-/// calibrated gshare miss rates directly, one thread per workload).
+/// calibrated gshare miss rates directly, on the engine's worker count).
 fn table2_workloads(ctx: &FigureCtx<'_>, _: &[Arc<SimReport>]) {
     println!("Table 2 reproduction: workload characteristics\n");
     let mut t = Table::new(vec![
@@ -448,26 +449,10 @@ fn table2_workloads(ctx: &FigureCtx<'_>, _: &[Arc<SimReport>]) {
     ])
     .with_title("Table 2: benchmark characteristics (paper vs synthetic stand-in)");
 
-    let measurements: Vec<(f64, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ctx
-            .workloads
-            .iter()
-            .map(|info| {
-                scope.spawn(move || {
-                    let program = info.spec.generate();
-                    let measured = st_workloads::measure_gshare_miss_rate_warm(
-                        &info.spec,
-                        400_000,
-                        800_000,
-                        8 * 1024,
-                    );
-                    let mut walker = st_isa::Walker::new(&program);
-                    let branches = walker.skip(&program, 200_000);
-                    (measured, program.instr_count() as u64, branches)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("measurement thread panicked")).collect()
+    let measurements = map_on_workers(&ctx.workloads, ctx.engine.threads(), |info| {
+        #[cfg(test)]
+        tests::record_table2_thread(&ctx.out_dir);
+        table2_measure(info)
     });
     for (info, (measured, static_instrs, branches)) in ctx.workloads.iter().zip(measurements) {
         t.row(vec![
@@ -483,6 +468,45 @@ fn table2_workloads(ctx: &FigureCtx<'_>, _: &[Arc<SimReport>]) {
     }
     println!("{}", t.render());
     ctx.save_csv(&t, "table2");
+}
+
+/// Table 2's measured columns for one workload: the warm gshare-8KB miss
+/// rate, the static instruction count, and the conditional branches in
+/// the first 200 000 committed instructions.
+fn table2_measure(info: &WorkloadInfo) -> (f64, u64, u64) {
+    let program = info.spec.generate();
+    let measured =
+        st_workloads::measure_gshare_miss_rate_warm(&info.spec, 400_000, 800_000, 8 * 1024);
+    let mut walker = st_isa::Walker::new(&program);
+    let branches = walker.skip(&program, 200_000);
+    (measured, program.instr_count() as u64, branches)
+}
+
+/// `f` of each item on at most `threads` workers, returned in item
+/// order. With one worker everything runs on the calling thread.
+fn map_on_workers<T: Sync, R: Send + Sync>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let results: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        assert!(results[i].set(f(item)).is_ok(), "each item is taken once");
+    };
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
+    results.into_iter().map(|cell| cell.into_inner().expect("every item was mapped")).collect()
 }
 
 /// Per workload: the BPRU-style estimator, then JRS.
@@ -847,8 +871,25 @@ fn ablations(ctx: &FigureCtx<'_>, reports: &[Arc<SimReport>]) {
 mod tests {
     use std::collections::HashSet;
     use std::path::Path;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     use super::*;
+
+    /// Every Table 2 measurement made in this process: the out dir of
+    /// its context and the thread that made it.
+    static TABLE2_THREADS: Mutex<Vec<(PathBuf, ThreadId)>> = Mutex::new(Vec::new());
+
+    pub(super) fn record_table2_thread(out_dir: &Path) {
+        let me = std::thread::current().id();
+        TABLE2_THREADS.lock().unwrap().push((out_dir.to_path_buf(), me));
+    }
+
+    /// The threads of the Table 2 measurements written to `out_dir`.
+    fn table2_threads(out_dir: &Path) -> Vec<ThreadId> {
+        let log = TABLE2_THREADS.lock().unwrap();
+        log.iter().filter(|(dir, _)| dir == out_dir).map(|(_, t)| *t).collect()
+    }
 
     /// A context over the first two workloads at 2 000 instructions,
     /// writing CSVs under `out_dir`.
@@ -916,6 +957,53 @@ mod tests {
     }
 
     #[test]
+    fn every_alias_in_the_repro_grid_equals_its_own_run() {
+        let engine = SweepEngine::new(2);
+        let mut ctx = FigureCtx::from_env(&engine);
+        ctx.instructions = 2_000;
+        let union: Vec<JobSpec> = FIGURES.iter().flat_map(|f| (f.jobs)(&ctx)).collect();
+        let reports = engine.run(&union);
+        // An alias is a point whose machine an earlier point of another
+        // fingerprint already runs.
+        let (mut points, mut machines) = (HashSet::new(), HashSet::new());
+        let aliases: Vec<usize> = (0..union.len())
+            .filter(|&i| points.insert(union[i].fingerprint()))
+            .filter(|&i| !machines.insert(union[i].simulation_key()))
+            .collect();
+        assert_eq!(aliases.len(), 56);
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.aliased), (384, 56));
+        for i in aliases {
+            let job = &union[i];
+            assert_eq!(*reports[i], job.run(), "{} on {}", job.experiment.id, job.workload.name);
+        }
+    }
+
+    #[test]
+    fn table2_measures_on_the_engines_workers_in_workload_order() {
+        let dir = std::env::temp_dir().join(format!("st-table2-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (one, two) = (dir.join("one-thread"), dir.join("two-threads"));
+        let mut csvs = Vec::new();
+        for (threads, out) in [(1, &one), (2, &two)] {
+            std::fs::create_dir_all(out).expect("create out dir");
+            let engine = SweepEngine::new(threads);
+            let mut ctx = tiny_ctx(&engine, out);
+            ctx.workloads = st_workloads::all();
+            ctx.workloads.truncate(3);
+            table2_workloads(&ctx, &[]);
+            csvs.push(std::fs::read(out.join("table2.csv")).expect("read table2.csv"));
+        }
+        let me = std::thread::current().id();
+        assert_eq!(table2_threads(&one), vec![me; 3], "one worker measures on the caller");
+        let used: HashSet<ThreadId> = table2_threads(&two).into_iter().collect();
+        assert_eq!(table2_threads(&two).len(), 3, "one measurement per workload");
+        assert!(used.len() <= 2, "two workers at most, not one thread per workload");
+        assert_eq!(csvs[0], csvs[1], "rows stay in workload order");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn one_batch_and_figure_at_a_time_write_the_same_csvs() {
         let dir = std::env::temp_dir().join(format!("st-figures-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -934,8 +1022,10 @@ mod tests {
         run_all(&ctx);
         let union: Vec<JobSpec> = FIGURES.iter().flat_map(|f| (f.jobs)(&ctx)).collect();
         let distinct: HashSet<u64> = union.iter().map(JobSpec::fingerprint).collect();
+        let machines: HashSet<u64> = union.iter().map(JobSpec::simulation_key).collect();
         let stats = engine.stats();
-        assert_eq!(stats.simulated, distinct.len() as u64, "each distinct point simulated once");
+        assert_eq!(stats.simulated, machines.len() as u64, "each machine simulated once");
+        assert_eq!(stats.simulated + stats.aliased, distinct.len() as u64, "each point once");
         assert_eq!(stats.cache.hits + stats.cache.misses, union.len() as u64, "one pass");
 
         let (a, b) = (csvs(&single), csvs(&batch));

@@ -3,15 +3,24 @@
 //! A [`JobSpec`] pins down *everything* that can influence a simulation's
 //! result — workload spec (including its RNG seed), experiment, pipeline
 //! and power configuration, confidence-estimator override and instruction
-//! budget. Because the simulator is deterministic given these inputs, a
-//! job's [`JobSpec::fingerprint`] is a content hash of the result itself:
-//! two jobs with equal fingerprints produce bit-identical reports, which
-//! is what lets the engine memoise across figures and sweeps.
+//! budget. Two hashes identify a job:
+//!
+//! * [`JobSpec::fingerprint`] is the identity of a *report*. It hashes
+//!   every field, the experiment's id and label included, and because
+//!   the simulator is deterministic, equal fingerprints give
+//!   bit-identical reports. The result cache, the result store, shard
+//!   documents and comparison pairing are keyed on it.
+//! * [`JobSpec::simulation_key`] is the identity of a *machine*: it
+//!   hashes only what the simulator reads. The paper re-plots shared
+//!   bars under new names (Pipeline Gating is A7, B9 and C7), so jobs
+//!   with different fingerprints can share a key. Their reports differ
+//!   only in the experiment id and label, which lets the engine simulate
+//!   one of them and relabel its report for the others.
 
 use std::sync::Arc;
 
-use st_bpred::{JrsEstimator, SaturatingConfig, SaturatingEstimator};
-use st_core::{Experiment, SimReport, Simulator};
+use st_bpred::SaturatingConfig;
+use st_core::{EstimatorSpec, Experiment, ExperimentKind, SimReport, Simulator};
 use st_isa::{Program, WorkloadSpec};
 use st_pipeline::PipelineConfig;
 use st_power::PowerConfig;
@@ -19,7 +28,7 @@ use st_power::PowerConfig;
 /// Which confidence estimator a job runs.
 ///
 /// Almost every experiment uses [`EstimatorChoice::Experiment`] (the
-/// experiment picks JRS for gating, BPRU-style otherwise); the estimator
+/// experiment picks, see [`Experiment::estimator_spec`]); the estimator
 /// ablations and §4.3 quality study override it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EstimatorChoice {
@@ -34,6 +43,23 @@ pub enum EstimatorChoice {
         bytes: usize,
     },
 }
+
+impl EstimatorChoice {
+    /// The estimator this choice runs under `experiment` and `config`.
+    fn resolve(&self, experiment: &Experiment, config: &PipelineConfig) -> EstimatorSpec {
+        match self {
+            EstimatorChoice::Experiment => experiment.estimator_spec(config.estimator_bytes),
+            EstimatorChoice::Saturating(cfg) => EstimatorSpec::Saturating(*cfg),
+            EstimatorChoice::Jrs { bytes } => EstimatorSpec::Jrs { bytes: *bytes },
+        }
+    }
+}
+
+/// What the simulator reads of a [`JobSpec`]: the workload, the
+/// experiment's kind, the pipeline and power configs, the resolved
+/// estimator and the instruction budget.
+type Machine<'a> =
+    (&'a WorkloadSpec, &'a ExperimentKind, &'a PipelineConfig, &'a PowerConfig, EstimatorSpec, u64);
 
 /// One fully-specified simulation point.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,12 +121,13 @@ impl JobSpec {
         self
     }
 
-    /// Content hash of the simulation point.
+    /// Content hash of the simulation point: the identity of its report.
     ///
-    /// Hashes the canonical (`Debug`) encoding of every input that can
-    /// influence the result. The simulator is deterministic, so equal
-    /// fingerprints imply bit-identical [`SimReport`]s; the engine relies
-    /// on this to dedup repeated points across figures and sweeps.
+    /// Hashes the canonical (`Debug`) encoding of every field, the
+    /// experiment's id and label and the unresolved estimator choice
+    /// included. The simulator is deterministic, so equal fingerprints
+    /// imply bit-identical [`SimReport`]s; the engine relies on this to
+    /// dedup repeated points across figures and sweeps.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let canonical = format!(
@@ -122,6 +149,62 @@ impl JobSpec {
         format!("{:016x}", self.fingerprint())
     }
 
+    /// Content hash of the machine this job simulates: the identity of
+    /// its simulation.
+    ///
+    /// Hashes exactly what [`JobSpec::run`] hands the simulator: the
+    /// workload, the experiment's kind (not its id or label), the
+    /// pipeline and power configs, the estimator with
+    /// [`EstimatorChoice::Experiment`] resolved, and the instruction
+    /// budget. Jobs whose machines compare equal run bit-identical
+    /// simulations, and their reports differ only in the experiment id
+    /// and label.
+    #[must_use]
+    pub fn simulation_key(&self) -> u64 {
+        fnv1a64(format!("{:?}", self.machine()).as_bytes())
+    }
+
+    /// Whether `other` simulates the same machine, compared field by
+    /// field over what [`JobSpec::simulation_key`] hashes. A key match
+    /// alone may be a hash collision.
+    pub(crate) fn same_machine(&self, other: &JobSpec) -> bool {
+        self.machine() == other.machine()
+    }
+
+    /// Everything the simulator reads of this job. The key hashes it and
+    /// [`JobSpec::same_machine`] compares it, so the two cannot disagree.
+    fn machine(&self) -> Machine<'_> {
+        (
+            &self.workload,
+            &self.experiment.kind,
+            &self.config,
+            &self.power,
+            self.resolved_estimator(),
+            self.instructions,
+        )
+    }
+
+    /// The estimator the simulator runs for this job.
+    fn resolved_estimator(&self) -> EstimatorSpec {
+        self.estimator.resolve(&self.experiment, &self.config)
+    }
+
+    /// This job's report, given the report of a job that simulates the
+    /// same machine ([`JobSpec::same_machine`]): the twin's report under
+    /// this job's experiment id and label.
+    ///
+    /// Bit-identical to [`JobSpec::run`]: the simulator reads the
+    /// experiment only through its kind (the controller's name is never
+    /// read back), so the id and label reach the report only as its
+    /// `experiment` and `label` strings.
+    pub(crate) fn report_from(&self, twin: &SimReport) -> SimReport {
+        SimReport {
+            experiment: self.experiment.id.to_string(),
+            label: self.experiment.label.to_string(),
+            ..twin.clone()
+        }
+    }
+
     /// Runs the simulation point to completion (synchronously, on the
     /// calling thread).
     #[must_use]
@@ -133,22 +216,14 @@ impl JobSpec {
     /// workload generates. The engine uses this to reuse one program
     /// across consecutive points of a workload.
     pub(crate) fn run_on(&self, program: Arc<Program>) -> SimReport {
-        let builder = Simulator::builder()
+        Simulator::builder()
             .program(program)
             .config(self.config.clone())
             .power(self.power.clone())
             .experiment(self.experiment.clone())
-            .max_instructions(self.instructions);
-        let sim = match &self.estimator {
-            EstimatorChoice::Experiment => builder.build(),
-            EstimatorChoice::Saturating(cfg) => {
-                builder.build_with_estimator(Box::new(SaturatingEstimator::new(*cfg)))
-            }
-            EstimatorChoice::Jrs { bytes } => {
-                builder.build_with_estimator(Box::new(JrsEstimator::with_table_bytes(*bytes)))
-            }
-        };
-        sim.run()
+            .max_instructions(self.instructions)
+            .build_with_estimator(self.resolved_estimator().build())
+            .run()
     }
 }
 

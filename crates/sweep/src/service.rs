@@ -22,8 +22,8 @@
 //!   deterministic findings of [`crate::audit`] over the (cache-first)
 //!   sweep — byte-identical to a local `st audit` of the same spec.
 //! * **`GET /status`** — one JSON object of live counters: cache size,
-//!   in-flight points, active/total submissions, audit requests, served
-//!   and simulated point counts.
+//!   in-flight points, active/total submissions, audit requests, served,
+//!   simulated and aliased point counts.
 //! * **`POST /shutdown`** — graceful shutdown: the server stops
 //!   accepting, finishes every active connection, then exits `run`.
 //!   SIGINT (via [`install_sigint_handler`]) takes the same path.
@@ -32,11 +32,13 @@
 //! (`{"kind":"error","error":"…"}`) with conventional status codes, so a
 //! misbehaving client can never wedge the daemon.
 //!
-//! Two overlapping submissions of the same spec never duplicate work:
-//! in addition to the engine's result cache, the service keeps an
-//! *in-flight* table keyed by job fingerprint — the first worker to
-//! reach a point simulates it, any concurrent requester blocks on the
-//! same slot and shares the finished report.
+//! Two overlapping submissions never simulate one machine twice: in
+//! addition to the engine's result cache, the service keeps an
+//! *in-flight* table keyed by [`JobSpec::simulation_key`] — the first
+//! worker to reach a machine simulates it, any concurrent requester
+//! blocks on the same slot and then shares the finished report, or, for
+//! a point of another fingerprint (C1 while A5 runs), takes it from the
+//! engine relabelled.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -160,17 +162,19 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One point being simulated right now: concurrent requesters for the
-/// same fingerprint block on `done` until the leader resolves `slot`.
-#[derive(Debug, Default)]
+/// One machine being simulated right now: concurrent requesters for
+/// the same simulation key block on `done` until the leader, computing
+/// the point of fingerprint `fingerprint`, resolves `slot`.
+#[derive(Debug)]
 struct Pending {
+    fingerprint: u64,
     slot: Mutex<PendingState>,
     done: Condvar,
 }
 
 /// Lifecycle of an in-flight point. `Abandoned` means the leader
 /// panicked mid-simulation (an engine bug): followers must not wait
-/// forever, and the fingerprint must not stay wedged for the daemon's
+/// forever, and the key must not stay wedged for the daemon's
 /// lifetime.
 #[derive(Debug, Default)]
 enum PendingState {
@@ -289,19 +293,27 @@ impl SweepService {
     }
 
     /// Computes one point with cross-request de-duplication: the first
-    /// caller per fingerprint simulates (cache-first, bounded by the
-    /// worker-pool semaphore, persisted write-through); concurrent
-    /// callers for the same fingerprint block and share the result.
+    /// caller per simulation key computes it (cache-first, bounded by
+    /// the worker-pool semaphore, persisted write-through); concurrent
+    /// callers for the same machine block until it is done. One of the
+    /// same fingerprint shares the leader's report; one of another
+    /// fingerprint (an alias) then gets it relabelled from the engine,
+    /// which simulates nothing for it.
     #[must_use]
     pub fn compute(&self, job: &JobSpec) -> Arc<SimReport> {
         let fp = job.fingerprint();
+        let key = job.simulation_key();
         let (pending, leader) = {
             let mut in_flight = self.in_flight.lock().expect("in-flight table poisoned");
-            match in_flight.get(&fp) {
+            match in_flight.get(&key) {
                 Some(pending) => (Arc::clone(pending), false),
                 None => {
-                    let pending = Arc::new(Pending::default());
-                    in_flight.insert(fp, Arc::clone(&pending));
+                    let pending = Arc::new(Pending {
+                        fingerprint: fp,
+                        slot: Mutex::default(),
+                        done: Condvar::new(),
+                    });
+                    in_flight.insert(key, Arc::clone(&pending));
                     (pending, true)
                 }
             }
@@ -310,10 +322,10 @@ impl SweepService {
             // The guard runs even if the engine panics: it retires the
             // in-flight entry and wakes followers (who see `Abandoned`
             // unless the slot was filled first), so one engine bug can
-            // never wedge a fingerprint for the daemon's lifetime.
+            // never wedge a key for the daemon's lifetime.
             struct Retire<'a> {
                 service: &'a SweepService,
-                fp: u64,
+                key: u64,
                 pending: &'a Pending,
             }
             impl Drop for Retire<'_> {
@@ -322,7 +334,7 @@ impl SweepService {
                         .in_flight
                         .lock()
                         .expect("in-flight table poisoned")
-                        .remove(&self.fp);
+                        .remove(&self.key);
                     let mut slot = self.pending.slot.lock().expect("pending slot poisoned");
                     if matches!(*slot, PendingState::Waiting) {
                         *slot = PendingState::Abandoned;
@@ -331,7 +343,7 @@ impl SweepService {
                     self.pending.done.notify_all();
                 }
             }
-            let retire = Retire { service: self, fp, pending: &pending };
+            let retire = Retire { service: self, key, pending: &pending };
             let report = {
                 let _permit = self.permits.acquire();
                 self.engine.run_one(job)
@@ -344,15 +356,23 @@ impl SweepService {
             let mut slot = pending.slot.lock().expect("pending slot poisoned");
             loop {
                 match &*slot {
-                    PendingState::Done(report) => return Arc::clone(report),
+                    PendingState::Done(report) if pending.fingerprint == fp => {
+                        return Arc::clone(report)
+                    }
+                    // The engine simulated this machine for the leader,
+                    // so it serves this point as an alias, under its
+                    // own fingerprint and labels.
+                    PendingState::Done(_) => break,
                     PendingState::Abandoned => {
-                        panic!("in-flight leader for {fp:016x} panicked (simulator bug)")
+                        panic!("in-flight leader for {key:016x} panicked (simulator bug)")
                     }
                     PendingState::Waiting => {
                         slot = pending.done.wait(slot).expect("pending slot poisoned");
                     }
                 }
             }
+            drop(slot);
+            self.engine.run_one(job)
         }
     }
 
@@ -641,7 +661,7 @@ impl SweepService {
             None => ("null".to_string(), "null".to_string()),
         };
         format!(
-            "{{\"kind\":\"status\",\"workers\":{},\"submissions\":{},\"active_submissions\":{},\"range_requests\":{},\"audit_requests\":{},\"in_flight_points\":{},\"points_served\":{},\"points_simulated\":{},\"cache_entries\":{},\"cache_loaded\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_dir\":{},\"store\":{}}}",
+            "{{\"kind\":\"status\",\"workers\":{},\"submissions\":{},\"active_submissions\":{},\"range_requests\":{},\"audit_requests\":{},\"in_flight_points\":{},\"points_served\":{},\"points_simulated\":{},\"points_aliased\":{},\"cache_entries\":{},\"cache_loaded\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_dir\":{},\"store\":{}}}",
             self.workers,
             self.submissions.load(Ordering::Relaxed),
             self.active_submissions.load(Ordering::Relaxed),
@@ -650,6 +670,7 @@ impl SweepService {
             in_flight,
             self.points_served.load(Ordering::Relaxed),
             stats.simulated,
+            stats.aliased,
             stats.cache.entries,
             stats.loaded,
             stats.cache.hits,
@@ -1125,6 +1146,73 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_submissions_simulate_each_machine_once() {
+        // 2 window sizes x (baseline + A5 + C1) = 6 points on 4 machines:
+        // C1 runs A5's policy under another id.
+        const ALIAS_SPEC: &str = "name = \"svc-alias\"\nworkloads = [\"go\"]\n\
+                                  experiments = [\"A5\", \"C1\"]\n\
+                                  [axis]\nruu_size = [16, 32]\ninstructions = 400\n";
+        let config = ServiceConfig { no_cache: true, threads: 2, ..ServiceConfig::default() };
+        let (server, addr, handle) = start(&config);
+        let canonical = canonical_jsonl(ALIAS_SPEC);
+
+        let streams: Vec<String> = std::thread::scope(|scope| {
+            let submit = |_: usize| {
+                let addr = addr.clone();
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    client::submit(&addr, ALIAS_SPEC, &mut out).expect("submit");
+                    String::from_utf8(out).expect("utf8")
+                })
+            };
+            let handles: Vec<_> = (0..2).map(submit).collect();
+            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        });
+        for out in &streams {
+            assert_eq!(*out, canonical, "every client gets the canonical bytes");
+        }
+        let stats = server.service().engine().stats();
+        assert_eq!(stats.simulated, 4, "each machine simulated once");
+        // Each A5/C1 pair is one simulation and at least one alias; two
+        // requests for one alias that both miss the cache alias twice.
+        assert!(stats.aliased >= 2, "{stats:?}");
+        assert_eq!(stats.simulated + stats.aliased, stats.cache.misses, "{stats:?}");
+        let status = client::status(&addr).expect("status");
+        assert!(status.contains("\"points_simulated\":4,\"points_aliased\":"), "{status}");
+
+        client::shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_point_computed_while_its_twin_runs_waits_and_is_relabelled() {
+        let service = SweepService::new(&ServiceConfig {
+            no_cache: true,
+            threads: 2,
+            ..ServiceConfig::default()
+        });
+        let go = st_workloads::by_name("go").expect("paper workload");
+        let a5 = JobSpec::new(go.clone(), 20_000).with_experiment(st_core::experiments::a5());
+        let c1 = JobSpec::new(go, 20_000).with_experiment(st_core::experiments::c1());
+        let start = std::sync::Barrier::new(2);
+        let (r5, r1) = std::thread::scope(|scope| {
+            let (start, service) = (&start, &service);
+            let compute = move |job: &JobSpec| {
+                start.wait();
+                service.compute(job)
+            };
+            let (a5, c1) = (&a5, &c1);
+            let h5 = scope.spawn(move || compute(a5));
+            let h1 = scope.spawn(move || compute(c1));
+            (h5.join().expect("A5 thread"), h1.join().expect("C1 thread"))
+        });
+        assert_eq!(*r5, a5.run());
+        assert_eq!(*r1, c1.run());
+        let stats = service.engine().stats();
+        assert_eq!((stats.simulated, stats.aliased), (1, 1), "one machine, two labels");
+    }
+
+    #[test]
     fn write_through_persists_under_the_out_dir() {
         let out = std::env::temp_dir().join(format!("st-service-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
@@ -1357,5 +1445,66 @@ mod tests {
 
         client::shutdown(&addr).expect("shutdown");
         handle.join().expect("server thread").expect("clean shutdown");
+    }
+}
+
+/// `read_request` over arbitrary bytes: whatever a client sends, the
+/// parser answers `Ok` or a structured `Err` and never panics.
+#[cfg(test)]
+mod read_request_props {
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::time::Duration;
+
+    use proptest::prelude::*;
+
+    use super::{read_request, MAX_BODY_BYTES};
+
+    /// A well-formed request head and body the mutations start from.
+    const VALID: &[u8] = b"POST /submit?range=0-ff HTTP/1.1\r\nHost: 127.0.0.1\r\n\
+                           Content-Type: text/plain\r\nContent-Length: 11\r\n\r\nname = \"x\"\n";
+
+    /// Writes `bytes` to a loopback connection, closes its write half and
+    /// parses what arrives.
+    fn parse(bytes: &[u8]) -> Result<(), (u16, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        client.write_all(bytes).expect("write request");
+        client.shutdown(Shutdown::Write).expect("close write half");
+        let (server, _) = listener.accept().expect("accept");
+        // A parser that waited for bytes that never come would fail
+        // here, not hang the suite.
+        server.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        read_request(&server).map(|request| {
+            assert!(request.body.len() <= MAX_BODY_BYTES, "body over the cap");
+        })
+    }
+
+    /// Arbitrary bytes, or the valid request with one byte replaced.
+    fn requests() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..512),
+            (0..VALID.len(), any::<u8>()).prop_map(|(at, byte)| {
+                let mut bytes = VALID.to_vec();
+                bytes[at] = byte;
+                bytes
+            }),
+        ]
+    }
+
+    #[test]
+    fn the_valid_request_parses() {
+        assert_eq!(parse(VALID), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn any_bytes_parse_or_fail_without_panicking(bytes in requests()) {
+            if let Err((status, message)) = parse(&bytes) {
+                prop_assert!([400, 413].contains(&status), "status {} ({})", status, message);
+            }
+        }
     }
 }

@@ -5,9 +5,12 @@
 //! through [`JobSpec::run`].
 //!
 //! This is the contract of the engine's scheduling — workload ordering,
-//! per-worker program reuse, batch dedup and thread count change how
-//! points run, never what they compute — probed over the spec space
-//! rather than at a handful of pinned points like the goldens.
+//! per-worker program reuse, batch dedup, aliasing and thread count
+//! change how points run, never what they compute — probed over the
+//! spec space rather than at a handful of pinned points like the
+//! goldens. The experiment draw includes alias groups, experiments that
+//! run one machine under several ids: Pipeline Gating as A7, B9 and C7,
+//! and A5's policy as C1.
 
 use std::sync::Arc;
 
@@ -18,8 +21,17 @@ use st_sweep::{JobSpec, SweepEngine, SweepSpec};
 /// goldens already cover every paper workload).
 const WORKLOADS: [&str; 4] = ["go", "gcc", "compress", "twolf"];
 
+/// The experiment lists the draw picks from: C2 alone, or beside one or
+/// both alias groups.
+const EXPERIMENTS: [&str; 4] = [
+    "\"C2\"",
+    "\"C2\", \"A7\", \"B9\", \"C7\"",
+    "\"C2\", \"A5\", \"C1\"",
+    "\"A7\", \"C1\", \"C2\", \"B9\", \"A5\", \"C7\"",
+];
+
 /// Renders one random sweep spec as TOML.
-fn spec_toml(wmask: u8, with_a7: bool, ruu: u64, gate: u64, instructions: u64) -> String {
+fn spec_toml(wmask: u8, experiments: &str, ruu: u64, gate: u64, instructions: u64) -> String {
     let picked: Vec<String> = WORKLOADS
         .iter()
         .enumerate()
@@ -27,7 +39,6 @@ fn spec_toml(wmask: u8, with_a7: bool, ruu: u64, gate: u64, instructions: u64) -
         .map(|(_, w)| format!("\"{w}\""))
         .collect();
     let workloads = if picked.is_empty() { "\"go\"".to_string() } else { picked.join(", ") };
-    let experiments = if with_a7 { "\"C2\", \"A7\"" } else { "\"C2\"" };
     format!(
         "name = \"engine-props\"\nworkloads = [{workloads}]\nexperiments = [{experiments}]\n\n\
          [axis]\nruu_size = [{ruu}, {}]\ngating_threshold = [{gate}]\ninstructions = {instructions}\n",
@@ -55,13 +66,13 @@ proptest! {
     #[test]
     fn every_thread_count_emits_the_per_point_jsonl_bytes(
         wmask in 1u8..16,
-        with_a7 in any::<bool>(),
+        experiments in 0usize..EXPERIMENTS.len(),
         ruu_pick in 0usize..3,
         gate in 1u64..=3,
         instructions in 500u64..=2_000,
     ) {
         let ruu = [16u64, 32, 64][ruu_pick];
-        let toml = spec_toml(wmask, with_a7, ruu, gate, instructions);
+        let toml = spec_toml(wmask, EXPERIMENTS[experiments], ruu, gate, instructions);
         let per_point = jsonl(&toml, None);
         for threads in [1usize, 3] {
             prop_assert_eq!(

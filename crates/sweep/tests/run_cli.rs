@@ -185,8 +185,9 @@ fn a_plain_repro_writes_nothing_outside_its_out_dir() {
         bytes.extend(std::fs::read(out_dir.join(name)).expect("read csv"));
     }
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    // 536 requests over 440 distinct points, in one batch.
-    let cache = "440 distinct points simulated, 0 loaded from disk, 96 hits / 440 misses";
+    // 536 requests over 440 distinct points, in one batch: 384 machines
+    // simulated, and 56 points served as another point's machine.
+    let cache = "384 simulated, 56 aliased, 0 loaded from disk, 96 hits / 440 misses";
     assert!(stdout.contains(cache), "{stdout}");
     let figures: String = stdout
         .lines()
