@@ -298,7 +298,7 @@ impl SweepService {
     /// callers for the same machine block until it is done. One of the
     /// same fingerprint shares the leader's report; one of another
     /// fingerprint (an alias) then gets it relabelled from the engine,
-    /// which simulates nothing for it.
+    /// which normally simulates nothing for it.
     #[must_use]
     pub fn compute(&self, job: &JobSpec) -> Arc<SimReport> {
         let fp = job.fingerprint();
@@ -359,9 +359,9 @@ impl SweepService {
                     PendingState::Done(report) if pending.fingerprint == fp => {
                         return Arc::clone(report)
                     }
-                    // The engine simulated this machine for the leader,
-                    // so it serves this point as an alias, under its
-                    // own fingerprint and labels.
+                    // The engine ran this machine for the leader, so it
+                    // serves this point as an alias, under its own
+                    // fingerprint and labels.
                     PendingState::Done(_) => break,
                     PendingState::Abandoned => {
                         panic!("in-flight leader for {key:016x} panicked (simulator bug)")
@@ -372,6 +372,10 @@ impl SweepService {
                 }
             }
             drop(slot);
+            // The permit bounds the one case in which this still
+            // simulates: the leader's point was a cache hit, so the
+            // engine has no run of the machine to relabel.
+            let _permit = self.permits.acquire();
             self.engine.run_one(job)
         }
     }
@@ -1115,20 +1119,19 @@ mod tests {
         handle.join().expect("server thread").expect("clean shutdown");
     }
 
-    #[test]
-    fn overlapping_submissions_of_one_spec_share_work() {
+    /// Races two submissions of `spec` against a fresh two-worker
+    /// service, requires both streams to be the canonical bytes, and
+    /// returns the engine's counters and the final status line.
+    fn race_two_submissions(spec: &str) -> (crate::engine::EngineStats, String) {
         let config = ServiceConfig { no_cache: true, threads: 2, ..ServiceConfig::default() };
         let (server, addr, handle) = start(&config);
-        let canonical = canonical_jsonl(TINY_SPEC);
-
-        // Two clients race the same spec; the in-flight table must keep
-        // the engine from simulating any point twice.
+        let canonical = canonical_jsonl(spec);
         let streams: Vec<String> = std::thread::scope(|scope| {
             let submit = |_: usize| {
                 let addr = addr.clone();
                 scope.spawn(move || {
                     let mut out = Vec::new();
-                    client::submit(&addr, TINY_SPEC, &mut out).expect("submit");
+                    client::submit(&addr, spec, &mut out).expect("submit");
                     String::from_utf8(out).expect("utf8")
                 })
             };
@@ -1139,49 +1142,34 @@ mod tests {
             assert_eq!(*out, canonical, "every client gets the canonical bytes");
         }
         let stats = server.service().engine().stats();
-        assert_eq!(stats.simulated, 4, "overlap did not duplicate any simulation");
-
+        let status = client::status(&addr).expect("status");
         client::shutdown(&addr).expect("shutdown");
         handle.join().expect("server thread").expect("clean shutdown");
+        (stats, status)
+    }
+
+    #[test]
+    fn overlapping_submissions_of_one_spec_share_work() {
+        // Two clients race the same spec; the in-flight table must keep
+        // the engine from simulating any point twice.
+        let (stats, _) = race_two_submissions(TINY_SPEC);
+        assert_eq!(stats.simulated, 4, "overlap did not duplicate any simulation");
     }
 
     #[test]
     fn overlapping_submissions_simulate_each_machine_once() {
         // 2 window sizes x (baseline + A5 + C1) = 6 points on 4 machines:
         // C1 runs A5's policy under another id.
-        const ALIAS_SPEC: &str = "name = \"svc-alias\"\nworkloads = [\"go\"]\n\
-                                  experiments = [\"A5\", \"C1\"]\n\
-                                  [axis]\nruu_size = [16, 32]\ninstructions = 400\n";
-        let config = ServiceConfig { no_cache: true, threads: 2, ..ServiceConfig::default() };
-        let (server, addr, handle) = start(&config);
-        let canonical = canonical_jsonl(ALIAS_SPEC);
-
-        let streams: Vec<String> = std::thread::scope(|scope| {
-            let submit = |_: usize| {
-                let addr = addr.clone();
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    client::submit(&addr, ALIAS_SPEC, &mut out).expect("submit");
-                    String::from_utf8(out).expect("utf8")
-                })
-            };
-            let handles: Vec<_> = (0..2).map(submit).collect();
-            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-        });
-        for out in &streams {
-            assert_eq!(*out, canonical, "every client gets the canonical bytes");
-        }
-        let stats = server.service().engine().stats();
+        let (stats, status) = race_two_submissions(
+            "name = \"svc-alias\"\nworkloads = [\"go\"]\nexperiments = [\"A5\", \"C1\"]\n\
+             [axis]\nruu_size = [16, 32]\ninstructions = 400\n",
+        );
         assert_eq!(stats.simulated, 4, "each machine simulated once");
         // Each A5/C1 pair is one simulation and at least one alias; two
         // requests for one alias that both miss the cache alias twice.
         assert!(stats.aliased >= 2, "{stats:?}");
         assert_eq!(stats.simulated + stats.aliased, stats.cache.misses, "{stats:?}");
-        let status = client::status(&addr).expect("status");
         assert!(status.contains("\"points_simulated\":4,\"points_aliased\":"), "{status}");
-
-        client::shutdown(&addr).expect("shutdown");
-        handle.join().expect("server thread").expect("clean shutdown");
     }
 
     #[test]
