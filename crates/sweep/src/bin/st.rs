@@ -1,109 +1,6 @@
-//! `st` — the unified sweep CLI.
-//!
-//! ```text
-//! st repro [--threads N] [--instr N] [--out DIR] [--no-cache]
-//!     Regenerates every paper figure/table: the union of their grids
-//!     runs as one parallel, cached engine batch, then each figure
-//!     prints its tables and writes its CSVs from its slice of the
-//!     results.
-//!
-//! st run <spec.toml|spec.json> [--threads N] [--instr N] [--out DIR]
-//!        [--set axis=v1,v2]... [--no-cache] [--shard I/N]
-//!     Executes a declarative sweep grid; emits JSONL + CSV results
-//!     (tagged with each point's axis bindings) and baseline comparisons.
-//!     With --shard I/N it executes only shard I of a deterministic
-//!     N-way fingerprint partition on --threads worker threads and
-//!     writes a self-describing <out>/<name>.shard-I.jsonl for
-//!     `st merge` (the mode external launchers like xargs or SLURM
-//!     array jobs invoke, one process per shard).
-//!
-//! st merge <shard.jsonl>... [--out DIR]
-//!     Unions shard files back into the canonical sweep JSONL + CSV —
-//!     byte-identical to a single-process `st run` — verifying coverage
-//!     (no gaps), bit-identical overlaps and per-record integrity.
-//!
-//! st serve [--addr HOST:PORT] [--out DIR] [--threads N] [--no-cache]
-//!          [--max-bytes N]
-//! st serve --fleet W1:PORT,W2:PORT,... [--addr HOST:PORT]
-//!          [--max-inflight N] [--worker-timeout SECS]
-//! st serve stop [--addr HOST:PORT]
-//!     Runs the long-lived sweep service: accepts specs over POST
-//!     /submit, serves every point cache-first from one shared engine
-//!     (result-store write-through), and streams back the canonical
-//!     tagged JSONL records. With --max-bytes N the service evicts
-//!     least-recently-used entries after each submission to keep the
-//!     store under N bytes. With --fleet it is a *coordinator* instead:
-//!     each submission is partitioned by fingerprint range across the
-//!     listed remote `st serve` workers, the returned streams are
-//!     verified and merged byte-identically to a local run, dead
-//!     workers' unfinished ranges fail over to survivors, and
-//!     --max-inflight submissions stream concurrently
-//!     (the next one gets a structured 429). `st serve stop` asks a
-//!     running service or coordinator to shut down gracefully (SIGINT
-//!     does the same in-process).
-//!
-//! st submit <spec.toml|spec.json> [--addr HOST:PORT] [--priority N]
-//!     Submits a spec file to a running service and pipes the streamed
-//!     JSONL to stdout — byte-identical to a local `st run` of the same
-//!     spec (diagnostics go to stderr, so redirection stays clean).
-//!     --priority orders the fleet coordinator's dispatch queue (higher
-//!     first, FIFO within a class; plain servers ignore it).
-//!
-//! st loadgen <spec.toml|spec.json> [--addr HOST:PORT] [--clients N]
-//!            [--submissions M] [--priority N] [--smoke]
-//!            [--bench-json PATH]
-//!     Replays M concurrent submissions of the spec through N client
-//!     threads against a running service or fleet and reports throughput
-//!     and p50/p90/p99 latency; --bench-json PATH records them in a
-//!     BENCH_service.json-format file.
-//!     Failures (backpressure, truncation) are counted, never retried.
-//!
-//! st status [--addr HOST:PORT]
-//!     Prints the service's GET /status counters (cache size, in-flight
-//!     points, served/simulated/aliased totals) as one line of JSON.
-//!
-//! st bench [--smoke] [--instr N] [--store]
-//!     Measures steady-state simulated instructions/sec of the core hot
-//!     loop per workload × experiment and verifies determinism (fresh
-//!     rerun + result-store round-trip). Exits non-zero if determinism
-//!     breaks. With --store it instead times the segment-log result
-//!     store (bulk append + cold load of 1M synthetic entries; 20k with
-//!     --smoke).
-//!
-//! st plot <jsonl> --x <key> --y <metric>
-//!     Renders a cached sweep JSONL as ASCII bar charts (one per
-//!     experiment), e.g. --x axis.ruu_size --y ipc.
-//!
-//! st audit <jsonl|spec.toml|spec.json> [--min-confidence L]
-//!          [--format table|jsonl] [--allow FILE]
-//!     Runs the deterministic findings engine over a sweep: IPC cliffs
-//!     along any bound axis, energy-delay regressions vs the BASE
-//!     experiment, non-monotonic axis responses, implausible metrics
-//!     and stale-baseline drift. Given a spec it (re)runs the grid
-//!     cache-first and cross-checks every record against the expanded
-//!     grid; given a JSONL it audits the records as-is. Findings are
-//!     byte-deterministic; known ones are suppressed by fingerprint via
-//!     --allow. Exits 0 when nothing (unsuppressed) is found, 4 when
-//!     findings remain — the CI gate.
-//!
-//! st calibrate [--seeds N] [--family NAME] [--csv PATH]
-//!     Probes every generative workload family (gen:<family>:<seed>)
-//!     across a seed range and reports each derived member's realized
-//!     gshare miss rate against the family target. Exits 4 when any
-//!     member lands outside its family tolerance — the generative
-//!     suite's CI gate; --csv writes the table for the CI artifact.
-//!
-//! st list [workloads|experiments|figures|axes]
-//!     Shows what the other subcommands can reference.
-//!
-//! st cache [show|stats|compact|clear] [--out DIR]
-//! st cache evict --max-bytes N [--out DIR]
-//!     Manages the result store (<out>/.store). `show` (the default)
-//!     lists what is warm; `stats` prints live/dead byte counters;
-//!     `compact` rewrites the segment log dropping dead bytes; `evict`
-//!     drops least-recently-used entries until the store fits
-//!     --max-bytes; `clear` removes every stored result.
-//! ```
+//! `st` — the unified sweep CLI. `st --help` prints `USAGE`, the
+//! reference for every subcommand and flag; `FLAGS` is the one table
+//! each subcommand's command line is read against.
 //!
 //! `repro` and `run` keep a persistent result store under the output
 //! directory by default: the append-only segment log at `<out>/.store`.
@@ -114,7 +11,8 @@
 //! timing file, and only when given `--bench-json PATH`.
 
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use st_sweep::bench::BenchConfig;
@@ -128,30 +26,53 @@ use st_sweep::{
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("repro") => cmd_repro(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("plot") => cmd_plot(&args[1..]),
-        Some("audit") => cmd_audit(&args[1..]),
-        Some("calibrate") => to_stdout(|out| cmd_calibrate(&args[1..], out)),
-        Some("list") => to_stdout(|out| cmd_list(&args[1..], out)),
-        Some("cache") => cmd_cache(&args[1..]),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let code = match argv.first().map(String::as_str) {
+        Some("list") => to_stdout(|out| cmd_list(&argv[1..], out)),
         Some("--help" | "-h" | "help") | None => {
             to_stdout(|out| out.write_all(USAGE.as_bytes()).map(|()| 0))
         }
-        Some(other) => {
-            eprintln!("st: unknown subcommand `{other}`\n{USAGE}");
-            2
-        }
+        Some(other) => match SUBCOMMANDS.iter().find(|(sub, _)| *sub == other) {
+            Some(&(sub, cmd)) => dispatch(sub, &argv[1..], cmd),
+            None => {
+                eprintln!("st: unknown subcommand `{other}`\n{USAGE}");
+                2
+            }
+        },
     };
     std::process::exit(code);
+}
+
+/// A subcommand's body: `Ok` carries the exit code, `Err` the message
+/// of a usage error.
+type Command = fn(&Args) -> Result<i32, String>;
+
+/// The subcommands whose command lines are read against [`FLAGS`].
+const SUBCOMMANDS: [(&str, Command); 12] = [
+    ("repro", cmd_repro),
+    ("run", cmd_run),
+    ("merge", cmd_merge),
+    ("serve", cmd_serve),
+    ("submit", cmd_submit),
+    ("status", cmd_status),
+    ("loadgen", cmd_loadgen),
+    ("bench", cmd_bench),
+    ("plot", cmd_plot),
+    ("audit", cmd_audit),
+    ("calibrate", cmd_calibrate),
+    ("cache", cmd_cache),
+];
+
+/// Reads `argv`, the arguments after `st <sub>`, and runs `cmd` on
+/// them. A usage error prints its message, then USAGE, and exits 2; a
+/// command's message gets `st <mode>: ` in front.
+fn dispatch(sub: &'static str, argv: &[String], cmd: Command) -> i32 {
+    let outcome = Args::parse(sub, argv)
+        .and_then(|args| cmd(&args).map_err(|e| format!("st {}: {e}", args.mode)));
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        2
+    })
 }
 
 /// Runs a command that writes its report to `out`, stdout. A reader that
@@ -261,204 +182,206 @@ exits 0 when every probed member lands within its family's declared
 miss-rate tolerance and 4 otherwise.
 ";
 
-/// Options shared by `repro`, `run` and `cache`.
-struct CommonOpts {
-    threads: usize,
-    instr: Option<u64>,
-    out: Option<PathBuf>,
-    /// `--bench-json`: only `loadgen` accepts it.
-    bench_json: Option<PathBuf>,
-    /// `--set axis=v1,v2` overrides, in order; only `run` accepts them.
-    sets: Vec<String>,
-    /// `--no-cache`: skip the persistent result cache.
-    no_cache: bool,
-    /// `--shard i/n`: only `run` accepts it.
-    shard: Option<(usize, usize)>,
-    /// `--smoke`: only `bench` accepts it.
-    smoke: bool,
-    /// `--addr`: only `serve`/`submit`/`status` accept it.
-    addr: Option<String>,
-    /// `--x` / `--y`: only `plot` accepts them.
-    x: Option<String>,
-    y: Option<String>,
-    /// `--max-bytes`: only `cache evict` and `serve` accept it.
-    max_bytes: Option<u64>,
-    /// `--store`: only `bench` accepts it.
-    store: bool,
-    /// `--fleet w1,w2,...`: only `serve` accepts it.
-    fleet: Option<String>,
-    /// `--max-inflight`: only `serve --fleet` accepts it.
-    max_inflight: Option<usize>,
-    /// `--worker-timeout` seconds: only `serve --fleet` accepts it.
-    worker_timeout: Option<u64>,
-    /// `--priority`: only `submit` and `loadgen` accept it.
-    priority: Option<u32>,
-    /// `--clients`: only `loadgen` accepts it.
-    clients: Option<usize>,
-    /// `--submissions`: only `loadgen` accepts it.
-    submissions: Option<usize>,
-    /// `--min-confidence`: only `audit` accepts it.
-    min_confidence: Option<String>,
-    /// `--format`: only `audit` accepts it.
-    format: Option<String>,
-    /// `--allow`: only `audit` accepts it.
-    allow: Option<PathBuf>,
-    /// Non-flag positionals, in order.
+/// What follows a flag on the command line.
+#[derive(PartialEq)]
+enum Takes {
+    Nothing,
+    Text,
+    /// A non-negative integer, read by [`read_int`].
+    Int,
+}
+
+/// A row of [`FLAGS`]: a flag, what follows it, and the modes that take
+/// it. A mode is a subcommand or one of `serve stop`, `serve --fleet`,
+/// `bench --store` and `cache evict`.
+struct Flag {
+    name: &'static str,
+    takes: Takes,
+    modes: &'static [&'static str],
+}
+
+/// Every flag `st` reads, in the order USAGE's OPTIONS section lists
+/// them.
+const FLAGS: [Flag; 25] = [
+    Flag { name: "--threads", takes: Takes::Int, modes: &["repro", "run", "serve", "audit"] },
+    Flag { name: "--instr", takes: Takes::Int, modes: &["repro", "run", "bench"] },
+    Flag { name: "--set", takes: Takes::Text, modes: &["run"] },
+    Flag {
+        name: "--out",
+        takes: Takes::Text,
+        modes: &["repro", "run", "merge", "serve", "audit", "cache", "cache evict"],
+    },
+    Flag { name: "--no-cache", takes: Takes::Nothing, modes: &["repro", "run", "serve", "audit"] },
+    Flag { name: "--max-bytes", takes: Takes::Int, modes: &["serve", "cache evict"] },
+    Flag { name: "--shard", takes: Takes::Text, modes: &["run"] },
+    Flag {
+        name: "--addr",
+        takes: Takes::Text,
+        modes: &["serve", "serve stop", "serve --fleet", "submit", "status", "loadgen"],
+    },
+    Flag { name: "--fleet", takes: Takes::Text, modes: &["serve --fleet"] },
+    Flag { name: "--max-inflight", takes: Takes::Int, modes: &["serve --fleet"] },
+    Flag { name: "--worker-timeout", takes: Takes::Int, modes: &["serve --fleet"] },
+    Flag { name: "--priority", takes: Takes::Int, modes: &["submit", "loadgen"] },
+    Flag { name: "--clients", takes: Takes::Int, modes: &["loadgen"] },
+    Flag { name: "--submissions", takes: Takes::Int, modes: &["loadgen"] },
+    Flag { name: "--bench-json", takes: Takes::Text, modes: &["loadgen"] },
+    Flag { name: "--smoke", takes: Takes::Nothing, modes: &["bench", "bench --store", "loadgen"] },
+    Flag { name: "--store", takes: Takes::Nothing, modes: &["bench --store"] },
+    Flag { name: "--x", takes: Takes::Text, modes: &["plot"] },
+    Flag { name: "--y", takes: Takes::Text, modes: &["plot"] },
+    Flag { name: "--min-confidence", takes: Takes::Text, modes: &["audit"] },
+    Flag { name: "--format", takes: Takes::Text, modes: &["audit"] },
+    Flag { name: "--allow", takes: Takes::Text, modes: &["audit"] },
+    Flag { name: "--seeds", takes: Takes::Int, modes: &["calibrate"] },
+    Flag { name: "--family", takes: Takes::Text, modes: &["calibrate"] },
+    Flag { name: "--csv", takes: Takes::Text, modes: &["calibrate"] },
+];
+
+/// A command line read against [`FLAGS`].
+struct Args {
+    /// The mode the command line selects.
+    mode: &'static str,
+    /// The flags given, each with its value (empty for a switch), in
+    /// order.
+    flags: Vec<(&'static Flag, String)>,
+    /// The other arguments, in order.
     positional: Vec<String>,
 }
 
-impl CommonOpts {
+impl Args {
+    /// Reads `argv`, the arguments after `st <sub>`. It refuses an
+    /// unknown flag, a flag missing its value and a malformed integer,
+    /// then picks the mode and refuses any flag the mode does not take.
+    /// The mode is picked after reading, so `st serve --addr stop`
+    /// names an address, and a positional word (`stop`, `evict`) wins
+    /// over a flag (`--fleet`, `--store`). A flag that is given counts,
+    /// whatever its value.
+    fn parse(sub: &'static str, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args { mode: sub, flags: Vec::new(), positional: Vec::new() };
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                args.positional.push(arg.clone());
+                continue;
+            }
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == arg)
+                .ok_or_else(|| format!("st {sub}: unknown flag `{arg}`"))?;
+            let value = match flag.takes {
+                Takes::Nothing => String::new(),
+                Takes::Text | Takes::Int => {
+                    it.next().cloned().ok_or_else(|| format!("st {sub}: {arg} needs a value"))?
+                }
+            };
+            if flag.takes == Takes::Int {
+                read_int::<u64>(arg, &value).map_err(|e| format!("st {sub}: {e}"))?;
+            }
+            args.flags.push((flag, value));
+        }
+        args.mode = match (sub, args.positional.first().map(String::as_str)) {
+            ("serve", Some("stop")) => "serve stop",
+            ("serve", _) if args.has("--fleet") => "serve --fleet",
+            ("bench", _) if args.has("--store") => "bench --store",
+            ("cache", Some("evict")) => "cache evict",
+            _ => sub,
+        };
+        match args.flags.iter().find(|(flag, _)| !flag.modes.contains(&args.mode)) {
+            Some((refused, _)) => Err(refusal(args.mode, refused)),
+            None => Ok(args),
+        }
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &'static str) -> bool {
+        self.flags.iter().any(|(f, _)| f.name == flag)
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values(&self, flag: &'static str) -> impl Iterator<Item = &str> {
+        self.flags.iter().filter(move |(f, _)| f.name == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &'static str) -> Option<&str> {
+        self.values(flag).last()
+    }
+
+    /// The last value given for the integer flag `flag`; every value
+    /// given must be a `T`.
+    fn int<T: FromStr>(&self, flag: &'static str) -> Result<Option<T>, String> {
+        self.values(flag).try_fold(None, |_, v| read_int(flag, v).map(Some))
+    }
+
     /// The output directory (default `results/`).
     fn out_dir(&self) -> PathBuf {
-        self.out.clone().unwrap_or_else(|| PathBuf::from("results"))
+        PathBuf::from(self.value("--out").unwrap_or("results"))
     }
 
     /// An engine honouring `--threads` and `--no-cache`, over the result
     /// store under the output directory.
-    fn engine(&self) -> SweepEngine {
-        if self.no_cache {
-            SweepEngine::new(self.threads)
+    fn engine(&self) -> Result<SweepEngine, String> {
+        let threads = self.int("--threads")?.unwrap_or(0);
+        Ok(if self.has("--no-cache") {
+            SweepEngine::new(threads)
         } else {
-            SweepEngine::with_result_store(self.threads, self.out_dir())
-        }
+            SweepEngine::with_result_store(threads, self.out_dir())
+        })
     }
 
     /// The sweep-service address (default `127.0.0.1:7077`).
     fn service_addr(&self) -> String {
-        self.addr.clone().unwrap_or_else(|| "127.0.0.1:7077".to_string())
+        self.value("--addr").unwrap_or("127.0.0.1:7077").to_string()
     }
 
-    /// Whether any fleet flag (`--fleet`, `--max-inflight`,
-    /// `--worker-timeout`) was given; only `serve` accepts them.
-    fn fleet_flags(&self) -> bool {
-        self.fleet.is_some() || self.max_inflight.is_some() || self.worker_timeout.is_some()
+    /// The one positional argument, a `what`.
+    fn one_positional(&self, what: &str) -> Result<&str, String> {
+        match self.positional.as_slice() {
+            [only] => Ok(only),
+            _ => Err(format!("expected exactly one {what}")),
+        }
     }
 
-    /// Whether any flag owned by the service tier (`serve --fleet`,
-    /// `submit --priority`, `loadgen`) was given; every offline
-    /// subcommand rejects them in one breath.
-    fn service_tier_flags(&self) -> bool {
-        self.fleet_flags()
-            || self.priority.is_some()
-            || self.clients.is_some()
-            || self.submissions.is_some()
-    }
-
-    /// Whether any audit flag (`--min-confidence`, `--format`,
-    /// `--allow`) was given; only `audit` accepts them.
-    fn audit_flags(&self) -> bool {
-        self.min_confidence.is_some() || self.format.is_some() || self.allow.is_some()
+    /// Refuses any positional argument.
+    fn no_positional(&self) -> Result<(), String> {
+        match self.positional.first() {
+            Some(unexpected) => Err(format!("unexpected argument `{unexpected}`")),
+            None => Ok(()),
+        }
     }
 }
 
-fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
-    let mut opts = CommonOpts {
-        threads: 0,
-        instr: None,
-        out: None,
-        bench_json: None,
-        sets: Vec::new(),
-        no_cache: false,
-        shard: None,
-        smoke: false,
-        addr: None,
-        x: None,
-        y: None,
-        max_bytes: None,
-        store: false,
-        fleet: None,
-        max_inflight: None,
-        worker_timeout: None,
-        priority: None,
-        clients: None,
-        submissions: None,
-        min_confidence: None,
-        format: None,
-        allow: None,
-        positional: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--threads" => {
-                opts.threads = value_for("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects an integer".to_string())?;
-            }
-            "--instr" => {
-                opts.instr = Some(
-                    value_for("--instr")?
-                        .replace('_', "")
-                        .parse()
-                        .map_err(|_| "--instr expects an integer".to_string())?,
-                );
-            }
-            "--set" => opts.sets.push(value_for("--set")?),
-            "--out" => opts.out = Some(PathBuf::from(value_for("--out")?)),
-            "--no-cache" => opts.no_cache = true,
-            "--shard" => {
-                opts.shard = Some(shard::parse_shard_arg(&value_for("--shard")?).map_err(|e| e.0)?);
-            }
-            "--smoke" => opts.smoke = true,
-            "--addr" => opts.addr = Some(value_for("--addr")?),
-            "--x" => opts.x = Some(value_for("--x")?),
-            "--y" => opts.y = Some(value_for("--y")?),
-            "--max-bytes" => {
-                opts.max_bytes = Some(
-                    value_for("--max-bytes")?
-                        .replace('_', "")
-                        .parse()
-                        .map_err(|_| "--max-bytes expects an integer".to_string())?,
-                );
-            }
-            "--store" => opts.store = true,
-            "--fleet" => opts.fleet = Some(value_for("--fleet")?),
-            "--max-inflight" => {
-                opts.max_inflight = Some(
-                    value_for("--max-inflight")?
-                        .parse()
-                        .map_err(|_| "--max-inflight expects an integer".to_string())?,
-                );
-            }
-            "--worker-timeout" => {
-                opts.worker_timeout = Some(
-                    value_for("--worker-timeout")?
-                        .parse()
-                        .map_err(|_| "--worker-timeout expects whole seconds".to_string())?,
-                );
-            }
-            "--priority" => {
-                opts.priority = Some(
-                    value_for("--priority")?
-                        .parse()
-                        .map_err(|_| "--priority expects an unsigned integer".to_string())?,
-                );
-            }
-            "--clients" => {
-                opts.clients = Some(
-                    value_for("--clients")?
-                        .parse()
-                        .map_err(|_| "--clients expects an integer".to_string())?,
-                );
-            }
-            "--submissions" => {
-                opts.submissions = Some(
-                    value_for("--submissions")?
-                        .parse()
-                        .map_err(|_| "--submissions expects an integer".to_string())?,
-                );
-            }
-            "--min-confidence" => opts.min_confidence = Some(value_for("--min-confidence")?),
-            "--format" => opts.format = Some(value_for("--format")?),
-            "--allow" => opts.allow = Some(PathBuf::from(value_for("--allow")?)),
-            "--bench-json" => opts.bench_json = Some(PathBuf::from(value_for("--bench-json")?)),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            positional => opts.positional.push(positional.to_string()),
-        }
+/// The one integer reader of every numeric flag: underscores may
+/// separate digits (`64_000_000`).
+fn read_int<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .replace('_', "")
+        .parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
+}
+
+/// The one refusal of a flag the mode does not take: `st <mode>: only
+/// <the flags it takes> apply (<flag> is for st <the modes that take
+/// it>)`.
+fn refusal(mode: &str, flag: &Flag) -> String {
+    let takes: Vec<String> =
+        FLAGS.iter().filter(|f| f.modes.contains(&mode)).map(|f| f.name.to_string()).collect();
+    let owners: Vec<String> = flag.modes.iter().map(|m| format!("st {m}")).collect();
+    format!(
+        "st {mode}: only {} apply ({} is for {})",
+        and_list(&takes),
+        flag.name,
+        and_list(&owners)
+    )
+}
+
+/// `a`, `a and b`, `a, b and c`.
+fn and_list(items: &[String]) -> String {
+    match items {
+        [init @ .., last] if !init.is_empty() => format!("{} and {last}", init.join(", ")),
+        _ => items.join(""),
     }
-    Ok(opts)
 }
 
 /// Parses one `--set axis=v1,v2` override into a typed binding.
@@ -491,50 +414,14 @@ fn check_instr_budget(instr: Option<u64>) -> Result<(), String> {
     }
 }
 
-fn cmd_repro(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st repro: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if let [unexpected, ..] = opts.positional.as_slice() {
-        eprintln!("st repro: unexpected argument `{unexpected}`\n{USAGE}");
-        return 2;
-    }
-    if !opts.sets.is_empty() {
-        eprintln!("st repro: --set only applies to `st run`\n{USAGE}");
-        return 2;
-    }
-    if opts.bench_json.is_some() {
-        eprintln!("st repro: --bench-json only applies to `st loadgen`\n{USAGE}");
-        return 2;
-    }
-    if opts.smoke
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!(
-            "st repro: --smoke/--x/--y/--shard/--store and the service/fleet/audit flags apply \
-             elsewhere\n{USAGE}"
-        );
-        return 2;
-    }
-    if let Err(e) = check_instr_budget(opts.instr) {
-        eprintln!("st repro: {e}\n{USAGE}");
-        return 2;
-    }
-    let engine = opts.engine();
+fn cmd_repro(args: &Args) -> Result<i32, String> {
+    args.no_positional()?;
+    let instr = args.int("--instr")?;
+    check_instr_budget(instr)?;
+    let engine = args.engine()?;
     let mut ctx = FigureCtx::from_env(&engine);
-    ctx.out_dir = opts.out_dir();
-    if let Some(n) = opts.instr {
+    ctx.out_dir = args.out_dir();
+    if let Some(n) = instr {
         ctx.instructions = n;
     }
     println!(
@@ -569,7 +456,7 @@ fn cmd_repro(args: &[String]) -> i32 {
         stats.cache.misses,
         100.0 * stats.cache.hit_rate()
     );
-    0
+    Ok(0)
 }
 
 fn unix_now() -> u64 {
@@ -579,50 +466,15 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-fn cmd_bench(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st bench: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if let [unexpected, ..] = opts.positional.as_slice() {
-        eprintln!("st bench: unexpected argument `{unexpected}`\n{USAGE}");
-        return 2;
+fn cmd_bench(args: &Args) -> Result<i32, String> {
+    args.no_positional()?;
+    if args.mode == "bench --store" {
+        return Ok(cmd_bench_store(args.has("--smoke")));
     }
-    if opts.bench_json.is_some() {
-        eprintln!("st bench: --bench-json only applies to `st loadgen`\n{USAGE}");
-        return 2;
-    }
-    if !opts.sets.is_empty()
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.threads != 0
-        || opts.out.is_some()
-        || opts.no_cache
-        || opts.shard.is_some()
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!("st bench: only --smoke, --instr and --store apply\n{USAGE}");
-        return 2;
-    }
-    if opts.store {
-        if opts.instr.is_some() {
-            eprintln!("st bench: --instr does not apply to `st bench --store`\n{USAGE}");
-            return 2;
-        }
-        return cmd_bench_store(opts.smoke);
-    }
-    if let Err(e) = check_instr_budget(opts.instr) {
-        eprintln!("st bench: {e}\n{USAGE}");
-        return 2;
-    }
-    let mut config = if opts.smoke { BenchConfig::smoke() } else { BenchConfig::full() };
-    if let Some(n) = opts.instr {
+    let instr = args.int("--instr")?;
+    check_instr_budget(instr)?;
+    let mut config = if args.has("--smoke") { BenchConfig::smoke() } else { BenchConfig::full() };
+    if let Some(n) = instr {
         config = config.with_measure(n);
     }
     println!(
@@ -636,7 +488,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         Ok(r) => r,
         Err(e) => {
             eprintln!("st bench: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let mut table = st_report::Table::new(vec![
@@ -667,10 +519,10 @@ fn cmd_bench(args: &[String]) -> i32 {
     );
     if let Some(err) = &result.determinism_error {
         eprintln!("st bench: DETERMINISM FAILURE: {err}");
-        return 1;
+        return Ok(1);
     }
     println!("st bench: determinism probe passed (fresh rerun + cache round-trip bit-identical)");
-    0
+    Ok(0)
 }
 
 /// `st bench --store`: times the segment-log result store itself — bulk
@@ -706,47 +558,19 @@ fn cmd_bench_store(smoke: bool) -> i32 {
     0
 }
 
-fn cmd_plot(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st plot: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if !opts.sets.is_empty()
-        || opts.threads != 0
-        || opts.instr.is_some()
-        || opts.out.is_some()
-        || opts.no_cache
-        || opts.smoke
-        || opts.bench_json.is_some()
-        || opts.shard.is_some()
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!("st plot: only --x and --y apply\n{USAGE}");
-        return 2;
-    }
-    let [path] = opts.positional.as_slice() else {
-        eprintln!("st plot: expected exactly one JSONL file\n{USAGE}");
-        return 2;
-    };
-    let (Some(x), Some(y)) = (&opts.x, &opts.y) else {
-        eprintln!("st plot: --x and --y are required (e.g. --x axis.ruu_size --y ipc)\n{USAGE}");
-        return 2;
+fn cmd_plot(args: &Args) -> Result<i32, String> {
+    let path = args.one_positional("JSONL file")?;
+    let (Some(x), Some(y)) = (args.value("--x"), args.value("--y")) else {
+        return Err("--x and --y are required (e.g. --x axis.ruu_size --y ipc)".to_string());
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("st plot: cannot read {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
-    match st_sweep::plot::render(&text, x, y) {
+    Ok(match st_sweep::plot::render(&text, x, y) {
         Ok(charts) => {
             print!("{charts}");
             0
@@ -755,7 +579,7 @@ fn cmd_plot(args: &[String]) -> i32 {
             eprintln!("st plot: {e}");
             1
         }
-    }
+    })
 }
 
 /// `st audit`: the deterministic findings engine. Accepts either a
@@ -763,67 +587,32 @@ fn cmd_plot(args: &[String]) -> i32 {
 /// grid cache-first — identical to `st run` — and adds the grid
 /// cross-checks). Findings go to stdout; diagnostics and the summary go
 /// to stderr; the exit code is the CI gate (0 clean, 4 findings remain).
-fn cmd_audit(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st audit: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if !opts.sets.is_empty()
-        || opts.instr.is_some()
-        || opts.smoke
-        || opts.bench_json.is_some()
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-    {
-        eprintln!(
-            "st audit: only --threads, --out, --no-cache, --min-confidence, --format and \
-             --allow apply\n{USAGE}"
-        );
-        return 2;
-    }
-    let [path] = opts.positional.as_slice() else {
-        eprintln!("st audit: expected exactly one sweep JSONL or spec file\n{USAGE}");
-        return 2;
-    };
-    let min_confidence = match opts.min_confidence.as_deref().map(audit::Confidence::parse) {
+fn cmd_audit(args: &Args) -> Result<i32, String> {
+    let path = args.one_positional("sweep JSONL or spec file")?;
+    let min_confidence = match args.value("--min-confidence").map(audit::Confidence::parse) {
         None => audit::Confidence::Low,
-        Some(Ok(c)) => c,
-        Some(Err(e)) => {
-            eprintln!("st audit: --min-confidence: {e}\n{USAGE}");
-            return 2;
-        }
+        Some(parsed) => parsed.map_err(|e| format!("--min-confidence: {e}"))?,
     };
-    let jsonl_format = match opts.format.as_deref() {
+    let jsonl_format = match args.value("--format") {
         None | Some("table") => false,
         Some("jsonl") => true,
-        Some(other) => {
-            eprintln!("st audit: --format expects `table` or `jsonl`, got `{other}`\n{USAGE}");
-            return 2;
-        }
+        Some(other) => return Err(format!("--format expects `table` or `jsonl`, got `{other}`")),
     };
-    let allow = match &opts.allow {
+    let allow = match args.value("--allow") {
         None => audit::Allowlist::default(),
         Some(allow_path) => {
             let text = match std::fs::read_to_string(allow_path) {
                 Ok(t) => t,
                 Err(e) => {
-                    eprintln!("st audit: cannot read {}: {e}", allow_path.display());
-                    return 1;
+                    eprintln!("st audit: cannot read {allow_path}: {e}");
+                    return Ok(1);
                 }
             };
             match audit::Allowlist::parse(&text) {
                 Ok(a) => a,
                 Err(e) => {
-                    eprintln!("st audit: {}: {e}", allow_path.display());
-                    return 1;
+                    eprintln!("st audit: {allow_path}: {e}");
+                    return Ok(1);
                 }
             }
         }
@@ -832,7 +621,7 @@ fn cmd_audit(args: &[String]) -> i32 {
         Ok(t) => t,
         Err(e) => {
             eprintln!("st audit: cannot read {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
 
@@ -842,7 +631,7 @@ fn cmd_audit(args: &[String]) -> i32 {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("st audit: {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         let findings = audit::audit(&records);
@@ -854,18 +643,18 @@ fn cmd_audit(args: &[String]) -> i32 {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("st audit: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         let points = match spec.points() {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("st audit: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
-        let engine = opts.engine();
+        let engine = args.engine()?;
         eprintln!(
             "st audit: sweep `{}`, {} points, {} worker threads",
             spec.name,
@@ -878,7 +667,7 @@ fn cmd_audit(args: &[String]) -> i32 {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("st audit: internal: emitted sweep does not parse: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         let findings = audit::audit_with_grid(&records, &points);
@@ -901,96 +690,53 @@ fn cmd_audit(args: &[String]) -> i32 {
         outcome.suppressed,
         outcome.below_threshold,
     );
-    if outcome.kept.is_empty() {
-        0
-    } else {
-        4
-    }
+    Ok(if outcome.kept.is_empty() { 0 } else { 4 })
 }
 
-/// Loads the spec file named by the single positional argument and
-/// applies the `--instr` and `--set` overrides. Errors are printed; the
-/// returned code is the process exit code.
-fn load_spec(cmd: &str, opts: &CommonOpts) -> Result<SweepSpec, i32> {
-    let [path] = opts.positional.as_slice() else {
-        eprintln!("st {cmd}: expected exactly one spec file\n{USAGE}");
-        return Err(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("st {cmd}: cannot read {path}: {e}");
-            return Err(1);
-        }
-    };
-    let fail = |e: &dyn std::fmt::Display| {
-        eprintln!("st {cmd}: {e}");
-        Err(1)
-    };
-    let mut spec = match SweepSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    if let Some(n) = opts.instr {
-        if let Err(e) = spec.set_axis("instructions", vec![AxisValue::Int(n)]) {
-            return fail(&e);
-        }
+/// Loads the spec file at `path` and applies the `--instr` and `--set`
+/// overrides. The error is the diagnostic to print.
+fn load_spec<'a>(
+    path: &str,
+    instr: Option<u64>,
+    sets: impl Iterator<Item = &'a str>,
+) -> Result<SweepSpec, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut spec = SweepSpec::parse(&text).map_err(|e| e.to_string())?;
+    if let Some(n) = instr {
+        spec.set_axis("instructions", vec![AxisValue::Int(n)]).map_err(|e| e.to_string())?;
     }
-    for set in &opts.sets {
-        let (name, values) = match parse_set(set) {
-            Ok(parsed) => parsed,
-            Err(e) => return fail(&e),
-        };
-        if let Err(e) = spec.set_axis(&name, values) {
-            return fail(&e);
-        }
+    for set in sets {
+        let (name, values) = parse_set(set)?;
+        spec.set_axis(&name, values).map_err(|e| e.to_string())?;
     }
     Ok(spec)
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st run: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if opts.bench_json.is_some() {
-        eprintln!("st run: --bench-json only applies to `st loadgen`\n{USAGE}");
-        return 2;
-    }
-    if opts.smoke
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!(
-            "st run: --smoke/--x/--y/--store and the service/fleet/audit flags apply to `st \
-             bench`/`st plot`/`st serve`/`st cache`/`st loadgen`/`st audit`\n{USAGE}"
-        );
-        return 2;
-    }
-    let spec = match load_spec("run", &opts) {
+fn cmd_run(args: &Args) -> Result<i32, String> {
+    let path = args.one_positional("spec file")?;
+    let one_shard = args
+        .values("--shard")
+        .try_fold(None, |_, v| shard::parse_shard_arg(v).map(Some))
+        .map_err(|e| e.0)?;
+    let spec = match load_spec(path, args.int("--instr")?, args.values("--set")) {
         Ok(s) => s,
-        Err(code) => return code,
+        Err(e) => {
+            eprintln!("st run: {e}");
+            return Ok(1);
+        }
     };
     let points = match spec.points() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("st run: {e}");
-            return 1;
+            return Ok(1);
         }
     };
-    if let Some((index, of)) = opts.shard {
-        return run_one_shard(&opts, &spec, &points, index, of);
+    if let Some((index, of)) = one_shard {
+        return run_one_shard(args, &spec, &points, index, of);
     }
     let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
-    let engine = opts.engine();
+    let engine = args.engine()?;
     let bound: Vec<String> = points
         .first()
         .map(|p| p.bindings.iter().map(|(n, _)| (*n).to_string()).collect())
@@ -1022,7 +768,7 @@ fn cmd_run(args: &[String]) -> i32 {
     // Emit raw results, tagged with each point's axis bindings; the JSONL
     // document (reports + baseline comparisons) comes from the shared
     // builder the golden tests fingerprint.
-    let out_dir = opts.out_dir();
+    let out_dir = args.out_dir();
     let pairing = st_sweep::emit::baseline_pairing(&points);
     let jsonl = sweep_jsonl_with_pairing(&points, &reports, &pairing);
     let table = sweep_table(&spec.name, &points, &reports);
@@ -1056,34 +802,34 @@ fn cmd_run(args: &[String]) -> i32 {
     let csv_path = out_dir.join(format!("{}.csv", spec.name));
     if let Err(e) = write_text(&jsonl_path, &jsonl) {
         eprintln!("st run: could not write {}: {e}", jsonl_path.display());
-        return 1;
+        return Ok(1);
     }
     if let Err(e) = st_report::write_csv(&table, &csv_path) {
         eprintln!("st run: could not write {}: {e}", csv_path.display());
-        return 1;
+        return Ok(1);
     }
     println!("  [jsonl] {}", jsonl_path.display());
     println!("  [csv]   {}", csv_path.display());
-    0
+    Ok(0)
 }
 
 /// `st run --shard I/N`: execute one shard of the grid on the engine's
 /// worker pool and write the shard document for a later `st merge`.
 fn run_one_shard(
-    opts: &CommonOpts,
+    args: &Args,
     spec: &SweepSpec,
     points: &[st_sweep::SweepPoint],
     index: usize,
     of: usize,
-) -> i32 {
+) -> Result<i32, String> {
     let plan = match shard::ShardPlan::for_points(points, of) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("st run: {e}");
-            return 1;
+            return Ok(1);
         }
     };
-    let engine = opts.engine();
+    let engine = args.engine()?;
     println!(
         "st run: shard {index}/{of} of sweep `{}`: {} of {} points in range, {} worker threads",
         spec.name,
@@ -1101,52 +847,26 @@ fn run_one_shard(
         stats.loaded,
         stats.aliased,
     );
-    let path = shard::shard_path(&opts.out_dir(), &spec.name, index);
+    let path = shard::shard_path(&args.out_dir(), &spec.name, index);
     if let Err(e) = write_text(&path, &document) {
         eprintln!("st run: could not write {}: {e}", path.display());
-        return 1;
+        return Ok(1);
     }
     println!("  [shard] {}", path.display());
-    0
+    Ok(0)
 }
 
-fn cmd_merge(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st merge: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if opts.threads != 0
-        || opts.instr.is_some()
-        || !opts.sets.is_empty()
-        || opts.no_cache
-        || opts.bench_json.is_some()
-        || opts.smoke
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.addr.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!("st merge: only --out applies to `st merge`\n{USAGE}");
-        return 2;
+fn cmd_merge(args: &Args) -> Result<i32, String> {
+    if args.positional.is_empty() {
+        return Err("expected at least one shard file".to_string());
     }
-    if opts.positional.is_empty() {
-        eprintln!("st merge: expected at least one shard file\n{USAGE}");
-        return 2;
-    }
-    let mut documents = Vec::with_capacity(opts.positional.len());
-    for path in &opts.positional {
+    let mut documents = Vec::with_capacity(args.positional.len());
+    for path in &args.positional {
         match std::fs::read_to_string(path) {
             Ok(text) => documents.push(text),
             Err(e) => {
                 eprintln!("st merge: cannot read {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         }
     }
@@ -1154,7 +874,7 @@ fn cmd_merge(args: &[String]) -> i32 {
         Ok(m) => m,
         Err(e) => {
             eprintln!("st merge: {e}");
-            return 1;
+            return Ok(1);
         }
     };
 
@@ -1166,7 +886,7 @@ fn cmd_merge(args: &[String]) -> i32 {
         "duplicates".to_string(),
     ])
     .with_title(format!("merge `{}` diagnostics", merged.spec.name));
-    for (c, path) in merged.contributions.iter().zip(&opts.positional) {
+    for (c, path) in merged.contributions.iter().zip(&args.positional) {
         diag.row(vec![
             c.shard.to_string(),
             path.clone(),
@@ -1180,135 +900,57 @@ fn cmd_merge(args: &[String]) -> i32 {
         merged.stats.points, merged.stats.shards, merged.stats.records, merged.stats.duplicates,
     );
 
-    let out_dir = opts.out_dir();
+    let out_dir = args.out_dir();
     let jsonl_path = out_dir.join(format!("{}.jsonl", merged.spec.name));
     let csv_path = out_dir.join(format!("{}.csv", merged.spec.name));
     if let Err(e) = write_text(&jsonl_path, &merged.jsonl) {
         eprintln!("st merge: could not write {}: {e}", jsonl_path.display());
-        return 1;
+        return Ok(1);
     }
     let table = sweep_table(&merged.spec.name, &merged.points, &merged.reports);
     if let Err(e) = st_report::write_csv(&table, &csv_path) {
         eprintln!("st merge: could not write {}: {e}", csv_path.display());
-        return 1;
+        return Ok(1);
     }
     println!("  [jsonl] {}", jsonl_path.display());
     println!("  [csv]   {}", csv_path.display());
-    0
+    Ok(0)
 }
 
-/// Rejects every flag the service subcommands don't take; they share
-/// one narrow surface (`--addr`, plus `--out`/`--threads`/`--no-cache`/
-/// `--max-bytes` and the fleet flags for `serve` itself, plus
-/// `--priority` for `submit`).
-fn reject_non_service_flags(
-    cmd: &str,
-    opts: &CommonOpts,
-    allow_engine_flags: bool,
-    allow_priority: bool,
-) -> bool {
-    let engine_flags_misused = !allow_engine_flags
-        && (opts.out.is_some()
-            || opts.threads != 0
-            || opts.no_cache
-            || opts.max_bytes.is_some()
-            || opts.fleet_flags());
-    let priority_misused = !allow_priority && opts.priority.is_some();
-    if !opts.sets.is_empty()
-        || opts.instr.is_some()
-        || opts.bench_json.is_some()
-        || opts.smoke
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.store
-        || opts.clients.is_some()
-        || opts.submissions.is_some()
-        || opts.audit_flags()
-        || engine_flags_misused
-        || priority_misused
-    {
-        let allowed = if allow_engine_flags {
-            "--addr, --out, --threads, --no-cache, --max-bytes, --fleet, --max-inflight and \
-             --worker-timeout"
-        } else if allow_priority {
-            "--addr and --priority"
-        } else {
-            "--addr"
-        };
-        eprintln!("st {cmd}: only {allowed} apply\n{USAGE}");
-        return true;
+fn cmd_serve(args: &Args) -> Result<i32, String> {
+    // `stop` is the one word `serve` takes.
+    let stop = args.mode == "serve stop";
+    if let Some(unexpected) = args.positional.get(usize::from(stop)) {
+        return Err(format!("unexpected argument `{unexpected}` (try `st serve stop`)"));
     }
-    false
-}
-
-fn cmd_serve(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st serve: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if reject_non_service_flags("serve", &opts, true, false) {
-        return 2;
-    }
-    match opts.positional.as_slice() {
-        [] => {}
-        [action] if action == "stop" => {
-            // `stop` is a pure client action: the engine and fleet
-            // flags configure a server being started, not one being
-            // stopped.
-            if opts.out.is_some()
-                || opts.threads != 0
-                || opts.no_cache
-                || opts.max_bytes.is_some()
-                || opts.fleet_flags()
-            {
-                eprintln!("st serve stop: only --addr applies\n{USAGE}");
-                return 2;
+    if stop {
+        let addr = args.service_addr();
+        return Ok(match client::shutdown(&addr) {
+            Ok(_) => {
+                println!("st serve: service at {addr} is shutting down");
+                0
             }
-            let addr = opts.service_addr();
-            return match client::shutdown(&addr) {
-                Ok(_) => {
-                    println!("st serve: service at {addr} is shutting down");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("st serve: {e}");
-                    1
-                }
-            };
-        }
-        [unexpected, ..] => {
-            eprintln!(
-                "st serve: unexpected argument `{unexpected}` (try `st serve stop`)\n{USAGE}"
-            );
-            return 2;
-        }
+            Err(e) => {
+                eprintln!("st serve: {e}");
+                1
+            }
+        });
     }
-    if opts.fleet.is_some() {
-        return serve_fleet(&opts);
+    if args.mode == "serve --fleet" {
+        return serve_fleet(args);
     }
-    if opts.max_inflight.is_some() || opts.worker_timeout.is_some() {
-        eprintln!(
-            "st serve: --max-inflight/--worker-timeout require --fleet (a plain server's \
-             backpressure is its simulation worker pool)\n{USAGE}"
-        );
-        return 2;
-    }
-    let addr = opts.service_addr();
+    let addr = args.service_addr();
     let config = ServiceConfig {
-        out: opts.out_dir(),
-        threads: opts.threads,
-        no_cache: opts.no_cache,
-        max_store_bytes: opts.max_bytes,
+        out: args.out_dir(),
+        threads: args.int("--threads")?.unwrap_or(0),
+        no_cache: args.has("--no-cache"),
+        max_store_bytes: args.int("--max-bytes")?,
     };
     let server = match service::Server::bind(&addr, &config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("st serve: cannot bind {addr}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     service::install_sigint_handler();
@@ -1333,31 +975,21 @@ fn cmd_serve(args: &[String]) -> i32 {
     let _ = std::io::stdout().flush();
     if let Err(e) = server.run() {
         eprintln!("st serve: server failed: {e}");
-        return 1;
+        return Ok(1);
     }
     let stats = server.service().engine().stats();
     println!(
         "st serve: shut down gracefully ({} points simulated this run, {} aliased, {} cache entries warm)",
         stats.simulated, stats.aliased, stats.cache.entries
     );
-    0
+    Ok(0)
 }
 
 /// `st serve --fleet`: run the coordinator tier — partition, dispatch,
 /// merge — instead of a local simulation service.
-fn serve_fleet(opts: &CommonOpts) -> i32 {
-    // The coordinator never simulates, so the engine flags have nothing
-    // to configure; they belong on the workers.
-    if opts.out.is_some() || opts.threads != 0 || opts.no_cache || opts.max_bytes.is_some() {
-        eprintln!(
-            "st serve --fleet: --out/--threads/--no-cache/--max-bytes configure a simulating \
-             server; set them on the workers instead\n{USAGE}"
-        );
-        return 2;
-    }
-    let workers: Vec<String> = opts
-        .fleet
-        .as_deref()
+fn serve_fleet(args: &Args) -> Result<i32, String> {
+    let workers: Vec<String> = args
+        .value("--fleet")
         .unwrap_or_default()
         .split(',')
         .map(str::trim)
@@ -1365,29 +997,25 @@ fn serve_fleet(opts: &CommonOpts) -> i32 {
         .map(str::to_string)
         .collect();
     if workers.is_empty() {
-        eprintln!(
-            "st serve --fleet: expected a comma-separated worker list (w1:port,w2:port)\n{USAGE}"
-        );
-        return 2;
+        return Err("expected a comma-separated worker list (w1:port,w2:port)".to_string());
     }
     let defaults = FleetConfig::default();
     let config = FleetConfig {
         workers,
-        max_inflight: opts.max_inflight.unwrap_or(defaults.max_inflight),
-        worker_timeout: opts.worker_timeout.map_or(defaults.worker_timeout, Duration::from_secs),
+        max_inflight: args.int("--max-inflight")?.unwrap_or(defaults.max_inflight),
+        worker_timeout: args
+            .int("--worker-timeout")?
+            .map_or(defaults.worker_timeout, Duration::from_secs),
     };
     if config.max_inflight == 0 {
-        eprintln!(
-            "st serve --fleet: --max-inflight must be at least 1 (0 admits nothing)\n{USAGE}"
-        );
-        return 2;
+        return Err("--max-inflight must be at least 1 (0 admits nothing)".to_string());
     }
-    let addr = opts.service_addr();
+    let addr = args.service_addr();
     let server = match FleetServer::bind(&addr, &config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("st serve: cannot bind {addr}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     service::install_sigint_handler();
@@ -1407,51 +1035,29 @@ fn serve_fleet(opts: &CommonOpts) -> i32 {
     let _ = std::io::stdout().flush();
     if let Err(e) = server.run() {
         eprintln!("st serve: coordinator failed: {e}");
-        return 1;
+        return Ok(1);
     }
     println!("st serve: fleet shut down gracefully: {}", server.fleet().status_json());
-    0
+    Ok(0)
 }
 
 /// `st loadgen`: measured concurrent load against a running service or
 /// fleet, recorded into a `BENCH_service.json`-format file when given
 /// `--bench-json`.
-fn cmd_loadgen(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st loadgen: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if !opts.sets.is_empty()
-        || opts.instr.is_some()
-        || opts.threads != 0
-        || opts.out.is_some()
-        || opts.no_cache
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.max_bytes.is_some()
-        || opts.store
-        || opts.fleet_flags()
-        || opts.audit_flags()
-    {
-        eprintln!(
-            "st loadgen: only --addr, --clients, --submissions, --priority, --smoke and \
-             --bench-json apply\n{USAGE}"
-        );
-        return 2;
-    }
-    let [path] = opts.positional.as_slice() else {
-        eprintln!("st loadgen: expected exactly one spec file\n{USAGE}");
-        return 2;
+fn cmd_loadgen(args: &Args) -> Result<i32, String> {
+    let path = args.one_positional("spec file")?;
+    let smoke = args.has("--smoke");
+    let config = LoadgenConfig {
+        addr: args.service_addr(),
+        clients: args.int("--clients")?.unwrap_or(if smoke { 2 } else { 8 }),
+        submissions: args.int("--submissions")?.unwrap_or(if smoke { 4 } else { 32 }),
+        priority: args.int("--priority")?,
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("st loadgen: cannot read {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     // Parse locally first, like `st submit`: a bad spec fails fast
@@ -1460,14 +1066,8 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("st loadgen: {e}");
-            return 1;
+            return Ok(1);
         }
-    };
-    let config = LoadgenConfig {
-        addr: opts.service_addr(),
-        clients: opts.clients.unwrap_or(if opts.smoke { 2 } else { 8 }),
-        submissions: opts.submissions.unwrap_or(if opts.smoke { 4 } else { 32 }),
-        priority: opts.priority,
     };
     println!(
         "st loadgen: sweep `{}`: {} submissions over {} clients against {}{}",
@@ -1484,7 +1084,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         Ok(r) => r,
         Err(e) => {
             eprintln!("st loadgen: {e}");
-            return 2;
+            return Ok(2);
         }
     };
     println!(
@@ -1501,40 +1101,28 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         result.percentile_ms(0.90),
         result.percentile_ms(0.99)
     );
-    if let Some(path) = &opts.bench_json {
-        if let Err(e) = loadgen::update_service(path, &result.to_section(unix_now())) {
-            eprintln!("st loadgen: could not write {}: {e}", path.display());
-            return 1;
+    if let Some(path) = args.value("--bench-json") {
+        if let Err(e) = loadgen::update_service(Path::new(path), &result.to_section(unix_now())) {
+            eprintln!("st loadgen: could not write {path}: {e}");
+            return Ok(1);
         }
-        println!("  [perf] {}", path.display());
+        println!("  [perf] {path}");
     }
     if result.submissions == 0 {
         eprintln!("st loadgen: every submission failed");
-        return 1;
+        return Ok(1);
     }
-    0
+    Ok(0)
 }
 
-fn cmd_submit(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st submit: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if reject_non_service_flags("submit", &opts, false, true) {
-        return 2;
-    }
-    let [path] = opts.positional.as_slice() else {
-        eprintln!("st submit: expected exactly one spec file\n{USAGE}");
-        return 2;
-    };
+fn cmd_submit(args: &Args) -> Result<i32, String> {
+    let path = args.one_positional("spec file")?;
+    let priority = args.int("--priority")?;
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("st submit: cannot read {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     // Parse locally first: a bad spec fails fast with the usual
@@ -1544,14 +1132,14 @@ fn cmd_submit(args: &[String]) -> i32 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("st submit: {e}");
-            return 1;
+            return Ok(1);
         }
     };
-    let addr = opts.service_addr();
+    let addr = args.service_addr();
     // Records go to stdout (pipe to a file for the canonical JSONL);
     // everything human-facing goes to stderr.
     let mut stdout = std::io::stdout().lock();
-    match client::submit_with_priority(&addr, &text, opts.priority, &mut stdout) {
+    Ok(match client::submit_with_priority(&addr, &text, priority, &mut stdout) {
         Ok(bytes) => {
             eprintln!(
                 "st submit: sweep `{}` streamed from {addr} ({bytes} bytes of JSONL)",
@@ -1563,25 +1151,12 @@ fn cmd_submit(args: &[String]) -> i32 {
             eprintln!("st submit: {e}");
             1
         }
-    }
+    })
 }
 
-fn cmd_status(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st status: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    if reject_non_service_flags("status", &opts, false, false) {
-        return 2;
-    }
-    if let [unexpected, ..] = opts.positional.as_slice() {
-        eprintln!("st status: unexpected argument `{unexpected}`\n{USAGE}");
-        return 2;
-    }
-    match client::status(&opts.service_addr()) {
+fn cmd_status(args: &Args) -> Result<i32, String> {
+    args.no_positional()?;
+    Ok(match client::status(&args.service_addr()) {
         Ok(body) => {
             println!("{body}");
             0
@@ -1590,44 +1165,12 @@ fn cmd_status(args: &[String]) -> i32 {
             eprintln!("st status: {e}");
             1
         }
-    }
+    })
 }
 
-fn cmd_cache(args: &[String]) -> i32 {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("st cache: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    // Everything except --out (and --max-bytes for `evict`) is
-    // meaningless here; reject it rather than silently accepting flags
-    // that do nothing.
-    if opts.threads != 0
-        || opts.instr.is_some()
-        || !opts.sets.is_empty()
-        || opts.no_cache
-        || opts.bench_json.is_some()
-        || opts.smoke
-        || opts.x.is_some()
-        || opts.y.is_some()
-        || opts.shard.is_some()
-        || opts.addr.is_some()
-        || opts.store
-        || opts.service_tier_flags()
-        || opts.audit_flags()
-    {
-        eprintln!("st cache: only --out (and --max-bytes for `evict`) apply\n{USAGE}");
-        return 2;
-    }
-    let action = opts.positional.first().map(String::as_str);
-    if opts.max_bytes.is_some() && action != Some("evict") {
-        eprintln!("st cache: --max-bytes only applies to `st cache evict`\n{USAGE}");
-        return 2;
-    }
-    let store_dir = LogStore::dir_under(&opts.out_dir());
-    match action {
+fn cmd_cache(args: &Args) -> Result<i32, String> {
+    let store_dir = LogStore::dir_under(&args.out_dir());
+    Ok(match args.positional.first().map(String::as_str) {
         None | Some("show") => {
             // One sequential pass: entries for the breakdown, counters
             // for the header.
@@ -1651,10 +1194,7 @@ fn cmd_cache(args: &[String]) -> i32 {
                     by_experiment.iter().map(|(e, n)| format!("{e} {n}")).collect();
                 println!("  by experiment: {}", parts.join(", "));
             }
-            println!(
-                "  (per-run hit rates are printed by `st run` / `st repro` and recorded by \
-                 `st repro --bench-json`)"
-            );
+            println!("  (per-run hit rates are printed by `st run` / `st repro`)");
             0
         }
         Some("stats") => {
@@ -1688,10 +1228,7 @@ fn cmd_cache(args: &[String]) -> i32 {
             }
         },
         Some("evict") => {
-            let Some(max) = opts.max_bytes else {
-                eprintln!("st cache evict: --max-bytes N is required\n{USAGE}");
-                return 2;
-            };
+            let max = args.int("--max-bytes")?.ok_or("--max-bytes N is required")?;
             match LogStore::open(&store_dir).evict_to_budget(max) {
                 Ok(ev) => {
                     println!(
@@ -1714,7 +1251,7 @@ fn cmd_cache(args: &[String]) -> i32 {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => {
                     eprintln!("st cache: could not clear {}: {e}", store_dir.display());
-                    return 1;
+                    return Ok(1);
                 }
             }
             println!("result store at {}: removed {removed} entries", store_dir.display());
@@ -1727,7 +1264,7 @@ fn cmd_cache(args: &[String]) -> i32 {
             );
             2
         }
-    }
+    })
 }
 
 /// `st calibrate`: probe the generative workload families across a seed
@@ -1736,39 +1273,16 @@ fn cmd_cache(args: &[String]) -> i32 {
 /// member falls outside its family tolerance — the CI gate for the
 /// generative suite — and writes the table as CSV for the workflow
 /// artifact when `--csv` is given.
-fn cmd_calibrate(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let mut seeds: u64 = 8;
-    let mut family_filter: Option<String> = None;
-    let mut csv: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--seeds" => {
-                    seeds = value_for("--seeds")?
-                        .replace('_', "")
-                        .parse()
-                        .map_err(|_| "--seeds expects an integer".to_string())?;
-                    if seeds == 0 {
-                        return Err("--seeds must be at least 1".to_string());
-                    }
-                }
-                "--family" => family_filter = Some(value_for("--family")?),
-                "--csv" => csv = Some(PathBuf::from(value_for("--csv")?)),
-                other => return Err(format!("unexpected argument `{other}`")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = parsed {
-            eprintln!("st calibrate: {e}\n{USAGE}");
-            return Ok(2);
-        }
+fn cmd_calibrate(args: &Args) -> Result<i32, String> {
+    args.no_positional()?;
+    let seeds: u64 = args.int("--seeds")?.unwrap_or(8);
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".to_string());
     }
+    let family_filter = args.value("--family");
     let families: Vec<&st_workloads::Family> = st_workloads::families()
         .iter()
-        .filter(|f| family_filter.as_deref().is_none_or(|want| want == f.name))
+        .filter(|f| family_filter.is_none_or(|want| want == f.name))
         .collect();
     if families.is_empty() {
         let known: Vec<&str> = st_workloads::families().iter().map(|f| f.name).collect();
@@ -1782,15 +1296,26 @@ fn cmd_calibrate(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     // Bound the member list before building it, as a spec's grid is.
     let count = families.len() as u128 * u128::from(seeds);
     if count > axes::MAX_GRID_POINTS as u128 {
-        eprintln!(
-            "st calibrate: --seeds {seeds} over {} famil{} is {count} members (limit {})\n{USAGE}",
+        return Err(format!(
+            "--seeds {seeds} over {} famil{} is {count} members (limit {})",
             families.len(),
             if families.len() == 1 { "y" } else { "ies" },
             axes::MAX_GRID_POINTS
-        );
-        return Ok(2);
+        ));
     }
+    let csv = args.value("--csv").map(Path::new);
+    Ok(to_stdout(|out| write_calibration(&families, seeds, csv, out)))
+}
 
+/// Prints the calibration table of `seeds` members of each family, and
+/// writes it to `csv` when given; 4 when a member misses its family's
+/// tolerance.
+fn write_calibration(
+    families: &[&'static st_workloads::Family],
+    seeds: u64,
+    csv: Option<&Path>,
+    out: &mut dyn Write,
+) -> io::Result<i32> {
     writeln!(
         out,
         "st calibrate: {} famil{} x {seeds} seeds (gshare miss-rate targets)",
@@ -1808,7 +1333,7 @@ fn cmd_calibrate(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     let members: Vec<_> =
         families.iter().flat_map(|&family| (0..seeds).map(move |seed| (family, seed))).collect();
     st_workloads::generate::resolve_members(&members);
-    for &family in &families {
+    for &family in families {
         let mut worst = 0.0f64;
         for seed in 0..seeds {
             let (_, cal) = st_workloads::generate::resolve_member(family, seed);
@@ -1848,7 +1373,7 @@ fn cmd_calibrate(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
         )?;
     }
     if let Some(path) = csv {
-        if let Err(e) = std::fs::write(&path, csv_text) {
+        if let Err(e) = std::fs::write(path, csv_text) {
             eprintln!("st calibrate: writing {}: {e}", path.display());
             return Ok(1);
         }
@@ -1936,4 +1461,185 @@ fn cmd_list(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
         return Ok(2);
     }
     Ok(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::{Args, Takes, FLAGS, SUBCOMMANDS, USAGE};
+
+    /// Every mode: the subcommands that read flags, and the four that a
+    /// positional word or a flag picks.
+    const MODES: [&str; 16] = [
+        "repro",
+        "run",
+        "merge",
+        "serve",
+        "serve stop",
+        "serve --fleet",
+        "submit",
+        "status",
+        "loadgen",
+        "bench",
+        "bench --store",
+        "plot",
+        "audit",
+        "calibrate",
+        "cache",
+        "cache evict",
+    ];
+
+    /// Parses `st <mode> <given>...`, giving every flag that takes a
+    /// value the value `0`: a flag given as `0` is still given.
+    fn parse(mode: &str, given: &[&str]) -> Result<Args, String> {
+        let mut words = mode.split(' ');
+        let first = words.next().expect("a mode starts with its subcommand");
+        let (sub, _) = SUBCOMMANDS.iter().find(|(sub, _)| *sub == first).expect("a subcommand");
+        let mut argv = Vec::new();
+        for word in words.chain(given.iter().copied()) {
+            argv.push(word.to_string());
+            if FLAGS.iter().any(|f| f.name == word && f.takes != Takes::Nothing) {
+                argv.push("0".to_string());
+            }
+        }
+        Args::parse(sub, &argv)
+    }
+
+    #[test]
+    fn each_mode_takes_its_flags_and_refuses_every_other_in_one_message() {
+        for mode in MODES {
+            let takes: Vec<&str> =
+                FLAGS.iter().filter(|f| f.modes.contains(&mode)).map(|f| f.name).collect();
+            assert!(!takes.is_empty(), "{mode} takes no flag");
+            let args = parse(mode, &takes).unwrap_or_else(|e| panic!("{mode} {takes:?}: {e}"));
+            assert_eq!(args.mode, mode);
+            for flag in FLAGS.iter().filter(|f| !f.modes.contains(&mode)) {
+                match parse(mode, &[flag.name]) {
+                    Ok(args) => assert!(
+                        matches!(
+                            (mode, flag.name, args.mode),
+                            ("serve", "--fleet", "serve --fleet")
+                                | ("bench", "--store", "bench --store")
+                        ),
+                        "st {mode} took {}",
+                        flag.name
+                    ),
+                    Err(e) => {
+                        assert!(e.starts_with(&format!("st {mode}: only ")), "{e}");
+                        assert!(e.contains(&format!(" apply ({} is for st ", flag.name)), "{e}");
+                        for owner in flag.modes {
+                            assert!(e.contains(&format!("st {owner}")), "{e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refusals_read_like_usage() {
+        let cases = [
+            (
+                "status",
+                "--threads",
+                "st status: only --addr apply (--threads is for st repro, st run, st serve and \
+                 st audit)",
+            ),
+            (
+                "plot",
+                "--out",
+                "st plot: only --x and --y apply (--out is for st repro, st run, \
+                 st merge, st serve, st audit, st cache and st cache evict)",
+            ),
+            (
+                "serve stop",
+                "--fleet",
+                "st serve stop: only --addr apply (--fleet is for st serve --fleet)",
+            ),
+            (
+                "repro",
+                "--bench-json",
+                "st repro: only --threads, --instr, --out and --no-cache apply (--bench-json is \
+                 for st loadgen)",
+            ),
+        ];
+        for (mode, flag, message) in cases {
+            assert_eq!(parse(mode, &[flag]).err().as_deref(), Some(message));
+        }
+    }
+
+    #[test]
+    fn the_table_lists_exactly_the_flags_usage_documents() {
+        let options = USAGE.split("OPTIONS:\n").nth(1).expect("USAGE has an OPTIONS section");
+        let documented: Vec<&str> = options
+            .lines()
+            .take_while(|line| !line.is_empty())
+            .filter(|line| line.starts_with("    --"))
+            .filter_map(|line| line.split_whitespace().next())
+            .collect();
+        let table: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(documented, table);
+        assert_eq!(table.len(), 25);
+        let mut modes: Vec<&str> = FLAGS.iter().flat_map(|f| f.modes.iter().copied()).collect();
+        modes.sort_unstable();
+        modes.dedup();
+        let mut expected = MODES.to_vec();
+        expected.sort_unstable();
+        assert_eq!(modes, expected);
+        assert!(SUBCOMMANDS.iter().all(|(sub, _)| MODES.contains(sub)));
+    }
+
+    #[test]
+    fn integers_take_underscores_and_nothing_else() {
+        let argv = |v: &str| ["--max-bytes".to_string(), v.to_string()];
+        let args = Args::parse("serve", &argv("64_000_000")).expect("underscores separate digits");
+        assert_eq!(args.int::<u64>("--max-bytes"), Ok(Some(64_000_000)));
+        for bad in ["", "x", "-1", "1.5", "1e3"] {
+            let e = Args::parse("serve", &argv(bad)).err().expect("refused");
+            assert!(e.starts_with("st serve: --max-bytes expects "), "{e}");
+        }
+        let priority = ["--priority".to_string(), "4294967296".to_string()];
+        let args = Args::parse("submit", &priority).expect("a u64");
+        assert!(args.int::<u32>("--priority").is_err(), "over u32::MAX");
+    }
+
+    /// Words a command line is drawn from besides the flags: mode
+    /// words, positionals, numbers and near-flags.
+    const WORDS: [&str; 12] =
+        ["stop", "evict", "show", "spec.toml", "-", "--", "-1", "0", "1_000", "0/2", "a=1,2", ""];
+
+    fn word() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..FLAGS.len()).prop_map(|i| FLAGS[i].name.to_string()),
+            (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            prop::collection::vec(any::<u8>(), 0..6)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn any_command_line_parses_or_is_refused_without_panicking(
+            sub in 0..SUBCOMMANDS.len(),
+            argv in prop::collection::vec(word(), 0..8),
+        ) {
+            let (sub, _) = SUBCOMMANDS[sub];
+            match Args::parse(sub, &argv) {
+                Ok(args) => {
+                    prop_assert!(args.mode.starts_with(sub), "{} for {}", args.mode, sub);
+                    for (flag, _) in &args.flags {
+                        prop_assert!(flag.modes.contains(&args.mode), "{} took {}", args.mode, flag.name);
+                        if flag.takes == Takes::Int {
+                            let _ = args.int::<u32>(flag.name);
+                        }
+                    }
+                }
+                Err(e) => prop_assert!(e.starts_with(&format!("st {sub}")), "{}", e),
+            }
+        }
+    }
 }

@@ -183,3 +183,83 @@ mod tests {
         assert_eq!(engine.stats().simulated, simulated, "no re-simulation");
     }
 }
+
+#[cfg(test)]
+mod parser_props {
+    //! The hand-rolled readers of outside input survive it: 256 cases
+    //! each of arbitrary text and of single-character mutations of real
+    //! inputs come back `Ok` or `Err`, never a panic.
+
+    use proptest::prelude::*;
+
+    use crate::audit::Allowlist;
+    use crate::json::Json;
+    use crate::SweepSpec;
+
+    const AXES_DEMO: &str = include_str!("../../../examples/axes-demo.toml");
+    const SIZE_JSON: &str = include_str!("../../../examples/sweeps/size.json");
+    const ALLOW: &str = include_str!("../../../audit.allow");
+    /// The first line `st run examples/sweeps/size.json --instr 2000`
+    /// writes to its JSONL.
+    const RECORD: &str = "{\"kind\":\"report\",\"workload\":\"compress\",\"experiment\":\"BASE\",\
+        \"label\":\"no throttling\",\"cycles\":1875,\"committed\":2000,\
+        \"ipc\":1.0666666666666667,\"fetched\":7275,\"wrong_path_fetched\":5067,\
+        \"branches_committed\":178,\"mispredicts_committed\":35,\
+        \"mispredict_rate\":0.19662921348314608,\"fetch_gated_cycles\":0,\
+        \"decode_gated_cycles\":0,\"selection_blocked\":0,\"energy_j\":0.00003224920642965194,\
+        \"avg_power_w\":20.63949211497724,\"energy_delay\":0.000000000050389385046331155,\
+        \"wasted_frac\":0.4532753211309223,\"conf_spec\":0.4,\"conf_pvn\":0.25,\
+        \"l1i_miss_rate\":0.009036144578313253,\"l1d_miss_rate\":0.4185022026431718,\
+        \"axis.predictor_kb\":4,\"axis.estimator_kb\":4,\"axis.instructions\":2000}";
+
+    /// Arbitrary text, or one of `seeds` with one character replaced,
+    /// deleted or inserted.
+    fn inputs(seeds: &'static [&'static str]) -> impl Strategy<Value = String> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..256)
+                .prop_map(|bytes| bytes.into_iter().map(char::from).collect()),
+            (0..seeds.len(), any::<usize>(), 0..3u8, any::<u8>()).prop_map(
+                move |(seed, at, edit, byte)| {
+                    let mut chars: Vec<char> = seeds[seed].chars().collect();
+                    let at = at % (chars.len() + 1);
+                    match edit {
+                        0 if at < chars.len() => chars[at] = char::from(byte),
+                        1 if at < chars.len() => {
+                            chars.remove(at);
+                        }
+                        _ => chars.insert(at, char::from(byte)),
+                    }
+                    chars.into_iter().collect()
+                }
+            ),
+        ]
+    }
+
+    #[test]
+    fn the_seeds_parse() {
+        assert!(SweepSpec::parse(AXES_DEMO).is_ok());
+        assert!(SweepSpec::parse(SIZE_JSON).is_ok());
+        assert!(Json::parse(SIZE_JSON).is_ok());
+        assert!(Json::parse(RECORD).is_ok());
+        assert!(Allowlist::parse(ALLOW).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn any_spec_text_parses_or_fails_without_panicking(text in inputs(&[AXES_DEMO, SIZE_JSON])) {
+            let _ = SweepSpec::parse(&text);
+        }
+
+        #[test]
+        fn any_json_text_parses_or_fails_without_panicking(text in inputs(&[SIZE_JSON, RECORD])) {
+            let _ = Json::parse(&text);
+        }
+
+        #[test]
+        fn any_allow_file_parses_or_fails_without_panicking(text in inputs(&[ALLOW])) {
+            let _ = Allowlist::parse(&text);
+        }
+    }
+}

@@ -107,11 +107,12 @@ fn fleet_and_loadgen_usage_errors_exit_two_with_diagnostics() {
         let out = cmd.output().expect("st binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr).to_string();
         assert_eq!(out.status.code(), Some(code), "`{cmd:?}`:\n{stderr}");
-        let first = stderr.lines().next().unwrap_or_default();
+        let first = stderr.lines().next().unwrap_or_default().to_string();
         assert!(
             first.starts_with(prefix),
             "`{cmd:?}` diagnostic should start with `{prefix}`, got:\n{stderr}"
         );
+        first
     };
 
     // An empty worker list never binds anything.
@@ -124,7 +125,8 @@ fn fleet_and_loadgen_usage_errors_exit_two_with_diagnostics() {
         "st serve --fleet: --max-inflight must be at least 1",
     );
     // Fleet knobs without --fleet have nothing to configure.
-    check(st().args(["serve", "--max-inflight", "4"]), 2, "st serve: --max-inflight");
+    let first = check(st().args(["serve", "--max-inflight", "4"]), 2, "st serve: only");
+    assert!(first.contains("(--max-inflight is for st serve --fleet)"), "{first}");
     check(st().args(["serve", "stop", "--fleet", "w:1"]), 2, "st serve stop: only --addr");
     // --priority is a service-tier flag: submit/loadgen only, and typed.
     check(st().args(["submit", spec, "--priority", "soon"]), 2, "st submit: --priority expects");

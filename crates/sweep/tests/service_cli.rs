@@ -138,5 +138,23 @@ fn user_errors_exit_nonzero_with_one_line_diagnostics() {
     assert_user_error(st().args(["serve", "--smoke"]), 2, "st serve: only");
     assert_user_error(st().args(["serve", "stop", "--threads", "4"]), 2, "st serve stop: only");
     assert_user_error(st().args(["status", "--out", "/tmp"]), 2, "st status: only --addr");
+    // A flag that is given counts as given, even as `--threads 0`.
+    let store = std::env::temp_dir().join(format!("st-threads-0-{}", std::process::id()));
+    assert_user_error(
+        st().args(["status", "--threads", "0", "--addr", dead]),
+        2,
+        "st status: only --addr",
+    );
+    assert_user_error(
+        st().args(["cache", "stats", "--threads", "0", "--out"]).arg(&store),
+        2,
+        "st cache: only --out",
+    );
+    assert!(!store.exists(), "a refused `st cache` opens no store");
+    assert_user_error(
+        st().args(["merge", "/nonexistent", "--threads", "0"]),
+        2,
+        "st merge: only --out",
+    );
     assert_user_error(st().args(["run", spec, "--addr", dead]), 2, "st run:");
 }
