@@ -70,33 +70,6 @@ pub fn report_fields(r: &SimReport) -> Vec<(&'static str, String)> {
     ]
 }
 
-/// One JSON-lines record for a simulation point (`"kind":"report"`).
-///
-/// `st run` writes report and comparison records into one JSONL stream;
-/// the leading `kind` field is the discriminator consumers switch on.
-#[must_use]
-pub fn report_jsonl(r: &SimReport) -> String {
-    let fields: Vec<String> =
-        report_fields(r).into_iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    format!("{{\"kind\":\"report\",{}}}", fields.join(","))
-}
-
-/// One JSON-lines record for a baseline-vs-variant comparison
-/// (`"kind":"comparison"`; see [`report_jsonl`] on the discriminator).
-#[must_use]
-pub fn comparison_jsonl(workload: &str, experiment: &str, c: &Comparison) -> String {
-    format!(
-        "{{\"kind\":\"comparison\",\"workload\":\"{}\",\"experiment\":\"{}\",\"speedup\":{},\"power_savings_pct\":{},\"energy_savings_pct\":{},\"ed_improvement_pct\":{},\"ed2_improvement_pct\":{}}}",
-        json_escape(workload),
-        json_escape(experiment),
-        json_num(c.speedup),
-        json_num(c.power_savings_pct),
-        json_num(c.energy_savings_pct),
-        json_num(c.ed_improvement_pct),
-        json_num(c.ed2_improvement_pct),
-    )
-}
-
 /// Per-point tags appended to emitted records: `(key, raw JSON value)`
 /// pairs — `st run` uses them to echo each point's axis bindings
 /// (`axis.depth`, `axis.ruu_size`, …) so downstream tools can group
@@ -107,14 +80,21 @@ fn tag_members(tags: &Tags) -> String {
     tags.iter().map(|(k, v)| format!(",\"{}\":{}", json_escape(k), v)).collect()
 }
 
-/// [`report_jsonl`] with tags appended as extra members.
+/// One JSON-lines record for a simulation point (`"kind":"report"`),
+/// with `tags` appended as extra members.
+///
+/// `st run` writes report and comparison records into one JSONL stream;
+/// the leading `kind` field is the discriminator consumers switch on.
 #[must_use]
 pub fn report_jsonl_tagged(r: &SimReport, tags: &Tags) -> String {
-    let base = report_jsonl(r);
-    format!("{}{}}}", &base[..base.len() - 1], tag_members(tags))
+    let fields: Vec<String> =
+        report_fields(r).into_iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{\"kind\":\"report\",{}{}}}", fields.join(","), tag_members(tags))
 }
 
-/// [`comparison_jsonl`] with tags appended as extra members.
+/// One JSON-lines record for a baseline-vs-variant comparison
+/// (`"kind":"comparison"`; see [`report_jsonl_tagged`] on the
+/// discriminator), with `tags` appended as extra members.
 #[must_use]
 pub fn comparison_jsonl_tagged(
     workload: &str,
@@ -122,31 +102,23 @@ pub fn comparison_jsonl_tagged(
     c: &Comparison,
     tags: &Tags,
 ) -> String {
-    let base = comparison_jsonl(workload, experiment, c);
-    format!("{}{}}}", &base[..base.len() - 1], tag_members(tags))
-}
-
-/// Renders a batch of reports as one JSONL document.
-#[must_use]
-pub fn reports_to_jsonl(reports: &[impl std::borrow::Borrow<SimReport>]) -> String {
-    let mut out = String::new();
-    for r in reports {
-        out.push_str(&report_jsonl(r.borrow()));
-        out.push('\n');
-    }
-    out
+    format!(
+        "{{\"kind\":\"comparison\",\"workload\":\"{}\",\"experiment\":\"{}\",\"speedup\":{},\"power_savings_pct\":{},\"energy_savings_pct\":{},\"ed_improvement_pct\":{},\"ed2_improvement_pct\":{}{}}}",
+        json_escape(workload),
+        json_escape(experiment),
+        json_num(c.speedup),
+        json_num(c.power_savings_pct),
+        json_num(c.energy_savings_pct),
+        json_num(c.ed_improvement_pct),
+        json_num(c.ed2_improvement_pct),
+        tag_members(tags),
+    )
 }
 
 /// Renders a batch of reports as a CSV-able [`Table`] (same schema as the
-/// JSONL emitter; string quoting stripped).
-#[must_use]
-pub fn reports_to_table(title: &str, reports: &[impl std::borrow::Borrow<SimReport>]) -> Table {
-    let no_tags: Vec<Vec<(String, String)>> = vec![Vec::new(); reports.len()];
-    reports_to_table_tagged(title, reports, &no_tags)
-}
-
-/// [`reports_to_table`] with per-report tag columns appended (every
-/// report must carry the same tag keys — one sweep binds one axis set).
+/// JSONL emitter; string quoting stripped), with per-report tag columns
+/// appended (every report must carry the same tag keys — one sweep binds
+/// one axis set).
 #[must_use]
 pub fn reports_to_table_tagged(
     title: &str,
@@ -295,12 +267,19 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_parseable_flat_object() {
-        let line = report_jsonl(&report());
+        let r = report();
+        let line = report_jsonl_tagged(&r, &[]);
         assert!(line.starts_with("{\"kind\":\"report\",") && line.ends_with('}'));
         assert!(line.contains("\"workload\":\"emit-test\""));
         assert!(line.contains("\"experiment\":\"BASE\""));
         assert!(line.contains("\"ipc\":"));
         assert!(!line.contains('\n'));
+        let members = crate::json::Json::parse(&line).expect("one JSON object");
+        assert_eq!(
+            members.as_obj().unwrap().len(),
+            1 + report_fields(&r).len(),
+            "no tags, no extras"
+        );
     }
 
     #[test]
@@ -333,7 +312,7 @@ mod tests {
     #[test]
     fn table_mirrors_jsonl_schema() {
         let r = report();
-        let t = reports_to_table("t", &[&r]);
+        let t = reports_to_table_tagged("t", &[&r], &[Vec::new()]);
         let csv = t.to_csv();
         assert!(csv.contains("workload"));
         assert!(csv.contains("emit-test"));

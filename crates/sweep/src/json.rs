@@ -1,12 +1,14 @@
-//! A minimal recursive JSON reader shared by the result store, shard
-//! documents, fleet worker streams, `st audit` and `st plot`.
+//! The crate's one JSON reader: sweep specs, the result store, shard
+//! documents, fleet worker streams, `st audit` and `st plot` all read
+//! through [`Json::parse`].
 //!
-//! The spec parser is flat-only; store entries and JSONL records need
-//! strings with escapes, nested arrays/objects and nothing else the full
-//! grammar offers, so ~150 lines beat a vendored dependency. Numbers
-//! accept the non-standard `NaN`/`inf` tokens the exact float encoding
-//! of [`crate::persist`] may produce. Nesting deeper than a fixed limit
-//! is an error, so hostile input cannot exhaust the stack.
+//! Everything those documents hold fits a small recursive reader, so it
+//! beats a vendored dependency. Numbers accept the non-standard
+//! `NaN`/`inf` tokens the exact float encoding of [`crate::persist`] may
+//! produce, and `_` digit grouping (`100_000`) as spec files write it.
+//! One trailing comma may close an array or object (`[64, 128,]`).
+//! Nesting deeper than a fixed limit is an error, so hostile input
+//! cannot exhaust the stack.
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The deepest
 /// document this crate writes (an `st run --shard` document) nests 3
@@ -17,8 +19,10 @@ const MAX_DEPTH: usize = 64;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// Any number, including the non-standard `NaN`/`inf` the exact
-    /// float encoding may produce.
+    /// float encoding may produce (and `null`, read as NaN).
     Num(f64),
+    /// `true` or `false`; never read as a number.
+    Bool(bool),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
@@ -147,46 +151,50 @@ impl Reader {
     fn object(&mut self) -> Result<Json, String> {
         self.expect('{')?;
         let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(',') => self.pos += 1,
-                Some('}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at {}", self.pos)),
-            }
-        }
+        self.members('}', |r| {
+            let key = r.string()?;
+            r.expect(':')?;
+            fields.push((key, r.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
     }
 
     fn array(&mut self) -> Result<Json, String> {
         self.expect('[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
+        self.members(']', |r| {
+            items.push(r.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    /// Reads comma-separated members up to and including `close`, one
+    /// `member` call each. One trailing comma before `close` is allowed;
+    /// an empty member (`[1,,2]`, `{,}`) is not.
+    fn members(
+        &mut self,
+        close: char,
+        mut member: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         loop {
-            items.push(self.value()?);
+            // `close` right after the opener (an empty container) or after
+            // a comma (a trailing comma) ends the container.
+            self.skip_ws();
+            if self.peek() == Some(close) {
+                self.pos += 1;
+                return Ok(());
+            }
+            member(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(',') => self.pos += 1,
-                Some(']') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `]` at {}", self.pos)),
+                _ => return Err(format!("expected `,` or `{close}` at {}", self.pos)),
             }
         }
     }
@@ -260,24 +268,26 @@ impl Reader {
 
     /// Numbers, plus the bare `NaN`/`inf`/`-inf`/`null` tokens (the exact
     /// float encoding emits non-finite values; JSONL emits `null` for
-    /// them). `null` and `true`/`false` parse as numbers for simplicity:
-    /// NaN, 1 and 0 respectively.
+    /// them, read back as NaN) and `true`/`false`. A `_` inside a number
+    /// groups digits and is dropped.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || "+-.".contains(c)) {
+        while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || "+-._".contains(c)) {
             self.pos += 1;
         }
         let token: String = self.chars[start..self.pos].iter().collect();
         match token.as_str() {
             "null" => return Ok(Json::Num(f64::NAN)),
-            "true" => return Ok(Json::Num(1.0)),
-            "false" => return Ok(Json::Num(0.0)),
+            "true" => return Ok(Json::Bool(true)),
+            "false" => return Ok(Json::Bool(false)),
             _ => {}
         }
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("cannot parse number `{token}` at {start}"))
+        let parsed = if token.contains('_') {
+            token.replace('_', "").parse::<f64>()
+        } else {
+            token.parse::<f64>()
+        };
+        parsed.map(Json::Num).map_err(|_| format!("cannot parse number `{token}` at {start}"))
     }
 }
 
@@ -301,11 +311,24 @@ mod tests {
     }
 
     #[test]
-    fn accepts_null_and_booleans_as_numbers() {
+    fn reads_null_as_nan_and_booleans_as_bools() {
         let j = Json::parse(r#"{"a":null,"b":true,"c":false}"#).expect("parse");
         assert!(j.get("a").unwrap().as_f64().unwrap().is_nan());
-        assert_eq!(j.get("b").unwrap().as_f64().unwrap(), 1.0);
-        assert_eq!(j.get("c").unwrap().as_f64().unwrap(), 0.0);
+        assert_eq!(j.get("b"), Some(&Json::Bool(true)));
+        assert_eq!(j.get("c"), Some(&Json::Bool(false)));
+        assert!(j.get("b").unwrap().as_f64().is_err(), "a boolean is not a number");
+        assert!(j.get("c").unwrap().as_u64().is_err(), "nor an integer");
+    }
+
+    #[test]
+    fn numbers_take_underscores_and_containers_one_trailing_comma() {
+        let j = Json::parse("[100_000, 1_0.5, -2_5,]").expect("parse");
+        assert_eq!(j.as_f64_vec().unwrap(), [100_000.0, 10.5, -25.0]);
+        assert_eq!(Json::parse(r#"{"a": 1,}"#).unwrap().get("a"), Some(&Json::Num(1.0)));
+        for bad in ["[1,,]", "[,]", "[,1]", "{,}", r#"{"a":1,,"b":2}"#, r#"{"a":1,,}"#] {
+            assert!(Json::parse(bad).is_err(), "{bad} has an empty member");
+        }
+        assert!(Json::parse("tr_ue").is_err(), "`_` groups digits only");
     }
 
     #[test]

@@ -188,7 +188,8 @@ mod tests {
 mod parser_props {
     //! The hand-rolled readers of outside input survive it: 256 cases
     //! each of arbitrary text and of single-character mutations of real
-    //! inputs come back `Ok` or `Err`, never a panic.
+    //! inputs come back `Ok` or `Err`, never a panic. So does expanding
+    //! a spec read from one to three mutated characters.
 
     use proptest::prelude::*;
 
@@ -197,6 +198,7 @@ mod parser_props {
     use crate::SweepSpec;
 
     const AXES_DEMO: &str = include_str!("../../../examples/axes-demo.toml");
+    const DEPTH_TOML: &str = include_str!("../../../examples/sweeps/depth.toml");
     const SIZE_JSON: &str = include_str!("../../../examples/sweeps/size.json");
     const ALLOW: &str = include_str!("../../../audit.allow");
     /// The first line `st run examples/sweeps/size.json --instr 2000`
@@ -212,15 +214,16 @@ mod parser_props {
         \"l1i_miss_rate\":0.009036144578313253,\"l1d_miss_rate\":0.4185022026431718,\
         \"axis.predictor_kb\":4,\"axis.estimator_kb\":4,\"axis.instructions\":2000}";
 
-    /// Arbitrary text, or one of `seeds` with one character replaced,
-    /// deleted or inserted.
-    fn inputs(seeds: &'static [&'static str]) -> impl Strategy<Value = String> {
-        prop_oneof![
-            prop::collection::vec(any::<u8>(), 0..256)
-                .prop_map(|bytes| bytes.into_iter().map(char::from).collect()),
-            (0..seeds.len(), any::<usize>(), 0..3u8, any::<u8>()).prop_map(
-                move |(seed, at, edit, byte)| {
-                    let mut chars: Vec<char> = seeds[seed].chars().collect();
+    /// One of `seeds` with `edits` characters in turn replaced, deleted or
+    /// inserted.
+    fn mutations(
+        seeds: &'static [&'static str],
+        edits: std::ops::RangeInclusive<usize>,
+    ) -> impl Strategy<Value = String> {
+        (0..seeds.len(), prop::collection::vec((any::<usize>(), 0..3u8, any::<u8>()), edits))
+            .prop_map(move |(seed, edits)| {
+                let mut chars: Vec<char> = seeds[seed].chars().collect();
+                for (at, edit, byte) in edits {
                     let at = at % (chars.len() + 1);
                     match edit {
                         0 if at < chars.len() => chars[at] = char::from(byte),
@@ -229,15 +232,25 @@ mod parser_props {
                         }
                         _ => chars.insert(at, char::from(byte)),
                     }
-                    chars.into_iter().collect()
                 }
-            ),
+                chars.into_iter().collect()
+            })
+    }
+
+    /// Arbitrary text, or one of `seeds` with one character replaced,
+    /// deleted or inserted.
+    fn inputs(seeds: &'static [&'static str]) -> impl Strategy<Value = String> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..256)
+                .prop_map(|bytes| bytes.into_iter().map(char::from).collect()),
+            mutations(seeds, 1..=1),
         ]
     }
 
     #[test]
     fn the_seeds_parse() {
         assert!(SweepSpec::parse(AXES_DEMO).is_ok());
+        assert!(SweepSpec::parse(DEPTH_TOML).is_ok());
         assert!(SweepSpec::parse(SIZE_JSON).is_ok());
         assert!(Json::parse(SIZE_JSON).is_ok());
         assert!(Json::parse(RECORD).is_ok());
@@ -250,6 +263,19 @@ mod parser_props {
         #[test]
         fn any_spec_text_parses_or_fails_without_panicking(text in inputs(&[AXES_DEMO, SIZE_JSON])) {
             let _ = SweepSpec::parse(&text);
+        }
+
+        #[test]
+        fn any_parsed_spec_expands_or_fails_without_panicking(
+            text in mutations(&[AXES_DEMO, DEPTH_TOML, SIZE_JSON], 1..=3)
+        ) {
+            // A mutated seed range could derive thousands of generative
+            // members, so specs naming a `gen:` workload are not expanded.
+            if let Ok(spec) = SweepSpec::parse(&text) {
+                if !spec.workloads.iter().any(|w| w.starts_with(st_workloads::GEN_PREFIX)) {
+                    let _ = spec.points();
+                }
+            }
         }
 
         #[test]

@@ -26,14 +26,17 @@
 //! `depths`, `predictor_kb`, `estimator_kb` and `instructions` are kept
 //! as deprecated aliases and expand to identical grids.
 //!
-//! The vendored environment has no serde/toml, so parsing is a minimal
-//! built-in reader covering sectioned `key = value` TOML and flat JSON
-//! objects with scalar/array values — exactly the shape of a sweep spec.
+//! The vendored environment has no serde/toml. A JSON spec is one
+//! object read by [`Json::parse`]; a TOML spec is `key = value` lines,
+//! `[section]` headers and `#` comments, and each value is again read by
+//! [`Json::parse`] (so numbers may contain `_` and one trailing comma
+//! may close an array). A key given twice is an error.
 
 use st_core::Experiment;
 
 use crate::axes::{self, Axis, AxisBinding, AxisValue, MAX_GRID_POINTS};
 use crate::job::JobSpec;
+use crate::json::Json;
 
 /// Errors produced while parsing or resolving a sweep spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +105,8 @@ impl SweepSpec {
     /// Parses a spec from TOML (`key = value` lines, with `[axis]`
     /// sections and dotted keys supported) or JSON (flat object,
     /// `axis.<name>` keys), auto-detected from the first non-whitespace
-    /// character.
+    /// character. Every value is read by [`Json::parse`], and a key given
+    /// twice is an error.
     ///
     /// ```
     /// use st_sweep::SweepSpec;
@@ -116,20 +120,27 @@ impl SweepSpec {
     /// # Ok::<(), st_sweep::SpecError>(())
     /// ```
     pub fn parse(text: &str) -> Result<SweepSpec, SpecError> {
-        let trimmed = text.trim_start();
-        let pairs = if trimmed.starts_with('{') {
-            parse_json_object(text)?
+        let pairs = if text.trim_start().starts_with('{') {
+            match Json::parse(text) {
+                Ok(Json::Obj(members)) => members,
+                Ok(_) => return err("JSON spec must be a single object"),
+                Err(e) => return err(format!("JSON spec: {e}")),
+            }
         } else {
             parse_toml_lite(text)?
         };
         let mut spec = SweepSpec::new("sweep");
+        let mut seen = std::collections::HashSet::new();
         for (key, value) in pairs {
+            if !seen.insert(key.clone()) {
+                return err(format!("`{key}` is given more than once"));
+            }
             spec.apply(&key, value)?;
         }
         Ok(spec)
     }
 
-    fn apply(&mut self, key: &str, value: Value) -> Result<(), SpecError> {
+    fn apply(&mut self, key: &str, value: Json) -> Result<(), SpecError> {
         if let Some((_, axis_name)) = LEGACY_AXIS_KEYS.iter().find(|(k, _)| *k == key) {
             return self.bind_axis_value(axis_name, key, value);
         }
@@ -137,10 +148,13 @@ impl SweepSpec {
             return self.bind_axis_value(axis_name, key, value);
         }
         match key {
-            "name" => self.name = value.into_string(key)?,
-            "workloads" => self.workloads = value.into_string_vec(key)?,
-            "experiments" => self.experiments = value.into_string_vec(key)?,
-            "baseline" => self.baseline = value.into_bool(key)?,
+            "name" => self.name = string(value, key)?,
+            "workloads" => self.workloads = strings(value, key)?,
+            "experiments" => self.experiments = strings(value, key)?,
+            "baseline" => match value {
+                Json::Bool(b) => self.baseline = b,
+                other => return err(format!("`{key}` expects a bool, got {other:?}")),
+            },
             other => return err(unknown_key_message(other)),
         }
         Ok(())
@@ -152,7 +166,7 @@ impl SweepSpec {
         &mut self,
         axis_name: &str,
         key: &str,
-        value: Value,
+        value: Json,
     ) -> Result<(), SpecError> {
         let axis = axes::axis(axis_name).ok_or_else(|| axes::unknown_axis_error(axis_name))?;
         if self.axes.iter().any(|b| b.name == axis.name) {
@@ -161,7 +175,7 @@ impl SweepSpec {
                 axis.name
             ));
         }
-        let values = value.into_axis_vec(axis, key)?;
+        let values = axis_values(value, axis, key)?;
         self.axes.push(AxisBinding::new(axis.name, values)?);
         Ok(())
     }
@@ -477,185 +491,43 @@ pub fn all_experiments() -> Vec<Experiment> {
     all
 }
 
-// ---------------------------------------------------------------------
-// Minimal value model + parsers.
-// ---------------------------------------------------------------------
-
-/// A parsed scalar or array value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Arr(Vec<Value>),
-}
-
-impl Value {
-    fn into_string(self, key: &str) -> Result<String, SpecError> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => err(format!("`{key}` expects a string, got {other:?}")),
-        }
-    }
-
-    fn into_bool(self, key: &str) -> Result<bool, SpecError> {
-        match self {
-            Value::Bool(b) => Ok(b),
-            other => err(format!("`{key}` expects a bool, got {other:?}")),
-        }
-    }
-
-    fn into_string_vec(self, key: &str) -> Result<Vec<String>, SpecError> {
-        match self {
-            Value::Arr(items) => items.into_iter().map(|v| v.into_string(key)).collect(),
-            Value::Str(s) => Ok(vec![s]),
-            other => err(format!("`{key}` expects an array of strings, got {other:?}")),
-        }
-    }
-
-    /// Converts to typed axis values per the axis domain: integer axes
-    /// require whole non-negative numbers, float axes accept any finite
-    /// number. String values are range tokens — `"lo..hi"` / `"lo..=hi"`
-    /// on integer axes expand to consecutive values, so one spec line
-    /// can bind a thousand workload seeds.
-    fn into_axis_vec(self, axis: &Axis, key: &str) -> Result<Vec<AxisValue>, SpecError> {
-        let items = match self {
-            Value::Arr(items) => items,
-            single @ (Value::Num(_) | Value::Str(_)) => vec![single],
-            other => return err(format!("`{key}` expects an array of numbers, got {other:?}")),
-        };
-        let mut out = Vec::new();
-        for v in items {
-            match v {
-                Value::Num(n) => out.push(axis.value_from_f64(n)?),
-                Value::Str(s) => out.extend(axis.values_from_token(&s)?),
-                other => return err(format!("`{key}` expects numbers or ranges, got {other:?}")),
-            }
-        }
-        Ok(out)
+/// `value` as a string, or an error naming `key`.
+fn string(value: Json, key: &str) -> Result<String, SpecError> {
+    match value {
+        Json::Str(s) => Ok(s),
+        other => err(format!("`{key}` expects a string, got {other:?}")),
     }
 }
 
-/// Decodes a double-quoted string token, reversing the escapes
-/// [`crate::emit::json_escape`] (and TOML basic strings) produce:
-/// `\" \\ \/ \n \r \t` and `\uXXXX`.
-fn parse_quoted(token: &str) -> Result<String, SpecError> {
-    let Some(inner) = token.strip_prefix('"').and_then(|t| t.strip_suffix('"')) else {
-        return err(format!("unterminated string: {token}"));
+/// A list of strings; a lone string is a list of one.
+fn strings(value: Json, key: &str) -> Result<Vec<String>, SpecError> {
+    match value {
+        Json::Arr(items) => items.into_iter().map(|v| string(v, key)).collect(),
+        Json::Str(s) => Ok(vec![s]),
+        other => err(format!("`{key}` expects an array of strings, got {other:?}")),
+    }
+}
+
+/// Typed axis values per the axis domain: integer axes require whole
+/// non-negative numbers, float axes accept any finite number. String
+/// values are range tokens — `"lo..hi"` / `"lo..=hi"` on integer axes
+/// expand to consecutive values, so one spec line can bind a thousand
+/// workload seeds. A lone number or range is a list of one.
+fn axis_values(value: Json, axis: &Axis, key: &str) -> Result<Vec<AxisValue>, SpecError> {
+    let items = match value {
+        Json::Arr(items) => items,
+        single @ (Json::Num(_) | Json::Str(_)) => vec![single],
+        other => return err(format!("`{key}` expects an array of numbers, got {other:?}")),
     };
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let unit = |chars: &mut std::str::Chars<'_>| -> Result<u32, SpecError> {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return err(format!("truncated \\u escape in {token}"));
-                    }
-                    u32::from_str_radix(&hex, 16)
-                        .map_err(|_| SpecError(format!("bad \\u escape `{hex}`")))
-                };
-                let code = unit(&mut chars)?;
-                // JSON encodes non-BMP characters as a surrogate pair of
-                // \u escapes; fold the pair back into one codepoint.
-                let code = if (0xD800..0xDC00).contains(&code) {
-                    if chars.next() != Some('\\') || chars.next() != Some('u') {
-                        return err(format!("unpaired high surrogate \\u{code:04x} in {token}"));
-                    }
-                    let low = unit(&mut chars)?;
-                    if !(0xDC00..0xE000).contains(&low) {
-                        return err(format!("invalid low surrogate \\u{low:04x} in {token}"));
-                    }
-                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                } else {
-                    code
-                };
-                out.push(
-                    char::from_u32(code)
-                        .ok_or_else(|| SpecError(format!("invalid codepoint {code}")))?,
-                );
-            }
-            other => {
-                return err(match other {
-                    Some(c) => format!("unknown escape `\\{c}` in {token}"),
-                    None => format!("dangling escape in {token}"),
-                })
-            }
+    let mut out = Vec::new();
+    for v in items {
+        match v {
+            Json::Num(n) => out.push(axis.value_from_f64(n)?),
+            Json::Str(s) => out.extend(axis.values_from_token(&s)?),
+            other => return err(format!("`{key}` expects numbers or ranges, got {other:?}")),
         }
     }
     Ok(out)
-}
-
-fn parse_scalar(token: &str) -> Result<Value, SpecError> {
-    let token = token.trim();
-    if token.starts_with('"') {
-        return parse_quoted(token).map(Value::Str);
-    }
-    match token {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    let cleaned = token.replace('_', "");
-    cleaned.parse::<f64>().map(Value::Num).or_else(|_| err(format!("cannot parse value `{token}`")))
-}
-
-fn parse_value(token: &str) -> Result<Value, SpecError> {
-    let token = token.trim();
-    if let Some(inner) = token.strip_prefix('[') {
-        let Some(body) = inner.strip_suffix(']') else {
-            return err(format!("unterminated array: {token}"));
-        };
-        let body = body.trim();
-        if body.is_empty() {
-            return Ok(Value::Arr(Vec::new()));
-        }
-        return split_top_level(body, ',')
-            .into_iter()
-            .map(|item| parse_scalar(&item))
-            .collect::<Result<Vec<_>, _>>()
-            .map(Value::Arr);
-    }
-    parse_scalar(token)
-}
-
-/// Splits on `sep` outside of double quotes (escape-aware).
-fn split_top_level(text: &str, sep: char) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut current = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in text.chars() {
-        if std::mem::take(&mut escaped) {
-            current.push(c);
-            continue;
-        }
-        match c {
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            _ => {}
-        }
-        if c == sep && !in_str {
-            parts.push(std::mem::take(&mut current));
-        } else {
-            current.push(c);
-        }
-    }
-    if !current.trim().is_empty() {
-        parts.push(current);
-    }
-    parts
 }
 
 /// Strips a `#` comment that starts outside of a string (escape-aware).
@@ -676,7 +548,9 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_toml_lite(text: &str) -> Result<Vec<(String, Value)>, SpecError> {
+/// The `(key, value)` pairs of a TOML spec, in order: a `[section]`
+/// header prefixes the keys after it, and each value is one JSON value.
+fn parse_toml_lite(text: &str) -> Result<Vec<(String, Json)>, SpecError> {
     let mut pairs = Vec::new();
     let mut section = String::new();
     for raw in text.lines() {
@@ -696,89 +570,10 @@ fn parse_toml_lite(text: &str) -> Result<Vec<(String, Value)>, SpecError> {
         let key = key.trim();
         let full_key =
             if section.is_empty() { key.to_string() } else { format!("{section}.{key}") };
-        pairs.push((full_key, parse_value(value)?));
+        let value = Json::parse(value).map_err(|e| SpecError(format!("`{full_key}`: {e}")))?;
+        pairs.push((full_key, value));
     }
     Ok(pairs)
-}
-
-fn parse_json_object(text: &str) -> Result<Vec<(String, Value)>, SpecError> {
-    let body = text.trim();
-    let Some(body) = body.strip_prefix('{').and_then(|b| b.strip_suffix('}')) else {
-        return err("JSON spec must be a single object".to_string());
-    };
-    let body = body.trim();
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Arrays in a flat spec contain only scalars, so splitting member
-    // boundaries needs bracket *depth*, not full recursion.
-    let mut pairs = Vec::new();
-    for member in split_members(body) {
-        let member = member.trim();
-        if member.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = split_colon(member) else {
-            return err(format!("expected `\"key\": value`, got `{member}`"));
-        };
-        let key = key.trim();
-        let Some(key) = key.strip_prefix('"').and_then(|k| k.strip_suffix('"')) else {
-            return err(format!("JSON keys must be quoted, got `{key}`"));
-        };
-        pairs.push((key.to_string(), parse_value(value.trim())?));
-    }
-    Ok(pairs)
-}
-
-/// Splits JSON object members on commas outside strings and brackets
-/// (escape-aware).
-fn split_members(body: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut current = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut depth = 0i32;
-    for c in body.chars() {
-        if std::mem::take(&mut escaped) {
-            current.push(c);
-            continue;
-        }
-        match c {
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            '[' if !in_str => depth += 1,
-            ']' if !in_str => depth -= 1,
-            ',' if !in_str && depth == 0 => {
-                parts.push(std::mem::take(&mut current));
-                continue;
-            }
-            _ => {}
-        }
-        current.push(c);
-    }
-    if !current.trim().is_empty() {
-        parts.push(current);
-    }
-    parts
-}
-
-/// Splits `"key": value` on the first colon outside strings
-/// (escape-aware).
-fn split_colon(member: &str) -> Option<(&str, &str)> {
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in member.char_indices() {
-        if std::mem::take(&mut escaped) {
-            continue;
-        }
-        match c {
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            ':' if !in_str => return Some((&member[..i], &member[i + 1..])),
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -915,6 +710,120 @@ mod tests {
         assert_eq!(emoji.name, "sweep \u{1f600}");
         assert!(SweepSpec::parse(r#"{ "name": "lone \ud83d!" }"#).is_err(), "unpaired high");
         assert!(SweepSpec::parse(r#"{ "name": "bad \ud83dA" }"#).is_err(), "bad low");
+    }
+
+    /// What the reader accepts, as `(input, Ok(to_json) | Err(message part))`.
+    const VERDICTS: &[(&str, Result<&str, &str>)] = &[
+        // One trailing comma closes an array or an object.
+        (
+            "workloads = [\"go\", \"gcc\",]\naxis.depth = [6, 14,]",
+            Ok(
+                r#"{"name":"sweep","workloads":["go","gcc"],"experiments":[],"baseline":true,"axis.depth":[6,14]}"#,
+            ),
+        ),
+        (
+            r#"{"name": "x", "axis.depth": [6, 14,],}"#,
+            Ok(
+                r#"{"name":"x","workloads":[],"experiments":[],"baseline":true,"axis.depth":[6,14]}"#,
+            ),
+        ),
+        // `_` groups digits in either format.
+        (
+            "instructions = 50_000",
+            Ok(
+                r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":true,"axis.instructions":[50000]}"#,
+            ),
+        ),
+        (
+            r#"{"instructions": 50_000}"#,
+            Ok(
+                r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":true,"axis.instructions":[50000]}"#,
+            ),
+        ),
+        // Booleans are booleans, not the numbers 1 and 0.
+        (
+            "baseline = true",
+            Ok(r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":true}"#),
+        ),
+        (
+            "baseline = false",
+            Ok(r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":false}"#),
+        ),
+        (
+            r#"{"baseline": true}"#,
+            Ok(r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":true}"#),
+        ),
+        ("baseline = 1", Err("`baseline` expects a bool")),
+        (r#"{"baseline": 0}"#, Err("`baseline` expects a bool")),
+        (
+            "axis.gating_threshold = true",
+            Err("`axis.gating_threshold` expects an array of numbers"),
+        ),
+        (r#"{"axis.gating_threshold": [true]}"#, Err("expects numbers or ranges")),
+        ("instructions = null", Err("expects a non-negative integer")),
+        ("axis.depth = [[6]]", Err("expects numbers or ranges")),
+        // A string ends at its first unescaped quote.
+        (r#"name = "a"b""#, Err("`name`: trailing input")),
+        (r#"{"name": "a" "b"}"#, Err("JSON spec")),
+        (r#"workloads = ["go" "gcc"]"#, Err("`workloads`")),
+        // An empty JSON member is refused.
+        (r#"{"name": "x",, "baseline": false}"#, Err("JSON spec")),
+        ("{,}", Err("JSON spec")),
+        ("workloads = [\"go\",,]", Err("`workloads`")),
+        // JSON keys decode their escapes.
+        (
+            r#"{"axis.\u0072uu_size": [32]}"#,
+            Ok(
+                r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":true,"axis.ruu_size":[32]}"#,
+            ),
+        ),
+        // A key given twice is an error, whichever format.
+        ("name = \"a\"\nname = \"b\"", Err("`name` is given more than once")),
+        (
+            "workloads = [\"go\"]\n[axis]\ndepth = [6]\n\n[axis]\ndepth = [14]",
+            Err("`axis.depth` is given more than once"),
+        ),
+        (
+            r#"{"workloads": ["go"], "workloads": ["gcc"]}"#,
+            Err("`workloads` is given more than once"),
+        ),
+    ];
+
+    #[test]
+    fn the_reader_keeps_its_verdicts() {
+        for (input, expected) in VERDICTS {
+            match (SweepSpec::parse(input), expected) {
+                (Ok(spec), Ok(json)) => assert_eq!(spec.to_json(), *json, "{input}"),
+                (Err(e), Err(part)) => assert!(e.0.contains(part), "{input}: {e}"),
+                (got, _) => panic!("{input}: expected {expected:?}, got {got:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_example_spec_parses_and_round_trips() {
+        let mut dirs =
+            vec![std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples"))];
+        let mut specs = 0;
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).expect("examples/ is readable") {
+                let path = entry.expect("entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                if !path.extension().is_some_and(|e| e == "toml" || e == "json") {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).expect("spec is readable");
+                let spec =
+                    SweepSpec::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let back = SweepSpec::parse(&spec.to_json()).expect("to_json parses");
+                assert_eq!(back.to_json(), spec.to_json(), "{}", path.display());
+                specs += 1;
+            }
+        }
+        assert!(specs >= 4, "axes-demo, gen-demo, sweeps/depth and sweeps/size; found {specs}");
     }
 
     #[test]
