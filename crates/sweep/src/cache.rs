@@ -76,9 +76,16 @@ impl ResultCache {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Stores a freshly simulated report.
-    pub fn insert(&self, fingerprint: u64, report: Arc<SimReport>) {
-        self.map.lock().expect("cache poisoned").insert(fingerprint, report);
+    /// Stores a freshly simulated report, unless the fingerprint already
+    /// has one (two reports of one fingerprint are bit-identical), and
+    /// returns whether it did.
+    pub fn insert(&self, fingerprint: u64, report: Arc<SimReport>) -> bool {
+        let mut map = self.map.lock().expect("cache poisoned");
+        if map.contains_key(&fingerprint) {
+            return false;
+        }
+        map.insert(fingerprint, report);
+        true
     }
 
     /// Seeds the cache with entries loaded from elsewhere (the
@@ -138,7 +145,8 @@ mod tests {
         let cache = ResultCache::new();
         assert!(cache.get(42).is_none());
         let r = dummy_report();
-        cache.insert(42, Arc::clone(&r));
+        assert!(cache.insert(42, Arc::clone(&r)));
+        assert!(!cache.insert(42, Arc::clone(&r)), "a fingerprint is stored once");
         let back = cache.get(42).expect("cached");
         assert_eq!(*back, *r);
         let stats = cache.stats();

@@ -1,29 +1,38 @@
 //! The deterministic parallel executor.
 //!
 //! [`SweepEngine::run`] takes a batch of [`JobSpec`]s and returns their
-//! reports *in submission order*. A job's fingerprint is the identity of
-//! its report, labels included; its simulation key is the identity of
-//! the machine it simulates (see [`crate::job`]). Internally the engine:
+//! reports *in submission order*. [`SweepEngine::run_each`] hands each
+//! report to a callback the moment it exists and can be stopped partway;
+//! `run` is `run_each` over a workload-grouped schedule. A job's
+//! fingerprint is the identity of its report, labels included; its
+//! simulation key is the identity of the machine it simulates (see
+//! [`crate::job`]). Internally the engine:
 //!
 //! 1. fingerprints every job and answers what it can from the
 //!    [`ResultCache`], deduping identical points submitted in the same
 //!    batch;
 //! 2. keys every remaining miss by the machine it simulates. The first
-//!    job in submission order with a given key is the *twin* that gets
-//!    simulated; each later job whose machine compares equal to the
-//!    twin's is an *alias* of it. An alias whose machine this engine
-//!    already simulated in an earlier batch is served at once;
+//!    job in submission order with a given key is the *twin*; each
+//!    later job whose machine compares equal to the twin's is an
+//!    *alias* of it;
 //! 3. shards the twins across a worker pool (a shared atomic work index
-//!    over a fixed job list — no channels, no locks on the hot path).
-//!    The list is ordered by workload, and each worker keeps the last
-//!    program it generated and reuses it while the next point's
-//!    workload compares equal, so a batch generates each workload's
+//!    over a fixed job list, in the caller's [`Schedule`]). Before it
+//!    simulates a twin, a worker claims the machine in the engine's
+//!    machine table, which holds every machine simulated or being
+//!    simulated, by any batch. A machine already there is not
+//!    simulated again: the worker waits for that run, if it has not
+//!    ended, and relabels its report. A simulation takes one of
+//!    `threads` permits, so concurrent batches together run at most
+//!    `threads` at once. Each worker keeps the last program it
+//!    generated and reuses it while the next point's workload compares
+//!    equal, so a batch grouped by workload generates each workload's
 //!    program about once per worker rather than once per point. A
 //!    worker publishes each report, and then each of its aliases'
 //!    relabelled reports, to the cache and the result store as soon as
-//!    it finishes the simulation, so a process killed mid-batch keeps
-//!    every point it completed;
-//! 4. reassembles results by submission index.
+//!    it has it, so a process killed mid-batch keeps every point it
+//!    completed;
+//! 4. hands every report to the caller as soon as it exists; `run`
+//!    reassembles them by submission index.
 //!
 //! An alias's report is its twin's under the alias's own experiment id
 //! and label, cached and stored under the alias's own fingerprint, so
@@ -34,13 +43,15 @@
 //! thread count and OS scheduling cannot influence any result bit —
 //! `--threads 1` and `--threads N` produce identical output, which the
 //! integration tests assert. Twins are chosen in submission order, so
-//! which jobs are simulated does not depend on the thread count either.
+//! which jobs one batch simulates does not depend on the thread count
+//! either.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use st_core::SimReport;
 use st_isa::{Program, WorkloadSpec};
@@ -65,19 +76,55 @@ pub struct EngineStats {
     pub cache: CacheStats,
 }
 
+/// The order in which [`SweepEngine::run_each`] takes a batch's
+/// simulations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Grouped by workload, the groups in first-seen order, so a
+    /// worker's consecutive points mostly share a program.
+    ByWorkload,
+    /// In submission order, so the first jobs' reports come first.
+    AsGiven,
+}
+
+/// A machine this engine has simulated or is simulating: the job that
+/// runs it and, once that run ends, its report (`None` if the
+/// simulation panicked, so that every batch that asks for the machine
+/// panics too, instead of waiting forever).
+#[derive(Debug)]
+struct Machine {
+    job: JobSpec,
+    report: OnceLock<Option<Arc<SimReport>>>,
+}
+
+/// Simulations under way across every batch of an engine.
+#[derive(Debug, Default)]
+struct Simulations {
+    /// Holding a permit.
+    running: usize,
+    /// Waiting for one.
+    waiting: usize,
+}
+
 /// A parallel, cache-aware sweep executor.
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
     cache: ResultCache,
-    /// Every machine this engine simulated, by simulation key: the job
-    /// that ran it and its report.
-    twins: Mutex<HashMap<u64, (JobSpec, Arc<SimReport>)>>,
+    /// Every machine this engine simulated or is simulating, by
+    /// simulation key.
+    machines: Mutex<HashMap<u64, Arc<Machine>>>,
+    /// At most `threads` simulations run at once, whatever the number
+    /// of concurrent batches.
+    simulations: Mutex<Simulations>,
+    permit_freed: Condvar,
     simulated: AtomicU64,
     aliased: AtomicU64,
     loaded: u64,
     load_stats: LoadStats,
     store: Option<LogStore>,
+    #[cfg(test)]
+    gauge: tests::Gauge,
 }
 
 impl SweepEngine {
@@ -93,12 +140,16 @@ impl SweepEngine {
         SweepEngine {
             threads,
             cache: ResultCache::new(),
-            twins: Mutex::new(HashMap::new()),
+            machines: Mutex::new(HashMap::new()),
+            simulations: Mutex::default(),
+            permit_freed: Condvar::new(),
             simulated: AtomicU64::new(0),
             aliased: AtomicU64::new(0),
             loaded: 0,
             load_stats: LoadStats::default(),
             store: None,
+            #[cfg(test)]
+            gauge: tests::Gauge::default(),
         }
     }
 
@@ -162,111 +213,144 @@ impl SweepEngine {
         }
     }
 
+    /// Simulations running or waiting for a permit to run, across every
+    /// batch under way; 0 when the engine is idle.
+    #[must_use]
+    pub fn simulations_in_flight(&self) -> usize {
+        let sims = self.simulations.lock().expect("permit count poisoned");
+        sims.running + sims.waiting
+    }
+
     /// Runs a batch of jobs, returning reports in submission order.
     ///
     /// Results are bit-identical regardless of the worker count: each job
     /// is a pure function of its spec, and assembly is by submission
     /// index, not completion order. Each machine is simulated once: a
     /// job that simulates the same machine as an earlier one, in this
-    /// batch or an earlier one, gets that report relabelled. Each fresh
-    /// report is written to the cache and through to the result store
-    /// the moment its worker finishes it, so a run killed partway
-    /// resumes from every point it completed.
+    /// batch, an earlier one or a concurrent one, gets that report
+    /// relabelled. Each fresh report is written to the cache and through
+    /// to the result store the moment its worker finishes it, so a run
+    /// killed partway resumes from every point it completed.
     ///
     /// # Panics
     ///
-    /// Panics if a simulation thread panics (a simulator bug, not a usage
+    /// Panics if a simulation panics (a simulator bug, not a usage
     /// error).
     #[must_use]
     pub fn run(&self, jobs: &[JobSpec]) -> Vec<Arc<SimReport>> {
-        // Phase 1: resolve against the cache, dedup within the batch, and
-        // group the misses by machine. `slots[i]` is either a finished
-        // report or an index into `fresh`, the distinct missed points in
-        // submission order. A point in `fresh` is either a twin, listed
-        // in `twins` and simulated, or an alias listed under its twin in
-        // `aliases`.
-        enum Slot {
-            Done(Arc<SimReport>),
-            Fresh(usize),
+        let reports: Vec<OnceLock<Arc<SimReport>>> = jobs.iter().map(|_| OnceLock::new()).collect();
+        let jobs: Vec<&JobSpec> = jobs.iter().collect();
+        self.run_each(&jobs, Schedule::ByWorkload, |i, report| {
+            reports[i].set(report).expect("one report per job");
+            true
+        });
+        reports.into_iter().map(|cell| cell.into_inner().expect("every job reported")).collect()
+    }
+
+    /// Runs a batch of jobs and hands `each(index, report)` every job's
+    /// report the moment it exists: a cache hit at once, on the calling
+    /// thread, and a fresh point on the worker that finishes it, its
+    /// aliases' right after. The workers take the batch's simulations in
+    /// `schedule` order.
+    ///
+    /// When `each` returns `false`, no worker starts another simulation,
+    /// and the call returns once those under way end; jobs not reported
+    /// by then never are. Otherwise every job is reported once, and
+    /// [`SweepEngine::run`]'s guarantees hold: determinism, one
+    /// simulation per machine, write-through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a simulation panics, in this batch or in a concurrent
+    /// one whose run of a machine this batch waits for (a simulator bug,
+    /// not a usage error).
+    pub fn run_each<F>(&self, jobs: &[&JobSpec], schedule: Schedule, each: F)
+    where
+        F: Fn(usize, Arc<SimReport>) -> bool + Sync,
+    {
+        /// One distinct missed point: its fingerprint, simulation key and
+        /// job, the batch indices it answers, and its aliases if it is a
+        /// twin.
+        struct Miss<'a> {
+            fp: u64,
+            key: u64,
+            job: &'a JobSpec,
+            at: Vec<usize>,
+            aliases: Vec<usize>,
         }
-        let mut fresh: Vec<(u64, u64, &JobSpec)> = Vec::new();
-        let mut fresh_index: HashMap<u64, usize> = HashMap::new();
+        let stopped = AtomicBool::new(false);
+        let deliver = |at: &[usize], report: &Arc<SimReport>| {
+            for &i in at {
+                if !each(i, Arc::clone(report)) {
+                    stopped.store(true, Ordering::Relaxed);
+                }
+            }
+        };
+
+        // Phase 1: resolve against the cache, dedup within the batch, and
+        // group the misses by machine. A miss is either a twin, listed in
+        // `twins` and simulated, or an alias listed under its twin.
+        let mut misses: Vec<Miss<'_>> = Vec::new();
+        let mut miss_index: HashMap<u64, usize> = HashMap::new();
         let mut twin_index: HashMap<u64, usize> = HashMap::new();
         let mut twins: Vec<usize> = Vec::new();
-        let mut aliases: Vec<Vec<usize>> = Vec::new();
-        let slots: Vec<Slot> = jobs
-            .iter()
-            .map(|job| {
-                let fp = job.fingerprint();
-                if let Some(&idx) = fresh_index.get(&fp) {
-                    // A duplicate of a point already scheduled in this
-                    // batch: count it as a hit, don't re-consult the map.
-                    self.cache.count_dedup_hit();
-                    return Slot::Fresh(idx);
+        for (i, &job) in jobs.iter().enumerate() {
+            if stopped.load(Ordering::Relaxed) {
+                return;
+            }
+            let fp = job.fingerprint();
+            if let Some(&m) = miss_index.get(&fp) {
+                // A duplicate of a point already scheduled in this
+                // batch: count it as a hit, don't re-consult the map.
+                self.cache.count_dedup_hit();
+                misses[m].at.push(i);
+                continue;
+            }
+            if let Some(hit) = self.cache.get(fp) {
+                deliver(&[i], &hit);
+                continue;
+            }
+            let key = job.simulation_key();
+            let m = misses.len();
+            misses.push(Miss { fp, key, job, at: vec![i], aliases: Vec::new() });
+            miss_index.insert(fp, m);
+            match twin_index.get(&key) {
+                Some(&twin) if misses[twin].job.same_machine(job) => misses[twin].aliases.push(m),
+                _ => {
+                    // A new machine, or a key collision with another
+                    // machine: either way this point is a twin.
+                    twin_index.entry(key).or_insert(m);
+                    twins.push(m);
                 }
-                if let Some(hit) = self.cache.get(fp) {
-                    return Slot::Done(hit);
-                }
-                let key = job.simulation_key();
-                if let Some(twin) = self.simulated_twin(key, job) {
-                    let report = Arc::new(job.report_from(&twin));
-                    self.publish_alias(fp, &report);
-                    return Slot::Done(report);
-                }
-                let idx = fresh.len();
-                fresh.push((fp, key, job));
-                fresh_index.insert(fp, idx);
-                aliases.push(Vec::new());
-                match twin_index.get(&key) {
-                    Some(&twin) if fresh[twin].2.same_machine(job) => aliases[twin].push(idx),
-                    _ => {
-                        // A new machine, or a key collision with another
-                        // machine: either way this point is simulated.
-                        twin_index.entry(key).or_insert(idx);
-                        twins.push(idx);
-                    }
-                }
-                Slot::Fresh(idx)
-            })
-            .collect();
+            }
+        }
 
-        // Phase 2: shard the twins across the worker pool. Workers pull
-        // from one atomic index over the twins ordered by workload, and
-        // each keeps the last program it generated, reusing it while the
-        // next point's workload compares equal. A worker holds at most
-        // one program, freed on the thread that built it, and publishes
-        // each report, then its aliases' reports, as soon as it has it.
-        let order = workload_order(twins.iter().map(|&i| (i, fresh[i].2)));
-        let results: Vec<OnceLock<Arc<SimReport>>> =
-            (0..fresh.len()).map(|_| OnceLock::new()).collect();
+        // Phase 2: the worker pool pulls the twins from one atomic index
+        // and reports each twin, then its aliases, as soon as it has the
+        // twin's report.
+        let order = match schedule {
+            Schedule::ByWorkload => workload_order(twins.iter().map(|&t| (t, misses[t].job))),
+            Schedule::AsGiven => twins,
+        };
         let next = AtomicUsize::new(0);
         let work = || {
             let mut last: Option<(&WorkloadSpec, Arc<Program>)> = None;
-            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let (fp, key, job) = fresh[i];
-                if last.as_ref().is_none_or(|(workload, _)| **workload != job.workload) {
-                    drop(last.take());
-                    last = Some((&job.workload, Arc::new(generate(&job.workload))));
+            while !stopped.load(Ordering::Relaxed) {
+                let Some(&t) = order.get(next.fetch_add(1, Ordering::Relaxed)) else { break };
+                let twin = &misses[t];
+                let report = self.machine_report(twin.fp, twin.key, twin.job, &mut last);
+                deliver(&twin.at, &report);
+                for alias in twin.aliases.iter().map(|&a| &misses[a]) {
+                    let relabelled = Arc::new(alias.job.report_from(&report));
+                    self.publish_alias(alias.fp, &relabelled);
+                    deliver(&alias.at, &relabelled);
                 }
-                let program = Arc::clone(&last.as_ref().expect("generated above").1);
-                let report = Arc::new(job.run_on(program));
-                self.simulated.fetch_add(1, Ordering::Relaxed);
-                self.publish(fp, &report);
-                self.twins
-                    .lock()
-                    .expect("twin map poisoned")
-                    .entry(key)
-                    .or_insert_with(|| (job.clone(), Arc::clone(&report)));
-                for &a in &aliases[i] {
-                    let (alias_fp, _, alias) = fresh[a];
-                    let relabelled = Arc::new(alias.report_from(&report));
-                    self.publish_alias(alias_fp, &relabelled);
-                    results[a].set(relabelled).expect("slot set once");
-                }
-                results[i].set(report).expect("slot set once");
             }
         };
-        let workers = self.threads.min(twins.len());
+        // Two or more workers are all threads of their own while the
+        // caller waits: with the caller as one of two workers, perfbench
+        // paper-repro's peak RSS rose from 21 to 26 MiB (2-vCPU host).
+        let workers = self.threads.min(order.len());
         if workers <= 1 {
             work();
         } else {
@@ -276,27 +360,87 @@ impl SweepEngine {
                 }
             });
         }
-
-        // Phase 3: assemble in submission order.
-        let finished: Vec<Arc<SimReport>> = results
-            .into_iter()
-            .map(|cell| cell.into_inner().expect("worker filled every slot"))
-            .collect();
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Done(r) => r,
-                Slot::Fresh(i) => Arc::clone(&finished[i]),
-            })
-            .collect()
     }
 
-    /// The report of the machine `job` simulates, if this engine already
-    /// simulated it under key `key`. The machines are compared field by
-    /// field, so a key collision is a miss, never a wrong report.
-    fn simulated_twin(&self, key: u64, job: &JobSpec) -> Option<Arc<SimReport>> {
-        let twins = self.twins.lock().expect("twin map poisoned");
-        twins.get(&key).filter(|(twin, _)| twin.same_machine(job)).map(|(_, r)| Arc::clone(r))
+    /// The report of twin `job`'s machine, published under `fp`. The
+    /// first batch to reach the machine claims it in the machine table
+    /// and simulates it; any other waits for that run, if it has not
+    /// ended, and relabels it. A key collision with another machine gets
+    /// a private claim, never shared.
+    fn machine_report<'a>(
+        &self,
+        fp: u64,
+        key: u64,
+        job: &'a JobSpec,
+        last: &mut Option<(&'a WorkloadSpec, Arc<Program>)>,
+    ) -> Arc<SimReport> {
+        let (machine, claimed) = {
+            let mut machines = self.machines.lock().expect("machine table poisoned");
+            match machines.get(&key) {
+                Some(held) if held.job.same_machine(job) => (Arc::clone(held), false),
+                held => {
+                    let machine = Arc::new(Machine { job: job.clone(), report: OnceLock::new() });
+                    if held.is_none() {
+                        machines.insert(key, Arc::clone(&machine));
+                    }
+                    (machine, true)
+                }
+            }
+        };
+        if claimed {
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| self.simulate(job, last)));
+            let report = match run {
+                Ok(report) => Arc::new(report),
+                Err(panic) => {
+                    // Wake the machine's waiters, now and later: they
+                    // panic too, rather than wait forever.
+                    let _ = machine.report.set(None);
+                    std::panic::resume_unwind(panic)
+                }
+            };
+            self.simulated.fetch_add(1, Ordering::Relaxed);
+            self.publish(fp, &report);
+            machine.report.set(Some(Arc::clone(&report))).expect("only the claimant sets it");
+            return report;
+        }
+        let Some(twin) = machine.report.wait() else {
+            panic!("the simulation of machine {key:016x} panicked (simulator bug)")
+        };
+        let report = Arc::new(job.report_from(twin));
+        self.publish_alias(fp, &report);
+        report
+    }
+
+    /// Simulates `job` under a permit. The worker's `last` program is
+    /// reused when its workload compares equal, else replaced by a fresh
+    /// one: a worker holds at most one program, freed on the thread that
+    /// built it.
+    fn simulate<'a>(
+        &self,
+        job: &'a JobSpec,
+        last: &mut Option<(&'a WorkloadSpec, Arc<Program>)>,
+    ) -> SimReport {
+        let _permit = self.permit();
+        if last.as_ref().is_none_or(|(workload, _)| **workload != job.workload) {
+            drop(last.take());
+            *last = Some((&job.workload, Arc::new(generate(&job.workload))));
+        }
+        let program = Arc::clone(&last.as_ref().expect("generated above").1);
+        #[cfg(test)]
+        let _running = self.gauge.enter();
+        job.run_on(program)
+    }
+
+    /// Waits for one of the `threads` simulation permits.
+    fn permit(&self) -> Permit<'_> {
+        let mut sims = self.simulations.lock().expect("permit count poisoned");
+        sims.waiting += 1;
+        while sims.running == self.threads {
+            sims = self.permit_freed.wait(sims).expect("permit count poisoned");
+        }
+        sims.waiting -= 1;
+        sims.running += 1;
+        Permit(self)
     }
 
     /// Counts one alias and publishes its relabelled report.
@@ -306,10 +450,14 @@ impl SweepEngine {
     }
 
     /// Writes a fresh report to the cache and through to the result
-    /// store, if any. A failed store write only warns: the report is
-    /// still served from the cache.
+    /// store, if any, unless the cache already holds the fingerprint:
+    /// a point that two concurrent batches both missed is written once.
+    /// A failed store write only warns: the report is still served from
+    /// the cache.
     fn publish(&self, fp: u64, report: &Arc<SimReport>) {
-        self.cache.insert(fp, Arc::clone(report));
+        if !self.cache.insert(fp, Arc::clone(report)) {
+            return;
+        }
         if let Some(store) = &self.store {
             if let Err(e) = store.store(fp, report) {
                 eprintln!(
@@ -321,20 +469,23 @@ impl SweepEngine {
     }
 
     /// Runs a single job through the cache (and the result-store
-    /// write-through, when configured).
-    ///
-    /// Convenience for streaming callers — the sweep service emits each
-    /// point as it completes rather than batching a whole grid — with
-    /// the same determinism and memoisation as [`SweepEngine::run`].
-    /// All engine methods take `&self` and are safe to call from many
-    /// threads at once (the service does); note that two *concurrent*
-    /// `run_one` calls for the same not-yet-simulated machine will both
-    /// simulate it — callers that overlap requests de-duplicate in
-    /// flight by simulation key (see
-    /// [`SweepService::compute`](crate::service::SweepService::compute)).
+    /// write-through, when configured), with the same determinism and
+    /// memoisation as [`SweepEngine::run`].
     #[must_use]
     pub fn run_one(&self, job: &JobSpec) -> Arc<SimReport> {
         self.run(std::slice::from_ref(job)).pop().expect("one report per job")
+    }
+}
+
+/// A simulation permit, returned on drop.
+struct Permit<'a>(&'a SweepEngine);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut sims) = self.0.simulations.lock() {
+            sims.running -= 1;
+        }
+        self.0.permit_freed.notify_one();
     }
 }
 
@@ -365,9 +516,9 @@ fn generate(workload: &WorkloadSpec) -> Program {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::HashSet;
-    use std::sync::Mutex;
+    use std::sync::{Barrier, Mutex};
     use std::thread::ThreadId;
 
     use super::*;
@@ -386,6 +537,54 @@ mod tests {
     fn generated_here() -> Vec<WorkloadSpec> {
         let me = std::thread::current().id();
         GENERATED.lock().unwrap().iter().filter(|(_, t)| *t == me).map(|(w, _)| w.clone()).collect()
+    }
+
+    /// How many times any engine in this process, on any thread, has
+    /// generated `workload`'s program.
+    pub(crate) fn generations_of(workload: &WorkloadSpec) -> usize {
+        GENERATED.lock().unwrap().iter().filter(|(w, _)| w == workload).count()
+    }
+
+    /// Counts the simulations an engine runs at once, independently of
+    /// its permits, and keeps the largest count seen.
+    #[derive(Debug, Default)]
+    pub(super) struct Gauge {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Gauge {
+        /// Counts one simulation until the returned guard drops.
+        pub(super) fn enter(&self) -> impl Drop + '_ {
+            struct Leave<'a>(&'a Gauge);
+            impl Drop for Leave<'_> {
+                fn drop(&mut self) {
+                    self.0.now.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+            let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            Leave(self)
+        }
+    }
+
+    /// Runs `batches` on `engine` at once, each on its own thread, all
+    /// released together, and returns their reports.
+    fn run_concurrently(engine: &SweepEngine, batches: &[&[JobSpec]]) -> Vec<Vec<Arc<SimReport>>> {
+        let start = Barrier::new(batches.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = batches
+                .iter()
+                .map(|&batch| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        engine.run(batch)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("batch thread")).collect()
+        })
     }
 
     fn job(seed: u64) -> JobSpec {
@@ -665,5 +864,84 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.simulated, 1, "second batch must be served from cache");
         assert_eq!(stats.cache.hits, 1);
+    }
+
+    #[test]
+    fn a_point_computed_while_its_twin_runs_waits_and_is_relabelled() {
+        // Two concurrent batches reach one machine under two labels: the
+        // first to claim it simulates it, the other waits and relabels.
+        let engine = SweepEngine::new(2);
+        let go = st_workloads::by_name("go").expect("paper workload");
+        let a5 = JobSpec::new(go.clone(), 20_000).with_experiment(st_core::experiments::a5());
+        let c1 = JobSpec::new(go, 20_000).with_experiment(st_core::experiments::c1());
+        let out =
+            run_concurrently(&engine, &[std::slice::from_ref(&a5), std::slice::from_ref(&c1)]);
+        assert_eq!(*out[0][0], a5.run());
+        assert_eq!(*out[1][0], c1.run());
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.aliased), (1, 1), "one machine, two labels");
+    }
+
+    #[test]
+    fn concurrent_batches_share_the_engines_permits() {
+        // Each batch has a worker of its own, but a one-thread engine
+        // has one permit, so its simulations run one at a time.
+        use st_core::experiments::{a7, b3, baseline, c2};
+        let engine = SweepEngine::new(1);
+        let go = st_workloads::by_name("go").expect("paper workload");
+        let jobs: Vec<JobSpec> = [baseline(), c2(), a7(), b3()]
+            .map(|e| JobSpec::new(go.clone(), 5_000).with_experiment(e))
+            .to_vec();
+        let out = run_concurrently(&engine, &[&jobs[..2], &jobs[2..]]);
+        assert_eq!(out.concat(), solo_runs(&jobs));
+        assert_eq!(engine.stats().simulated, 4);
+        assert_eq!(engine.gauge.peak.load(Ordering::SeqCst), 1, "never two simulations at once");
+        assert_eq!(engine.simulations_in_flight(), 0, "none in flight once idle");
+    }
+
+    #[test]
+    fn run_each_works_and_reports_in_schedule_order() {
+        // Workloads interleaved w1, w2, w1, w2. As given, a one-thread
+        // engine simulates and reports them in that order, generating a
+        // program for each; grouped by workload, it reuses each program.
+        let (w1, w2) = (job(91), job(92));
+        let c2 = st_core::experiments::c2;
+        let jobs =
+            [w1.clone(), w2.clone(), w1.clone().with_experiment(c2()), w2.with_experiment(c2())];
+        let refs: Vec<&JobSpec> = jobs.iter().collect();
+        let solo = solo_runs(&jobs);
+        let (p1, p2) = (jobs[0].workload.clone(), jobs[1].workload.clone());
+        for (schedule, order, programs) in [
+            (Schedule::AsGiven, [0, 1, 2, 3], vec![p1.clone(), p2.clone(), p1.clone(), p2.clone()]),
+            (Schedule::ByWorkload, [0, 2, 1, 3], vec![p1.clone(), p2.clone()]),
+        ] {
+            let before = generated_here().len();
+            let reported = Mutex::new(Vec::new());
+            SweepEngine::new(1).run_each(&refs, schedule, |i, report| {
+                reported.lock().unwrap().push((i, report));
+                true
+            });
+            let reported = reported.into_inner().unwrap();
+            let indices: Vec<usize> = reported.iter().map(|(i, _)| *i).collect();
+            assert_eq!(indices, order, "{schedule:?}");
+            assert_eq!(generated_here()[before..], programs, "{schedule:?}");
+            for (i, report) in &reported {
+                assert_eq!(*report, solo[*i], "{schedule:?}: job {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_each_stops_when_told() {
+        let engine = SweepEngine::new(1);
+        let jobs = [job(93), job(94), job(95)];
+        let refs: Vec<&JobSpec> = jobs.iter().collect();
+        let reported = AtomicUsize::new(0);
+        engine.run_each(&refs, Schedule::AsGiven, |_, _| {
+            reported.fetch_add(1, Ordering::SeqCst);
+            false
+        });
+        assert_eq!(reported.into_inner(), 1, "nothing is reported after the stop");
+        assert_eq!(engine.stats().simulated, 1, "nothing is simulated after the stop");
     }
 }

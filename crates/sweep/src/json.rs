@@ -199,14 +199,18 @@ impl Reader {
         }
     }
 
-    /// Reads one 4-digit hex escape unit at the cursor.
+    /// Reads one 4-digit hex escape unit at the cursor: exactly four
+    /// ASCII hex digits (`from_str_radix` alone would take `+041`).
     fn hex4(&mut self) -> Result<u32, String> {
         let hex: String = self.chars.iter().skip(self.pos).take(4).collect();
         if hex.len() != 4 {
             return Err("truncated \\u escape".to_string());
         }
         self.pos += 4;
-        u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))
+        match u32::from_str_radix(&hex, 16) {
+            Ok(unit) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => Ok(unit),
+            _ => Err(format!("bad \\u escape `{hex}`")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {

@@ -79,18 +79,17 @@ const KIND_PUT: u8 = 0;
 /// Frame kind: an eviction tombstone (empty payload).
 const KIND_TOMBSTONE: u8 = 1;
 
-/// Tuning knobs for a [`LogStore`].
+/// Appends roll to a new segment once the active one reaches this size
+/// (existing segments are never rewritten in place).
+const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
+
+/// A store's segment size, for unit tests that roll segments early.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub struct LogStoreConfig {
     /// Appends roll to a new segment once the active one reaches this
-    /// size (existing segments are never rewritten in place).
+    /// size.
     pub segment_bytes: u64,
-}
-
-impl Default for LogStoreConfig {
-    fn default() -> LogStoreConfig {
-        LogStoreConfig { segment_bytes: 8 * 1024 * 1024 }
-    }
 }
 
 /// What one startup scan found.
@@ -215,7 +214,8 @@ struct Inner {
 #[derive(Debug)]
 pub struct LogStore {
     dir: PathBuf,
-    config: LogStoreConfig,
+    /// [`SEGMENT_BYTES`], except in unit tests.
+    segment_bytes: u64,
     inner: Mutex<Inner>,
 }
 
@@ -254,13 +254,14 @@ impl LogStore {
     /// module docs — this never fails and never panics on bad bytes.
     #[must_use]
     pub fn open(dir: impl Into<PathBuf>) -> LogStore {
-        LogStore::open_with_config(dir, LogStoreConfig::default())
+        LogStore::open_impl(dir.into(), SEGMENT_BYTES, false).0
     }
 
-    /// [`LogStore::open`] with explicit tuning knobs.
+    /// [`LogStore::open`] with another segment size.
+    #[cfg(test)]
     #[must_use]
     pub fn open_with_config(dir: impl Into<PathBuf>, config: LogStoreConfig) -> LogStore {
-        LogStore::open_impl(dir.into(), config, false).0
+        LogStore::open_impl(dir.into(), config.segment_bytes, false).0
     }
 
     /// Opens the store *and* decodes every live report in the same
@@ -270,21 +271,22 @@ impl LogStore {
     /// The reports come back sorted by fingerprint.
     #[must_use]
     pub fn open_loading(dir: impl Into<PathBuf>) -> (LogStore, Vec<(u64, SimReport)>) {
-        LogStore::open_loading_with_config(dir, LogStoreConfig::default())
+        LogStore::open_impl(dir.into(), SEGMENT_BYTES, true)
     }
 
-    /// [`LogStore::open_loading`] with explicit tuning knobs.
+    /// [`LogStore::open_loading`] with another segment size.
+    #[cfg(test)]
     #[must_use]
     pub fn open_loading_with_config(
         dir: impl Into<PathBuf>,
         config: LogStoreConfig,
     ) -> (LogStore, Vec<(u64, SimReport)>) {
-        LogStore::open_impl(dir.into(), config, true)
+        LogStore::open_impl(dir.into(), config.segment_bytes, true)
     }
 
     fn open_impl(
         dir: PathBuf,
-        config: LogStoreConfig,
+        segment_bytes: u64,
         parse: bool,
     ) -> (LogStore, Vec<(u64, SimReport)>) {
         let mut inner = Inner::default();
@@ -295,7 +297,7 @@ impl LogStore {
             scan_segment(&dir, id, Some(id) == last, &mut inner, parse.then_some(&mut reports));
         }
         inner.load.entries = inner.index.len() as u64;
-        let store = LogStore { dir, config, inner: Mutex::new(inner) };
+        let store = LogStore { dir, segment_bytes, inner: Mutex::new(inner) };
         let mut loaded: Vec<(u64, SimReport)> = reports.into_iter().collect();
         loaded.sort_by_key(|(fp, _)| *fp);
         (store, loaded)
@@ -320,12 +322,13 @@ impl LogStore {
 
     fn append(&self, kind: u8, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
         let mut inner = self.inner.lock().expect("logstore lock");
-        append_locked(&self.dir, self.config, &mut inner, kind, fingerprint, payload)
+        append_locked(&self.dir, self.segment_bytes, &mut inner, kind, fingerprint, payload)
     }
 
     /// Reads one live entry's payload bytes straight from its segment,
     /// re-verifying the checksum. `None` if the fingerprint is not live
     /// or the bytes no longer verify.
+    #[cfg(test)]
     #[must_use]
     pub fn raw_payload(&self, fingerprint: u64) -> Option<Vec<u8>> {
         let (path, offset, len) = {
@@ -422,7 +425,7 @@ impl LogStore {
             }
         }
         for fp in &victims {
-            append_locked(&self.dir, self.config, inner, KIND_TOMBSTONE, *fp, &[])?;
+            append_locked(&self.dir, self.segment_bytes, inner, KIND_TOMBSTONE, *fp, &[])?;
             inner.index.remove(fp);
         }
         inner.evictions += victims.len() as u64;
@@ -665,7 +668,7 @@ fn truncate_segment(path: &Path, len: u64) -> bool {
 /// segment or rolling a new one as needed.
 fn append_locked(
     dir: &Path,
-    config: LogStoreConfig,
+    segment_bytes: u64,
     inner: &mut Inner,
     kind: u8,
     fp: u64,
@@ -673,14 +676,14 @@ fn append_locked(
 ) -> std::io::Result<()> {
     if inner.active.is_none() {
         inner.active = match inner.appendable {
-            Some(id) if inner.segs.get(&id).copied().unwrap_or(0) < config.segment_bytes => {
+            Some(id) if inner.segs.get(&id).copied().unwrap_or(0) < segment_bytes => {
                 let file = OpenOptions::new().append(true).open(segment_path(dir, id))?;
                 Some(ActiveSeg { id, file, bytes: inner.segs[&id] })
             }
             _ => Some(create_segment(dir, inner)?),
         };
     }
-    if inner.active.as_ref().is_some_and(|a| a.bytes >= config.segment_bytes) {
+    if inner.active.as_ref().is_some_and(|a| a.bytes >= segment_bytes) {
         inner.active = Some(create_segment(dir, inner)?);
     }
     let frame = encode_frame(kind, fp, payload);
@@ -802,9 +805,11 @@ fn compact_locked(dir: &Path, inner: &mut Inner) -> std::io::Result<CompactStats
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use st_isa::WorkloadSpec;
+
     use super::*;
     use crate::JobSpec;
-    use st_isa::WorkloadSpec;
 
     fn report(seed: u64) -> SimReport {
         JobSpec::new(WorkloadSpec::builder("logstore-test").seed(seed).blocks(64).build(), 1_500)
@@ -1133,5 +1138,104 @@ mod tests {
         assert_eq!(store.compact().unwrap(), CompactStats::default());
         assert_eq!(store.stats().entries, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One real (tiny) simulation, reused as the payload template; each
+    /// record perturbs one field so payloads are pairwise distinct but
+    /// stay realistic in size and shape.
+    fn report_for(seed: u64) -> SimReport {
+        static BASE: std::sync::OnceLock<SimReport> = std::sync::OnceLock::new();
+        let base = BASE.get_or_init(|| {
+            let spec = st_workloads::by_name("go").expect("known workload");
+            JobSpec::new(spec, 500).run()
+        });
+        let mut r = base.clone();
+        r.perf.cycles = r.perf.cycles.wrapping_add(seed);
+        r
+    }
+
+    /// A deterministic permutation of `0..n` from a seed (tiny LCG
+    /// Fisher-Yates, so proptest shrinking stays meaningful).
+    fn permutation(n: usize, seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = seed | 1;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let j = (state >> 33) as usize % (i + 1);
+            order.swap(i, j);
+        }
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Arbitrary record sets round-trip byte-identically across a
+        /// reopen — at any segment-roll granularity — and after evicting
+        /// in an arbitrary LRU order the survivors are still
+        /// byte-identical.
+        #[test]
+        fn round_trip_survives_reopens_and_arbitrary_eviction_orders(
+            records in 1usize..=10,
+            keep in 0usize..=10,
+            segment_pick in 0usize..4,
+            order_seed in any::<u64>(),
+        ) {
+            let keep = keep.min(records);
+            // segment_bytes 1 seals a segment per record; larger targets
+            // pack several records per segment.
+            let segment_kib = [0u64, 1, 4, 64][segment_pick];
+            let config = LogStoreConfig {
+                segment_bytes: if segment_kib == 0 { 1 } else { segment_kib * 1024 },
+            };
+            let dir = tmp_dir(&format!("props-roundtrip-{records}-{segment_kib}"));
+            {
+                let store = LogStore::open_with_config(&dir, config);
+                for seed in 1..=records as u64 {
+                    store.store(seed, &report_for(seed)).expect("append");
+                }
+            }
+            let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+            prop_assert_eq!(loaded.len(), records);
+            let mut frame_bytes = HashMap::new();
+            for (fp, report) in &loaded {
+                let expected = report_to_json(&report_for(*fp));
+                prop_assert_eq!(&report_to_json(report), &expected);
+                let raw = store.raw_payload(*fp).expect("indexed payload");
+                prop_assert_eq!(raw.as_slice(), expected.as_bytes(), "raw bytes preserved verbatim");
+                frame_bytes.insert(*fp, FRAME_HEADER_BYTES + raw.len() as u64);
+            }
+
+            // Touch in an arbitrary order; the last `keep` touched must be
+            // exactly the survivors of an eviction sized to fit them.
+            let order = permutation(records, order_seed);
+            for &i in &order {
+                store.touch_all(&[i as u64 + 1]);
+            }
+            let survivors: Vec<u64> =
+                order[records - keep..].iter().map(|&i| i as u64 + 1).collect();
+            let budget = SEGMENT_HEADER_BYTES
+                + survivors.iter().map(|fp| frame_bytes[fp]).sum::<u64>();
+            store.evict_to_budget(budget).expect("evict");
+            drop(store);
+
+            let (store, reloaded) = LogStore::open_loading_with_config(&dir, config);
+            let mut expected: Vec<u64> = survivors.clone();
+            expected.sort_unstable();
+            let fps: Vec<u64> = reloaded.iter().map(|(fp, _)| *fp).collect();
+            prop_assert_eq!(fps, expected, "exactly the {} most recently used survive", keep);
+            for (fp, report) in &reloaded {
+                let expected = report_to_json(&report_for(*fp));
+                prop_assert_eq!(&report_to_json(report), &expected);
+                let raw = store.raw_payload(*fp).expect("indexed payload");
+                prop_assert_eq!(
+                    raw.as_slice(),
+                    expected.as_bytes(),
+                    "survivor bytes preserved verbatim across eviction + reopen"
+                );
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -9,14 +9,13 @@
 //! * **`POST /submit`** — the body is a sweep spec, byte-for-byte what
 //!   `st run` reads from a file (TOML or JSON, parsed by
 //!   [`SweepSpec::parse`]). The server expands the grid through the axis
-//!   registry, answers every point cache-first from the shared engine,
-//!   runs misses through a bounded simulation worker pool via
-//!   [`SweepEngine::run_one`], and streams back newline-delimited JSON:
-//!   exactly the tagged `report` + `comparison` records of
-//!   [`crate::emit::sweep_jsonl`], in canonical grid order, flushed one
-//!   record at a time as points complete. Piping the response to a file
-//!   yields output **byte-identical** to a local `st run` of the same
-//!   spec.
+//!   registry, runs it as one batch of the shared engine in stream
+//!   order ([`SweepEngine::run_each`]), cache-first, and streams back
+//!   newline-delimited JSON: exactly the tagged `report` + `comparison`
+//!   records of [`crate::emit::sweep_jsonl`], in canonical grid order,
+//!   flushed one record at a time as points complete. Piping the
+//!   response to a file yields output **byte-identical** to a local
+//!   `st run` of the same spec.
 //! * **`GET /audit`** — the body is a sweep spec (same bytes as
 //!   `/submit`); the reply is one `audit` summary line plus the
 //!   deterministic findings of [`crate::audit`] over the (cache-first)
@@ -32,13 +31,12 @@
 //! (`{"kind":"error","error":"…"}`) with conventional status codes, so a
 //! misbehaving client can never wedge the daemon.
 //!
-//! Two overlapping submissions never simulate one machine twice: in
-//! addition to the engine's result cache, the service keeps an
-//! *in-flight* table keyed by [`JobSpec::simulation_key`] — the first
-//! worker to reach a machine simulates it, any concurrent requester
-//! blocks on the same slot and then shares the finished report, or, for
-//! a point of another fingerprint (C1 while A5 runs), takes it from the
-//! engine relabelled.
+//! The engine is the only executor. Two overlapping submissions are two
+//! concurrent engine batches, so they never simulate one machine twice:
+//! the first batch to reach a machine simulates it, and any other waits
+//! for that run and takes its report, relabelled for a point of another
+//! fingerprint (C1 while A5 runs). The engine's permits bound the
+//! simulations of every connection together to `--threads`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -63,18 +61,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use st_core::SimReport;
 
 use crate::emit;
-use crate::engine::SweepEngine;
+use crate::engine::{Schedule, SweepEngine};
 use crate::job::JobSpec;
 use crate::spec::{SweepPoint, SweepSpec};
 
@@ -135,7 +132,7 @@ pub struct ServiceConfig {
     /// Output directory; the result store sits under `<out>/.store`,
     /// shared with `st run`/`st repro`.
     pub out: PathBuf,
-    /// Simulation worker-pool size (`0` = auto-detect the hardware
+    /// The engine's worker count (`0` = auto-detect the hardware
     /// parallelism). Bounds concurrent simulations *across all
     /// connections* — the service's backpressure.
     pub threads: usize,
@@ -162,70 +159,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One machine being simulated right now: concurrent requesters for
-/// the same simulation key block on `done` until the leader, computing
-/// the point of fingerprint `fingerprint`, resolves `slot`.
-#[derive(Debug)]
-struct Pending {
-    fingerprint: u64,
-    slot: Mutex<PendingState>,
-    done: Condvar,
-}
-
-/// Lifecycle of an in-flight point. `Abandoned` means the leader
-/// panicked mid-simulation (an engine bug): followers must not wait
-/// forever, and the key must not stay wedged for the daemon's
-/// lifetime.
-#[derive(Debug, Default)]
-enum PendingState {
-    #[default]
-    Waiting,
-    Done(Arc<SimReport>),
-    Abandoned,
-}
-
-/// A counting semaphore bounding concurrent simulations.
-#[derive(Debug)]
-struct Semaphore {
-    permits: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Semaphore {
-        Semaphore { permits: Mutex::new(permits), available: Condvar::new() }
-    }
-
-    fn acquire(&self) -> SemaphoreGuard<'_> {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits == 0 {
-            permits = self.available.wait(permits).expect("semaphore poisoned");
-        }
-        *permits -= 1;
-        SemaphoreGuard { semaphore: self }
-    }
-}
-
-struct SemaphoreGuard<'a> {
-    semaphore: &'a Semaphore,
-}
-
-impl Drop for SemaphoreGuard<'_> {
-    fn drop(&mut self) {
-        *self.semaphore.permits.lock().expect("semaphore poisoned") += 1;
-        self.semaphore.available.notify_one();
-    }
-}
-
-/// The sharable core of the daemon: the engine, the in-flight table and
-/// the serving counters. [`Server`] adds the socket; tests can drive a
+/// The sharable core of the daemon: the engine and the serving
+/// counters. [`Server`] adds the socket; tests can drive a
 /// `SweepService` directly without any networking.
 #[derive(Debug)]
 pub struct SweepService {
     engine: SweepEngine,
-    workers: usize,
-    permits: Semaphore,
-    in_flight: Mutex<HashMap<u64, Arc<Pending>>>,
     submissions: AtomicU64,
     active_submissions: AtomicU64,
     points_served: AtomicU64,
@@ -245,12 +184,8 @@ impl SweepService {
         } else {
             SweepEngine::with_result_store(config.threads, &config.out)
         };
-        let workers = engine.threads();
         let service = SweepService {
             engine,
-            workers,
-            permits: Semaphore::new(workers),
-            in_flight: Mutex::new(HashMap::new()),
             submissions: AtomicU64::new(0),
             active_submissions: AtomicU64::new(0),
             points_served: AtomicU64::new(0),
@@ -286,98 +221,11 @@ impl SweepService {
         &self.engine
     }
 
-    /// Simulation worker-pool size.
+    /// The engine's worker count: at most this many simulations run at
+    /// once.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Computes one point with cross-request de-duplication: the first
-    /// caller per simulation key computes it (cache-first, bounded by
-    /// the worker-pool semaphore, persisted write-through); concurrent
-    /// callers for the same machine block until it is done. One of the
-    /// same fingerprint shares the leader's report; one of another
-    /// fingerprint (an alias) then gets it relabelled from the engine,
-    /// which normally simulates nothing for it.
-    #[must_use]
-    pub fn compute(&self, job: &JobSpec) -> Arc<SimReport> {
-        let fp = job.fingerprint();
-        let key = job.simulation_key();
-        let (pending, leader) = {
-            let mut in_flight = self.in_flight.lock().expect("in-flight table poisoned");
-            match in_flight.get(&key) {
-                Some(pending) => (Arc::clone(pending), false),
-                None => {
-                    let pending = Arc::new(Pending {
-                        fingerprint: fp,
-                        slot: Mutex::default(),
-                        done: Condvar::new(),
-                    });
-                    in_flight.insert(key, Arc::clone(&pending));
-                    (pending, true)
-                }
-            }
-        };
-        if leader {
-            // The guard runs even if the engine panics: it retires the
-            // in-flight entry and wakes followers (who see `Abandoned`
-            // unless the slot was filled first), so one engine bug can
-            // never wedge a key for the daemon's lifetime.
-            struct Retire<'a> {
-                service: &'a SweepService,
-                key: u64,
-                pending: &'a Pending,
-            }
-            impl Drop for Retire<'_> {
-                fn drop(&mut self) {
-                    self.service
-                        .in_flight
-                        .lock()
-                        .expect("in-flight table poisoned")
-                        .remove(&self.key);
-                    let mut slot = self.pending.slot.lock().expect("pending slot poisoned");
-                    if matches!(*slot, PendingState::Waiting) {
-                        *slot = PendingState::Abandoned;
-                    }
-                    drop(slot);
-                    self.pending.done.notify_all();
-                }
-            }
-            let retire = Retire { service: self, key, pending: &pending };
-            let report = {
-                let _permit = self.permits.acquire();
-                self.engine.run_one(job)
-            };
-            *pending.slot.lock().expect("pending slot poisoned") =
-                PendingState::Done(Arc::clone(&report));
-            drop(retire);
-            report
-        } else {
-            let mut slot = pending.slot.lock().expect("pending slot poisoned");
-            loop {
-                match &*slot {
-                    PendingState::Done(report) if pending.fingerprint == fp => {
-                        return Arc::clone(report)
-                    }
-                    // The engine ran this machine for the leader, so it
-                    // serves this point as an alias, under its own
-                    // fingerprint and labels.
-                    PendingState::Done(_) => break,
-                    PendingState::Abandoned => {
-                        panic!("in-flight leader for {key:016x} panicked (simulator bug)")
-                    }
-                    PendingState::Waiting => {
-                        slot = pending.done.wait(slot).expect("pending slot poisoned");
-                    }
-                }
-            }
-            drop(slot);
-            // The permit bounds the one case in which this still
-            // simulates: the leader's point was a cache hit, so the
-            // engine has no run of the machine to relabel.
-            let _permit = self.permits.acquire();
-            self.engine.run_one(job)
-        }
+        self.engine.threads()
     }
 
     /// Serves one expanded grid into `sink` as the canonical sweep JSONL
@@ -410,97 +258,20 @@ impl SweepService {
         pairing: &[Option<usize>],
         sink: &mut dyn Write,
     ) -> std::io::Result<()> {
-        self.submissions.fetch_add(1, Ordering::Relaxed);
-        self.active_submissions.fetch_add(1, Ordering::Relaxed);
-        // Pin this submission's fingerprints for the duration of the
-        // stream: a concurrent budget enforcement must never evict an
-        // entry this submission is about to read.
-        let fingerprints: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
-        let pins = self.engine.result_store().map(|s| s.pin(&fingerprints));
-        let result = self.stream_inner(points, pairing, sink);
-        drop(pins);
-        if let Some(store) = self.engine.result_store() {
-            // The whole working set counts as recently used, so LRU
-            // eviction prefers entries no submission asked for lately.
-            store.touch_all(&fingerprints);
-        }
-        self.active_submissions.fetch_sub(1, Ordering::Relaxed);
-        self.enforce_store_budget();
-        result
-    }
-
-    fn stream_inner(
-        &self,
-        points: &[SweepPoint],
-        pairing: &[Option<usize>],
-        sink: &mut dyn Write,
-    ) -> std::io::Result<()> {
         debug_assert_eq!(points.len(), pairing.len(), "one pairing entry per point");
-        let mut reports: Vec<Option<Arc<SimReport>>> = vec![None; points.len()];
-        let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let workers = self.workers.min(points.len()).max(1);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Arc<SimReport>)>();
-
-        // Consumes the receiver so a write error *drops it before the
-        // worker scope joins* — that is what makes the workers' failed
-        // sends (and the `cancelled` flag) actually stop a sweep whose
-        // client disconnected, instead of simulating the rest in vain.
-        let write_in_order = |rx: std::sync::mpsc::Receiver<(usize, Arc<SimReport>)>,
-                              reports: &mut [Option<Arc<SimReport>>],
-                              sink: &mut dyn Write|
-         -> std::io::Result<()> {
-            let mut emitted = 0;
-            while let Ok((i, report)) = rx.recv() {
-                reports[i] = Some(report);
-                while emitted < points.len() && reports[emitted].is_some() {
-                    let report = reports[emitted].as_ref().expect("slot just checked");
-                    let line =
-                        emit::report_jsonl_tagged(report, &emit::binding_tags(&points[emitted]));
-                    sink.write_all(line.as_bytes())?;
-                    sink.write_all(b"\n")?;
-                    sink.flush()?;
-                    self.points_served.fetch_add(1, Ordering::Relaxed);
-                    emitted += 1;
-                }
-            }
-            Ok(())
-        };
-
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, cancelled) = (&next, &cancelled);
-                scope.spawn(move || loop {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(point) = points.get(i) else { break };
-                    let report = self.compute(&point.job);
-                    if tx.send((i, report)).is_err() {
-                        // Receiver dropped: the client disconnected.
-                        cancelled.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let result = write_in_order(rx, &mut reports, sink);
-            if result.is_err() {
-                cancelled.store(true, Ordering::Relaxed);
-            }
-            result
+        self.submissions.fetch_add(1, Ordering::Relaxed);
+        let jobs: Vec<&JobSpec> = points.iter().map(|p| &p.job).collect();
+        let reports = self.serve(&jobs, sink, |i, report| {
+            let mut line = emit::report_jsonl_tagged(report, &emit::binding_tags(&points[i]));
+            line.push('\n');
+            line
         })?;
-
         // Comparisons need the whole grid (a variant's baseline may sit
         // anywhere), so they follow the report records — the same shape
         // `emit::sweep_jsonl` writes.
         for ((point, report), baseline) in points.iter().zip(&reports).zip(pairing) {
             let Some(bi) = *baseline else { continue };
-            let report = report.as_ref().expect("every slot filled");
-            let base = reports[bi].as_ref().expect("every slot filled");
-            let cmp = st_core::compare(base, report);
+            let cmp = st_core::compare(&reports[bi], report);
             let line = emit::comparison_jsonl_tagged(
                 &report.workload,
                 &report.experiment,
@@ -539,89 +310,70 @@ impl SweepService {
         sink: &mut dyn Write,
     ) -> std::io::Result<()> {
         self.range_requests.fetch_add(1, Ordering::Relaxed);
+        let jobs: Vec<&JobSpec> = members.iter().map(|&seq| &points[seq].job).collect();
+        self.serve(&jobs, sink, |slot, report| {
+            let seq = members[slot];
+            crate::shard::point_record(seq, &points[seq], report)
+        })?;
+        Ok(())
+    }
+
+    /// Runs `jobs` as one engine batch in stream order and writes
+    /// `record(i, report)` for each job in index order, each flushed as
+    /// soon as it and every job before it have their reports; returns
+    /// the reports. A failed write (a client that hung up) stops the
+    /// batch: none of its simulations not yet under way starts. The
+    /// batch's store entries are pinned against eviction while it
+    /// streams and count as recently used afterwards; then the store
+    /// budget applies.
+    fn serve(
+        &self,
+        jobs: &[&JobSpec],
+        sink: &mut dyn Write,
+        record: impl Fn(usize, &SimReport) -> String,
+    ) -> std::io::Result<Vec<Arc<SimReport>>> {
         self.active_submissions.fetch_add(1, Ordering::Relaxed);
-        // Same pin-stream-touch-evict discipline as a full submission:
-        // entries this range is about to read can never be evicted from
-        // under it by a concurrent budget enforcement.
-        let fingerprints: Vec<u64> = members.iter().map(|&i| points[i].job.fingerprint()).collect();
+        let fingerprints: Vec<u64> = jobs.iter().map(|job| job.fingerprint()).collect();
         let pins = self.engine.result_store().map(|s| s.pin(&fingerprints));
-        let result = self.stream_points_inner(points, members, sink);
+        let mut reports: Vec<Option<Arc<SimReport>>> = vec![None; jobs.len()];
+        let written = std::thread::scope(|scope| -> std::io::Result<()> {
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                self.engine
+                    .run_each(jobs, Schedule::AsGiven, |i, report| tx.send((i, report)).is_ok());
+            });
+            // The loop owns the receiver, so a write error drops it before
+            // the scope joins the batch, and the batch's next send fails.
+            let mut next = 0;
+            for (i, report) in rx {
+                reports[i] = Some(report);
+                while let Some(Some(report)) = reports.get(next) {
+                    sink.write_all(record(next, report).as_bytes())?;
+                    sink.flush()?;
+                    self.points_served.fetch_add(1, Ordering::Relaxed);
+                    next += 1;
+                }
+            }
+            Ok(())
+        });
         drop(pins);
         if let Some(store) = self.engine.result_store() {
+            // The whole working set counts as recently used, so LRU
+            // eviction prefers entries no submission asked for lately.
             store.touch_all(&fingerprints);
         }
         self.active_submissions.fetch_sub(1, Ordering::Relaxed);
         self.enforce_store_budget();
-        result
+        written?;
+        Ok(reports.into_iter().map(|report| report.expect("every job reported")).collect())
     }
 
-    fn stream_points_inner(
-        &self,
-        points: &[SweepPoint],
-        members: &[usize],
-        sink: &mut dyn Write,
-    ) -> std::io::Result<()> {
-        let mut records: Vec<Option<String>> = vec![None; members.len()];
-        let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let workers = self.workers.min(members.len()).max(1);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, String)>();
-
-        // Same in-order writer shape as `stream_inner`: dropping the
-        // receiver on a write error is what cancels the workers of a
-        // vanished client.
-        let write_in_order = |rx: std::sync::mpsc::Receiver<(usize, String)>,
-                              records: &mut [Option<String>],
-                              sink: &mut dyn Write|
-         -> std::io::Result<()> {
-            let mut emitted = 0;
-            while let Ok((slot, line)) = rx.recv() {
-                records[slot] = Some(line);
-                while emitted < members.len() && records[emitted].is_some() {
-                    let line = records[emitted].as_ref().expect("slot just checked");
-                    sink.write_all(line.as_bytes())?;
-                    sink.flush()?;
-                    self.points_served.fetch_add(1, Ordering::Relaxed);
-                    emitted += 1;
-                }
-            }
-            Ok(())
-        };
-
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, cancelled) = (&next, &cancelled);
-                scope.spawn(move || loop {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seq) = members.get(slot) else { break };
-                    let point = &points[seq];
-                    let report = self.compute(&point.job);
-                    let line = crate::shard::point_record(seq, point, &report);
-                    if tx.send((slot, line)).is_err() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let result = write_in_order(rx, &mut records, sink);
-            if result.is_err() {
-                cancelled.store(true, Ordering::Relaxed);
-            }
-            result
-        })
-    }
-
-    /// Audits a submitted grid: every point is served cache-first
-    /// through [`SweepService::compute`] (sharing the in-flight table
-    /// and result store with `/submit`), the canonical records are
-    /// re-derived with [`crate::emit::sweep_jsonl`], and the findings
-    /// engine judges them against the expanded grid. Backs `GET /audit`
-    /// and bumps the `audit_requests` status counter.
+    /// Audits a submitted grid: the points run as one engine batch,
+    /// cache-first (sharing the engine's machines and result store with
+    /// `/submit`), the canonical records are re-derived with
+    /// [`crate::emit::sweep_jsonl`], and the findings engine judges them
+    /// against the expanded grid. Backs `GET /audit` and bumps the
+    /// `audit_requests` status counter.
     ///
     /// # Panics
     ///
@@ -630,7 +382,8 @@ impl SweepService {
     #[must_use]
     pub fn audit_findings(&self, points: &[SweepPoint]) -> Vec<crate::audit::Finding> {
         self.audit_requests.fetch_add(1, Ordering::Relaxed);
-        let reports: Vec<Arc<SimReport>> = points.iter().map(|p| self.compute(&p.job)).collect();
+        let jobs: Vec<JobSpec> = points.iter().map(|p| p.job.clone()).collect();
+        let reports = self.engine.run(&jobs);
         let jsonl = emit::sweep_jsonl(points, &reports);
         let records =
             crate::audit::parse_records(&jsonl).expect("emitted sweep records always parse");
@@ -643,7 +396,6 @@ impl SweepService {
     #[must_use]
     pub fn status_json(&self) -> String {
         let stats = self.engine.stats();
-        let in_flight = self.in_flight.lock().expect("in-flight table poisoned").len();
         let (cache_dir, store) = match self.engine.result_store() {
             Some(result_store) => {
                 let s = result_store.stats();
@@ -666,12 +418,12 @@ impl SweepService {
         };
         format!(
             "{{\"kind\":\"status\",\"workers\":{},\"submissions\":{},\"active_submissions\":{},\"range_requests\":{},\"audit_requests\":{},\"in_flight_points\":{},\"points_served\":{},\"points_simulated\":{},\"points_aliased\":{},\"cache_entries\":{},\"cache_loaded\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_dir\":{},\"store\":{}}}",
-            self.workers,
+            self.workers(),
             self.submissions.load(Ordering::Relaxed),
             self.active_submissions.load(Ordering::Relaxed),
             self.range_requests.load(Ordering::Relaxed),
             self.audit_requests.load(Ordering::Relaxed),
-            in_flight,
+            self.engine.simulations_in_flight(),
             self.points_served.load(Ordering::Relaxed),
             stats.simulated,
             stats.aliased,
@@ -1150,7 +902,7 @@ mod tests {
 
     #[test]
     fn overlapping_submissions_of_one_spec_share_work() {
-        // Two clients race the same spec; the in-flight table must keep
+        // Two clients race the same spec; the machine table must keep
         // the engine from simulating any point twice.
         let (stats, _) = race_two_submissions(TINY_SPEC);
         assert_eq!(stats.simulated, 4, "overlap did not duplicate any simulation");
@@ -1173,31 +925,56 @@ mod tests {
     }
 
     #[test]
-    fn a_point_computed_while_its_twin_runs_waits_and_is_relabelled() {
+    fn racing_submissions_write_each_fingerprint_once() {
+        // The spec of the test above at a longer budget, raced on a
+        // store-backed service: every point reaches the store once.
+        let out = std::env::temp_dir().join(format!("st-service-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let config = ServiceConfig { out: out.clone(), threads: 2, ..ServiceConfig::default() };
+        let (server, addr, handle) = start(&config);
+        let spec = "name = \"svc-race\"\nworkloads = [\"go\"]\nexperiments = [\"A5\", \"C1\"]\n\
+                    [axis]\nruu_size = [16, 32]\ninstructions = 4000\n";
+        let canonical = canonical_jsonl(spec);
+        std::thread::scope(|scope| {
+            let submit = || {
+                let mut out = Vec::new();
+                client::submit(&addr, spec, &mut out).expect("submit");
+                assert_eq!(String::from_utf8(out).expect("utf8"), canonical);
+            };
+            scope.spawn(submit);
+            scope.spawn(submit);
+        });
+        let stats = server.service().engine().result_store().expect("store").stats();
+        assert_eq!(stats.entries, 6, "{stats:?}");
+        assert_eq!(stats.dead_bytes, 0, "no fingerprint was written twice: {stats:?}");
+        client::shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean shutdown");
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn a_one_worker_service_generates_a_workloads_program_once() {
+        // Four points of one workload are one engine batch, so one
+        // worker generates their program once, not once per point.
+        use st_core::experiments::{a5, b3, baseline, c2};
         let service = SweepService::new(&ServiceConfig {
             no_cache: true,
-            threads: 2,
+            threads: 1,
             ..ServiceConfig::default()
         });
-        let go = st_workloads::by_name("go").expect("paper workload");
-        let a5 = JobSpec::new(go.clone(), 20_000).with_experiment(st_core::experiments::a5());
-        let c1 = JobSpec::new(go, 20_000).with_experiment(st_core::experiments::c1());
-        let start = std::sync::Barrier::new(2);
-        let (r5, r1) = std::thread::scope(|scope| {
-            let (start, service) = (&start, &service);
-            let compute = move |job: &JobSpec| {
-                start.wait();
-                service.compute(job)
-            };
-            let (a5, c1) = (&a5, &c1);
-            let h5 = scope.spawn(move || compute(a5));
-            let h1 = scope.spawn(move || compute(c1));
-            (h5.join().expect("A5 thread"), h1.join().expect("C1 thread"))
-        });
-        assert_eq!(*r5, a5.run());
-        assert_eq!(*r1, c1.run());
-        let stats = service.engine().stats();
-        assert_eq!((stats.simulated, stats.aliased), (1, 1), "one machine, two labels");
+        let workload =
+            st_isa::WorkloadSpec::builder("svc-program-reuse").seed(27).blocks(64).build();
+        let points: Vec<SweepPoint> = [baseline(), c2(), a5(), b3()]
+            .map(|e| SweepPoint {
+                job: JobSpec::new(workload.clone(), 1_000).with_experiment(e),
+                bindings: Vec::new(),
+            })
+            .to_vec();
+        let mut sink = Vec::new();
+        service.stream(&points, &mut sink).expect("stream");
+        let reports: Vec<Arc<SimReport>> = points.iter().map(|p| Arc::new(p.job.run())).collect();
+        assert_eq!(String::from_utf8(sink).expect("utf8"), emit::sweep_jsonl(&points, &reports));
+        assert_eq!(crate::engine::tests::generations_of(&workload), 1, "one program, 4 points");
     }
 
     #[test]

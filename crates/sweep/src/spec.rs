@@ -777,6 +777,9 @@ mod tests {
                 r#"{"name":"sweep","workloads":[],"experiments":[],"baseline":true,"axis.ruu_size":[32]}"#,
             ),
         ),
+        // A `\u` escape takes exactly four hex digits, no sign.
+        (r#"name = "\u+041""#, Err("`name`: bad \\u escape `+041`")),
+        (r#"{"name": "\u+041"}"#, Err("bad \\u escape `+041`")),
         // A key given twice is an error, whichever format.
         ("name = \"a\"\nname = \"b\"", Err("`name` is given more than once")),
         (

@@ -6,22 +6,24 @@
 //! * a torn tail (simulated at *every* byte boundary of the file)
 //!   recovers to exactly the committed prefix;
 //! * any single-byte tamper is detected — what loads is a strict,
-//!   byte-identical subset of what was written;
-//! * arbitrary record sets round-trip byte-identically across reopens,
-//!   and stay byte-identical for the survivors of any eviction order.
+//!   byte-identical subset of what was written.
+//!
+//! The round trip of arbitrary record sets across reopens and eviction
+//! orders, at several segment sizes, is a unit test of
+//! `st_sweep::logstore`, since only unit tests can shrink the segment
+//! size.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use st_core::SimReport;
-use st_sweep::logstore::{LogStore, LogStoreConfig};
+use st_sweep::logstore::LogStore;
 use st_sweep::persist::report_to_json;
 use st_sweep::JobSpec;
 
-/// On-disk format constants (documented in `st_sweep::logstore`): the
-/// 8-byte segment header and the 21-byte frame header.
+/// The 8-byte segment header of the on-disk format (documented in
+/// `st_sweep::logstore`).
 const SEGMENT_HEADER_BYTES: u64 = 8;
-const FRAME_HEADER_BYTES: u64 = 21;
 
 /// One real (tiny) simulation, reused as the payload template; each
 /// record perturbs one field so payloads are pairwise distinct but stay
@@ -43,19 +45,6 @@ fn scratch_dir(label: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("st-logstore-props-{}-{label}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// A deterministic permutation of `0..n` from a seed (tiny LCG
-/// Fisher-Yates, so proptest shrinking stays meaningful).
-fn permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut state = seed | 1;
-    for i in (1..n).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let j = (state >> 33) as usize % (i + 1);
-        order.swap(i, j);
-    }
-    order
 }
 
 /// Torn-tail recovery, exhaustively: a store of `N` records is cut at
@@ -156,73 +145,6 @@ proptest! {
             stats.skipped_corrupt + stats.torn_tail_bytes > 0,
             "damage must be visible in the load counters"
         );
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Arbitrary record sets round-trip byte-identically across a
-    /// reopen — at any segment-roll granularity — and after evicting in
-    /// an arbitrary LRU order the survivors are still byte-identical.
-    #[test]
-    fn round_trip_survives_reopens_and_arbitrary_eviction_orders(
-        records in 1usize..=10,
-        keep in 0usize..=10,
-        segment_pick in 0usize..4,
-        order_seed in any::<u64>(),
-    ) {
-        let keep = keep.min(records);
-        // segment_bytes 1 seals a segment per record; larger targets
-        // pack several records per segment.
-        let segment_kib = [0u64, 1, 4, 64][segment_pick];
-        let config = LogStoreConfig {
-            segment_bytes: if segment_kib == 0 { 1 } else { segment_kib * 1024 },
-        };
-        let dir = scratch_dir(&format!("roundtrip-{records}-{segment_kib}"));
-        {
-            let store = LogStore::open_with_config(&dir, config);
-            for seed in 1..=records as u64 {
-                store.store(seed, &report_for(seed)).expect("append");
-            }
-        }
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
-        prop_assert_eq!(loaded.len(), records);
-        let mut frame_bytes = std::collections::HashMap::new();
-        for (fp, report) in &loaded {
-            let expected = report_to_json(&report_for(*fp));
-            prop_assert_eq!(&report_to_json(report), &expected);
-            let raw = store.raw_payload(*fp).expect("indexed payload");
-            prop_assert_eq!(raw.as_slice(), expected.as_bytes(), "raw bytes preserved verbatim");
-            frame_bytes.insert(*fp, FRAME_HEADER_BYTES + raw.len() as u64);
-        }
-
-        // Touch in an arbitrary order; the last `keep` touched must be
-        // exactly the survivors of an eviction sized to fit them.
-        let order = permutation(records, order_seed);
-        for &i in &order {
-            store.touch_all(&[i as u64 + 1]);
-        }
-        let survivors: Vec<u64> =
-            order[records - keep..].iter().map(|&i| i as u64 + 1).collect();
-        let budget = SEGMENT_HEADER_BYTES
-            + survivors.iter().map(|fp| frame_bytes[fp]).sum::<u64>();
-        store.evict_to_budget(budget).expect("evict");
-        drop(store);
-
-        let (store, reloaded) = LogStore::open_loading_with_config(&dir, config);
-        let mut expected: Vec<u64> = survivors.clone();
-        expected.sort_unstable();
-        let fps: Vec<u64> = reloaded.iter().map(|(fp, _)| *fp).collect();
-        prop_assert_eq!(fps, expected, "exactly the {} most recently used survive", keep);
-        for (fp, report) in &reloaded {
-            let expected = report_to_json(&report_for(*fp));
-            prop_assert_eq!(&report_to_json(report), &expected);
-            let raw = store.raw_payload(*fp).expect("indexed payload");
-            prop_assert_eq!(
-                raw.as_slice(),
-                expected.as_bytes(),
-                "survivor bytes preserved verbatim across eviction + reopen"
-            );
-        }
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
