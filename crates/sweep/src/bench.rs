@@ -157,11 +157,12 @@ pub fn run(config: &BenchConfig) -> Result<BenchResult, String> {
 }
 
 /// Result of one `st bench --store` invocation: how fast the segment
-/// log absorbs a bulk append and how fast a cold reopen (the one
-/// sequential startup pass) decodes it back.
+/// log absorbs a bulk append, how fast a cold reopen (the one
+/// sequential index pass `st repro` startup performs) takes, and how
+/// fast every entry then reads back through [`LogStore::load`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreBenchResult {
-    /// Synthetic entries written and reloaded.
+    /// Synthetic entries written and read back.
     pub entries: u64,
     /// On-disk bytes after the bulk append.
     pub file_bytes: u64,
@@ -169,51 +170,64 @@ pub struct StoreBenchResult {
     pub segments: u64,
     /// Seconds spent appending every entry.
     pub write_seconds: f64,
-    /// Seconds for the cold reopen-and-decode pass.
-    pub load_seconds: f64,
+    /// Seconds for the cold reopen, which builds the index only.
+    pub open_seconds: f64,
+    /// Seconds spent reading every entry back, one [`LogStore::load`]
+    /// each.
+    pub read_seconds: f64,
 }
 
 /// Times the segment-log result store: appends `entries` synthetic
 /// reports (one real simulation, then per-entry field perturbation so
-/// every payload is distinct), drops the store, and cold-reopens it
-/// with [`LogStore::open_loading`] — the same single sequential pass
-/// `st repro` startup performs.
+/// every payload is distinct), drops the store, cold-reopens it with
+/// [`LogStore::open`], and reads every entry back with
+/// [`LogStore::load`].
 ///
 /// # Errors
 ///
 /// Returns an error if the scratch directory cannot be prepared, an
-/// append fails, or the reload disagrees with what was written.
+/// append fails, or an entry reads back other than it was written.
 pub fn run_store_bench(entries: u64) -> Result<StoreBenchResult, String> {
     let spec = st_workloads::by_name("go").ok_or("store-bench workload `go` missing")?;
     let mut report = JobSpec::new(spec, 400).run();
+    // Entry `fp` perturbs one field by `fp`: payloads stay realistic in
+    // size and shape but are pairwise distinct, so reading them back
+    // cannot shortcut on identical bytes.
+    let cycles = report.perf.cycles;
     let dir = std::env::temp_dir().join(format!("st-store-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let outcome = (|| {
         let store = LogStore::open(&dir);
         let write_start = Instant::now();
-        for i in 0..entries {
-            // Perturb one field per entry: payloads stay realistic in
-            // size and shape but are pairwise distinct, so the load
-            // pass cannot shortcut on identical bytes.
-            report.perf.cycles = report.perf.cycles.wrapping_add(1);
-            store.store(i + 1, &report).map_err(|e| format!("append {i} failed: {e}"))?;
+        for fp in 1..=entries {
+            report.perf.cycles = cycles.wrapping_add(fp);
+            store.store(fp, &report).map_err(|e| format!("append {fp} failed: {e}"))?;
         }
         let write_seconds = write_start.elapsed().as_secs_f64().max(1e-9);
         let stats = store.stats();
         drop(store);
-        let load_start = Instant::now();
-        let (reloaded, loaded) = LogStore::open_loading(&dir);
-        let load_seconds = load_start.elapsed().as_secs_f64().max(1e-9);
-        drop(reloaded);
-        if loaded.len() as u64 != entries {
-            return Err(format!("cold load found {} of {entries} entries", loaded.len()));
+        let open_start = Instant::now();
+        let reopened = LogStore::open(&dir);
+        let open_seconds = open_start.elapsed().as_secs_f64().max(1e-9);
+        let found = reopened.stats().entries;
+        if found != entries {
+            return Err(format!("cold open found {found} of {entries} entries"));
         }
+        let read_start = Instant::now();
+        for fp in 1..=entries {
+            report.perf.cycles = cycles.wrapping_add(fp);
+            if reopened.load(fp).as_ref() != Some(&report) {
+                return Err(format!("entry {fp} read back other than it was written"));
+            }
+        }
+        let read_seconds = read_start.elapsed().as_secs_f64().max(1e-9);
         Ok(StoreBenchResult {
             entries,
             file_bytes: stats.file_bytes,
             segments: stats.segments,
             write_seconds,
-            load_seconds,
+            open_seconds,
+            read_seconds,
         })
     })();
     // Clean up on every path so a failed run cannot poison a later
@@ -238,15 +252,15 @@ fn determinism_probe(budget: u64) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&dir);
     let fp = job.fingerprint();
     let stored = LogStore::open(&dir).store(fp, &fresh);
-    let (_, loaded) = LogStore::open_loading(&dir);
+    let loaded = LogStore::open(&dir).load(fp);
     // Clean up on every path, not just success, so a failing probe does
     // not leave a stale directory a later same-PID run could read.
     let _ = std::fs::remove_dir_all(&dir);
     stored.map_err(|e| format!("cannot write probe store entry: {e}"))?;
-    match loaded.as_slice() {
-        [(f, r)] if *f == fp && *r == fresh => Ok(()),
-        [(f, _)] if *f == fp => Err("result-store round-trip altered the report".to_string()),
-        _ => Err("probe store entry unreadable after store".to_string()),
+    match loaded {
+        Some(r) if r == fresh => Ok(()),
+        Some(_) => Err("result-store round-trip altered the report".to_string()),
+        None => Err("probe store entry unreadable after store".to_string()),
     }
 }
 
@@ -295,6 +309,7 @@ mod tests {
         assert!(r.file_bytes > 0);
         assert!(r.segments > 0);
         assert!(r.write_seconds > 0.0);
-        assert!(r.load_seconds > 0.0);
+        assert!(r.open_seconds > 0.0);
+        assert!(r.read_seconds > 0.0);
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! `repro` and `run` keep a persistent result store under the output
 //! directory by default: the append-only segment log at `<out>/.store`.
-//! Entries load on start and every fresh simulation writes through as
-//! soon as it finishes, so repeated invocations, CI runs and reruns of
-//! a killed run reuse points across processes.
+//! Its index is built on start, each stored entry is read the first
+//! time a point asks for it, and every fresh simulation writes through
+//! as soon as it finishes, so repeated invocations, CI runs and reruns
+//! of a killed run reuse points across processes.
 //! `--no-cache` opts a run out entirely. Only `st loadgen` writes a
 //! timing file, and only when given `--bench-json PATH`.
 
@@ -33,7 +34,12 @@ fn main() {
             to_stdout(|out| out.write_all(USAGE.as_bytes()).map(|()| 0))
         }
         Some(other) => match SUBCOMMANDS.iter().find(|(sub, _)| *sub == other) {
-            Some(&(sub, cmd)) => dispatch(sub, &argv[1..], cmd),
+            Some(&(sub, cmd)) => {
+                if ENDED_BY_SIGPIPE.contains(&sub) {
+                    service::restore_default_sigpipe();
+                }
+                dispatch(sub, &argv[1..], cmd)
+            }
             None => {
                 eprintln!("st: unknown subcommand `{other}`\n{USAGE}");
                 2
@@ -63,6 +69,13 @@ const SUBCOMMANDS: [(&str, Command); 12] = [
     ("cache", cmd_cache),
 ];
 
+/// The subcommands that write only to stdout and to files. A reader
+/// that hangs up ends them quietly, by SIGPIPE's default action. The
+/// others keep SIGPIPE ignored: `serve`, `submit`, `status` and
+/// `loadgen` must see `EPIPE` from a peer, and `calibrate` ends through
+/// [`to_stdout`].
+const ENDED_BY_SIGPIPE: [&str; 7] = ["repro", "run", "merge", "audit", "plot", "cache", "bench"];
+
 /// Reads `argv`, the arguments after `st <sub>`, and runs `cmd` on
 /// them. A usage error prints its message, then USAGE, and exits 2; a
 /// command's message gets `st <mode>: ` in front.
@@ -77,9 +90,9 @@ fn dispatch(sub: &'static str, argv: &[String], cmd: Command) -> i32 {
 
 /// Runs a command that writes its report to `out`, stdout. A reader that
 /// closes the pipe early (`st list | head -2`) ends the command quietly
-/// with exit 0. SIGPIPE stays ignored, as Rust starts every program, so
-/// `serve`, `submit`, `status`, `loadgen` and the fleet get `EPIPE` from a
-/// peer that hangs up instead of being killed.
+/// with exit 0. SIGPIPE stays ignored here, as Rust starts every
+/// program, so `serve`, `submit`, `status`, `loadgen` and the fleet get
+/// `EPIPE` from a peer that hangs up instead of being killed.
 fn to_stdout(cmd: impl FnOnce(&mut dyn Write) -> io::Result<i32>) -> i32 {
     let mut out = io::stdout();
     match cmd(&mut out).and_then(|code| out.flush().map(|()| code)) {
@@ -159,7 +172,8 @@ OPTIONS:
     --smoke          `bench`/`loadgen`: small budgets for CI (`bench`
                      still runs the determinism probe)
     --store          `bench`: time the segment-log result store (bulk
-                     append + cold load) instead of the core hot loop
+                     append, cold open, read-back) instead of the core
+                     hot loop
     --x KEY          `plot`: x-axis record key (e.g. axis.ruu_size)
     --y KEY          `plot`: y-axis metric (e.g. ipc, speedup, energy_j)
     --min-confidence L
@@ -526,13 +540,14 @@ fn cmd_bench(args: &Args) -> Result<i32, String> {
 }
 
 /// `st bench --store`: times the segment-log result store itself — bulk
-/// append of N synthetic entries (20k with `--smoke`, else 1M) followed
-/// by a cold reopen (the one sequential startup pass).
+/// append of N synthetic entries (20k with `--smoke`, else 1M), a cold
+/// reopen (the one sequential index pass of startup), then a read-back
+/// of every entry that fails on any difference.
 fn cmd_bench_store(smoke: bool) -> i32 {
     let entries: u64 = if smoke { 20_000 } else { 1_000_000 };
     println!(
-        "st bench --store: {entries} synthetic entries (bulk append, then one cold \
-         sequential load)"
+        "st bench --store: {entries} synthetic entries (bulk append, cold open, then \
+         every entry read back)"
     );
     let result = match st_sweep::bench::run_store_bench(entries) {
         Ok(r) => r,
@@ -551,9 +566,15 @@ fn cmd_bench_store(smoke: bool) -> i32 {
         result.entries as f64 / result.write_seconds.max(1e-9)
     );
     println!(
-        "st bench --store: cold load (one sequential pass) in {:.2}s ({:.0} entries/s)",
-        result.load_seconds,
-        result.entries as f64 / result.load_seconds.max(1e-9)
+        "st bench --store: cold open (one sequential index pass) in {:.2}s ({:.0} entries/s)",
+        result.open_seconds,
+        result.entries as f64 / result.open_seconds
+    );
+    println!(
+        "st bench --store: read back every entry, each equal to its write, in {:.2}s \
+         ({:.0} entries/s)",
+        result.read_seconds,
+        result.entries as f64 / result.read_seconds
     );
     0
 }
@@ -1172,23 +1193,27 @@ fn cmd_cache(args: &Args) -> Result<i32, String> {
     let store_dir = LogStore::dir_under(&args.out_dir());
     Ok(match args.positional.first().map(String::as_str) {
         None | Some("show") => {
-            // One sequential pass: entries for the breakdown, counters
-            // for the header.
-            let (store, entries) = LogStore::open_loading(&store_dir);
+            // Every entry is read for the per-experiment breakdown (what
+            // kinds of points are warm); one that does not read counts
+            // as skipped, like the damage the open found.
+            let store = LogStore::open(&store_dir);
+            let mut by_experiment: std::collections::BTreeMap<String, u64> =
+                std::collections::BTreeMap::new();
+            let mut unreadable = 0;
+            for fp in store.fingerprints() {
+                match store.load(fp) {
+                    Some(report) => *by_experiment.entry(report.experiment).or_default() += 1,
+                    None => unreadable += 1,
+                }
+            }
             let s = store.stats();
             println!(
                 "result store at {}: {} entries ({} KiB live), {} skipped corrupt",
                 store.dir().display(),
                 s.entries,
                 s.live_bytes / 1024,
-                store.load_stats().skipped_corrupt
+                s.skipped_corrupt + unreadable
             );
-            // Per-experiment breakdown: what kinds of points are warm.
-            let mut by_experiment: std::collections::BTreeMap<String, u64> =
-                std::collections::BTreeMap::new();
-            for (_, report) in entries {
-                *by_experiment.entry(report.experiment).or_default() += 1;
-            }
             if !by_experiment.is_empty() {
                 let parts: Vec<String> =
                     by_experiment.iter().map(|(e, n)| format!("{e} {n}")).collect();

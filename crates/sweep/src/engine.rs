@@ -8,9 +8,12 @@
 //! simulation key is the identity of the machine it simulates (see
 //! [`crate::job`]). Internally the engine:
 //!
-//! 1. fingerprints every job and answers what it can from the
-//!    [`ResultCache`], deduping identical points submitted in the same
-//!    batch;
+//! 1. fingerprints every job and answers what it can from the reports
+//!    it holds or, failing that, from its result store, deduping
+//!    identical points submitted in the same batch. The engine holds
+//!    every report it simulated, relabelled or read, in one map by
+//!    fingerprint; a stored report is read from disk the first time a
+//!    job asks for it, never at open;
 //! 2. keys every remaining miss by the machine it simulates. The first
 //!    job in submission order with a given key is the *twin*; each
 //!    later job whose machine compares equal to the twin's is an
@@ -28,14 +31,14 @@
 //!    equal, so a batch grouped by workload generates each workload's
 //!    program about once per worker rather than once per point. A
 //!    worker publishes each report, and then each of its aliases'
-//!    relabelled reports, to the cache and the result store as soon as
-//!    it has it, so a process killed mid-batch keeps every point it
-//!    completed;
+//!    relabelled reports, to the engine's map and the result store as
+//!    soon as it has it, so a process killed mid-batch keeps every
+//!    point it completed;
 //! 4. hands every report to the caller as soon as it exists; `run`
 //!    reassembles them by submission index.
 //!
 //! An alias's report is its twin's under the alias's own experiment id
-//! and label, cached and stored under the alias's own fingerprint, so
+//! and label, held and stored under the alias's own fingerprint, so
 //! every output byte is the same as if it had been simulated.
 //!
 //! Every simulation is a pure function of its [`JobSpec`] (the workload
@@ -56,9 +59,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use st_core::SimReport;
 use st_isa::{Program, WorkloadSpec};
 
-use crate::cache::{CacheStats, ResultCache};
 use crate::job::{fnv1a64, JobSpec};
-use crate::logstore::{LoadStats, LogStore};
+use crate::logstore::LogStore;
 
 /// Aggregate execution counters of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,10 +72,37 @@ pub struct EngineStats {
     /// this job's experiment id and label. `simulated + aliased` is the
     /// number of cache misses.
     pub aliased: u64,
-    /// Entries preloaded from the on-disk result store.
+    /// Live entries the on-disk result store held when the engine
+    /// opened it (0 without a store).
     pub loaded: u64,
-    /// Cache counters (hits include batch-level dedup).
+    /// Lookup counters.
     pub cache: CacheStats,
+}
+
+/// How an engine's jobs found their reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Jobs answered without a fresh report: held in memory, read from
+    /// the result store, or a duplicate of a point earlier in the same
+    /// batch.
+    pub hits: u64,
+    /// Jobs that needed a fresh report, simulated or relabelled.
+    pub misses: u64,
+    /// Reports held in memory.
+    pub entries: u64,
+}
+
+impl CacheStats {
+    /// Fraction of lookups answered without simulating, in `[0, 1]`.
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
 }
 
 /// The order in which [`SweepEngine::run_each`] takes a batch's
@@ -110,7 +139,11 @@ struct Simulations {
 #[derive(Debug)]
 pub struct SweepEngine {
     threads: usize,
-    cache: ResultCache,
+    /// Every report this engine simulated, relabelled or read from its
+    /// result store, by fingerprint.
+    reports: Mutex<HashMap<u64, Arc<SimReport>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     /// Every machine this engine simulated or is simulating, by
     /// simulation key.
     machines: Mutex<HashMap<u64, Arc<Machine>>>,
@@ -121,7 +154,6 @@ pub struct SweepEngine {
     simulated: AtomicU64,
     aliased: AtomicU64,
     loaded: u64,
-    load_stats: LoadStats,
     store: Option<LogStore>,
     #[cfg(test)]
     gauge: tests::Gauge,
@@ -139,14 +171,15 @@ impl SweepEngine {
         };
         SweepEngine {
             threads,
-            cache: ResultCache::new(),
+            reports: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             machines: Mutex::new(HashMap::new()),
             simulations: Mutex::default(),
             permit_freed: Condvar::new(),
             simulated: AtomicU64::new(0),
             aliased: AtomicU64::new(0),
             loaded: 0,
-            load_stats: LoadStats::default(),
             store: None,
             #[cfg(test)]
             gauge: tests::Gauge::default(),
@@ -170,15 +203,15 @@ impl SweepEngine {
 
     /// An engine backed by the result store under `out_dir` (the
     /// segment log at `<out>/.store/`, see [`LogStore::dir_under`]).
-    /// Every live entry is preloaded in one sequential pass and every
-    /// freshly simulated point is written through, so repeated
-    /// invocations reuse points across processes.
+    /// Opening builds the store's index only; a stored report is read
+    /// the first time a job asks for it, and every freshly simulated
+    /// point is written through, so repeated invocations reuse points
+    /// across processes.
     #[must_use]
     pub fn with_result_store(threads: usize, out_dir: impl AsRef<Path>) -> SweepEngine {
-        let (store, entries) = LogStore::open_loading(LogStore::dir_under(out_dir.as_ref()));
+        let store = LogStore::open(LogStore::dir_under(out_dir.as_ref()));
         let mut engine = SweepEngine::new(threads);
-        engine.loaded = engine.cache.preload(entries.into_iter().map(|(fp, r)| (fp, Arc::new(r))));
-        engine.load_stats = store.load_stats();
+        engine.loaded = store.load_stats().entries;
         engine.store = Some(store);
         engine
     }
@@ -187,13 +220,6 @@ impl SweepEngine {
     #[must_use]
     pub fn result_store(&self) -> Option<&LogStore> {
         self.store.as_ref()
-    }
-
-    /// What the startup load of the result store found (corrupt entries
-    /// skipped, torn tails truncated, …). All zeros without a store.
-    #[must_use]
-    pub fn load_stats(&self) -> LoadStats {
-        self.load_stats
     }
 
     /// Worker-pool size.
@@ -209,7 +235,11 @@ impl SweepEngine {
             simulated: self.simulated.load(Ordering::Relaxed),
             aliased: self.aliased.load(Ordering::Relaxed),
             loaded: self.loaded,
-            cache: self.cache.stats(),
+            cache: CacheStats {
+                hits: self.hits.load(Ordering::Relaxed),
+                misses: self.misses.load(Ordering::Relaxed),
+                entries: self.reports.lock().expect("report map poisoned").len() as u64,
+            },
         }
     }
 
@@ -228,8 +258,8 @@ impl SweepEngine {
     /// index, not completion order. Each machine is simulated once: a
     /// job that simulates the same machine as an earlier one, in this
     /// batch, an earlier one or a concurrent one, gets that report
-    /// relabelled. Each fresh report is written to the cache and through
-    /// to the result store the moment its worker finishes it, so a run
+    /// relabelled. Each fresh report is held and written through to the
+    /// result store the moment its worker finishes it, so a run
     /// killed partway resumes from every point it completed.
     ///
     /// # Panics
@@ -248,7 +278,7 @@ impl SweepEngine {
     }
 
     /// Runs a batch of jobs and hands `each(index, report)` every job's
-    /// report the moment it exists: a cache hit at once, on the calling
+    /// report the moment it exists: a hit at once, on the calling
     /// thread, and a fresh point on the worker that finishes it, its
     /// aliases' right after. The workers take the batch's simulations in
     /// `schedule` order.
@@ -287,8 +317,8 @@ impl SweepEngine {
             }
         };
 
-        // Phase 1: resolve against the cache, dedup within the batch, and
-        // group the misses by machine. A miss is either a twin, listed in
+        // Phase 1: look every job up, dedup within the batch, and group
+        // the misses by machine. A miss is either a twin, listed in
         // `twins` and simulated, or an alias listed under its twin.
         let mut misses: Vec<Miss<'_>> = Vec::new();
         let mut miss_index: HashMap<u64, usize> = HashMap::new();
@@ -301,12 +331,12 @@ impl SweepEngine {
             let fp = job.fingerprint();
             if let Some(&m) = miss_index.get(&fp) {
                 // A duplicate of a point already scheduled in this
-                // batch: count it as a hit, don't re-consult the map.
-                self.cache.count_dedup_hit();
+                // batch: count it as a hit, don't look it up again.
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 misses[m].at.push(i);
                 continue;
             }
-            if let Some(hit) = self.cache.get(fp) {
+            if let Some(hit) = self.lookup(fp) {
                 deliver(&[i], &hit);
                 continue;
             }
@@ -443,20 +473,39 @@ impl SweepEngine {
         Permit(self)
     }
 
+    /// The report of `fp`, counted as a hit: the one held in memory, or
+    /// else the one the result store reads back, held from then on.
+    /// `None`, counted as a miss, when neither has one.
+    fn lookup(&self, fp: u64) -> Option<Arc<SimReport>> {
+        let held = self.reports.lock().expect("report map poisoned").get(&fp).cloned();
+        let found = held.or_else(|| {
+            let read = Arc::new(self.store.as_ref()?.load(fp)?);
+            let mut reports = self.reports.lock().expect("report map poisoned");
+            Some(Arc::clone(reports.entry(fp).or_insert(read)))
+        });
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
     /// Counts one alias and publishes its relabelled report.
     fn publish_alias(&self, fp: u64, report: &Arc<SimReport>) {
         self.aliased.fetch_add(1, Ordering::Relaxed);
         self.publish(fp, report);
     }
 
-    /// Writes a fresh report to the cache and through to the result
-    /// store, if any, unless the cache already holds the fingerprint:
-    /// a point that two concurrent batches both missed is written once.
-    /// A failed store write only warns: the report is still served from
-    /// the cache.
+    /// Holds a fresh report and writes it through to the result store,
+    /// if any, unless the engine already holds the fingerprint: a point
+    /// that two concurrent batches both missed is written once. A
+    /// failed store write only warns: the report is still served from
+    /// memory.
     fn publish(&self, fp: u64, report: &Arc<SimReport>) {
-        if !self.cache.insert(fp, Arc::clone(report)) {
-            return;
+        {
+            let mut reports = self.reports.lock().expect("report map poisoned");
+            if reports.contains_key(&fp) {
+                return;
+            }
+            reports.insert(fp, Arc::clone(report));
         }
         if let Some(store) = &self.store {
             if let Err(e) = store.store(fp, report) {
@@ -468,8 +517,8 @@ impl SweepEngine {
         }
     }
 
-    /// Runs a single job through the cache (and the result-store
-    /// write-through, when configured), with the same determinism and
+    /// Runs a single job through the engine's reports (and the
+    /// result store, when configured), with the same determinism and
     /// memoisation as [`SweepEngine::run`].
     #[must_use]
     pub fn run_one(&self, job: &JobSpec) -> Arc<SimReport> {
@@ -522,6 +571,7 @@ pub(crate) mod tests {
     use std::thread::ThreadId;
 
     use super::*;
+    use crate::persist::report_to_json;
 
     /// Every program the engine has generated in this process, with the
     /// thread that generated it.
@@ -621,8 +671,8 @@ pub(crate) mod tests {
         assert!(LogStore::dir_under(&out).join("seg-0.log").is_file(), "written to the log");
         assert!(!out.join(".cache").exists(), "no legacy JSON directory");
 
-        // A brand-new engine (a new process, conceptually) preloads both
-        // points and serves them without simulating.
+        // A brand-new engine (a new process, conceptually) reads both
+        // points from disk and serves them without simulating.
         let second = SweepEngine::with_result_store(2, &out);
         assert_eq!(second.stats().loaded, 2);
         let out2 = second.run(&[job(7), job(8)]);
@@ -645,7 +695,7 @@ pub(crate) mod tests {
         assert_eq!(first.stats().simulated, 2);
 
         // ...migrate every live record into a fresh segment (compaction
-        // deletes the old one), and a new engine preloads bit-identical
+        // deletes the old one), and a new engine reads bit-identical
         // reports from it.
         let compacted = first.result_store().expect("store").compact().expect("compact");
         assert_eq!(compacted.live_records, 2);
@@ -661,6 +711,61 @@ pub(crate) mod tests {
         let _ = second.run(&[job(19)]);
         let third = SweepEngine::with_result_store(2, &out);
         assert_eq!(third.stats().loaded, 3);
+
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn a_warm_engine_reads_only_the_report_it_is_asked_for() {
+        let out = std::env::temp_dir().join(format!("st-engine-lazy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let jobs: Vec<JobSpec> = (21..25).map(job).collect();
+        let cold = SweepEngine::with_result_store(1, &out).run(&jobs);
+
+        let warm = SweepEngine::with_result_store(1, &out);
+        assert_eq!(warm.stats().loaded, 4, "every live entry counts at open");
+        assert_eq!(warm.stats().cache.entries, 0, "none is read at open");
+        let report = warm.run_one(&jobs[2]);
+        assert_eq!(report, cold[2]);
+        assert_eq!(report_to_json(&report), report_to_json(&cold[2]), "bit-identical");
+        let stats = warm.stats();
+        assert_eq!((stats.simulated, stats.aliased), (0, 0), "served from disk");
+        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 0), "a read is a hit");
+        assert!((stats.cache.hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(stats.cache.entries, 1, "only the report asked for is held");
+        assert_eq!(stats.loaded, 4);
+
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    #[test]
+    fn a_stored_frame_that_does_not_decode_is_simulated_again() {
+        let out =
+            std::env::temp_dir().join(format!("st-engine-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let point = job(26);
+        let fp = point.fingerprint();
+        // A checksum-valid frame whose payload is not a report.
+        LogStore::open(LogStore::dir_under(&out))
+            .store_payload(fp, b"{\"kind\":\"report\"}")
+            .expect("append");
+
+        let engine = SweepEngine::with_result_store(1, &out);
+        assert_eq!(engine.stats().loaded, 1);
+        let report = engine.run_one(&point);
+        assert_eq!(*report, point.run(), "the stored frame is not served");
+        let stats = engine.stats();
+        assert_eq!((stats.simulated, stats.cache.hits, stats.cache.misses), (1, 0, 1));
+        drop(engine);
+
+        // The fresh frame superseded the undecodable one.
+        let store = LogStore::open(LogStore::dir_under(&out));
+        assert_eq!((store.load_stats().entries, store.load_stats().superseded), (1, 1));
+        assert_eq!(store.load(fp).as_ref(), Some(&*report));
+        drop(store);
+        let warm = SweepEngine::with_result_store(1, &out);
+        assert_eq!(warm.run_one(&point), report);
+        assert_eq!(warm.stats().simulated, 0, "served from the new frame");
 
         let _ = std::fs::remove_dir_all(&out);
     }

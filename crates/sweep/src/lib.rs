@@ -15,14 +15,15 @@
 //! * **[`SweepEngine`]** — a deterministic parallel executor: jobs shard
 //!   across a worker pool in workload order, each worker reusing the
 //!   last program it generated, results assemble in submission order,
-//!   and a fingerprint-keyed [`ResultCache`] simulates each distinct
-//!   point exactly once per engine lifetime. Thread count cannot
-//!   influence any result bit;
+//!   and one fingerprint-keyed map of the reports it simulated,
+//!   relabelled or read makes each distinct point run at most once per
+//!   engine lifetime. Thread count cannot influence any result bit;
 //! * **[`logstore`]** — the on-disk result store, an append-only
 //!   segment log (`<out>/.store/seg-<n>.log`) with crash-safe recovery,
 //!   compaction and LRU size-budget eviction; reports are kept in the
 //!   exact JSON codec of **[`persist`]**.
-//!   [`SweepEngine::with_result_store`] preloads it and writes each
+//!   [`SweepEngine::with_result_store`] opens its index, reads a
+//!   stored report the first time a job asks for it, and writes each
 //!   fresh point through as soon as it finishes, so repeated (or
 //!   killed and restarted) invocations reuse work across processes;
 //! * **[`SweepSpec`]** — a declarative workload × experiment × axis grid
@@ -108,7 +109,6 @@
 pub mod audit;
 pub mod axes;
 pub mod bench;
-pub mod cache;
 pub mod client;
 pub mod emit;
 pub mod engine;
@@ -126,9 +126,8 @@ pub mod spec;
 
 pub use audit::{Allowlist, Confidence, Finding, Rule, SweepRecord};
 pub use axes::{Axis, AxisBinding, AxisDomain, AxisValue};
-pub use cache::{CacheStats, ResultCache};
 pub use client::ClientError;
-pub use engine::{EngineStats, SweepEngine};
+pub use engine::{CacheStats, EngineStats, SweepEngine};
 pub use fleet::{Fleet, FleetConfig, FleetServer};
 pub use job::{EstimatorChoice, JobSpec};
 pub use loadgen::{LoadgenConfig, LoadgenResult};

@@ -3,9 +3,11 @@
 //! Every `st` command that keeps results — `repro`, `run`, `serve` —
 //! writes them here. [`LogStore`] keeps a handful of append-only segment
 //! files and an in-memory fingerprint → (segment, offset) index rebuilt
-//! by **one sequential read** per segment at startup, so `st cache
-//! stats` and `GET /status` answer from the index instead of rescanning
-//! the disk.
+//! by **one sequential read** per segment at startup, which verifies
+//! every frame but decodes none. [`LogStore::load`] reads one report
+//! back, from its frame alone, when it is asked for; `st cache stats`
+//! and `GET /status` answer from the index instead of rescanning the
+//! disk.
 //!
 //! ## On-disk format
 //!
@@ -20,7 +22,7 @@
 //! line) or 1 for a tombstone (empty payload, records an eviction).
 //! `checksum` is the same FNV-1a 64 the shard files use, folded over
 //! `kind ‖ fingerprint ‖ payload` — every byte of a frame is covered, so
-//! any single-byte tamper is detected at load. Later frames supersede
+//! any single-byte tamper is detected at open. Later frames supersede
 //! earlier ones for the same fingerprint (last-wins), which is what
 //! makes blind appends safe.
 //!
@@ -35,7 +37,7 @@
 //!
 //! ## Recovery posture
 //!
-//! Loading never panics and never trusts damaged bytes:
+//! Opening and reading never panic and never trust damaged bytes:
 //!
 //! * a **torn tail** (crash mid-append) in the newest segment is
 //!   detected, physically truncated back to the last committed frame,
@@ -44,7 +46,10 @@
 //!   the framed length when possible, abandoning the segment's remainder
 //!   when not) and counted in [`LoadStats::skipped_corrupt`];
 //! * a segment with a damaged header is ignored wholesale (and swept up
-//!   by the next compaction).
+//!   by the next compaction);
+//! * a frame that no longer reads, verifies or decodes when
+//!   [`LogStore::load`] asks for it is not served: the caller simulates
+//!   the point again and its new frame supersedes the old one.
 //!
 //! ## Compaction and eviction
 //!
@@ -58,7 +63,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -101,7 +106,8 @@ pub struct LoadStats {
     /// fingerprint (dead weight a compaction would reclaim).
     pub superseded: u64,
     /// Corrupt frames or segments skipped (checksum mismatch, mangled
-    /// framing, version skew) — detected, counted, never trusted.
+    /// framing, unreadable or version-skewed segment) — detected,
+    /// counted, never trusted.
     pub skipped_corrupt: u64,
     /// Bytes physically truncated from a torn tail in the newest
     /// segment (a crash mid-append; recovery keeps the committed
@@ -170,7 +176,8 @@ pub struct CompactStats {
     /// Segment-file bytes after compaction.
     pub after_bytes: u64,
     /// Records dropped because their bytes no longer verified when
-    /// re-read (rot since the startup scan); never silently copied.
+    /// re-read (rot since the startup scan); never silently copied. A
+    /// segment that cannot be read at all fails the compaction instead.
     pub dropped_corrupt: u64,
 }
 
@@ -254,53 +261,25 @@ impl LogStore {
     /// module docs — this never fails and never panics on bad bytes.
     #[must_use]
     pub fn open(dir: impl Into<PathBuf>) -> LogStore {
-        LogStore::open_impl(dir.into(), SEGMENT_BYTES, false).0
+        LogStore::open_impl(dir.into(), SEGMENT_BYTES)
     }
 
     /// [`LogStore::open`] with another segment size.
     #[cfg(test)]
     #[must_use]
     pub fn open_with_config(dir: impl Into<PathBuf>, config: LogStoreConfig) -> LogStore {
-        LogStore::open_impl(dir.into(), config.segment_bytes, false).0
+        LogStore::open_impl(dir.into(), config.segment_bytes)
     }
 
-    /// Opens the store *and* decodes every live report in the same
-    /// single sequential pass (what the engine preload wants). Entries
-    /// whose payload no longer parses (version skew) stay indexed but
-    /// are not returned, counted in [`LoadStats::skipped_corrupt`].
-    /// The reports come back sorted by fingerprint.
-    #[must_use]
-    pub fn open_loading(dir: impl Into<PathBuf>) -> (LogStore, Vec<(u64, SimReport)>) {
-        LogStore::open_impl(dir.into(), SEGMENT_BYTES, true)
-    }
-
-    /// [`LogStore::open_loading`] with another segment size.
-    #[cfg(test)]
-    #[must_use]
-    pub fn open_loading_with_config(
-        dir: impl Into<PathBuf>,
-        config: LogStoreConfig,
-    ) -> (LogStore, Vec<(u64, SimReport)>) {
-        LogStore::open_impl(dir.into(), config.segment_bytes, true)
-    }
-
-    fn open_impl(
-        dir: PathBuf,
-        segment_bytes: u64,
-        parse: bool,
-    ) -> (LogStore, Vec<(u64, SimReport)>) {
+    fn open_impl(dir: PathBuf, segment_bytes: u64) -> LogStore {
         let mut inner = Inner::default();
-        let mut reports: HashMap<u64, SimReport> = HashMap::new();
         let ids = list_segments(&dir);
         let last = ids.last().copied();
         for &id in &ids {
-            scan_segment(&dir, id, Some(id) == last, &mut inner, parse.then_some(&mut reports));
+            scan_segment(&dir, id, Some(id) == last, &mut inner);
         }
         inner.load.entries = inner.index.len() as u64;
-        let store = LogStore { dir, segment_bytes, inner: Mutex::new(inner) };
-        let mut loaded: Vec<(u64, SimReport)> = reports.into_iter().collect();
-        loaded.sort_by_key(|(fp, _)| *fp);
-        (store, loaded)
+        LogStore { dir, segment_bytes, inner: Mutex::new(inner) }
     }
 
     /// The store directory.
@@ -317,32 +296,48 @@ impl LogStore {
 
     /// Appends one report frame (last-wins for the fingerprint).
     pub fn store(&self, fingerprint: u64, report: &SimReport) -> std::io::Result<()> {
-        self.append(KIND_PUT, fingerprint, report_to_json(report).as_bytes())
+        self.store_payload(fingerprint, report_to_json(report).as_bytes())
     }
 
-    fn append(&self, kind: u8, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
+    /// Appends one put frame carrying `payload`: a report's JSON line
+    /// from [`LogStore::store`], or bytes that do not decode in tests.
+    pub(crate) fn store_payload(&self, fingerprint: u64, payload: &[u8]) -> std::io::Result<()> {
         let mut inner = self.inner.lock().expect("logstore lock");
-        append_locked(&self.dir, self.segment_bytes, &mut inner, kind, fingerprint, payload)
+        append_locked(&self.dir, self.segment_bytes, &mut inner, KIND_PUT, fingerprint, payload)
     }
 
-    /// Reads one live entry's payload bytes straight from its segment,
-    /// re-verifying the checksum. `None` if the fingerprint is not live
-    /// or the bytes no longer verify.
-    #[cfg(test)]
+    /// Reads the report stored under `fingerprint`. Only its frame is
+    /// read, with the store lock held, so no compaction or eviction can
+    /// move the frame mid-read; its checksum and fingerprint are
+    /// verified again before the payload is decoded. `None` if the
+    /// fingerprint is not live or its frame does not read, verify or
+    /// decode: such a report is never served.
     #[must_use]
-    pub fn raw_payload(&self, fingerprint: u64) -> Option<Vec<u8>> {
-        let (path, offset, len) = {
+    pub fn load(&self, fingerprint: u64) -> Option<SimReport> {
+        let frame = {
             let inner = self.inner.lock().expect("logstore lock");
             let e = inner.index.get(&fingerprint)?;
-            (segment_path(&self.dir, e.seg), e.offset, e.len)
+            let mut frame = vec![0; FRAME_HEADER_BYTES as usize + e.len as usize];
+            let mut file = File::open(segment_path(&self.dir, e.seg)).ok()?;
+            file.seek(SeekFrom::Start(e.offset)).ok()?;
+            file.read_exact(&mut frame).ok()?;
+            frame
         };
-        let buf = std::fs::read(path).ok()?;
-        let start = usize::try_from(offset).ok()?;
-        let frame = buf.get(start..start + (FRAME_HEADER_BYTES as usize + len as usize))?;
-        match parse_frame(frame, 0) {
-            FrameOutcome::Record { fp, payload, .. } if fp == fingerprint => Some(payload.to_vec()),
+        match parse_frame(&frame, 0) {
+            FrameOutcome::Record { kind: KIND_PUT, fp, payload, .. } if fp == fingerprint => {
+                report_from_json(std::str::from_utf8(payload).ok()?).ok()
+            }
             _ => None,
         }
+    }
+
+    /// Every live fingerprint, ascending.
+    #[must_use]
+    pub fn fingerprints(&self) -> Vec<u64> {
+        let mut fps: Vec<u64> =
+            self.inner.lock().expect("logstore lock").index.keys().copied().collect();
+        fps.sort_unstable();
+        fps
     }
 
     /// Marks fingerprints as recently used, so steady working sets are
@@ -536,13 +531,7 @@ fn parse_frame(buf: &[u8], off: usize) -> FrameOutcome<'_> {
 /// One sequential scan of a segment, indexing its frames into `inner`.
 /// `is_last` selects the recovery posture: the newest segment truncates
 /// its torn tail; sealed segments skip damage and keep going.
-fn scan_segment(
-    dir: &Path,
-    id: u64,
-    is_last: bool,
-    inner: &mut Inner,
-    mut reports: Option<&mut HashMap<u64, SimReport>>,
-) {
+fn scan_segment(dir: &Path, id: u64, is_last: bool, inner: &mut Inner) {
     let path = segment_path(dir, id);
     let Ok(buf) = std::fs::read(&path) else {
         eprintln!("logstore: cannot read {}; ignoring segment", path.display());
@@ -588,30 +577,8 @@ fn scan_segment(
                     if inner.index.insert(fp, entry).is_some() {
                         inner.load.superseded += 1;
                     }
-                    if let Some(map) = reports.as_deref_mut() {
-                        match std::str::from_utf8(payload)
-                            .map_err(|_| ())
-                            .and_then(|t| report_from_json(t).map_err(|_| ()))
-                        {
-                            Ok(report) => {
-                                map.insert(fp, report);
-                            }
-                            Err(()) => {
-                                // Checksum-valid but unparsable (version
-                                // skew): stays indexed byte-preserving,
-                                // is not served.
-                                map.remove(&fp);
-                                inner.load.skipped_corrupt += 1;
-                            }
-                        }
-                    }
-                } else {
-                    if inner.index.remove(&fp).is_some() {
-                        inner.load.superseded += 1;
-                    }
-                    if let Some(map) = reports.as_deref_mut() {
-                        map.remove(&fp);
-                    }
+                } else if inner.index.remove(&fp).is_some() {
+                    inner.load.superseded += 1;
                 }
                 off += frame_len;
             }
@@ -743,9 +710,11 @@ fn create_segment(dir: &Path, inner: &mut Inner) -> std::io::Result<ActiveSeg> {
 
 /// Compaction with the lock held: copy live frames (original order)
 /// into `seg-<new>.log.tmp`, fsync, rename, delete old segments. A
-/// crash before the rename leaves the old segments untouched (the tmp
-/// file is swept at the next open); a crash after it leaves the new
-/// segment plus stale old ones, which last-wins scanning resolves.
+/// crash or an error before the rename leaves the old segments
+/// untouched (the tmp file is swept at the next open): a source segment
+/// that cannot be read fails the compaction, since its frames are not
+/// known to be bad. A crash after the rename leaves the new segment
+/// plus stale old ones, which last-wins scanning resolves.
 fn compact_locked(dir: &Path, inner: &mut Inner) -> std::io::Result<CompactStats> {
     inner.active = None;
     let before_bytes: u64 = inner.segs.values().sum();
@@ -766,7 +735,7 @@ fn compact_locked(dir: &Path, inner: &mut Inner) -> std::io::Result<CompactStats
     let mut src: Option<(u64, Vec<u8>)> = None;
     for (fp, e) in live {
         if src.as_ref().map(|(id, _)| *id) != Some(e.seg) {
-            src = Some((e.seg, std::fs::read(segment_path(dir, e.seg)).unwrap_or_default()));
+            src = Some((e.seg, std::fs::read(segment_path(dir, e.seg))?));
         }
         let buf = &src.as_ref().expect("source segment").1;
         let start = e.offset as usize;
@@ -822,6 +791,12 @@ mod tests {
         dir
     }
 
+    /// Every live report of `store`, read through [`LogStore::load`],
+    /// ascending by fingerprint.
+    fn read_all(store: &LogStore) -> Vec<(u64, SimReport)> {
+        store.fingerprints().into_iter().filter_map(|fp| Some((fp, store.load(fp)?))).collect()
+    }
+
     #[test]
     fn frame_hash_matches_the_shard_fnv() {
         let payload = b"the same constants as job::fnv1a64";
@@ -841,7 +816,8 @@ mod tests {
             store.store(20, &b).unwrap();
             store.store(10, &c).unwrap(); // supersedes `a`
         }
-        let (store, loaded) = LogStore::open_loading(&dir);
+        let store = LogStore::open(&dir);
+        let loaded = read_all(&store);
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0], (10, c.clone()));
         assert_eq!(loaded[1], (20, b.clone()));
@@ -850,7 +826,31 @@ mod tests {
         assert_eq!(stats.superseded, 1);
         assert_eq!(stats.skipped_corrupt, 0);
         assert_eq!(stats.torn_tail_bytes, 0);
-        assert_eq!(store.raw_payload(10).unwrap(), report_to_json(&c).into_bytes());
+        assert_eq!(store.load(10).map(|r| report_to_json(&r)), Some(report_to_json(&c)));
+        assert_eq!(store.load(30), None, "never stored");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_serves_only_frames_that_verify_and_decode() {
+        let dir = tmp_dir("load");
+        let store = LogStore::open(&dir);
+        store.store(1, &report(1)).unwrap();
+        store.store_payload(2, b"{\"not\":\"a report\"}").unwrap();
+        store.store_payload(3, &[0xff, 0xfe]).unwrap();
+        assert_eq!(store.load(1), Some(report(1)));
+        assert_eq!(store.load(2), None, "checksum-valid, but not a report");
+        assert_eq!(store.load(3), None, "checksum-valid, but not UTF-8");
+        assert_eq!(store.fingerprints(), vec![1, 2, 3], "both stay indexed");
+        // Rot after the open: `load` verifies the checksum again.
+        let seg = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[SEGMENT_HEADER_BYTES as usize + FRAME_HEADER_BYTES as usize + 3] ^= 0x20;
+        std::fs::write(&seg, &bytes).unwrap();
+        assert_eq!(store.load(1), None, "a rotted frame is not served");
+        // A superseding frame is served again.
+        store.store(1, &report(1)).unwrap();
+        assert_eq!(store.load(1), Some(report(1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -866,8 +866,8 @@ mod tests {
         assert_eq!(stats.entries, 12);
         assert!(stats.segments > 1, "small target must roll: {stats:?}");
         drop(store);
-        let (reopened, loaded) = LogStore::open_loading_with_config(&dir, config);
-        assert_eq!(loaded.len(), 12);
+        let reopened = LogStore::open_with_config(&dir, config);
+        assert_eq!(read_all(&reopened).len(), 12);
         assert_eq!(reopened.stats().segments, stats.segments);
         // And appends continue in the scanned tail segment.
         reopened.store(100, &report(100)).unwrap();
@@ -900,7 +900,8 @@ mod tests {
             }
         });
         drop(store);
-        let (store, loaded) = LogStore::open_loading(&dir);
+        let store = LogStore::open(&dir);
+        let loaded = read_all(&store);
         assert_eq!(loaded.len(), 1, "exactly one entry");
         assert_eq!(store.load_stats().skipped_corrupt, 0, "no torn writes");
         assert!(loaded[0].1 == a || loaded[0].1 == b, "entry is one complete report");
@@ -923,7 +924,8 @@ mod tests {
             second.store(100 + i, r).expect("second handle appends");
         }
         drop((first, second));
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+        let store = LogStore::open_with_config(&dir, config);
+        let loaded = read_all(&store);
         let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
         assert_eq!(fps, vec![0, 1, 2, 3, 100, 101, 102, 103], "every write survives");
         for (fp, r) in &loaded {
@@ -948,15 +950,15 @@ mod tests {
             first.store(i, &reports[i as usize]).expect("first handle appends");
         }
         for i in 0..4u64 {
-            let want = Some(report_to_json(&reports[i as usize]).into_bytes());
-            assert_eq!(first.raw_payload(i), want, "first handle's offset for {i}");
+            let want = Some(reports[i as usize].clone());
+            assert_eq!(first.load(i), want, "first handle's offset for {i}");
             if i > 0 {
-                assert_eq!(second.raw_payload(100 + i), want, "second handle's offset for {i}");
+                assert_eq!(second.load(100 + i), want, "second handle's offset for {i}");
             }
         }
         drop((first, second));
-        let (store, loaded) = LogStore::open_loading(&dir);
-        let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
+        let store = LogStore::open(&dir);
+        let fps: Vec<u64> = read_all(&store).iter().map(|(fp, _)| *fp).collect();
         assert_eq!(fps, vec![0, 1, 2, 3, 101, 102, 103], "every write survives");
         assert_eq!(store.stats().segments, 1, "both handles appended to seg-0");
         assert_eq!(store.load_stats().skipped_corrupt, 0);
@@ -975,7 +977,6 @@ mod tests {
         }
         let before = store.stats();
         assert!(before.dead_bytes > 0);
-        let payloads: Vec<Vec<u8>> = (0..6).map(|i| store.raw_payload(i).unwrap()).collect();
         let c = store.compact().unwrap();
         assert_eq!(c.live_records, 6);
         assert!(c.after_bytes < c.before_bytes);
@@ -985,14 +986,72 @@ mod tests {
         assert_eq!(after.dead_bytes, 0);
         assert_eq!(after.segments, 1);
         assert_eq!(after.compactions, 1);
-        for (i, payload) in payloads.iter().enumerate() {
-            assert_eq!(store.raw_payload(i as u64).as_ref(), Some(payload));
+        for i in 0..6 {
+            assert_eq!(store.load(i), Some(report(i + 50)));
         }
         // The store still accepts appends and survives reopen.
         store.store(99, &report(99)).unwrap();
         drop(store);
-        let (_, loaded) = LogStore::open_loading(&dir);
-        assert_eq!(loaded.len(), 7);
+        assert_eq!(read_all(&LogStore::open(&dir)).len(), 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_fails_without_loss_on_a_segment_it_cannot_read() {
+        let dir = tmp_dir("unreadable");
+        let store = LogStore::open_with_config(&dir, LogStoreConfig { segment_bytes: 1024 });
+        for i in 0..12 {
+            store.store(i, &report(i)).unwrap();
+        }
+        let before = store.stats();
+        assert!(before.segments > 1, "{before:?}");
+        // A sealed segment becomes unreadable after the open.
+        let seg0 = segment_path(&dir, 0);
+        std::fs::remove_file(&seg0).unwrap();
+        std::fs::create_dir(&seg0).unwrap();
+        assert!(store.compact().is_err(), "an unreadable segment fails the compaction");
+        assert_eq!(store.stats().entries, before.entries, "no record is dropped");
+        for id in 1..before.segments {
+            assert!(segment_path(&dir, id).is_file(), "seg-{id} is not deleted");
+        }
+        assert_eq!(store.load(11), Some(report(11)), "the readable segments still serve");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_is_exact_while_compactions_move_every_frame() {
+        let dir = tmp_dir("load-compact");
+        let store = LogStore::open_with_config(&dir, LogStoreConfig { segment_bytes: 4096 });
+        let reports: Vec<SimReport> = (1..=16).map(report_for).collect();
+        for (fp, r) in (1..).zip(&reports) {
+            store.store(fp, r).unwrap();
+        }
+        // The size of the compacted store: every entry fits this budget,
+        // so eviction only compacts away the superseded frame below.
+        let budget = store.compact().unwrap().after_bytes;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let mover = scope.spawn(|| {
+                start.wait();
+                for round in 0..20u64 {
+                    let fp = round % 16 + 1;
+                    store.store(fp, &reports[fp as usize - 1]).expect("supersede");
+                    store.compact().expect("compact");
+                    store.store(fp, &reports[fp as usize - 1]).expect("supersede");
+                    let evicted = store.evict_to_budget(budget).expect("evict");
+                    assert_eq!(evicted.evicted, 0, "round {round}");
+                }
+            });
+            start.wait();
+            let mut rounds = 0;
+            while rounds == 0 || !mover.is_finished() {
+                for (fp, r) in (1..).zip(&reports) {
+                    assert_eq!(store.load(fp).as_ref(), Some(r), "round {rounds}: {fp}");
+                }
+                rounds += 1;
+            }
+        });
+        assert_eq!(store.stats().compactions, 41);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1005,7 +1064,7 @@ mod tests {
         }
         store.touch_all(&[1]); // 1 becomes most recent; 2 is now LRU
                                // A budget that holds exactly the two most-recent entries (1, 4).
-        let frame = |fp: u64| store.raw_payload(fp).unwrap().len() as u64 + FRAME_HEADER_BYTES;
+        let frame = |fp: u64| report_to_json(&report(fp)).len() as u64 + FRAME_HEADER_BYTES;
         let keep_two = SEGMENT_HEADER_BYTES + frame(1) + frame(4);
         let e = store.evict_to_budget(keep_two).unwrap();
         assert_eq!(e.evicted, 2);
@@ -1014,10 +1073,10 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 2);
-        assert!(store.raw_payload(2).is_none(), "LRU entry 2 evicted");
-        assert!(store.raw_payload(3).is_none(), "next-LRU entry 3 evicted");
-        assert!(store.raw_payload(1).is_some(), "touched entry survives");
-        assert!(store.raw_payload(4).is_some(), "newest entry survives");
+        assert!(store.load(2).is_none(), "LRU entry 2 evicted");
+        assert!(store.load(3).is_none(), "next-LRU entry 3 evicted");
+        assert!(store.load(1).is_some(), "touched entry survives");
+        assert!(store.load(4).is_some(), "newest entry survives");
         // Under budget already: a no-op.
         let noop = store.evict_to_budget(u64::MAX).unwrap();
         assert_eq!(
@@ -1042,7 +1101,7 @@ mod tests {
         let guard = store.pin(&[1]); // 1 is the LRU entry, but pinned
         let e = store.evict_to_budget(SEGMENT_HEADER_BYTES).unwrap();
         assert_eq!(e.evicted, 2);
-        assert!(store.raw_payload(1).is_some(), "pinned entry survives a zero-entry budget");
+        assert!(store.load(1).is_some(), "pinned entry survives a zero-entry budget");
         drop(guard);
         let e = store.evict_to_budget(SEGMENT_HEADER_BYTES).unwrap();
         assert_eq!(e.evicted, 1, "unpinned, it is evictable again");
@@ -1065,15 +1124,14 @@ mod tests {
             SEGMENT_HEADER_BYTES as usize + FRAME_HEADER_BYTES as usize + report_to_json(&a).len();
         // Tear the file mid-way through the second record.
         std::fs::write(&seg, &full[..after_first + 5]).unwrap();
-        let (store, loaded) = LogStore::open_loading(&dir);
-        assert_eq!(loaded, vec![(1, a)]);
+        let store = LogStore::open(&dir);
+        assert_eq!(read_all(&store), vec![(1, a)]);
         assert_eq!(store.load_stats().torn_tail_bytes, 5);
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), after_first as u64);
         // The truncated segment accepts appends again.
         store.store(3, &report(3)).unwrap();
         drop(store);
-        let (_, reloaded) = LogStore::open_loading(&dir);
-        assert_eq!(reloaded.len(), 2);
+        assert_eq!(read_all(&LogStore::open(&dir)).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1096,8 +1154,8 @@ mod tests {
         let n = bytes.len();
         bytes[n - 10] ^= 0x40;
         std::fs::write(&seg, &bytes).unwrap();
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
-        let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
+        let store = LogStore::open_with_config(&dir, config);
+        let fps: Vec<u64> = read_all(&store).iter().map(|(fp, _)| *fp).collect();
         assert_eq!(fps, vec![2, 3], "damaged record skipped, neighbours kept");
         assert_eq!(store.load_stats().skipped_corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1120,7 +1178,8 @@ mod tests {
         std::fs::write(&seg1, &bytes).unwrap();
         // A stale compaction temp file is swept at open.
         std::fs::write(dir.join("seg-9.log.tmp"), b"leftover").unwrap();
-        let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+        let store = LogStore::open_with_config(&dir, config);
+        let loaded = read_all(&store);
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].0, 2);
         assert_eq!(store.load_stats().skipped_corrupt, 1);
@@ -1195,15 +1254,14 @@ mod tests {
                     store.store(seed, &report_for(seed)).expect("append");
                 }
             }
-            let (store, loaded) = LogStore::open_loading_with_config(&dir, config);
+            let store = LogStore::open_with_config(&dir, config);
+            let loaded = read_all(&store);
             prop_assert_eq!(loaded.len(), records);
             let mut frame_bytes = HashMap::new();
             for (fp, report) in &loaded {
                 let expected = report_to_json(&report_for(*fp));
-                prop_assert_eq!(&report_to_json(report), &expected);
-                let raw = store.raw_payload(*fp).expect("indexed payload");
-                prop_assert_eq!(raw.as_slice(), expected.as_bytes(), "raw bytes preserved verbatim");
-                frame_bytes.insert(*fp, FRAME_HEADER_BYTES + raw.len() as u64);
+                prop_assert_eq!(&report_to_json(report), &expected, "bytes preserved verbatim");
+                frame_bytes.insert(*fp, FRAME_HEADER_BYTES + expected.len() as u64);
             }
 
             // Touch in an arbitrary order; the last `keep` touched must be
@@ -1219,18 +1277,16 @@ mod tests {
             store.evict_to_budget(budget).expect("evict");
             drop(store);
 
-            let (store, reloaded) = LogStore::open_loading_with_config(&dir, config);
+            let store = LogStore::open_with_config(&dir, config);
+            let reloaded = read_all(&store);
             let mut expected: Vec<u64> = survivors.clone();
             expected.sort_unstable();
             let fps: Vec<u64> = reloaded.iter().map(|(fp, _)| *fp).collect();
             prop_assert_eq!(fps, expected, "exactly the {} most recently used survive", keep);
             for (fp, report) in &reloaded {
-                let expected = report_to_json(&report_for(*fp));
-                prop_assert_eq!(&report_to_json(report), &expected);
-                let raw = store.raw_payload(*fp).expect("indexed payload");
                 prop_assert_eq!(
-                    raw.as_slice(),
-                    expected.as_bytes(),
+                    report_to_json(report),
+                    report_to_json(&report_for(*fp)),
                     "survivor bytes preserved verbatim across eviction + reopen"
                 );
             }

@@ -1,7 +1,10 @@
 //! The long-running sweep service: `st serve`.
 //!
 //! A daemon that wraps one shared [`SweepEngine`] behind a socket so many
-//! clients (and many hosts) can reuse one warm result cache. The wire
+//! clients (and many hosts) can reuse one warm result store: the engine
+//! opens the store's index at startup, reads a stored report the first
+//! time a submission asks for it, and holds every report it simulated,
+//! relabelled or read for the daemon's lifetime. The wire
 //! protocol is deliberately thin — hand-rolled HTTP/1.1 over
 //! [`std::net::TcpListener`] carrying the same self-describing encodings
 //! the rest of the crate already speaks:
@@ -115,14 +118,39 @@ pub fn install_sigint_handler() {
         extern "C" fn on_sigint(_signum: i32) {
             SIGINT_RECEIVED.store(true, Ordering::SeqCst);
         }
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
         const SIGINT: i32 = 2;
+        // SAFETY: `signal` is called with a valid signal number and a
+        // handler that only stores to an atomic, which is
+        // async-signal-safe.
         unsafe {
-            signal(SIGINT, on_sigint);
+            signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
         }
     }
+}
+
+/// Restores SIGPIPE's default action, which Rust replaces with "ignore"
+/// at startup, so a write to a pipe whose reader has gone ends the
+/// process quietly instead of failing with `EPIPE`. For commands that
+/// write only to stdout and files; a server must keep SIGPIPE ignored.
+/// A no-op on non-Unix platforms.
+pub fn restore_default_sigpipe() {
+    #[cfg(unix)]
+    {
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `signal` is called with a valid signal number and
+        // `SIG_DFL`, which installs no handler of ours.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
+}
+
+#[cfg(unix)]
+extern "C" {
+    /// libc's `signal`; `handler` is `SIG_DFL` (0) or a function
+    /// pointer.
+    fn signal(signum: i32, handler: usize) -> usize;
 }
 
 /// How a [`Server`] builds its engine: where the shared result store
@@ -174,9 +202,9 @@ pub struct SweepService {
 }
 
 impl SweepService {
-    /// A service configured per `config` (engine + result-store preload
-    /// happen here, so construction reads `<out>/.store`, and enforces
-    /// the size budget once up front).
+    /// A service configured per `config` (the engine is built here, so
+    /// construction opens the index of `<out>/.store`, and enforces the
+    /// size budget once up front).
     #[must_use]
     pub fn new(config: &ServiceConfig) -> SweepService {
         let engine = if config.no_cache {
@@ -452,7 +480,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7077`) and builds the service —
-    /// including the result-store preload, so a warm cache is ready
+    /// including the result store's index, so a warm store is ready
     /// before the first connection.
     ///
     /// # Errors
@@ -989,7 +1017,7 @@ mod tests {
         handle.join().expect("server thread").expect("clean shutdown");
 
         // Every simulated point was written through; a fresh engine (a
-        // restarted server, conceptually) preloads all four.
+        // restarted server, conceptually) finds all four.
         let reloaded = SweepEngine::with_result_store(1, &out);
         assert_eq!(reloaded.stats().loaded, 4, "all points persisted");
         assert!(!out.join(".cache").exists(), "nothing written to a legacy JSON directory");

@@ -39,6 +39,15 @@ fn report_for(seed: u64) -> SimReport {
     r
 }
 
+/// Opens the store at `dir` and reads every live report back through
+/// [`LogStore::load`], ascending by fingerprint.
+fn open_and_read(dir: &std::path::Path) -> (LogStore, Vec<(u64, SimReport)>) {
+    let store = LogStore::open(dir);
+    let loaded =
+        store.fingerprints().into_iter().filter_map(|fp| Some((fp, store.load(fp)?))).collect();
+    (store, loaded)
+}
+
 /// A throwaway store directory unique to this test and case.
 fn scratch_dir(label: &str) -> std::path::PathBuf {
     let dir =
@@ -71,7 +80,7 @@ fn torn_tail_recovers_the_committed_prefix_at_every_byte_boundary() {
     let cut_seg = cut_dir.join("seg-0.log");
     for cut in SEGMENT_HEADER_BYTES as usize..=pristine.len() {
         std::fs::write(&cut_seg, &pristine[..cut]).expect("write cut copy");
-        let (store, loaded) = LogStore::open_loading(&cut_dir);
+        let (store, loaded) = open_and_read(&cut_dir);
         // Records whose frame is entirely below the cut survive.
         let committed = boundaries.iter().skip(1).filter(|&&end| end as usize <= cut).count();
         let fps: Vec<u64> = loaded.iter().map(|(fp, _)| *fp).collect();
@@ -127,7 +136,7 @@ proptest! {
         buf[pos] ^= tamper_xor;
         std::fs::write(&seg, &buf).expect("write tampered segment");
 
-        let (store, loaded) = LogStore::open_loading(&dir);
+        let (store, loaded) = open_and_read(&dir);
         prop_assert!(
             (loaded.len() as u64) < records,
             "a tampered byte at {pos} must lose at least one record"

@@ -3,7 +3,7 @@
 //! allocation abort, a plain `st repro` writes only under `--out` and
 //! its CSVs and printed figures keep their pinned bytes, a killed
 //! `st run` keeps every point it finished, and a reader that hangs up
-//! early ends `st list` and `st calibrate` quietly.
+//! early ends `st list`, `st calibrate` and `st repro` quietly.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -90,6 +90,30 @@ fn a_reader_that_hangs_up_ends_list_and_calibrate_quietly() {
             assert!(!err.contains("panicked"), "st {args:?}: {err}");
         }
     }
+}
+
+#[test]
+fn a_reader_that_hangs_up_ends_repro_quietly() {
+    let out_dir = empty_dir("repro-hangup");
+    let mut child = st()
+        .args(["repro", "--instr", "2000", "--no-cache", "--threads", "1", "--out"])
+        .arg(&out_dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reads a line");
+    assert!(line.starts_with("st repro: "), "{line:?}");
+    // The figures are printed after the batch, so the pipe is closed by
+    // the time they are written.
+    drop(reader);
+    let out = child.wait_with_output().expect("waits");
+    let err = stderr(&out);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]
