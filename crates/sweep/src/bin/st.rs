@@ -23,7 +23,8 @@ use st_sweep::fleet::{FleetConfig, FleetServer};
 use st_sweep::loadgen::{self, LoadgenConfig};
 use st_sweep::service::{self, ServiceConfig};
 use st_sweep::{
-    all_experiments, audit, axes, client, shard, AxisValue, LogStore, SweepEngine, SweepSpec,
+    all_experiments, audit, axes, client, shard, AxisValue, ClientError, LogStore, SweepEngine,
+    SweepSpec,
 };
 
 fn main() {
@@ -71,9 +72,8 @@ const SUBCOMMANDS: [(&str, Command); 12] = [
 
 /// The subcommands that write only to stdout and to files. A reader
 /// that hangs up ends them quietly, by SIGPIPE's default action. The
-/// others keep SIGPIPE ignored: `serve`, `submit`, `status` and
-/// `loadgen` must see `EPIPE` from a peer, and `calibrate` ends through
-/// [`to_stdout`].
+/// others keep SIGPIPE ignored and end through [`to_stdout`]: `serve`,
+/// `submit`, `status` and `loadgen` must see `EPIPE` from a peer.
 const ENDED_BY_SIGPIPE: [&str; 7] = ["repro", "run", "merge", "audit", "plot", "cache", "bench"];
 
 /// Reads `argv`, the arguments after `st <sub>`, and runs `cmd` on
@@ -89,10 +89,11 @@ fn dispatch(sub: &'static str, argv: &[String], cmd: Command) -> i32 {
 }
 
 /// Runs a command that writes its report to `out`, stdout. A reader that
-/// closes the pipe early (`st list | head -2`) ends the command quietly
-/// with exit 0. SIGPIPE stays ignored here, as Rust starts every
-/// program, so `serve`, `submit`, `status`, `loadgen` and the fleet get
-/// `EPIPE` from a peer that hangs up instead of being killed.
+/// closes the pipe early (`st list | head -2`, `st submit … | head -1`)
+/// ends the command quietly with exit 0. SIGPIPE stays ignored here, as
+/// Rust starts every program, so `serve`, `submit`, `status`, `loadgen`
+/// and the fleet get `EPIPE` from a peer that hangs up instead of being
+/// killed.
 fn to_stdout(cmd: impl FnOnce(&mut dyn Write) -> io::Result<i32>) -> i32 {
     let mut out = io::stdout();
     match cmd(&mut out).and_then(|code| out.flush().map(|()| code)) {
@@ -946,16 +947,13 @@ fn cmd_serve(args: &Args) -> Result<i32, String> {
     }
     if stop {
         let addr = args.service_addr();
-        return Ok(match client::shutdown(&addr) {
-            Ok(_) => {
-                println!("st serve: service at {addr} is shutting down");
-                0
-            }
+        return Ok(to_stdout(|out| match client::shutdown(&addr) {
+            Ok(_) => writeln!(out, "st serve: service at {addr} is shutting down").map(|()| 0),
             Err(e) => {
                 eprintln!("st serve: {e}");
-                1
+                Ok(1)
             }
-        });
+        }));
     }
     if args.mode == "serve --fleet" {
         return serve_fleet(args);
@@ -975,35 +973,44 @@ fn cmd_serve(args: &Args) -> Result<i32, String> {
         }
     };
     service::install_sigint_handler();
-    // The listening line goes first and flushed: scripts (and the CI
-    // gate) read the actual port from it when binding port 0.
-    println!("st serve: listening on http://{}", server.local_addr());
     let engine = server.service().engine();
-    match engine.result_store() {
-        Some(store) => println!(
-            "st serve: result store at {} ({} entries loaded), {} simulation workers",
+    let store = match engine.result_store() {
+        Some(store) => format!(
+            "result store at {} ({} entries loaded)",
             store.dir().display(),
-            engine.stats().loaded,
-            server.service().workers()
+            engine.stats().loaded
         ),
-        None => println!(
-            "st serve: result store disabled (--no-cache), {} simulation workers",
-            server.service().workers()
-        ),
-    }
-    println!("st serve: POST /submit streams sweeps; GET /status reports; POST /shutdown stops");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    if let Err(e) = server.run() {
-        eprintln!("st serve: server failed: {e}");
-        return Ok(1);
-    }
-    let stats = server.service().engine().stats();
-    println!(
-        "st serve: shut down gracefully ({} points simulated this run, {} aliased, {} cache entries warm)",
-        stats.simulated, stats.aliased, stats.cache.entries
+        None => "result store disabled (--no-cache)".to_string(),
+    };
+    let details = format!("{store}, {} simulation workers", server.service().workers());
+    Ok(to_stdout(|out| {
+        serve_banner(out, server.local_addr(), &details);
+        if let Err(e) = server.run() {
+            eprintln!("st serve: server failed: {e}");
+            return Ok(1);
+        }
+        let stats = server.service().engine().stats();
+        writeln!(
+            out,
+            "st serve: shut down gracefully ({} points simulated this run, {} aliased, {} cache entries warm)",
+            stats.simulated, stats.aliased, stats.cache.entries
+        )
+        .map(|()| 0)
+    }))
+}
+
+/// Writes a server's banner: its `listening on` line first, which
+/// scripts (and the CI gate) read the actual port from when binding
+/// port 0, then `details` and the endpoint summary. A reader that
+/// leaves after the first line must not stop the server, so write
+/// errors are ignored here; the server's last line reports them.
+fn serve_banner(out: &mut dyn Write, listening: std::net::SocketAddr, details: &str) {
+    let _ = write!(
+        out,
+        "st serve: listening on http://{listening}\nst serve: {details}\n\
+         st serve: POST /submit streams sweeps; GET /status reports; POST /shutdown stops\n"
     );
-    Ok(0)
+    let _ = out.flush();
 }
 
 /// `st serve --fleet`: run the coordinator tier — partition, dispatch,
@@ -1040,26 +1047,23 @@ fn serve_fleet(args: &Args) -> Result<i32, String> {
         }
     };
     service::install_sigint_handler();
-    // Same first-line contract as a plain server: scripts (and the CI
-    // gate) read the actual port from it when binding port 0.
-    println!("st serve: listening on http://{}", server.local_addr());
-    println!(
-        "st serve: fleet coordinator over {} worker(s): {}; {} submissions in flight max, \
+    let details = format!(
+        "fleet coordinator over {} worker(s): {}; {} submissions in flight max, \
          {}s worker timeout",
         config.workers.len(),
         config.workers.join(", "),
         config.max_inflight,
         config.worker_timeout.as_secs()
     );
-    println!("st serve: POST /submit streams sweeps; GET /status reports; POST /shutdown stops");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    if let Err(e) = server.run() {
-        eprintln!("st serve: coordinator failed: {e}");
-        return Ok(1);
-    }
-    println!("st serve: fleet shut down gracefully: {}", server.fleet().status_json());
-    Ok(0)
+    Ok(to_stdout(|out| {
+        serve_banner(out, server.local_addr(), &details);
+        if let Err(e) = server.run() {
+            eprintln!("st serve: coordinator failed: {e}");
+            return Ok(1);
+        }
+        writeln!(out, "st serve: fleet shut down gracefully: {}", server.fleet().status_json())
+            .map(|()| 0)
+    }))
 }
 
 /// `st loadgen`: measured concurrent load against a running service or
@@ -1090,50 +1094,56 @@ fn cmd_loadgen(args: &Args) -> Result<i32, String> {
             return Ok(1);
         }
     };
-    println!(
-        "st loadgen: sweep `{}`: {} submissions over {} clients against {}{}",
-        spec.name,
-        config.submissions,
-        config.clients,
-        config.addr,
-        match config.priority {
-            Some(p) => format!(", priority {p}"),
-            None => String::new(),
+    Ok(to_stdout(|out| {
+        writeln!(
+            out,
+            "st loadgen: sweep `{}`: {} submissions over {} clients against {}{}",
+            spec.name,
+            config.submissions,
+            config.clients,
+            config.addr,
+            match config.priority {
+                Some(p) => format!(", priority {p}"),
+                None => String::new(),
+            }
+        )?;
+        let result = match loadgen::run(&config, &text, &mut std::io::stderr()) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("st loadgen: {e}");
+                return Ok(2);
+            }
+        };
+        writeln!(
+            out,
+            "st loadgen: {} ok, {} failed in {:.2}s ({:.2} submissions/s, {:.0} records/s)",
+            result.submissions,
+            result.failures,
+            result.total_seconds,
+            result.submissions_per_sec(),
+            result.submissions_per_sec() * result.records_per_submission as f64
+        )?;
+        writeln!(
+            out,
+            "st loadgen: latency p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms",
+            result.percentile_ms(0.50),
+            result.percentile_ms(0.90),
+            result.percentile_ms(0.99)
+        )?;
+        if let Some(path) = args.value("--bench-json") {
+            if let Err(e) = loadgen::update_service(Path::new(path), &result.to_section(unix_now()))
+            {
+                eprintln!("st loadgen: could not write {path}: {e}");
+                return Ok(1);
+            }
+            writeln!(out, "  [perf] {path}")?;
         }
-    );
-    let result = match loadgen::run(&config, &text, &mut std::io::stderr()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("st loadgen: {e}");
-            return Ok(2);
-        }
-    };
-    println!(
-        "st loadgen: {} ok, {} failed in {:.2}s ({:.2} submissions/s, {:.0} records/s)",
-        result.submissions,
-        result.failures,
-        result.total_seconds,
-        result.submissions_per_sec(),
-        result.submissions_per_sec() * result.records_per_submission as f64
-    );
-    println!(
-        "st loadgen: latency p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms",
-        result.percentile_ms(0.50),
-        result.percentile_ms(0.90),
-        result.percentile_ms(0.99)
-    );
-    if let Some(path) = args.value("--bench-json") {
-        if let Err(e) = loadgen::update_service(Path::new(path), &result.to_section(unix_now())) {
-            eprintln!("st loadgen: could not write {path}: {e}");
+        if result.submissions == 0 {
+            eprintln!("st loadgen: every submission failed");
             return Ok(1);
         }
-        println!("  [perf] {path}");
-    }
-    if result.submissions == 0 {
-        eprintln!("st loadgen: every submission failed");
-        return Ok(1);
-    }
-    Ok(0)
+        Ok(0)
+    }))
 }
 
 fn cmd_submit(args: &Args) -> Result<i32, String> {
@@ -1158,35 +1168,41 @@ fn cmd_submit(args: &Args) -> Result<i32, String> {
     };
     let addr = args.service_addr();
     // Records go to stdout (pipe to a file for the canonical JSONL);
-    // everything human-facing goes to stderr.
-    let mut stdout = std::io::stdout().lock();
-    Ok(match client::submit_with_priority(&addr, &text, priority, &mut stdout) {
-        Ok(bytes) => {
-            eprintln!(
-                "st submit: sweep `{}` streamed from {addr} ({bytes} bytes of JSONL)",
-                spec.name
-            );
-            0
+    // everything human-facing goes to stderr. A failed write to stdout
+    // ends the stream and goes to `to_stdout`, which ends quietly when
+    // the reader hung up.
+    Ok(to_stdout(|out| {
+        let (mut bytes, mut stdout_error) = (0, None);
+        let streamed = client::submit_with_priority(&addr, &text, priority, &mut |record| {
+            bytes += record.len() + 1;
+            writeln!(out, "{record}").map_err(|e| ClientError(stdout_error.insert(e).to_string()))
+        });
+        match (stdout_error, streamed) {
+            (Some(e), _) => Err(e),
+            (None, Ok(_)) => {
+                eprintln!(
+                    "st submit: sweep `{}` streamed from {addr} ({bytes} bytes of JSONL)",
+                    spec.name
+                );
+                Ok(0)
+            }
+            (None, Err(e)) => {
+                eprintln!("st submit: {e}");
+                Ok(1)
+            }
         }
-        Err(e) => {
-            eprintln!("st submit: {e}");
-            1
-        }
-    })
+    }))
 }
 
 fn cmd_status(args: &Args) -> Result<i32, String> {
     args.no_positional()?;
-    Ok(match client::status(&args.service_addr()) {
-        Ok(body) => {
-            println!("{body}");
-            0
-        }
+    Ok(to_stdout(|out| match client::status(&args.service_addr()) {
+        Ok(body) => writeln!(out, "{body}").map(|()| 0),
         Err(e) => {
             eprintln!("st status: {e}");
-            1
+            Ok(1)
         }
-    })
+    }))
 }
 
 fn cmd_cache(args: &Args) -> Result<i32, String> {

@@ -1,10 +1,13 @@
 //! The sweep-service client: `st submit` / `st status` / `st serve stop`.
 //!
 //! Thin, dependency-free counterpart to [`crate::service`]: opens one
-//! TCP connection per request, speaks the same minimal HTTP/1.1, and
-//! hands the newline-delimited JSON stream straight to the caller's
-//! sink — the bytes a [`submit`] writes are exactly the bytes a local
-//! `st run` of the same spec would put in `<out>/<name>.jsonl`.
+//! TCP connection per request and speaks the same minimal HTTP/1.1.
+//! Every record stream — a `/submit` sweep and a `/points` range — is
+//! read by one line reader with one count check against the
+//! `X-Sweep-Records` head, and each complete record line goes to the
+//! caller as it arrives. The bytes a [`submit`] writes are exactly the
+//! bytes a local `st run` of the same spec would put in
+//! `<out>/<name>.jsonl`; a torn last record is never passed on.
 //!
 //! Errors are a single [`ClientError`] string, already prefixed with
 //! enough context (address, HTTP status, the server's structured
@@ -36,77 +39,57 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ClientError> {
 /// streamed JSONL response into `sink` as records arrive. Returns the
 /// number of body bytes streamed.
 ///
+/// # Errors
+///
+/// As [`submit_with_priority`], plus a failed write to `sink`.
+pub fn submit(addr: &str, spec_text: &str, sink: &mut dyn Write) -> Result<u64, ClientError> {
+    let mut bytes = 0;
+    submit_with_priority(addr, spec_text, None, &mut |record| {
+        writeln!(sink, "{record}")
+            .map_err(|e| ClientError(format!("cannot write streamed records: {e}")))?;
+        bytes += record.len() as u64 + 1;
+        Ok(())
+    })?;
+    Ok(bytes)
+}
+
+/// Submits a sweep spec at a scheduling priority (higher = dispatched
+/// sooner; `None` is the lowest) and hands each streamed record line,
+/// without its newline, to `on_record` as it arrives. Returns the
+/// number of records. The priority travels as a `?priority=N` query
+/// parameter, so the spec body stays byte-for-byte what `st run` reads.
+/// A plain `st serve` ignores it; a fleet coordinator orders its
+/// dispatch queue by it.
+///
 /// The response body is `Connection: close` delimited, so a server
 /// dying mid-stream looks like a clean end-of-stream at the socket
 /// level; the server therefore announces the exact record count in an
-/// `X-Sweep-Records` header, and `submit` counts the records it relays
-/// and errors on any shortfall instead of silently delivering a
-/// truncated sweep. When a (non-standard) server omits the header, the
-/// client independently expands the spec through the same registry and
-/// derives the expected count itself — a truncated stream is an error
-/// either way, never a silently short sweep.
+/// `X-Sweep-Records` header, and a stream short of it is an error, never
+/// a silently short sweep. When a (non-standard) server omits the
+/// header, the client expands the spec through the same registry and
+/// derives the expected count itself.
 ///
 /// # Errors
 ///
-/// Connection failures, malformed replies, truncated streams, and any
+/// Connection failures, malformed replies, truncated streams, any
 /// non-200 response (the server's structured error message is folded
-/// into the [`ClientError`]).
-pub fn submit(addr: &str, spec_text: &str, sink: &mut dyn Write) -> Result<u64, ClientError> {
-    submit_with_priority(addr, spec_text, None, sink)
-}
-
-/// [`submit`] with an explicit scheduling priority (higher = dispatched
-/// sooner), carried as a `?priority=N` query parameter so the spec body
-/// stays byte-for-byte what `st run` reads. A plain `st serve` ignores
-/// it; a fleet coordinator orders its dispatch queue by it.
-///
-/// # Errors
-///
-/// As [`submit`].
+/// into the [`ClientError`]), and the first error `on_record` returns.
 pub fn submit_with_priority(
     addr: &str,
     spec_text: &str,
     priority: Option<u32>,
-    sink: &mut dyn Write,
+    on_record: &mut dyn FnMut(&str) -> Result<(), ClientError>,
 ) -> Result<u64, ClientError> {
     let path = match priority {
         Some(p) => format!("/submit?priority={p}"),
         None => "/submit".to_string(),
     };
     let reply = request(addr, "POST", &path, spec_text)?;
-    // Trust the server's X-Sweep-Records when present; otherwise expand
-    // the spec locally so truncation is still detectable.
     let expected = reply.records.or_else(|| expected_records(spec_text));
-    let mut reader = reply.reader;
     // The head arrived; from here the gaps between records are bounded
     // only by simulation time, so the body reads with no deadline (see
     // HEAD_TIMEOUT for why that is safe).
-    reader
-        .get_ref()
-        .set_read_timeout(None)
-        .map_err(|e| ClientError(format!("cannot configure connection to {addr}: {e}")))?;
-    let mut buf = [0u8; 16 * 1024];
-    let (mut bytes, mut records) = (0u64, 0u64);
-    loop {
-        let n = match reader.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) => return err(format!("stream from {addr} interrupted: {e}")),
-        };
-        sink.write_all(&buf[..n])
-            .map_err(|e| ClientError(format!("cannot write streamed records: {e}")))?;
-        bytes += n as u64;
-        records += buf[..n].iter().filter(|&&b| b == b'\n').count() as u64;
-    }
-    if let Some(expected) = expected {
-        if records != expected {
-            return err(format!(
-                "truncated stream from {addr}: got {records} of {expected} records \
-                 (did the server die mid-sweep?)"
-            ));
-        }
-    }
-    Ok(bytes)
+    read_records(addr, reply.reader, expected, None, on_record)
 }
 
 /// The exact record count (`report` + `comparison` lines) a compliant
@@ -116,10 +99,8 @@ pub fn submit_with_priority(
 /// so an unparseable spec only disables the truncation fallback; it
 /// never fails the submission on its own.
 fn expected_records(spec_text: &str) -> Option<u64> {
-    let spec = crate::spec::SweepSpec::parse(spec_text).ok()?;
-    let points = spec.points().ok()?;
-    let comparisons = crate::emit::baseline_pairing(&points).iter().flatten().count();
-    Some((points.len() + comparisons) as u64)
+    let points = crate::spec::SweepSpec::parse(spec_text).ok()?.points().ok()?;
+    Some(crate::emit::record_count(&crate::emit::baseline_pairing(&points)) as u64)
 }
 
 /// Fetches a fingerprint sub-range of an expanded grid from the service
@@ -132,8 +113,6 @@ fn expected_records(spec_text: &str) -> Option<u64> {
 /// arrived (`None` = wait forever): the fleet coordinator passes a
 /// finite deadline so a wedged worker is detected and its range failed
 /// over, while simple callers can wait out arbitrarily slow points.
-/// A torn final line (no trailing newline) is never delivered; it
-/// surfaces as a record-count shortfall instead.
 ///
 /// # Errors
 ///
@@ -150,43 +129,43 @@ pub fn fetch_points(
 ) -> Result<u64, ClientError> {
     let path = format!("/points?range={}", crate::shard::format_fp_range(range.0, range.1));
     let reply = request(addr, "GET", &path, spec_text)?;
-    let expected = reply.records;
-    let mut reader = reply.reader;
+    read_records(addr, reply.reader, reply.records, read_timeout, &mut |record| {
+        on_record(record).map_err(|m| ClientError(format!("bad point record from {addr}: {m}")))
+    })
+}
+
+/// The one reader of a record stream: hands each line of the body,
+/// without its newline, to `on_record`, then checks the count against
+/// `expected`. A torn last line (the server died mid-record) is never
+/// delivered; the count check reports it.
+fn read_records(
+    addr: &str,
+    mut reader: BufReader<TcpStream>,
+    expected: Option<u64>,
+    read_timeout: Option<std::time::Duration>,
+    on_record: &mut dyn FnMut(&str) -> Result<(), ClientError>,
+) -> Result<u64, ClientError> {
     reader
         .get_ref()
         .set_read_timeout(read_timeout)
         .map_err(|e| ClientError(format!("cannot configure connection to {addr}: {e}")))?;
-    let mut records = 0u64;
-    let mut line = String::new();
+    let (mut records, mut line) = (0u64, String::new());
     loop {
         line.clear();
-        let n = reader
+        reader
             .read_line(&mut line)
-            .map_err(|e| ClientError(format!("point stream from {addr} interrupted: {e}")))?;
-        if n == 0 {
-            break;
-        }
-        if !line.ends_with('\n') {
-            // A torn record at EOF: the server died mid-line. Drop it;
-            // the count check below reports the truncation.
-            break;
-        }
-        let record = line.trim_end_matches('\n');
-        if record.is_empty() {
-            continue;
-        }
-        on_record(record).map_err(|m| ClientError(format!("bad point record from {addr}: {m}")))?;
+            .map_err(|e| ClientError(format!("stream from {addr} interrupted: {e}")))?;
+        let Some(record) = line.strip_suffix('\n') else { break };
+        on_record(record)?;
         records += 1;
     }
-    if let Some(expected) = expected {
-        if records != expected {
-            return err(format!(
-                "truncated point stream from {addr}: got {records} of {expected} records \
-                 (did the worker die mid-range?)"
-            ));
-        }
+    match expected {
+        Some(expected) if records != expected => err(format!(
+            "truncated stream from {addr}: got {records} of {expected} records \
+             (did the server die mid-sweep?)"
+        )),
+        _ => Ok(records),
     }
-    Ok(records)
 }
 
 /// Fetches the service's status counters: the raw one-line JSON body of
@@ -225,11 +204,11 @@ struct Reply {
     records: Option<u64>,
 }
 
-/// How long to wait for the connection and the response *head*. The
-/// streamed body gets no deadline — gaps between records are bounded
-/// only by the instruction budget of the slowest point, and a server
-/// that actually dies surfaces as EOF/reset, which the record-count
-/// check in [`submit`] converts into a hard error.
+/// How long to wait for the connection and the response *head*. A
+/// submission's streamed body gets no deadline — gaps between records
+/// are bounded only by the instruction budget of the slowest point, and
+/// a server that actually dies surfaces as EOF/reset, which the
+/// record-count check converts into a hard error.
 const HEAD_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Sends one request and parses the response head. On 2xx, returns the
@@ -341,15 +320,17 @@ mod tests {
 
     #[test]
     fn submit_detects_a_truncated_stream() {
-        // The server promised 5 records but died after 2.
+        // The server promised 5 records but died after 2 and part of a
+        // third.
         let addr = fake_server(
             "HTTP/1.1 200 OK\r\nX-Sweep-Records: 5\r\nConnection: close\r\n\r\n\
-             {\"kind\":\"report\"}\n{\"kind\":\"report\"}\n",
+             {\"kind\":\"report\"}\n{\"kind\":\"report\"}\n{\"kind\":\"rep",
         );
         let mut out = Vec::new();
         let e = submit(&addr, "name = \"t\"", &mut out).expect_err("truncation detected");
         assert!(e.0.contains("got 2 of 5 records"), "{e}");
-        // The bytes that did arrive were still relayed.
+        // The complete records that did arrive were still relayed; the
+        // torn one was not.
         assert_eq!(String::from_utf8(out).expect("utf8").lines().count(), 2);
     }
 

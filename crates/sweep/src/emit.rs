@@ -211,25 +211,56 @@ pub fn sweep_jsonl_with_pairing(
     pairing: &[Option<usize>],
 ) -> String {
     debug_assert_eq!(points.len(), reports.len(), "one report per point");
+    let report_lines: String = points
+        .iter()
+        .zip(reports)
+        .map(|(point, report)| report_line(point, report.borrow()))
+        .collect();
+    report_lines + &comparison_lines(points, reports, pairing)
+}
+
+/// The `report` record of one point, newline-terminated: the line a
+/// sweep's JSONL holds for it, whether written at once or streamed as
+/// the point completes.
+#[must_use]
+pub fn report_line(point: &crate::spec::SweepPoint, report: &SimReport) -> String {
+    let mut line = report_jsonl_tagged(report, &binding_tags(point));
+    line.push('\n');
+    line
+}
+
+/// The `comparison` records of a sweep, each newline-terminated, in grid
+/// order. They need the whole grid, since a variant's baseline may sit
+/// anywhere, so they follow every `report` record.
+#[must_use]
+pub fn comparison_lines(
+    points: &[crate::spec::SweepPoint],
+    reports: &[impl std::borrow::Borrow<SimReport>],
+    pairing: &[Option<usize>],
+) -> String {
     debug_assert_eq!(points.len(), pairing.len(), "one pairing entry per point");
-    let mut jsonl = String::new();
-    for (report, point) in reports.iter().zip(points) {
-        jsonl.push_str(&report_jsonl_tagged(report.borrow(), &binding_tags(point)));
-        jsonl.push('\n');
-    }
+    let mut lines = String::new();
     for ((point, report), baseline) in points.iter().zip(reports).zip(pairing) {
         let report = report.borrow();
         let Some(bi) = *baseline else { continue };
         let cmp = st_core::compare(reports[bi].borrow(), report);
-        jsonl.push_str(&comparison_jsonl_tagged(
+        lines.push_str(&comparison_jsonl_tagged(
             &report.workload,
             &report.experiment,
             &cmp,
             &binding_tags(point),
         ));
-        jsonl.push('\n');
+        lines.push('\n');
     }
-    jsonl
+    lines
+}
+
+/// The number of records in a sweep's JSONL: one `report` per point and
+/// one `comparison` per point with a baseline. A stream announces it
+/// before its first record, so a reader can tell a stream cut short.
+#[must_use]
+pub fn record_count(pairing: &[Option<usize>]) -> usize {
+    pairing.len() + pairing.iter().flatten().count()
 }
 
 /// The result table of one executed sweep, exactly as `st run` prints

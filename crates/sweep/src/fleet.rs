@@ -3,16 +3,18 @@
 //! A front daemon that federates many remote `st serve` workers behind
 //! one `/submit` endpoint. Where [`crate::service`] answers a submission
 //! from its own engine, the coordinator owns **no simulator at all** —
-//! it expands the submitted spec through the same axis registry,
+//! it expands the submitted spec once, through the same axis registry,
 //! partitions the grid by the deterministic fingerprint-range
-//! [`ShardPlan`], dispatches each range to a worker's
+//! [`ShardPlan`], and dispatches each range to a worker's
 //! `GET /points?range=lo-hi` endpoint over the wire protocol in
-//! [`crate::client`], and reassembles the returned shard `point` records
-//! through [`crate::shard::merge`] — coverage, placement (fingerprint)
-//! and tamper (content hash) checks included — before streaming the
-//! canonical JSONL back. Piping `st submit` through a fleet is therefore
-//! **byte-identical** to a local `st run`, the same contract every other
-//! distribution layer in this crate honours.
+//! [`crate::client`]. Each returned shard `point` record is verified
+//! ([`shard::parse_record`]: placement by fingerprint, tamper by
+//! content hash) and decoded once, at ingest, and placed in the
+//! submission's `Collector`, the collector `st merge` uses, which
+//! holds the overlap and coverage rules. The coordinator then renders
+//! the decoded reports with [`crate::emit`], so piping `st submit`
+//! through a fleet is **byte-identical** to a local `st run`, the same
+//! contract every other distribution layer in this crate honours.
 //!
 //! Robustness model:
 //!
@@ -23,9 +25,9 @@
 //!   Workers serve cache-first, so a range that failed over near its
 //!   end costs almost nothing to finish — completed points are never
 //!   re-simulated. A worker that fails is marked dead and never
-//!   dispatched to again; when the last worker dies, in-flight
-//!   submissions fail fast (clients see a truncated stream, a hard
-//!   error) instead of hanging.
+//!   dispatched to again; when the last worker dies, in-flight and
+//!   later submissions fail fast (clients see a truncated stream, a
+//!   hard error) instead of hanging.
 //! * **Admission control.** At most `max_inflight` submissions stream
 //!   concurrently; excess submissions get a structured `429` reply the
 //!   client surfaces verbatim, so backpressure is visible instead of
@@ -46,9 +48,11 @@ use std::time::Duration;
 
 use crate::client;
 use crate::emit;
-use crate::service::{read_request, respond_error, respond_json, serve_connections};
-use crate::shard::{self, ShardPlan};
-use crate::spec::{SweepPoint, SweepSpec};
+use crate::service::{
+    read_grid, read_request, respond_error, respond_json, serve_connections, write_stream_head,
+};
+use crate::shard::{self, Collector, ShardPlan};
+use crate::spec::SweepPoint;
 
 /// How a [`FleetServer`] coordinates: which workers it federates and how
 /// much concurrency it admits.
@@ -91,7 +95,7 @@ struct Worker {
 
 /// One submission mid-flight through the fleet: the verbatim spec text
 /// (forwarded to workers byte-for-byte), the expanded grid, and the
-/// record lines received so far.
+/// records placed so far.
 #[derive(Debug)]
 struct Submission {
     spec_text: String,
@@ -103,9 +107,9 @@ struct Submission {
 
 #[derive(Debug)]
 struct SubmissionState {
-    /// Per grid seq: the verified raw `point` record line (no trailing
-    /// newline) once some worker has streamed it.
-    received: Vec<Option<String>>,
+    /// The verified records the workers have streamed, placed by grid
+    /// seq.
+    collector: Collector,
     /// Dispatched-but-unfinished range count; `0` with no failure means
     /// the grid is fully covered.
     outstanding: usize,
@@ -239,9 +243,11 @@ impl Fleet {
 
     /// Streams one range from worker `w` into its submission, verifying
     /// every record at ingest ([`shard::parse_record`]: position,
-    /// fingerprint, content hash). Any failure — connect, timeout,
-    /// truncation, a record that fails verification — kills the worker
-    /// and fails the unfinished remainder over to the survivors.
+    /// fingerprint, content hash, outside the submission lock) and
+    /// placing it in the submission's `Collector`. Any failure —
+    /// connect, timeout, truncation, a record that fails verification
+    /// or differs from another worker's copy — kills the worker and
+    /// fails the unfinished remainder over to the survivors.
     fn run_assignment(&self, w: usize, assignment: Assignment) {
         let submission = Arc::clone(&assignment.submission);
         {
@@ -261,20 +267,7 @@ impl Fleet {
             &mut |line| {
                 let record = shard::parse_record(line, &submission.points).map_err(|e| e.0)?;
                 let mut state = submission.state.lock().expect("submission state poisoned");
-                match &state.received[record.seq] {
-                    None => state.received[record.seq] = Some(line.to_string()),
-                    // Fingerprint-tied boundary points may arrive from
-                    // two workers; determinism says the bytes must
-                    // agree.
-                    Some(existing) if existing != line => {
-                        return Err(format!(
-                            "point {} bit-differs across workers (non-deterministic worker?)",
-                            record.seq
-                        ));
-                    }
-                    Some(_) => {}
-                }
-                Ok(())
+                state.collector.place(record).map(drop).map_err(|e| e.0)
             },
         );
         match result {
@@ -297,15 +290,16 @@ impl Fleet {
     /// Requeues the unfinished remainder of a dead worker's range. The
     /// worker streamed in `(fingerprint, seq)` order, so the received
     /// part is a prefix: the remainder starts at the first missing
-    /// member's fingerprint. With no survivors left the submission (and
-    /// everything else queued) fails instead of hanging.
+    /// member's fingerprint. The caller marked the worker dead first, so
+    /// with no survivors left [`Fleet::enqueue`] fails the submission
+    /// instead of letting it hang.
     fn fail_over(&self, assignment: Assignment) {
         let submission = &assignment.submission;
         let members =
             ShardPlan::members_in_range(&submission.fingerprints, assignment.lo, assignment.hi);
         let first_missing = {
             let state = submission.state.lock().expect("submission state poisoned");
-            members.iter().copied().find(|&seq| state.received[seq].is_none())
+            members.iter().copied().find(|&seq| !state.collector.has(seq))
         };
         let Some(first_missing) = first_missing else {
             // Every member arrived before the connection died (the
@@ -313,45 +307,54 @@ impl Fleet {
             submission.finish_one();
             return;
         };
-        if self.alive_workers() == 0 {
-            let message = "every fleet worker is dead".to_string();
-            submission.fail(message.clone());
-            // Nobody will ever pop the queue again; fail the rest too.
-            let queued = {
-                let mut queue = self.queue.lock().expect("dispatch queue poisoned");
-                std::mem::take(&mut *queue)
-            };
-            for orphan in queued {
-                orphan.submission.fail(message.clone());
-            }
-            return;
-        }
-        self.failovers.fetch_add(1, Ordering::Relaxed);
         let remainder = Assignment {
             lo: submission.fingerprints[first_missing],
             hi: assignment.hi,
             seq: self.next_assignment.fetch_add(1, Ordering::Relaxed),
             ..assignment
         };
-        self.queue.lock().expect("dispatch queue poisoned").push(remainder);
+        if self.enqueue(vec![remainder]) {
+            self.failovers.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Queues `assignments` for the dispatchers and returns `true`, or,
+    /// when no worker is alive, fails their submissions and every
+    /// queued one and returns `false`. The live-worker check and the
+    /// queue change happen under one lock, and a worker is marked dead
+    /// before its dispatcher calls this, so no assignment is ever left
+    /// in a queue that no dispatcher will pop.
+    fn enqueue(&self, assignments: Vec<Assignment>) -> bool {
+        let mut queue = self.queue.lock().expect("dispatch queue poisoned");
+        if self.alive_workers() == 0 {
+            let orphans = std::mem::take(&mut *queue);
+            drop(queue);
+            for orphan in assignments.iter().chain(&orphans) {
+                orphan.submission.fail("every fleet worker is dead".to_string());
+            }
+            return false;
+        }
+        queue.extend(assignments);
+        drop(queue);
         self.queue_ready.notify_all();
+        true
     }
 
     /// Runs one submission end-to-end: partition the grid over the
     /// currently-alive workers, enqueue every non-empty range at
     /// `priority`, block until the grid is covered (failovers included)
-    /// or the submission fails, then merge and return the canonical
-    /// JSONL.
+    /// or the submission fails, then return the canonical JSONL,
+    /// rendered from the reports decoded at ingest with `pairing`.
     ///
     /// # Errors
     ///
-    /// A fleet-wide failure (every worker dead) or a merge rejection —
-    /// both mean the client must not receive a full-looking stream.
+    /// A fleet-wide failure (every worker dead) or a coverage gap — both
+    /// mean the client must not receive a full-looking stream.
     fn run_submission(
         &self,
-        spec: &SweepSpec,
         spec_text: &str,
         points: Vec<SweepPoint>,
+        pairing: &[Option<usize>],
         priority: u32,
     ) -> Result<String, String> {
         self.submissions.fetch_add(1, Ordering::Relaxed);
@@ -363,26 +366,25 @@ impl Fleet {
             spec_text: spec_text.to_string(),
             fingerprints,
             state: Mutex::new(SubmissionState {
-                received: vec![None; points.len()],
+                collector: Collector::new(points.len()),
                 outstanding: ranges.len(),
                 failed: None,
             }),
             done: Condvar::new(),
             points,
         });
-        {
-            let mut queue = self.queue.lock().expect("dispatch queue poisoned");
-            for &(lo, hi) in &ranges {
-                queue.push(Assignment {
+        self.enqueue(
+            ranges
+                .into_iter()
+                .map(|(lo, hi)| Assignment {
                     submission: Arc::clone(&submission),
                     lo,
                     hi,
                     priority,
                     seq: self.next_assignment.fetch_add(1, Ordering::Relaxed),
-                });
-            }
-        }
-        self.queue_ready.notify_all();
+                })
+                .collect(),
+        );
 
         let mut state = submission.state.lock().expect("submission state poisoned");
         while state.failed.is_none() && state.outstanding > 0 {
@@ -391,21 +393,10 @@ impl Fleet {
         if let Some(failure) = &state.failed {
             return Err(failure.clone());
         }
-
-        // Reassemble as one synthetic 1-way shard document and push it
-        // through the same merge the CLI uses: coverage, placement and
-        // tamper verification, then the canonical emitters — the merge
-        // output is byte-identical to a local `st run` by construction.
-        let merge_plan = ShardPlan::for_points(&submission.points, 1).map_err(|e| e.0)?;
-        let mut document = shard::shard_header(spec, &merge_plan, 0);
-        for line in state.received.iter().flatten() {
-            document.push_str(line);
-            document.push('\n');
-        }
+        let reports = std::mem::take(&mut state.collector).finish().map_err(|e| e.0)?;
         drop(state);
-        let merged = shard::merge(&[document]).map_err(|e| e.0)?;
         self.completed.fetch_add(1, Ordering::Relaxed);
-        Ok(merged.jsonl)
+        Ok(emit::sweep_jsonl_with_pairing(&submission.points, &reports, pairing))
     }
 
     /// The coordinator's `GET /status` payload: fleet-shaped counters
@@ -591,26 +582,13 @@ impl FleetServer {
         if fleet.alive_workers() == 0 {
             return respond_error(stream, 503, "every fleet worker is dead; restart the fleet");
         }
-        let spec = match SweepSpec::parse(body) {
-            Ok(spec) => spec,
-            Err(e) => return respond_error(stream, 400, &e.to_string()),
-        };
-        let points = match spec.points() {
-            Ok(points) => points,
-            Err(e) => return respond_error(stream, 400, &e.to_string()),
-        };
-        // Same head contract as a plain server: the exact record count
-        // travels in X-Sweep-Records before any worker is contacted, so
-        // the client's truncation check guards fleet failures too.
-        let comparisons = emit::baseline_pairing(&points).iter().flatten().count();
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {}\r\nX-Sweep-Records: {}\r\nConnection: close\r\n\r\n",
-            spec.name.replace(['\r', '\n'], " "),
-            points.len(),
-            points.len() + comparisons,
-        )?;
-        match fleet.run_submission(&spec, body, points, priority) {
+        let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
+        // Same head as a plain server, sent before any worker is
+        // contacted, so the client's truncation check guards fleet
+        // failures too.
+        let pairing = emit::baseline_pairing(&points);
+        write_stream_head(stream, &spec, points.len(), emit::record_count(&pairing))?;
+        match fleet.run_submission(body, points, &pairing, priority) {
             Ok(jsonl) => stream.write_all(jsonl.as_bytes()),
             Err(e) => {
                 // The head is already on the wire; closing short makes
@@ -627,6 +605,7 @@ mod tests {
     use super::*;
     use crate::engine::SweepEngine;
     use crate::service::{Server, ServiceConfig};
+    use crate::spec::SweepSpec;
 
     /// 2 window sizes x 1 workload x (baseline + C2) = 4 points,
     /// 6 records (4 reports + 2 comparisons).
@@ -697,13 +676,13 @@ mod tests {
         }
     }
 
-    /// A worker that answers `/points` with the *correct* head (true
-    /// record count) but streams only the first record before dropping
-    /// the connection — a deterministic stand-in for a worker dying
-    /// mid-range. Records are genuine, so whatever it serves before
-    /// "dying" must survive into the merged output bit-identically.
-    fn start_dying_worker() -> (String, Arc<AtomicBool>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind dying worker");
+    /// A stand-in worker that answers `/points` with the *correct* head
+    /// (true record count) and then streams `body` of the range's
+    /// genuine records, one newline-terminated line each, in stream
+    /// order — a deterministic stand-in for a worker that misbehaves
+    /// mid-range.
+    fn start_stand_in_worker(body: fn(Vec<String>) -> String) -> (String, Arc<AtomicBool>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stand-in worker");
         let addr = listener.local_addr().expect("addr").to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
@@ -734,16 +713,24 @@ mod tests {
                     members.len(),
                 )
                 .expect("head");
-                if let Some(&seq) = members.first() {
-                    let report = engine.run_one(&points[seq].job);
-                    let record = shard::point_record(seq, &points[seq], &report);
-                    stream.write_all(record.as_bytes()).expect("first record");
-                }
-                // Drop the stream with members.len() - 1 records unsent:
-                // the coordinator sees a truncated range.
+                let records = members
+                    .iter()
+                    .map(|&seq| {
+                        let report = engine.run_one(&points[seq].job);
+                        shard::point_record(seq, &points[seq], &report)
+                    })
+                    .collect();
+                stream.write_all(body(records).as_bytes()).expect("body");
             }
         });
         (addr, stop)
+    }
+
+    /// A worker that streams only the first record of its range before
+    /// dropping the connection: whatever it serves before "dying" must
+    /// survive into the merged output bit-identically.
+    fn start_dying_worker() -> (String, Arc<AtomicBool>) {
+        start_stand_in_worker(|records| records.into_iter().take(1).collect())
     }
 
     #[test]
@@ -781,6 +768,91 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_whose_record_fails_verification_is_dropped_and_its_range_fails_over() {
+        // The whole range, with one report byte changed after hashing.
+        let (tampering, tampering_stop) = start_stand_in_worker(|mut records| {
+            let field = "\"energy_cycles\":";
+            let at = records[0].find(field).expect("energy_cycles field") + field.len();
+            let digit = if &records[0][at..=at] == "9" { "8" } else { "9" };
+            records[0].replace_range(at..=at, digit);
+            records.concat()
+        });
+        let (survivor, _s, sh) = start_worker();
+        let config = FleetConfig {
+            workers: vec![tampering, survivor.clone()],
+            worker_timeout: Duration::from_secs(10),
+            ..Default::default()
+        };
+        let fleet = Fleet::new(&config);
+        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
+        let pairing = emit::baseline_pairing(&points);
+        let (jsonl, tampering_died) = std::thread::scope(|scope| {
+            let submission =
+                scope.spawn(|| fleet.run_submission(TINY_SPEC, points.clone(), &pairing, 0));
+            // The stand-in takes the first of the two ranges before any
+            // dispatcher runs; only then does the survivor start.
+            let first = {
+                let mut queue = fleet.queue.lock().expect("dispatch queue poisoned");
+                loop {
+                    if let Some(assignment) = pop_best(&mut queue) {
+                        break assignment;
+                    }
+                    queue = fleet.queue_ready.wait(queue).expect("dispatch queue poisoned");
+                }
+            };
+            fleet.run_assignment(0, first);
+            let tampering_died = !fleet.workers[0].alive.load(Ordering::SeqCst);
+            scope.spawn(|| fleet.dispatch_loop(1));
+            let jsonl = submission.join().expect("submission thread");
+            fleet.stop_dispatchers();
+            (jsonl, tampering_died)
+        });
+        assert!(tampering_died, "a worker whose record fails verification is dropped");
+        assert_eq!(
+            jsonl.expect("the submission survives the tampering"),
+            canonical_jsonl(TINY_SPEC),
+            "the tampered record never reached the output"
+        );
+        assert_eq!(fleet.failovers.load(Ordering::Relaxed), 1, "its range moved");
+        assert_eq!(fleet.workers[1].ranges_served.load(Ordering::Relaxed), 2, "both ranges");
+
+        tampering_stop.store(true, Ordering::SeqCst);
+        client::shutdown(&survivor).expect("stop worker");
+        sh.join().expect("worker thread").expect("clean worker shutdown");
+    }
+
+    #[test]
+    fn a_submission_after_the_last_worker_died_fails_at_once() {
+        // An address nothing listens on: the first dispatch kills the
+        // only worker, and its dispatcher exits.
+        let nobody = TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr");
+        let config = FleetConfig { workers: vec![nobody.to_string()], ..Default::default() };
+        let fleet = Arc::new(Fleet::new(&config));
+        let dispatcher = {
+            let fleet = Arc::clone(&fleet);
+            std::thread::spawn(move || fleet.dispatch_loop(0))
+        };
+        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
+        let pairing = emit::baseline_pairing(&points);
+        let dead = Err("every fleet worker is dead".to_string());
+        assert_eq!(fleet.run_submission(TINY_SPEC, points.clone(), &pairing, 0), dead);
+        dispatcher.join().expect("the dead worker's dispatcher exits");
+
+        // Nothing will pop the queue again, so a later submission must
+        // fail instead of waiting forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = {
+            let fleet = Arc::clone(&fleet);
+            std::thread::spawn(move || {
+                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, &pairing, 0));
+            })
+        };
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).expect("returns within 5 s"), dead);
+        second.join().expect("second submission thread");
+        assert_eq!(fleet.queue.lock().expect("queue").len(), 0, "nothing left queued");
+    }
+
+    #[test]
     fn admission_control_rejects_over_limit_submissions_with_429() {
         let (worker, _s, wh) = start_worker();
         let config =
@@ -806,7 +878,7 @@ mod tests {
             points: Vec::new(),
             fingerprints: Vec::new(),
             state: Mutex::new(SubmissionState {
-                received: Vec::new(),
+                collector: Collector::default(),
                 outstanding: 0,
                 failed: None,
             }),

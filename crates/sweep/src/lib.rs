@@ -49,17 +49,18 @@
 //!   de-duplication), and streams back records byte-identical to a
 //!   local `st run`;
 //! * **[`client`](mod@client)** — the matching dependency-free client
-//!   (`st submit` / `st status`), which pipes the streamed records to
-//!   any sink, verifies stream completeness against the announced
-//!   record count (or a locally derived one), and fetches partial grids
-//!   (`GET /points?range=lo-hi`);
+//!   (`st submit` / `st status`), which reads every record stream —
+//!   whole sweeps and partial grids (`GET /points?range=lo-hi`) —
+//!   through one line reader that checks completeness against the
+//!   announced record count (or a locally derived one);
 //! * **[`fleet`](mod@fleet)** — the coordinator tier behind
 //!   `st serve --fleet`: partitions each submission by fingerprint-range
-//!   [`ShardPlan`] across remote `st serve` workers, verifies and merges
-//!   the returned streams through [`shard::merge`] (byte-identical to a
-//!   local run), fails dead workers' unfinished ranges over to
-//!   survivors, and applies admission control (structured `429`
-//!   backpressure) plus per-request priorities;
+//!   [`ShardPlan`] across remote `st serve` workers, verifies each
+//!   returned record at ingest and places it in `st merge`'s
+//!   `shard::Collector`, renders the result with the same emitter as
+//!   a local run (byte-identical to it), fails dead workers' unfinished
+//!   ranges over to survivors, and applies admission control
+//!   (structured `429` backpressure) plus per-request priorities;
 //! * **[`loadgen`](mod@loadgen)** — the measured-load harness behind
 //!   `st loadgen`: concurrent submission replay with throughput and
 //!   p50/p90/p99 latency, recorded into `BENCH_service.json` when asked;

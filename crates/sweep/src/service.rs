@@ -261,56 +261,24 @@ impl SweepService {
     /// as its prefix of the grid is complete — points simulate out of
     /// order across the pool, bytes never do), then every `comparison`
     /// record. The concatenated bytes equal
-    /// [`crate::emit::sweep_jsonl`] for the same points exactly.
+    /// [`crate::emit::sweep_jsonl_with_pairing`] for the same points and
+    /// [`crate::emit::baseline_pairing`] exactly.
     ///
     /// # Errors
     ///
     /// Returns any `sink` write error (a disconnected client, typically);
     /// simulation itself cannot fail.
-    pub fn stream(&self, points: &[SweepPoint], sink: &mut dyn Write) -> std::io::Result<()> {
-        self.stream_with_pairing(points, &emit::baseline_pairing(points), sink)
-    }
-
-    /// [`SweepService::stream`] with a precomputed
-    /// [`crate::emit::baseline_pairing`], for callers (like the HTTP
-    /// handler, which announces the record count in a header) that
-    /// already derived it and should not redo the per-point
-    /// fingerprints.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepService::stream`].
-    pub fn stream_with_pairing(
+    pub fn stream(
         &self,
         points: &[SweepPoint],
         pairing: &[Option<usize>],
         sink: &mut dyn Write,
     ) -> std::io::Result<()> {
-        debug_assert_eq!(points.len(), pairing.len(), "one pairing entry per point");
         self.submissions.fetch_add(1, Ordering::Relaxed);
         let jobs: Vec<&JobSpec> = points.iter().map(|p| &p.job).collect();
-        let reports = self.serve(&jobs, sink, |i, report| {
-            let mut line = emit::report_jsonl_tagged(report, &emit::binding_tags(&points[i]));
-            line.push('\n');
-            line
-        })?;
-        // Comparisons need the whole grid (a variant's baseline may sit
-        // anywhere), so they follow the report records — the same shape
-        // `emit::sweep_jsonl` writes.
-        for ((point, report), baseline) in points.iter().zip(&reports).zip(pairing) {
-            let Some(bi) = *baseline else { continue };
-            let cmp = st_core::compare(&reports[bi], report);
-            let line = emit::comparison_jsonl_tagged(
-                &report.workload,
-                &report.experiment,
-                &cmp,
-                &emit::binding_tags(point),
-            );
-            sink.write_all(line.as_bytes())?;
-            sink.write_all(b"\n")?;
-            sink.flush()?;
-        }
-        Ok(())
+        let reports = self.serve(&jobs, sink, |i, report| emit::report_line(&points[i], report))?;
+        sink.write_all(emit::comparison_lines(points, &reports, pairing).as_bytes())?;
+        sink.flush()
     }
 
     /// Serves a fingerprint sub-range of an expanded grid into `sink` as
@@ -732,36 +700,49 @@ fn handle_connection(mut stream: TcpStream, service: &SweepService, shutdown: &A
     let _ = outcome;
 }
 
-/// `POST /submit`: parse the spec, expand the grid, stream the sweep.
+/// Reads a submitted spec into its expanded grid: the one place
+/// `/submit`, `/points`, `/audit` and the fleet's `/submit` read a body.
+/// A spec that does not parse or expand is answered here with a 400,
+/// and `None` returned.
+pub(crate) fn read_grid(
+    stream: &mut TcpStream,
+    body: &str,
+) -> std::io::Result<Option<(SweepSpec, Vec<SweepPoint>)>> {
+    match SweepSpec::parse(body).and_then(|spec| spec.points().map(|points| (spec, points))) {
+        Ok(grid) => Ok(Some(grid)),
+        Err(e) => respond_error(stream, 400, &e.to_string()).map(|()| None),
+    }
+}
+
+/// Writes the head of a record stream (`/submit`, `/points` and the
+/// fleet's `/submit`). The body must stay pure JSONL to keep the
+/// byte-identity contract, so the exact number of records it will hold
+/// travels here, before anything simulates, and the client can tell a
+/// stream cut short.
+pub(crate) fn write_stream_head(
+    stream: &mut TcpStream,
+    spec: &SweepSpec,
+    points: usize,
+    records: usize,
+) -> std::io::Result<()> {
+    write!(
+        stream,
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {points}\r\nX-Sweep-Records: {records}\r\nConnection: close\r\n\r\n",
+        spec.name.replace(['\r', '\n'], " "),
+    )
+}
+
+/// `POST /submit`: read the grid, then stream the sweep.
 fn handle_submit(
     stream: &mut TcpStream,
     service: &SweepService,
     body: &str,
 ) -> std::io::Result<()> {
-    let spec = match SweepSpec::parse(body) {
-        Ok(spec) => spec,
-        Err(e) => return respond_error(stream, 400, &e.to_string()),
-    };
-    let points = match spec.points() {
-        Ok(points) => points,
-        Err(e) => return respond_error(stream, 400, &e.to_string()),
-    };
-    // The exact record count (reports + comparisons) is known before
-    // anything simulates, so it travels in a header and the client can
-    // detect a truncated stream — the body itself must stay pure JSONL
-    // to keep the byte-identity contract. The pairing is computed once
-    // and shared with the streamer.
+    let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
     let pairing = emit::baseline_pairing(&points);
-    let comparisons = pairing.iter().flatten().count();
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {}\r\nX-Sweep-Records: {}\r\nConnection: close\r\n\r\n",
-        spec.name.replace(['\r', '\n'], " "),
-        points.len(),
-        points.len() + comparisons,
-    )?;
+    write_stream_head(stream, &spec, points.len(), emit::record_count(&pairing))?;
     let mut sink = BufWriter::new(stream);
-    service.stream_with_pairing(&points, &pairing, &mut sink)?;
+    service.stream(&points, &pairing, &mut sink)?;
     sink.flush()
 }
 
@@ -788,23 +769,10 @@ fn handle_points(
         Ok(r) => r,
         Err(e) => return respond_error(stream, 400, &e.to_string()),
     };
-    let spec = match SweepSpec::parse(body) {
-        Ok(spec) => spec,
-        Err(e) => return respond_error(stream, 400, &e.to_string()),
-    };
-    let points = match spec.points() {
-        Ok(points) => points,
-        Err(e) => return respond_error(stream, 400, &e.to_string()),
-    };
+    let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
     let fingerprints: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
     let members = crate::shard::ShardPlan::members_in_range(&fingerprints, lo, hi);
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nX-Sweep-Name: {}\r\nX-Sweep-Points: {}\r\nX-Sweep-Records: {}\r\nConnection: close\r\n\r\n",
-        spec.name.replace(['\r', '\n'], " "),
-        points.len(),
-        members.len(),
-    )?;
+    write_stream_head(stream, &spec, points.len(), members.len())?;
     let mut sink = BufWriter::new(stream);
     service.stream_points(&points, &members, &mut sink)?;
     sink.flush()
@@ -816,14 +784,7 @@ fn handle_points(
 /// `st audit` over the same spec. The sweep itself is served
 /// cache-first, so auditing a warm grid simulates nothing.
 fn handle_audit(stream: &mut TcpStream, service: &SweepService, body: &str) -> std::io::Result<()> {
-    let spec = match SweepSpec::parse(body) {
-        Ok(spec) => spec,
-        Err(e) => return respond_error(stream, 400, &e.to_string()),
-    };
-    let points = match spec.points() {
-        Ok(points) => points,
-        Err(e) => return respond_error(stream, 400, &e.to_string()),
-    };
+    let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
     let findings = service.audit_findings(&points);
     let mut payload = format!(
         "{{\"kind\":\"audit\",\"sweep\":\"{}\",\"points\":{},\"findings\":{}}}\n",
@@ -999,7 +960,7 @@ mod tests {
             })
             .to_vec();
         let mut sink = Vec::new();
-        service.stream(&points, &mut sink).expect("stream");
+        service.stream(&points, &emit::baseline_pairing(&points), &mut sink).expect("stream");
         let reports: Vec<Arc<SimReport>> = points.iter().map(|p| Arc::new(p.job.run())).collect();
         assert_eq!(String::from_utf8(sink).expect("utf8"), emit::sweep_jsonl(&points, &reports));
         assert_eq!(crate::engine::tests::generations_of(&workload), 1, "one program, 4 points");
@@ -1045,7 +1006,7 @@ mod tests {
         // that reach the client are the canonical ones even though the
         // store is over budget the whole time.
         let mut sink = Vec::new();
-        service.stream(&points, &mut sink).expect("stream");
+        service.stream(&points, &emit::baseline_pairing(&points), &mut sink).expect("stream");
         assert_eq!(String::from_utf8(sink).expect("utf8"), canonical);
 
         // After the submission the budget applies: the store was evicted

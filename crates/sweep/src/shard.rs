@@ -22,6 +22,12 @@
 //!   single-process `st run` of the same spec — the golden and property
 //!   tests pin this. Gaps, fingerprint mismatches, tampered records and
 //!   non-identical overlaps are hard errors.
+//! * **[`parse_record`] and `Collector`** — the one home of point
+//!   records: `parse_record` verifies a record line against the grid,
+//!   and the collector places verified records, keeps the first of each
+//!   point, refuses a later one with other bytes, and names the points
+//!   that never arrived. `merge` and the fleet coordinator both use
+//!   them.
 //!
 //! ## Shard document format
 //!
@@ -424,9 +430,8 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
             reference.points
         ));
     }
-    // Pass 2: collect records, first writer wins, overlaps must match.
-    let mut slots: Vec<Option<MergedRecord>> = (0..points.len()).map(|_| None).collect();
-    let mut stats = MergeStats { shards: documents.len(), ..MergeStats::default() };
+    // Pass 2: place every record; pass 3: coverage.
+    let mut collector = Collector::new(points.len());
     let mut contributions = Vec::with_capacity(documents.len());
     for (d, (doc, header)) in documents.iter().zip(&headers).enumerate() {
         let mut contribution = ShardContribution { shard: header.shard, records: 0, duplicates: 0 };
@@ -434,46 +439,87 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
             if line.trim().is_empty() {
                 continue;
             }
-            let at = |msg: String| ShardError(format!("document {d}, line {}: {msg}", lineno + 1));
-            let record = parse_record(line, &points).map_err(|e| at(e.0))?;
+            let at =
+                |e: ShardError| ShardError(format!("document {d}, line {}: {}", lineno + 1, e.0));
+            let record = parse_record(line, &points).map_err(at)?;
             contribution.records += 1;
-            stats.records += 1;
-            let seq = record.seq;
-            match &slots[seq] {
-                None => slots[seq] = Some(record),
-                Some(existing) => {
-                    if existing.report_json != record.report_json {
-                        return Err(at(format!(
-                            "point {seq} appears in multiple shards with different bytes \
-                             (overlapping records must be bit-identical)"
-                        )));
-                    }
-                    contribution.duplicates += 1;
-                    stats.duplicates += 1;
-                }
-            }
+            contribution.duplicates += usize::from(collector.place(record).map_err(at)?);
         }
         contributions.push(contribution);
     }
-
-    // Pass 3: coverage.
-    let missing: Vec<usize> =
-        slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
-    if !missing.is_empty() {
-        return err(format!(
-            "merged shards cover {}/{} points; missing seq {} — \
-             did a worker crash or a shard file go missing?",
-            points.len() - missing.len(),
-            points.len(),
-            st_report::format_ranges(&missing)
-        ));
-    }
-    let reports: Vec<SimReport> =
-        slots.into_iter().map(|s| s.expect("coverage checked").report).collect();
-    stats.points = points.len();
-
+    let reports = collector.finish()?;
+    let stats = MergeStats {
+        shards: documents.len(),
+        records: contributions.iter().map(|c| c.records).sum(),
+        points: points.len(),
+        duplicates: contributions.iter().map(|c| c.duplicates).sum(),
+    };
     let jsonl = crate::emit::sweep_jsonl(&points, &reports);
     Ok(Merged { spec, points, reports, jsonl, stats, contributions })
+}
+
+/// Places verified point records into their grid slots, and holds the
+/// rules for records that arrive from several places: the first record
+/// of a point wins, a later one must carry the same bytes, and every
+/// point must arrive. `merge` places the records of every shard
+/// document; the fleet coordinator places those its workers stream.
+#[derive(Debug, Default)]
+pub(crate) struct Collector {
+    slots: Vec<Option<MergedRecord>>,
+}
+
+impl Collector {
+    /// An empty collector for a grid of `points` points.
+    #[must_use]
+    pub fn new(points: usize) -> Collector {
+        Collector { slots: (0..points).map(|_| None).collect() }
+    }
+
+    /// Places `record`, verified against this grid by [`parse_record`].
+    /// Returns whether it duplicates a record already placed.
+    ///
+    /// # Errors
+    ///
+    /// A duplicate whose bytes differ from the first record of its point.
+    pub fn place(&mut self, record: MergedRecord) -> Result<bool, ShardError> {
+        let seq = record.seq;
+        match &self.slots[seq] {
+            None => {
+                self.slots[seq] = Some(record);
+                Ok(false)
+            }
+            Some(first) if first.report_json == record.report_json => Ok(true),
+            Some(_) => err(format!(
+                "point {seq} appears in multiple shards with different bytes \
+                 (overlapping records must be bit-identical)"
+            )),
+        }
+    }
+
+    /// Whether point `seq` has a record.
+    #[must_use]
+    pub fn has(&self, seq: usize) -> bool {
+        self.slots[seq].is_some()
+    }
+
+    /// Every point's report, in grid order.
+    ///
+    /// # Errors
+    ///
+    /// Points with no record, named by their `seq` ranges.
+    pub fn finish(self) -> Result<Vec<SimReport>, ShardError> {
+        let missing: Vec<usize> = (0..self.slots.len()).filter(|&seq| !self.has(seq)).collect();
+        if !missing.is_empty() {
+            return err(format!(
+                "merged shards cover {}/{} points; missing seq {} — \
+                 did a worker crash or a shard file go missing?",
+                self.slots.len() - missing.len(),
+                self.slots.len(),
+                st_report::format_ranges(&missing)
+            ));
+        }
+        Ok(self.slots.into_iter().flatten().map(|record| record.report).collect())
+    }
 }
 
 /// A parsed shard header.
@@ -531,10 +577,10 @@ pub struct MergedRecord {
 }
 
 /// Parses and verifies one `point` record line against the expanded
-/// grid — the same per-record checks [`merge`] runs (position,
-/// integrity hash, workload/experiment identity). The fleet coordinator
-/// applies it to every record a remote worker streams back, so a
-/// confused or corrupted worker is caught at ingest, not at merge time.
+/// grid: position, integrity hash, workload/experiment identity.
+/// [`merge`] applies it to every line of a shard document, and the
+/// fleet coordinator to every record a remote worker streams back, so a
+/// confused or corrupted worker is caught at ingest.
 pub fn parse_record(line: &str, points: &[SweepPoint]) -> Result<MergedRecord, ShardError> {
     // The raw report substring is the ground truth for hashing and
     // overlap comparison; the writer guarantees the `"report":` key is

@@ -158,3 +158,48 @@ fn user_errors_exit_nonzero_with_one_line_diagnostics() {
     );
     assert_user_error(st().args(["run", spec, "--addr", dead]), 2, "st run:");
 }
+
+/// A stdout whose reader has already hung up: a pipe with its read end
+/// closed, so the first write fails with `EPIPE`.
+fn hung_up_stdout() -> Stdio {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Stdio::from(writer)
+}
+
+#[test]
+fn a_reader_that_hangs_up_ends_the_socket_commands_quietly() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/axes-demo.toml");
+    let mut server = st()
+        .args(["serve", "--addr", "127.0.0.1:0", "--no-cache"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("st serve spawns");
+    let mut banner = String::new();
+    BufReader::new(server.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("server banner");
+    // The reader of the banner has left.
+    let addr = banner.trim().rsplit("http://").next().expect("address").to_string();
+
+    for args in [
+        &["status", "--addr", &addr][..],
+        &["submit", spec, "--addr", &addr],
+        &["loadgen", spec, "--addr", &addr, "--smoke"],
+    ] {
+        let out = st().args(args).stdout(hung_up_stdout()).output().expect("st runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "st {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "st {args:?}: {stderr}");
+    }
+    // The server kept serving after its banner's reader left.
+    let status = run_ok(st().args(["status", "--addr", &addr]));
+    assert!(status.contains("\"kind\":\"status\""), "{status}");
+
+    run_ok(st().args(["serve", "stop", "--addr", &addr]));
+    let out = server.wait_with_output().expect("server exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "st serve: {stderr}");
+    assert!(!stderr.contains("panicked"), "st serve: {stderr}");
+}
