@@ -12,14 +12,15 @@
 //! | LC  | low confidence       | 4–5 |
 //! | VLC | very-low confidence  | 6–7 |
 //!
-//! Two estimators are provided: [`JrsEstimator`] (resetting miss-distance
-//! counters, used by the Pipeline Gating baseline) and
-//! [`SaturatingEstimator`], the BPRU-style tagged table the paper uses for
-//! Selective Throttling. The paper's BPRU derives its signal from a value
-//! predictor; we train the same 3-bit up/down counters on per-context
-//! misprediction history instead (see DESIGN.md §2), and reproduce the §4.3
-//! fallback: on a table miss, a *weak* underlying-predictor counter means
-//! low confidence.
+//! The machine runs one [`Estimator`], of one of two designs:
+//! [`JrsEstimator`] (resetting miss-distance counters, used by the
+//! Pipeline Gating baseline) or [`SaturatingEstimator`], the BPRU-style
+//! tagged table the paper uses for Selective Throttling. The paper's BPRU
+//! derives its signal from a value predictor; we train the same 3-bit
+//! up/down counters on per-branch misprediction history instead (see
+//! [`SaturatingConfig::paper_default`]), and reproduce the §4.3 fallback:
+//! on a table miss, a *weak* underlying-predictor counter means low
+//! confidence.
 
 use st_isa::Pc;
 
@@ -90,23 +91,40 @@ impl std::fmt::Display for Confidence {
     }
 }
 
-/// A branch confidence estimator.
+/// The machine's branch confidence estimator: one of the paper's two
+/// designs.
 ///
-/// Like the direction predictors, estimators receive the prediction-time
-/// global history; `estimate` is read-only and `update` is called at branch
-/// resolution with whether the direction prediction was correct.
-pub trait ConfidenceEstimator: std::fmt::Debug + Send {
+/// `estimate` reads the prediction-time global history and is read-only;
+/// `update` is called when a committed branch trains the tables, with
+/// whether its direction prediction was correct.
+#[derive(Debug, Clone)]
+pub enum Estimator {
+    /// The BPRU-style four-level estimator that drives Selective
+    /// Throttling.
+    Saturating(SaturatingEstimator),
+    /// The JRS estimator of the Pipeline Gating baseline.
+    Jrs(JrsEstimator),
+}
+
+impl Estimator {
     /// Confidence in the prediction `pred` for the branch at `pc`.
-    fn estimate(&self, pc: Pc, history: u64, pred: Prediction) -> Confidence;
+    #[inline]
+    #[must_use]
+    pub fn estimate(&self, pc: Pc, history: u64, pred: Prediction) -> Confidence {
+        match self {
+            Estimator::Saturating(e) => e.estimate(pc, history, pred),
+            Estimator::Jrs(e) => e.estimate(pc),
+        }
+    }
 
     /// Trains the estimator with the resolved prediction correctness.
-    fn update(&mut self, pc: Pc, history: u64, pred: Prediction, correct: bool);
-
-    /// Hardware budget in bytes.
-    fn table_bytes(&self) -> usize;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &str;
+    #[inline]
+    pub fn update(&mut self, pc: Pc, history: u64, correct: bool) {
+        match self {
+            Estimator::Saturating(e) => e.update(pc, history, correct),
+            Estimator::Jrs(e) => e.update(pc, correct),
+        }
+    }
 }
 
 /// Jacobsen/Rotenberg/Smith estimator: a table of resetting counters
@@ -121,14 +139,12 @@ pub struct JrsEstimator {
     table: Vec<SatCounter>,
     mask: u64,
     threshold: u8,
-    use_history: bool,
 }
 
 impl JrsEstimator {
     /// Creates a JRS estimator with `entries` 4-bit counters and the given
     /// high-confidence threshold, indexed by PC alone (the "1-level" JRS
-    /// variant; see [`JrsEstimator::with_history_indexing`] for the
-    /// gshare-style variant).
+    /// variant).
     ///
     /// # Panics
     ///
@@ -142,16 +158,7 @@ impl JrsEstimator {
             table: vec![SatCounter::with_value(4, 0); entries],
             mask: entries as u64 - 1,
             threshold,
-            use_history: false,
         }
-    }
-
-    /// Switches the estimator to gshare-style `PC ⊕ history` indexing
-    /// (JRS's "both" variant).
-    #[must_use]
-    pub fn with_history_indexing(mut self) -> JrsEstimator {
-        self.use_history = true;
-        self
     }
 
     /// The paper's configuration: `bytes` of 4-bit counters (2 per byte)
@@ -165,36 +172,29 @@ impl JrsEstimator {
         JrsEstimator::new(bytes * 2, 12)
     }
 
-    fn index(&self, pc: Pc, history: u64) -> usize {
-        let h = if self.use_history { history } else { 0 };
-        (((pc.addr() >> 2) ^ h) & self.mask) as usize
+    fn index(&self, pc: Pc) -> usize {
+        ((pc.addr() >> 2) & self.mask) as usize
     }
-}
 
-impl ConfidenceEstimator for JrsEstimator {
-    fn estimate(&self, pc: Pc, history: u64, _pred: Prediction) -> Confidence {
-        if self.table[self.index(pc, history)].value() >= self.threshold {
+    /// High confidence once the branch's counter has reached the MDC
+    /// threshold, low confidence before.
+    #[must_use]
+    pub fn estimate(&self, pc: Pc) -> Confidence {
+        if self.table[self.index(pc)].value() >= self.threshold {
             Confidence::High
         } else {
             Confidence::Low
         }
     }
 
-    fn update(&mut self, pc: Pc, history: u64, _pred: Prediction, correct: bool) {
-        let idx = self.index(pc, history);
+    /// Counts a correct prediction up; a misprediction resets the counter.
+    pub fn update(&mut self, pc: Pc, correct: bool) {
+        let idx = self.index(pc);
         if correct {
             self.table[idx].inc(1);
         } else {
             self.table[idx].reset();
         }
-    }
-
-    fn table_bytes(&self) -> usize {
-        self.table.len() / 2
-    }
-
-    fn name(&self) -> &str {
-        "jrs"
     }
 }
 
@@ -316,10 +316,11 @@ impl SaturatingEstimator {
         let base = set * self.cfg.ways;
         (base..base + self.cfg.ways).find(|&i| self.entries[i].valid && self.entries[i].tag == tag)
     }
-}
 
-impl ConfidenceEstimator for SaturatingEstimator {
-    fn estimate(&self, pc: Pc, history: u64, pred: Prediction) -> Confidence {
+    /// The table counter's level on a hit; on a miss, the §4.3 fallback
+    /// on the underlying predictor's counter.
+    #[must_use]
+    pub fn estimate(&self, pc: Pc, history: u64, pred: Prediction) -> Confidence {
         let (set, tag) = self.key(pc, history);
         let table = self.find(set, tag).map(|i| Confidence::from_counter3(self.entries[i].ctr));
         match table {
@@ -333,7 +334,10 @@ impl ConfidenceEstimator for SaturatingEstimator {
         }
     }
 
-    fn update(&mut self, pc: Pc, history: u64, _pred: Prediction, correct: bool) {
+    /// Moves a hit's counter toward low confidence on a misprediction and
+    /// toward high on a correct one; a misprediction that misses the
+    /// table allocates its LRU way.
+    pub fn update(&mut self, pc: Pc, history: u64, correct: bool) {
         self.tick += 1;
         let (set, tag) = self.key(pc, history);
         if let Some(i) = self.find(set, tag) {
@@ -353,50 +357,6 @@ impl ConfidenceEstimator for SaturatingEstimator {
             self.entries[victim] =
                 SatEntry { valid: true, tag, ctr: self.cfg.init_on_alloc.min(7), lru: self.tick };
         }
-    }
-
-    fn table_bytes(&self) -> usize {
-        self.entries.len() * 2
-    }
-
-    fn name(&self) -> &str {
-        "bpru-sat"
-    }
-}
-
-/// Estimator that labels everything very-low confidence (stress testing:
-/// maximal throttling).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysLow;
-
-impl ConfidenceEstimator for AlwaysLow {
-    fn estimate(&self, _pc: Pc, _history: u64, _pred: Prediction) -> Confidence {
-        Confidence::VeryLow
-    }
-    fn update(&mut self, _pc: Pc, _history: u64, _pred: Prediction, _correct: bool) {}
-    fn table_bytes(&self) -> usize {
-        0
-    }
-    fn name(&self) -> &str {
-        "always-low"
-    }
-}
-
-/// Estimator that labels everything very-high confidence (throttling never
-/// triggers; must behave identically to the unthrottled baseline).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysHigh;
-
-impl ConfidenceEstimator for AlwaysHigh {
-    fn estimate(&self, _pc: Pc, _history: u64, _pred: Prediction) -> Confidence {
-        Confidence::VeryHigh
-    }
-    fn update(&mut self, _pc: Pc, _history: u64, _pred: Prediction, _correct: bool) {}
-    fn table_bytes(&self) -> usize {
-        0
-    }
-    fn name(&self) -> &str {
-        "always-high"
     }
 }
 
@@ -435,11 +395,11 @@ mod tests {
     fn jrs_counts_up_to_high_confidence() {
         let mut jrs = JrsEstimator::new(1024, 12);
         let pc = Pc(0x40_0000);
-        assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::Low);
+        assert_eq!(jrs.estimate(pc), Confidence::Low);
         for _ in 0..12 {
-            jrs.update(pc, 0, STRONG, true);
+            jrs.update(pc, true);
         }
-        assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::High);
+        assert_eq!(jrs.estimate(pc), Confidence::High);
     }
 
     #[test]
@@ -447,18 +407,24 @@ mod tests {
         let mut jrs = JrsEstimator::new(1024, 12);
         let pc = Pc(0x40_0000);
         for _ in 0..15 {
-            jrs.update(pc, 0, STRONG, true);
+            jrs.update(pc, true);
         }
-        assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::High);
-        jrs.update(pc, 0, STRONG, false);
-        assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::Low);
+        assert_eq!(jrs.estimate(pc), Confidence::High);
+        jrs.update(pc, false);
+        assert_eq!(jrs.estimate(pc), Confidence::Low);
     }
 
     #[test]
     fn jrs_paper_budget() {
-        let jrs = JrsEstimator::with_table_bytes(8 * 1024);
-        assert_eq!(jrs.table_bytes(), 8 * 1024);
-        assert_eq!(jrs.name(), "jrs");
+        // 8 KB of 4-bit counters is 16 K PC-indexed entries: branches
+        // 16 K instructions apart share a counter, nearer ones do not.
+        let mut jrs = JrsEstimator::with_table_bytes(8 * 1024);
+        let pc = Pc(0x40_0000);
+        for _ in 0..12 {
+            jrs.update(pc, true);
+        }
+        assert_eq!(jrs.estimate(Pc(pc.addr() + 4 * 16 * 1024)), Confidence::High);
+        assert_eq!(jrs.estimate(Pc(pc.addr() + 4 * 8 * 1024)), Confidence::Low);
     }
 
     #[test]
@@ -474,10 +440,10 @@ mod tests {
         let mut est = SaturatingEstimator::with_table_bytes(8 * 1024);
         let pc = Pc(0x40_0000);
         // First misprediction allocates at init_on_alloc = 5 -> LC.
-        est.update(pc, 0, STRONG, false);
+        est.update(pc, 0, false);
         assert_eq!(est.estimate(pc, 0, STRONG), Confidence::Low);
         // Another misprediction escalates to 7 -> VLC.
-        est.update(pc, 0, STRONG, false);
+        est.update(pc, 0, false);
         assert_eq!(est.estimate(pc, 0, STRONG), Confidence::VeryLow);
     }
 
@@ -485,9 +451,9 @@ mod tests {
     fn saturating_decays_to_very_high_on_corrects() {
         let mut est = SaturatingEstimator::with_table_bytes(8 * 1024);
         let pc = Pc(0x40_0000);
-        est.update(pc, 0, STRONG, false); // ctr = 5
+        est.update(pc, 0, false); // ctr = 5
         for _ in 0..4 {
-            est.update(pc, 0, STRONG, true);
+            est.update(pc, 0, true);
         }
         assert_eq!(est.estimate(pc, 0, STRONG), Confidence::VeryHigh);
     }
@@ -497,7 +463,7 @@ mod tests {
         let mut est = SaturatingEstimator::with_table_bytes(8 * 1024);
         let pc = Pc(0x40_0000);
         for _ in 0..100 {
-            est.update(pc, 0, STRONG, true);
+            est.update(pc, 0, true);
         }
         // Still a table miss: fallback governs.
         assert_eq!(est.estimate(pc, 0, WEAK), Confidence::Low);
@@ -508,8 +474,8 @@ mod tests {
         let cfg = SaturatingConfig { use_history: true, ..SaturatingConfig::paper_default() };
         let mut est = SaturatingEstimator::new(cfg);
         let pc = Pc(0x40_0000);
-        est.update(pc, 0b1010, STRONG, false);
-        est.update(pc, 0b1010, STRONG, false);
+        est.update(pc, 0b1010, false);
+        est.update(pc, 0b1010, false);
         assert_eq!(est.estimate(pc, 0b1010, STRONG), Confidence::VeryLow);
         // A different history context is unaffected.
         assert_eq!(est.estimate(pc, 0b0101, STRONG), Confidence::High);
@@ -520,33 +486,25 @@ mod tests {
         let cfg = SaturatingConfig { use_history: false, ..SaturatingConfig::paper_default() };
         let mut est = SaturatingEstimator::new(cfg);
         let pc = Pc(0x40_0000);
-        est.update(pc, 0b1010, STRONG, false);
-        est.update(pc, 0b1111, STRONG, false);
+        est.update(pc, 0b1010, false);
+        est.update(pc, 0b1111, false);
         assert_eq!(est.estimate(pc, 0, STRONG), Confidence::VeryLow);
     }
 
     #[test]
-    fn trivial_estimators() {
-        let mut low = AlwaysLow;
-        let mut high = AlwaysHigh;
-        assert_eq!(low.estimate(Pc(0), 0, STRONG), Confidence::VeryLow);
-        assert_eq!(high.estimate(Pc(0), 0, STRONG), Confidence::VeryHigh);
-        low.update(Pc(0), 0, STRONG, false);
-        high.update(Pc(0), 0, STRONG, false);
-        assert_eq!(low.table_bytes(), 0);
-    }
-
-    #[test]
-    fn estimators_are_object_safe() {
-        let ests: Vec<Box<dyn ConfidenceEstimator>> = vec![
-            Box::new(JrsEstimator::with_table_bytes(1024)),
-            Box::new(SaturatingEstimator::with_table_bytes(1024)),
-            Box::new(AlwaysLow),
-            Box::new(AlwaysHigh),
-        ];
-        for e in &ests {
-            let _ = e.estimate(Pc(0x40_0000), 0, STRONG);
-            assert!(!e.name().is_empty());
+    fn estimator_runs_either_design() {
+        let pc = Pc(0x40_0000);
+        let mut jrs = Estimator::Jrs(JrsEstimator::with_table_bytes(1024));
+        let mut sat = Estimator::Saturating(SaturatingEstimator::with_table_bytes(1024));
+        // A branch never seen: JRS has counted no correct predictions,
+        // the saturating table misses and falls back on a strong counter.
+        assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::Low);
+        assert_eq!(sat.estimate(pc, 0, STRONG), Confidence::High);
+        for _ in 0..12 {
+            jrs.update(pc, 0, true);
         }
+        sat.update(pc, 0, false);
+        assert_eq!(jrs.estimate(pc, 0, STRONG), Confidence::High);
+        assert_eq!(sat.estimate(pc, 0, STRONG), Confidence::Low);
     }
 }

@@ -43,12 +43,6 @@ impl PredictorStats {
         }
     }
 
-    /// Prediction accuracy in `[0, 1]`.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        1.0 - self.miss_rate()
-    }
-
     /// Merges another stats block into this one.
     pub fn merge(&mut self, other: &PredictorStats) {
         self.predictions += other.predictions;
@@ -156,7 +150,6 @@ mod tests {
         assert_eq!(s.predictions, 10);
         assert_eq!(s.mispredictions, 2);
         assert!((s.miss_rate() - 0.2).abs() < 1e-12);
-        assert!((s.accuracy() - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **Figure 1** (oracle potential study): [`oracle_fetch`],
 //!   [`oracle_decode`], [`oracle_select`].
 
-use st_bpred::{ConfidenceEstimator, JrsEstimator, SaturatingConfig, SaturatingEstimator};
+use st_bpred::{Estimator, JrsEstimator, SaturatingConfig, SaturatingEstimator};
 use st_pipeline::{OracleMode, SpeculationController};
 
 use crate::gating::PipelineGatingController;
@@ -98,12 +98,6 @@ impl Experiment {
             }),
         }
     }
-
-    /// Instantiates [`Experiment::estimator_spec`] at the given budget.
-    #[must_use]
-    pub fn make_estimator(&self, bytes: usize) -> Box<dyn ConfidenceEstimator> {
-        self.estimator_spec(bytes).build()
-    }
 }
 
 /// A confidence estimator spelled out: its design and configuration.
@@ -121,10 +115,10 @@ pub enum EstimatorSpec {
 impl EstimatorSpec {
     /// Instantiates the estimator.
     #[must_use]
-    pub fn build(&self) -> Box<dyn ConfidenceEstimator> {
+    pub fn build(&self) -> Estimator {
         match *self {
-            EstimatorSpec::Saturating(cfg) => Box::new(SaturatingEstimator::new(cfg)),
-            EstimatorSpec::Jrs { bytes } => Box::new(JrsEstimator::with_table_bytes(bytes)),
+            EstimatorSpec::Saturating(cfg) => Estimator::Saturating(SaturatingEstimator::new(cfg)),
+            EstimatorSpec::Jrs { bytes } => Estimator::Jrs(JrsEstimator::with_table_bytes(bytes)),
         }
     }
 }
@@ -513,9 +507,9 @@ mod tests {
 
     #[test]
     fn gating_uses_jrs_estimator_others_use_saturating() {
-        assert_eq!(a7().make_estimator(8 * 1024).name(), "jrs");
-        assert_eq!(c2().make_estimator(8 * 1024).name(), "bpru-sat");
-        assert_eq!(baseline().make_estimator(8 * 1024).name(), "bpru-sat");
+        assert!(matches!(a7().estimator_spec(8 * 1024).build(), Estimator::Jrs(_)));
+        assert!(matches!(c2().estimator_spec(8 * 1024).build(), Estimator::Saturating(_)));
+        assert!(matches!(baseline().estimator_spec(8 * 1024).build(), Estimator::Saturating(_)));
         assert_eq!(a7().estimator_spec(4096), EstimatorSpec::Jrs { bytes: 4096 });
         assert_eq!(
             c2().estimator_spec(4096),

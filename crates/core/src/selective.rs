@@ -125,19 +125,10 @@ impl SpeculationController for SelectiveThrottleController {
     }
 }
 
-/// Convenience: the paper's best configuration, experiment C2
-/// (`VLC: fetch=0, LC: fetch/4 + noselect`).
-#[must_use]
-pub fn best_policy() -> ThrottlePolicy {
-    ThrottlePolicy::low_only(
-        ThrottleAction::fetch(BandwidthLevel::Quarter).with_no_select(),
-        ThrottleAction::fetch(BandwidthLevel::Stall),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExperimentKind;
     use st_bpred::Confidence;
     use st_isa::Pc;
 
@@ -145,8 +136,13 @@ mod tests {
         BranchEvent { seq: SeqNum(seq), pc: Pc(0x40_0000), confidence, wrong_path: false }
     }
 
+    /// A controller running C2's policy, the paper's best configuration
+    /// (`VLC: fetch=0, LC: fetch/4 + noselect`).
     fn controller() -> SelectiveThrottleController {
-        SelectiveThrottleController::new(best_policy())
+        let ExperimentKind::Throttle(policy) = crate::experiments::c2().kind else {
+            unreachable!("C2 is a throttling experiment")
+        };
+        SelectiveThrottleController::new(policy)
     }
 
     #[test]

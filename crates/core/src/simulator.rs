@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use st_bpred::{ConfidenceStats, PredictorStats};
+use st_bpred::{ConfidenceStats, Estimator, PredictorStats};
 use st_isa::{Program, WorkloadSpec};
 use st_pipeline::{Core, CoreBuilder, MemSummary, PerfStats, PipelineConfig};
 use st_power::{savings_pct, EnergyReport, PowerConfig};
@@ -104,7 +104,7 @@ impl SimulatorBuilder {
     /// pipeline configuration is invalid.
     #[must_use]
     pub fn build(self) -> Simulator {
-        let estimator = self.experiment.make_estimator(self.config.estimator_bytes);
+        let estimator = self.experiment.estimator_spec(self.config.estimator_bytes).build();
         self.build_with_estimator(estimator)
     }
 
@@ -116,10 +116,7 @@ impl SimulatorBuilder {
     /// Panics if neither a workload nor a program was supplied, or the
     /// pipeline configuration is invalid.
     #[must_use]
-    pub fn build_with_estimator(
-        self,
-        estimator: Box<dyn st_bpred::ConfidenceEstimator>,
-    ) -> Simulator {
+    pub fn build_with_estimator(self, estimator: Estimator) -> Simulator {
         let program = match (self.program, &self.workload) {
             (Some(p), _) => p,
             (None, Some(w)) => Arc::new(w.generate()),
@@ -127,7 +124,7 @@ impl SimulatorBuilder {
         };
         let workload_name = program.name().to_string();
         let controller = self.experiment.make_controller();
-        let core = CoreBuilder::shared(program)
+        let core = CoreBuilder::new(program)
             .config(self.config)
             .power(self.power)
             .estimator(estimator)
@@ -195,12 +192,6 @@ impl Simulator {
             conf: r.conf,
             mem: r.mem,
         }
-    }
-
-    /// Access to the underlying core (diagnostics; prefer [`Simulator::run`]).
-    #[must_use]
-    pub fn core_mut(&mut self) -> &mut Core {
-        &mut self.core
     }
 }
 

@@ -65,17 +65,6 @@ impl BandwidthLevel {
             BandwidthLevel::Stall => 0,
         }
     }
-
-    /// Long-run duty cycle of this level.
-    #[must_use]
-    pub fn duty(self) -> f64 {
-        match self {
-            BandwidthLevel::Full => 1.0,
-            BandwidthLevel::Half => 0.5,
-            BandwidthLevel::Quarter => 0.25,
-            BandwidthLevel::Stall => 0.0,
-        }
-    }
 }
 
 impl std::fmt::Display for BandwidthLevel {
@@ -199,12 +188,6 @@ impl ThrottlePolicy {
             Confidence::VeryLow => self.vlc,
         }
     }
-
-    /// Whether the policy never throttles anything.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        self.vhc.is_none() && self.hc.is_none() && self.lc.is_none() && self.vlc.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +212,6 @@ mod tests {
         for (level, expected) in [(Full, 64), (Half, 32), (Quarter, 16), (Stall, 0)] {
             let granted: u32 = (0..8).map(|c| level.allowance(c, 8)).sum();
             assert_eq!(granted, expected, "{level:?}");
-            assert!((level.duty() - f64::from(expected) / 64.0).abs() < 1e-12);
         }
     }
 
@@ -273,8 +255,5 @@ mod tests {
         assert!(p.action(Confidence::High).is_none());
         assert_eq!(p.action(Confidence::Low).fetch, BandwidthLevel::Quarter);
         assert_eq!(p.action(Confidence::VeryLow).fetch, BandwidthLevel::Stall);
-        assert!(!p.is_null());
-        let null = ThrottlePolicy::low_only(ThrottleAction::NONE, ThrottleAction::NONE);
-        assert!(null.is_null());
     }
 }

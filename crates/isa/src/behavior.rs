@@ -82,24 +82,6 @@ impl BranchBehavior {
             BranchBehavior::Alternating => 0.5,
         }
     }
-
-    /// Theoretical floor of mispredictions per occurrence for an ideal
-    /// predictor (useful in calibration): deterministic models go to zero,
-    /// stochastic models are bounded by their entropy.
-    #[must_use]
-    pub fn intrinsic_miss_floor(&self) -> f64 {
-        match *self {
-            BranchBehavior::Loop { .. }
-            | BranchBehavior::Pattern { .. }
-            | BranchBehavior::Alternating => 0.0,
-            BranchBehavior::Biased { p_taken } => p_taken.min(1.0 - p_taken),
-            BranchBehavior::Markov { p_tt, p_nn } => {
-                // Best static-per-state guess: predict "repeat".
-                let stat_t = self.taken_rate();
-                stat_t * (1.0 - p_tt).min(p_tt) + (1.0 - stat_t) * (1.0 - p_nn).min(p_nn)
-            }
-        }
-    }
 }
 
 /// Mutable architectural state of one static branch.
@@ -315,15 +297,6 @@ mod tests {
         assert!((BranchBehavior::Alternating.taken_rate() - 0.5).abs() < 1e-12);
         let m = BranchBehavior::Markov { p_tt: 0.9, p_nn: 0.9 };
         assert!((m.taken_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intrinsic_miss_floor() {
-        assert_eq!(BranchBehavior::Loop { trip: 8 }.intrinsic_miss_floor(), 0.0);
-        assert!(
-            (BranchBehavior::Biased { p_taken: 0.8 }.intrinsic_miss_floor() - 0.2).abs() < 1e-12
-        );
-        assert_eq!(BranchBehavior::Alternating.intrinsic_miss_floor(), 0.0);
     }
 
     #[test]

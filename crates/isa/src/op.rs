@@ -43,15 +43,6 @@ impl OpClass {
         matches!(self, OpClass::Branch | OpClass::Jump)
     }
 
-    /// Whether the instruction produces a register result.
-    #[must_use]
-    pub fn writes_reg(self) -> bool {
-        matches!(
-            self,
-            OpClass::IntAlu | OpClass::IntMult | OpClass::Load | OpClass::FpAlu | OpClass::FpMult
-        )
-    }
-
     /// All operation classes, for exhaustive iteration in tests and stats.
     #[must_use]
     pub fn all() -> [OpClass; 9] {
@@ -143,11 +134,6 @@ impl Instr {
     pub fn jump() -> Instr {
         Instr { op: OpClass::Jump, dest: None, src1: None, src2: None, stream: None }
     }
-
-    /// Iterator over the source registers that are present.
-    pub fn sources(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.src1.into_iter().chain(self.src2)
-    }
 }
 
 /// Control flow at the end of a basic block.
@@ -208,9 +194,6 @@ mod tests {
         assert!(OpClass::Branch.is_control());
         assert!(OpClass::Jump.is_control());
         assert!(!OpClass::Nop.is_control());
-        assert!(OpClass::Load.writes_reg());
-        assert!(!OpClass::Store.writes_reg());
-        assert!(!OpClass::Branch.writes_reg());
         assert_eq!(OpClass::all().len(), 9);
     }
 
@@ -219,7 +202,7 @@ mod tests {
         let a = Instr::alu(Reg(1), Reg(2), Reg(3));
         assert_eq!(a.op, OpClass::IntAlu);
         assert_eq!(a.dest, Some(Reg(1)));
-        assert_eq!(a.sources().collect::<Vec<_>>(), vec![Reg(2), Reg(3)]);
+        assert_eq!((a.src1, a.src2), (Some(Reg(2)), Some(Reg(3))));
 
         let l = Instr::load(Reg(4), Reg(5), StreamId(0));
         assert_eq!(l.op, OpClass::Load);
@@ -227,14 +210,14 @@ mod tests {
 
         let s = Instr::store(Reg(5), Reg(6), StreamId(1));
         assert!(s.dest.is_none());
-        assert_eq!(s.sources().count(), 2);
+        assert_eq!((s.src1, s.src2), (Some(Reg(5)), Some(Reg(6))));
 
         let b = Instr::branch(Reg(7), None);
         assert_eq!(b.op, OpClass::Branch);
-        assert_eq!(b.sources().count(), 1);
+        assert_eq!((b.src1, b.src2), (Some(Reg(7)), None));
 
         assert_eq!(Instr::jump().op, OpClass::Jump);
-        assert_eq!(Instr::nop().sources().count(), 0);
+        assert_eq!((Instr::nop().src1, Instr::nop().src2), (None, None));
     }
 
     #[test]

@@ -292,12 +292,6 @@ impl Program {
         self.blocks.iter().map(BasicBlock::len).sum()
     }
 
-    /// Code footprint in bytes (first to last instruction).
-    #[must_use]
-    pub fn code_bytes(&self) -> u64 {
-        self.instr_count() as u64 * INSTR_BYTES
-    }
-
     /// Locates the block containing `pc`, or `None` if `pc` is outside the
     /// code segment.
     #[must_use]
@@ -413,7 +407,6 @@ mod tests {
         assert_eq!(p.instr_count(), 3);
         assert_eq!(p.branch_count(), 1);
         assert_eq!(p.stream_count(), 0);
-        assert_eq!(p.code_bytes(), 12);
         assert_eq!(p.name(), "tiny");
         assert_eq!(p.entry(), BlockId(0));
     }

@@ -67,18 +67,6 @@ impl Walker {
         self.emitted
     }
 
-    /// Architectural state of a static branch (occurrence count and last
-    /// outcome).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branch` is out of range for the program this walker was
-    /// created from.
-    #[must_use]
-    pub fn branch_state(&self, branch: BranchId) -> BranchState {
-        self.branch_states[branch.index()]
-    }
-
     /// Produces the next committed-path instruction and advances.
     ///
     /// The walker never terminates: generated programs are strongly

@@ -66,9 +66,8 @@ impl Core {
                 if let Some(conf) = d.confidence {
                     self.cstats.record(conf, dir_correct);
                 }
-                let pred = st_bpred::Prediction { taken: d.pred_taken, weak: false };
-                self.predictor.update(d.pc, d.hist_at_predict, d.true_taken, d.pred_taken);
-                self.estimator.update(d.pc, d.hist_at_predict, pred, dir_correct);
+                self.predictor.update(d.pc, d.hist_at_predict, d.true_taken);
+                self.estimator.update(d.pc, d.hist_at_predict, dir_correct);
                 if d.true_taken {
                     self.btb.install(d.pc, d.true_next);
                 }

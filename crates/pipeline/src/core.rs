@@ -50,8 +50,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use st_bpred::{
-    Btb, ConfidenceEstimator, ConfidenceStats, DirectionPredictor, GlobalHistory, Gshare,
-    PredictorStats, SaturatingEstimator,
+    Btb, ConfidenceStats, Estimator, GlobalHistory, Gshare, PredictorStats, SaturatingEstimator,
 };
 use st_isa::{OpClass, Pc, Program, Reg, Walker};
 use st_mem::MemoryHierarchy;
@@ -177,12 +176,14 @@ impl SimResult {
 }
 
 /// Builder for [`Core`] (C-BUILDER): program is mandatory, everything else
-/// defaults to the paper's configuration.
+/// defaults to the paper's configuration. The direction predictor is
+/// always a gshare of [`PipelineConfig::predictor_bytes`]; the estimator
+/// defaults to the BPRU-style one of
+/// [`PipelineConfig::estimator_bytes`].
 pub struct CoreBuilder {
     program: Arc<Program>,
     config: PipelineConfig,
-    predictor: Option<Box<dyn DirectionPredictor>>,
-    estimator: Option<Box<dyn ConfidenceEstimator>>,
+    estimator: Option<Estimator>,
     controller: Option<Box<dyn SpeculationController>>,
     power: PowerConfig,
 }
@@ -194,21 +195,14 @@ impl std::fmt::Debug for CoreBuilder {
 }
 
 impl CoreBuilder {
-    /// Starts building a core for `program`.
+    /// Starts building a core for `program`. Pass an `Arc<Program>` to
+    /// let several cores (one after another or at once) run one generated
+    /// program without copying it.
     #[must_use]
-    pub fn new(program: Program) -> CoreBuilder {
-        CoreBuilder::shared(Arc::new(program))
-    }
-
-    /// Starts building a core over a shared program image, so several
-    /// cores (one after another or at once) can run one generated program
-    /// without copying it.
-    #[must_use]
-    pub fn shared(program: Arc<Program>) -> CoreBuilder {
+    pub fn new(program: impl Into<Arc<Program>>) -> CoreBuilder {
         CoreBuilder {
-            program,
+            program: program.into(),
             config: PipelineConfig::paper_default(),
-            predictor: None,
             estimator: None,
             controller: None,
             power: PowerConfig::paper_default(),
@@ -222,16 +216,9 @@ impl CoreBuilder {
         self
     }
 
-    /// Replaces the default gshare direction predictor.
-    #[must_use]
-    pub fn predictor(mut self, p: Box<dyn DirectionPredictor>) -> CoreBuilder {
-        self.predictor = Some(p);
-        self
-    }
-
     /// Replaces the default BPRU-style confidence estimator.
     #[must_use]
-    pub fn estimator(mut self, e: Box<dyn ConfidenceEstimator>) -> CoreBuilder {
+    pub fn estimator(mut self, e: Estimator) -> CoreBuilder {
         self.estimator = Some(e);
         self
     }
@@ -259,11 +246,11 @@ impl CoreBuilder {
     #[must_use]
     pub fn build(self) -> Core {
         self.config.validate();
-        let predictor = self
-            .predictor
-            .unwrap_or_else(|| Box::new(Gshare::with_table_bytes(self.config.predictor_bytes)));
+        let predictor = Gshare::with_table_bytes(self.config.predictor_bytes);
         let estimator = self.estimator.unwrap_or_else(|| {
-            Box::new(SaturatingEstimator::with_table_bytes(self.config.estimator_bytes))
+            Estimator::Saturating(SaturatingEstimator::with_table_bytes(
+                self.config.estimator_bytes,
+            ))
         });
         let controller = self.controller.unwrap_or_else(|| Box::new(NullController));
         let walker = Walker::new(&self.program);
@@ -353,8 +340,8 @@ pub struct Core {
     pub(crate) program: Arc<Program>,
     pub(crate) config: PipelineConfig,
 
-    pub(crate) predictor: Box<dyn DirectionPredictor>,
-    pub(crate) estimator: Box<dyn ConfidenceEstimator>,
+    pub(crate) predictor: Gshare,
+    pub(crate) estimator: Estimator,
     pub(crate) controller: Box<dyn SpeculationController>,
     /// The controller's oracle mode, constant per run and read once.
     pub(crate) oracle: OracleMode,

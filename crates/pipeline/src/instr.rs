@@ -76,19 +76,6 @@ impl DynInstr {
         self.is_cond_branch()
             && (self.pred_taken != self.true_taken || self.pred_next != self.true_next)
     }
-
-    /// Number of source operands present.
-    #[must_use]
-    pub fn src_count(&self) -> u32 {
-        u32::from(self.src1.is_some()) + u32::from(self.src2.is_some())
-    }
-
-    /// Whether the op needs a functional unit to execute (branches use an
-    /// ALU for the comparison; jumps and nops complete at dispatch).
-    #[must_use]
-    pub fn needs_fu(&self) -> bool {
-        !matches!(self.op, OpClass::Jump | OpClass::Nop)
-    }
 }
 
 #[cfg(test)]
@@ -144,17 +131,5 @@ mod tests {
         // Non-branches never count as mispredicted.
         let a = blank(OpClass::IntAlu);
         assert!(!a.mispredicted());
-    }
-
-    #[test]
-    fn src_count_and_fu_need() {
-        let mut i = blank(OpClass::IntAlu);
-        assert_eq!(i.src_count(), 1);
-        i.src2 = Some(Reg(2));
-        assert_eq!(i.src_count(), 2);
-        assert!(i.needs_fu());
-        assert!(!blank(OpClass::Jump).needs_fu());
-        assert!(!blank(OpClass::Nop).needs_fu());
-        assert!(blank(OpClass::Load).needs_fu());
     }
 }

@@ -141,12 +141,6 @@ impl EnergyAccount {
         };
         self.per_unit[unit.index()] * frac
     }
-
-    /// Total wasted energy across units, including prorated overheads.
-    #[must_use]
-    pub fn total_wasted_incl_overhead(&self) -> f64 {
-        Unit::all().iter().map(|&u| self.wasted_energy_incl_overhead(u)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +200,6 @@ mod tests {
         assert!((clock_wasted - 5.0).abs() < 1e-12);
         let alu_wasted = acc.wasted_energy_incl_overhead(Unit::Alu);
         assert!((alu_wasted - 2.5).abs() < 1e-12);
-        assert!((acc.total_wasted_incl_overhead() - 7.5).abs() < 1e-12);
     }
 
     #[test]

@@ -139,12 +139,6 @@ impl CycleActivity {
     pub fn clear(&mut self) {
         self.counts = [0; UNIT_COUNT];
     }
-
-    /// Whether no unit recorded any activity.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
 }
 
 /// Energy spent in one cycle, total and per unit.
@@ -330,12 +324,6 @@ impl PowerModel {
         let per_unit = self.per_unit_energy(activity);
         CycleEnergy { total: per_unit.iter().sum(), per_unit }
     }
-
-    /// Peak power of the modelled chip in watts.
-    #[must_use]
-    pub fn peak_watts(&self) -> f64 {
-        self.config.total_watts
-    }
 }
 
 #[cfg(test)]
@@ -442,13 +430,11 @@ mod tests {
     #[test]
     fn activity_add_and_clear() {
         let mut a = CycleActivity::default();
-        assert!(a.is_idle());
         a.add(Unit::Lsq, 3);
         a.add(Unit::Lsq, 1);
         assert_eq!(a.count(Unit::Lsq), 4);
-        assert!(!a.is_idle());
         a.clear();
-        assert!(a.is_idle());
+        assert_eq!(a, CycleActivity::default());
     }
 
     /// The per-cycle formula the table replaced, evaluated in full for

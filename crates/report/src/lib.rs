@@ -2,8 +2,8 @@
 //!
 //! Plain-text reporting used by `st repro` (`st_sweep::figures`) to
 //! regenerate the paper's tables and figures: aligned text tables, CSV
-//! emitters, simple ASCII bar charts (the "figures"), and the aggregate
-//! helpers the paper uses (arithmetic mean bars, percent formatting).
+//! emitters, simple ASCII bar charts (the "figures") and compact
+//! integer-range formatting.
 //!
 //! Everything renders to `String` so tests can assert on output and the
 //! harness can both print and persist results.
@@ -24,10 +24,8 @@
 
 pub mod chart;
 pub mod ranges;
-pub mod stats;
 pub mod table;
 
 pub use chart::BarChart;
 pub use ranges::format_ranges;
-pub use stats::{arith_mean, geo_mean, pct};
 pub use table::{write_csv, Table};

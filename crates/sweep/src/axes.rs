@@ -78,6 +78,15 @@ pub enum AxisDomain {
         /// Largest legal value.
         max: u64,
     },
+    /// Powers of two in `min..=max` (table sizes: gshare, JRS and the
+    /// BPRU-style table index with a mask, so they need power-of-two
+    /// entry counts).
+    PowersOfTwo {
+        /// Smallest legal value.
+        min: u64,
+        /// Largest legal value.
+        max: u64,
+    },
     /// Reals in `min..=max`.
     Float {
         /// Smallest legal value.
@@ -88,13 +97,20 @@ pub enum AxisDomain {
 }
 
 impl AxisDomain {
-    /// Human-readable domain, e.g. `6..=64` or `0..=1`.
+    /// Human-readable domain, e.g. `6..=64`, `0..=1` or
+    /// `powers of two in 1..=1024`.
     #[must_use]
     pub fn describe(&self) -> String {
         match self {
             AxisDomain::Int { min, max } => format!("{min}..={max}"),
+            AxisDomain::PowersOfTwo { min, max } => format!("powers of two in {min}..={max}"),
             AxisDomain::Float { min, max } => format!("{min}..={max}"),
         }
+    }
+
+    /// Whether the domain holds integers (every domain but `Float`).
+    fn is_int(&self) -> bool {
+        !matches!(self, AxisDomain::Float { .. })
     }
 
     /// Whether `value` is type- and range-compatible with this domain.
@@ -110,6 +126,12 @@ impl AxisDomain {
             (AxisDomain::Int { min, max }, v) => {
                 let n = v.as_int(axis)?;
                 if n < *min || n > *max {
+                    return Err(out_of_range(&n));
+                }
+            }
+            (AxisDomain::PowersOfTwo { min, max }, v) => {
+                let n = v.as_int(axis)?;
+                if n < *min || n > *max || !n.is_power_of_two() {
                     return Err(out_of_range(&n));
                 }
             }
@@ -167,17 +189,16 @@ impl Axis {
     /// axis's typed value — integer axes require whole non-negative
     /// numbers — and validates the domain.
     pub fn value_from_f64(&self, n: f64) -> Result<AxisValue, SpecError> {
-        let value = match self.domain {
-            AxisDomain::Int { .. } => {
-                if !n.is_finite() || n < 0.0 || n.fract() != 0.0 {
-                    return Err(SpecError(format!(
-                        "axis `{}` expects a non-negative integer, got {n}",
-                        self.name
-                    )));
-                }
-                AxisValue::Int(n as u64)
+        let value = if self.domain.is_int() {
+            if !n.is_finite() || n < 0.0 || n.fract() != 0.0 {
+                return Err(SpecError(format!(
+                    "axis `{}` expects a non-negative integer, got {n}",
+                    self.name
+                )));
             }
-            AxisDomain::Float { .. } => AxisValue::Float(n),
+            AxisValue::Int(n as u64)
+        } else {
+            AxisValue::Float(n)
         };
         self.validate(&value)?;
         Ok(value)
@@ -191,12 +212,12 @@ impl Axis {
     pub fn values_from_token(&self, token: &str) -> Result<Vec<AxisValue>, SpecError> {
         let token = token.trim();
         if let Some((lo_text, inclusive, hi_text)) = split_range_token(token) {
-            let AxisDomain::Int { .. } = self.domain else {
+            if !self.domain.is_int() {
                 return Err(SpecError(format!(
                     "axis `{}` is real-valued; ranges like `{token}` only expand on integer axes",
                     self.name
                 )));
-            };
+            }
             let parse = |part: &str| -> Result<u64, SpecError> {
                 part.trim().replace('_', "").parse::<u64>().map_err(|_| {
                     SpecError(format!(
@@ -332,7 +353,7 @@ static REGISTRY: [Axis; 12] = [
     },
     Axis {
         name: "predictor_kb",
-        domain: AxisDomain::Int { min: 1, max: 1024 },
+        domain: AxisDomain::PowersOfTwo { min: 1, max: 1024 },
         default: AxisValue::Int(8),
         summary: "branch-predictor hardware budget in KB",
         paper: "Fig. 7",
@@ -343,7 +364,7 @@ static REGISTRY: [Axis; 12] = [
     },
     Axis {
         name: "estimator_kb",
-        domain: AxisDomain::Int { min: 1, max: 1024 },
+        domain: AxisDomain::PowersOfTwo { min: 1, max: 1024 },
         default: AxisValue::Int(8),
         summary: "confidence-estimator hardware budget in KB",
         paper: "Fig. 7, \u{a7}4.3",
@@ -462,21 +483,6 @@ impl AxisBinding {
 /// Applies one `(axis, value)` pair to a job (validating the value).
 pub fn apply(job: &mut JobSpec, name: &str, value: &AxisValue) -> Result<(), SpecError> {
     axis(name).ok_or_else(|| unknown_axis_error(name))?.apply(job, value)
-}
-
-/// Applies a whole point — `(axis name, value)` pairs in any order — in
-/// canonical registry order, so equal points yield equal jobs (and equal
-/// fingerprints) regardless of declaration order.
-pub fn apply_point(job: &mut JobSpec, bindings: &[(&str, AxisValue)]) -> Result<(), SpecError> {
-    let mut resolved: Vec<(&'static Axis, &AxisValue)> = bindings
-        .iter()
-        .map(|(name, v)| axis(name).ok_or_else(|| unknown_axis_error(name)).map(|a| (a, v)))
-        .collect::<Result<_, _>>()?;
-    resolved.sort_by_key(|(a, _)| a.index());
-    for (axis, value) in resolved {
-        axis.apply(job, value)?;
-    }
-    Ok(())
 }
 
 /// The "unknown axis" diagnostic: nearest-name suggestion plus the full
@@ -613,21 +619,6 @@ mod tests {
         let mut b = job();
         apply(&mut b, "gating_threshold", &AxisValue::Int(5)).unwrap();
         assert_eq!(b.experiment.gating_threshold(), None);
-    }
-
-    #[test]
-    fn apply_point_is_order_canonical() {
-        // depth rebuilds the config, so textual order depth-last would
-        // clobber ruu_size without canonicalisation.
-        let bindings_a = [("ruu_size", AxisValue::Int(32)), ("depth", AxisValue::Int(21))];
-        let bindings_b = [("depth", AxisValue::Int(21)), ("ruu_size", AxisValue::Int(32))];
-        let (mut ja, mut jb) = (job(), job());
-        apply_point(&mut ja, &bindings_a).unwrap();
-        apply_point(&mut jb, &bindings_b).unwrap();
-        assert_eq!(ja, jb);
-        assert_eq!(ja.config.depth, 21);
-        assert_eq!(ja.config.ruu_size, 32);
-        assert_eq!(ja.fingerprint(), jb.fingerprint());
     }
 
     #[test]

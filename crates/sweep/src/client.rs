@@ -84,7 +84,7 @@ pub fn submit_with_priority(
         Some(p) => format!("/submit?priority={p}"),
         None => "/submit".to_string(),
     };
-    let reply = request(addr, "POST", &path, spec_text)?;
+    let reply = request(addr, "POST", &path, spec_text, HEAD_TIMEOUT)?;
     let expected = reply.records.or_else(|| expected_records(spec_text));
     // The head arrived; from here the gaps between records are bounded
     // only by simulation time, so the body reads with no deadline (see
@@ -109,10 +109,12 @@ fn expected_records(spec_text: &str) -> Option<u64> {
 /// `on_record` as it arrives, in `(fingerprint, seq)` order. Returns
 /// the number of records delivered.
 ///
-/// `read_timeout` bounds each read *between* records once the head has
-/// arrived (`None` = wait forever): the fleet coordinator passes a
-/// finite deadline so a wedged worker is detected and its range failed
-/// over, while simple callers can wait out arbitrarily slow points.
+/// `read_timeout` bounds the connect, the wait for the response head and
+/// each read *between* records. `None` waits up to the client's 30 s
+/// head timeout for the connect and the head, then forever between
+/// records. The fleet coordinator passes a finite deadline so a wedged
+/// worker is detected and its range failed over, while simple callers
+/// can wait out arbitrarily slow points.
 ///
 /// # Errors
 ///
@@ -128,7 +130,7 @@ pub fn fetch_points(
     on_record: &mut dyn FnMut(&str) -> Result<(), String>,
 ) -> Result<u64, ClientError> {
     let path = format!("/points?range={}", crate::shard::format_fp_range(range.0, range.1));
-    let reply = request(addr, "GET", &path, spec_text)?;
+    let reply = request(addr, "GET", &path, spec_text, read_timeout.unwrap_or(HEAD_TIMEOUT))?;
     read_records(addr, reply.reader, reply.records, read_timeout, &mut |record| {
         on_record(record).map_err(|m| ClientError(format!("bad point record from {addr}: {m}")))
     })
@@ -175,7 +177,7 @@ fn read_records(
 ///
 /// Connection failures, malformed replies, non-200 responses.
 pub fn status(addr: &str) -> Result<String, ClientError> {
-    read_to_string(addr, request(addr, "GET", "/status", "")?.reader)
+    read_to_string(addr, request(addr, "GET", "/status", "", HEAD_TIMEOUT)?.reader)
 }
 
 /// Asks the service at `addr` to shut down gracefully (`POST
@@ -186,7 +188,7 @@ pub fn status(addr: &str) -> Result<String, ClientError> {
 ///
 /// Connection failures, malformed replies, non-200 responses.
 pub fn shutdown(addr: &str) -> Result<String, ClientError> {
-    read_to_string(addr, request(addr, "POST", "/shutdown", "")?.reader)
+    read_to_string(addr, request(addr, "POST", "/shutdown", "", HEAD_TIMEOUT)?.reader)
 }
 
 fn read_to_string(addr: &str, mut reader: BufReader<TcpStream>) -> Result<String, ClientError> {
@@ -204,17 +206,26 @@ struct Reply {
     records: Option<u64>,
 }
 
-/// How long to wait for the connection and the response *head*. A
-/// submission's streamed body gets no deadline — gaps between records
-/// are bounded only by the instruction budget of the slowest point, and
-/// a server that actually dies surfaces as EOF/reset, which the
-/// record-count check converts into a hard error.
+/// How long to wait for the connection and the response *head*, unless
+/// the caller gives its own bound ([`fetch_points`]). A submission's
+/// streamed body gets no deadline — gaps between records are bounded
+/// only by the instruction budget of the slowest point, and a server
+/// that actually dies surfaces as EOF/reset, which the record-count
+/// check converts into a hard error.
 const HEAD_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
-/// Sends one request and parses the response head. On 2xx, returns the
-/// reader positioned at the start of the body (`Connection: close`
-/// delimited); otherwise folds the server's error body into the error.
-fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<Reply, ClientError> {
+/// Sends one request and parses the response head, waiting at most
+/// `head_timeout` for the connection and for each read of the head. On
+/// 2xx, returns the reader positioned at the start of the body
+/// (`Connection: close` delimited); otherwise folds the server's error
+/// body into the error.
+fn request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+    head_timeout: std::time::Duration,
+) -> Result<Reply, ClientError> {
     // Resolve ourselves so the connect can carry a timeout: a peer that
     // accepts but never serves (a daemon mid-drain, a non-HTTP
     // listener) must produce a diagnostic, not an infinite hang.
@@ -222,10 +233,10 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> Result<Reply, Cl
         .map_err(|e| ClientError(format!("cannot resolve sweep service address {addr}: {e}")))?
         .next()
         .ok_or_else(|| ClientError(format!("sweep service address {addr} resolves to nothing")))?;
-    let mut stream = TcpStream::connect_timeout(&socket_addr, HEAD_TIMEOUT)
+    let mut stream = TcpStream::connect_timeout(&socket_addr, head_timeout)
         .map_err(|e| ClientError(format!("cannot connect to sweep service at {addr}: {e}")))?;
     stream
-        .set_read_timeout(Some(HEAD_TIMEOUT))
+        .set_read_timeout(Some(head_timeout))
         .map_err(|e| ClientError(format!("cannot configure connection to {addr}: {e}")))?;
     // A server rejecting the request early (413 on an oversized body,
     // say) closes its read side while we are still writing; the write

@@ -195,12 +195,6 @@ impl SweepEngine {
         self
     }
 
-    /// An engine sized to the available hardware parallelism.
-    #[must_use]
-    pub fn auto() -> SweepEngine {
-        SweepEngine::new(0)
-    }
-
     /// An engine backed by the result store under `out_dir` (the
     /// segment log at `<out>/.store/`, see [`LogStore::dir_under`]).
     /// Opening builds the store's index only; a stored report is read

@@ -63,10 +63,11 @@ pub struct FleetConfig {
     /// Maximum concurrently streaming submissions; submission number
     /// `max_inflight + 1` gets a structured `429` reply.
     pub max_inflight: usize,
-    /// Longest gap tolerated between two records of one range stream
-    /// (and for the response head) before the worker is declared dead
-    /// and its unfinished range failed over. Gaps are bounded by one
-    /// point's simulation time on a loaded worker, not the whole range.
+    /// Longest wait tolerated for the connect, for the response head and
+    /// between two records of one range stream before the worker is
+    /// declared dead and its unfinished range failed over. Gaps are
+    /// bounded by one point's simulation time on a loaded worker, not the
+    /// whole range.
     pub worker_timeout: Duration,
 }
 
@@ -850,6 +851,38 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).expect("returns within 5 s"), dead);
         second.join().expect("second submission thread");
         assert_eq!(fleet.queue.lock().expect("queue").len(), 0, "nothing left queued");
+    }
+
+    #[test]
+    fn a_worker_that_never_answers_is_dropped_after_the_worker_timeout() {
+        // A listener that never accepts: the kernel completes the
+        // connect, the request lands in its buffer, and no head comes.
+        let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let config = FleetConfig {
+            workers: vec![silent.local_addr().expect("addr").to_string()],
+            worker_timeout: Duration::from_secs(1),
+            ..Default::default()
+        };
+        let fleet = Arc::new(Fleet::new(&config));
+        let dispatcher = {
+            let fleet = Arc::clone(&fleet);
+            std::thread::spawn(move || fleet.dispatch_loop(0))
+        };
+        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
+        let pairing = emit::baseline_pairing(&points);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submission = {
+            let fleet = Arc::clone(&fleet);
+            std::thread::spawn(move || {
+                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, &pairing, 0));
+            })
+        };
+        let verdict = rx.recv_timeout(Duration::from_secs(5)).expect("fails within 5 s");
+        assert_eq!(verdict, Err("every fleet worker is dead".to_string()));
+        submission.join().expect("submission thread");
+        dispatcher.join().expect("the dead worker's dispatcher exits");
+        assert_eq!(fleet.alive_workers(), 0);
+        drop(silent);
     }
 
     #[test]

@@ -884,6 +884,28 @@ mod tests {
     }
 
     #[test]
+    fn bindings_apply_in_registry_order_whatever_the_declaration_order() {
+        // depth rebuilds the config, so applying it after ruu_size would
+        // clobber ruu_size.
+        let points = |first: (&str, u64), second: (&str, u64)| {
+            let mut spec = SweepSpec::new("order");
+            spec.workloads = vec!["go".into()];
+            spec.experiments = vec!["C2".into()];
+            spec.baseline = false;
+            for (name, value) in [first, second] {
+                spec.set_axis(name, vec![AxisValue::Int(value)]).unwrap();
+            }
+            spec.points().expect("points")
+        };
+        let a = points(("ruu_size", 32), ("depth", 21));
+        let b = points(("depth", 21), ("ruu_size", 32));
+        assert_eq!(a[0].job, b[0].job);
+        assert_eq!(a[0].job.config.depth, 21);
+        assert_eq!(a[0].job.config.ruu_size, 32);
+        assert_eq!(a[0].job.fingerprint(), b[0].job.fingerprint());
+    }
+
+    #[test]
     fn workload_seed_ranges_expand_generative_grids() {
         let spec = SweepSpec::parse(
             r#"
@@ -980,11 +1002,12 @@ mod tests {
         // A product past usize::MAX is caught by the checked multiply.
         let mut overflowing = SweepSpec::new("overflow");
         for (name, range) in [
-            ("ruu_size", "16..1024"),
-            ("ifq_size", "16..1024"),
-            ("lsq_size", "16..1024"),
-            ("predictor_kb", "16..1024"),
-            ("estimator_kb", "16..1024"),
+            ("depth", "6..=64"),
+            ("fetch_width", "1..=16"),
+            ("ruu_size", "2..4096"),
+            ("lsq_size", "2..2048"),
+            ("ifq_size", "16..4096"),
+            ("gating_threshold", "1..=64"),
             ("instructions", "1..65537"),
         ] {
             let values = axes::axis(name).expect("registered").values_from_token(range);

@@ -8,7 +8,10 @@
 //!    `predictor_kb`, `estimator_kb`, `instructions`) expand to job
 //!    lists identical to their `axis.*` spellings;
 //! 3. **Parse round-trip** — every registered axis binds through both
-//!    TOML and JSON spellings and the parsed values echo back exactly.
+//!    TOML and JSON spellings and the parsed values echo back exactly;
+//! 4. **Admitted values simulate** — every value an axis's domain admits
+//!    builds a machine that runs, so a bad value is a spec error, never
+//!    a panic mid-sweep.
 
 use proptest::prelude::*;
 use st_sweep::axes::{self, Axis, AxisDomain, AxisValue};
@@ -33,6 +36,16 @@ fn two_distinct_values(axis: &Axis, a: u64, b: u64) -> (AxisValue, AxisValue) {
                 v2 = min + (v1 - min + 1) % span;
             }
             (AxisValue::Int(v1), AxisValue::Int(v2))
+        }
+        AxisDomain::PowersOfTwo { min, max } => {
+            // Draw two distinct exponents.
+            let (lo, span) = (min.ilog2(), max.ilog2() - min.ilog2() + 1);
+            let e1 = (a % u64::from(span)) as u32;
+            let mut e2 = (b % u64::from(span)) as u32;
+            if e2 == e1 {
+                e2 = (e1 + 1) % span;
+            }
+            (AxisValue::Int(1 << (lo + e1)), AxisValue::Int(1 << (lo + e2)))
         }
         AxisDomain::Float { min, max } => {
             // A 1000-point grid over the domain: distinct grid indices
@@ -94,11 +107,13 @@ proptest! {
     fn legacy_keys_expand_to_identical_job_lists(
         d0 in 6u64..=28,
         d1 in 6u64..=28,
-        p0 in 1u64..=64,
-        p1 in 1u64..=64,
-        e0 in 1u64..=64,
+        p0 in 0u32..=6,
+        p1 in 0u32..=6,
+        e0 in 0u32..=6,
         n in 1_000u64..=100_000,
     ) {
+        // The KB axes admit powers of two: draw exponents.
+        let (p0, p1, e0) = (1u64 << p0, 1u64 << p1, 1u64 << e0);
         let legacy = SweepSpec::parse(&format!(
             "name = \"s\"\nworkloads = [\"go\"]\nexperiments = [\"C2\", \"A7\"]\n\
              depths = [{d0}, {d1}]\npredictor_kb = [{p0}, {p1}]\nestimator_kb = [{e0}]\n\
@@ -118,6 +133,34 @@ proptest! {
         // 2 depths x 2 predictor budgets x 1 estimator budget x (BASE+C2+A7).
         prop_assert_eq!(legacy_jobs.len(), 12);
         prop_assert!(legacy_jobs.iter().all(|j| j.instructions == n));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
+
+    #[test]
+    fn every_admitted_value_simulates(
+        idx in 0usize..axes::registry().len(),
+        a in 0u64..1_000_000_000,
+    ) {
+        let axis = &axes::registry()[idx];
+        let (mut value, _) = two_distinct_values(axis, a, a);
+        if axis.name == "instructions" {
+            // Any admitted budget, kept short.
+            value = AxisValue::Int(1 + a % 300);
+        }
+        prop_assert!(axis.validate(&value).is_ok(), "`{}` admits {}", axis.name, value);
+        for experiment in [st_core::experiments::c2(), st_core::experiments::a7()] {
+            let mut job = JobSpec::new(
+                st_isa::WorkloadSpec::builder("axes-admitted").seed(3).blocks(32).build(),
+                300,
+            )
+            .with_experiment(experiment);
+            axis.apply(&mut job, &value).expect("an admitted value applies");
+            let report = job.run();
+            prop_assert!(report.perf.committed >= job.instructions, "`{}` = {}", axis.name, value);
+        }
     }
 }
 

@@ -1,9 +1,10 @@
 //! CLI contracts of the sweep-running subcommands through the real `st`
 //! binary: an oversized grid or seed range is a one-line error, not an
-//! allocation abort, a plain `st repro` writes only under `--out` and
-//! its CSVs and printed figures keep their pinned bytes, a killed
-//! `st run` keeps every point it finished, and a reader that hangs up
-//! early ends `st list`, `st calibrate` and `st repro` quietly.
+//! allocation abort, a table size the simulator cannot build is a spec
+//! error before anything runs, a plain `st repro` writes only under
+//! `--out` and its CSVs and printed figures keep their pinned bytes, a
+//! killed `st run` keeps every point it finished, and a reader that
+//! hangs up early ends `st list`, `st calibrate` and `st repro` quietly.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -138,6 +139,33 @@ fn an_oversized_grid_is_a_runtime_error_naming_count_and_limit() {
     assert!(err.starts_with("st run: sweep spec error"), "{err}");
     assert!(err.contains("251289720 points"), "{err}");
     assert!(err.contains(&format!("limit {}", st_sweep::axes::MAX_GRID_POINTS)), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_non_power_of_two_table_size_is_a_spec_error_not_a_panic() {
+    let dir = empty_dir("kb");
+    let spec = dir.join("kb.toml");
+    std::fs::write(
+        &spec,
+        "name = \"kb\"\nworkloads = [\"go\"]\nexperiments = [\"C2\"]\n\n[axis]\n\
+         instructions = 2000\n",
+    )
+    .expect("write spec");
+    for axis in ["predictor_kb", "estimator_kb"] {
+        let out = output_within(
+            st().arg("run")
+                .arg(&spec)
+                .args(["--set", &format!("{axis}=3"), "--no-cache", "--threads", "1", "--out"])
+                .arg(dir.join("out")),
+            Duration::from_secs(10),
+        );
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{axis}: {err}");
+        assert!(!err.contains("panicked"), "{axis}: {err}");
+        assert!(err.contains(&format!("axis `{axis}` value 3 outside its domain")), "{err}");
+        assert!(!dir.join("out").exists(), "{axis}: refused before anything ran");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

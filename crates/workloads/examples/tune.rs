@@ -1,5 +1,5 @@
 //! Calibration probe: warm per-category occurrence shares and miss rates.
-use st_bpred::{DirectionPredictor, GlobalHistory, Gshare};
+use st_bpred::{GlobalHistory, Gshare};
 use st_isa::{BranchBehavior, OpClass, Walker};
 use st_workloads::all;
 
@@ -34,7 +34,7 @@ fn main() {
                     miss[cat] += 1;
                 }
             }
-            gshare.update(arch.pc, history.value(), taken, pred.taken);
+            gshare.update(arch.pc, history.value(), taken);
             history.push(taken);
         }
         let total: u64 = occ.iter().sum();

@@ -1,7 +1,7 @@
 //! Calibration: measuring and tuning a workload's gshare misprediction
 //! rate so profiles can be anchored to the paper's Table 2.
 
-use st_bpred::{DirectionPredictor, GlobalHistory, Gshare};
+use st_bpred::{GlobalHistory, Gshare};
 use st_isa::{BranchState, Program, ProgramGenerator, WorkloadSpec};
 
 /// Measures the misprediction rate an in-order gshare of `table_bytes`
@@ -72,7 +72,7 @@ fn gshare_miss_rate(program: &Program, warmup: u64, instructions: u64, table_byt
                     misses += 1;
                 }
             }
-            gshare.update(pc, history.value(), taken, pred.taken);
+            gshare.update(pc, history.value(), taken);
             history.push(taken);
         }
         block_id = block.terminator.successor(taken);
@@ -165,7 +165,7 @@ mod tests {
                     misses += 1;
                 }
             }
-            gshare.update(arch.pc, history.value(), taken, pred.taken);
+            gshare.update(arch.pc, history.value(), taken);
             history.push(taken);
         }
         if branches == 0 {

@@ -36,14 +36,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use st_isa::{BranchMix, PhaseSpec, WorkloadSpec};
 
-use crate::calibrate::{calibrate_hardness, measure_gshare_miss_rate, Calibration};
+use crate::calibrate::{calibrate_hardness, Calibration};
 use crate::profiles;
 
 /// Prefix of generative workload names (`gen:<family>:<seed>`).
 pub const GEN_PREFIX: &str = "gen:";
 
 /// Instruction budget of the calibration measurement (half again is
-/// spent warming the predictor; see [`measure_gshare_miss_rate`]).
+/// spent warming the predictor; see
+/// [`measure_gshare_miss_rate`](crate::measure_gshare_miss_rate)).
 pub const CAL_INSTRUCTIONS: u64 = 36_000;
 
 /// Bisection iterations per calibration; 9 narrow the spread interval
@@ -184,13 +185,6 @@ pub fn derive(family: &Family, seed: u64) -> (WorkloadSpec, Calibration) {
         }
     }
     best
-}
-
-/// The realized calibration miss rate of a spec — the measurement
-/// [`derive()`](fn@derive) optimised, reproduced for audits and `st calibrate`.
-#[must_use]
-pub fn realized_miss_rate(spec: &WorkloadSpec) -> f64 {
-    measure_gshare_miss_rate(spec, CAL_INSTRUCTIONS, 8 * 1024)
 }
 
 fn family_index(family: &Family) -> usize {

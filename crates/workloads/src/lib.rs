@@ -45,8 +45,7 @@ pub mod profiles;
 pub use calibrate::{
     calibrate_hardness, measure_gshare_miss_rate, measure_gshare_miss_rate_warm, Calibration,
 };
-pub use generate::{families, markdown_table, realized_miss_rate, Family, GEN_PREFIX};
+pub use generate::{families, markdown_table, Family, GEN_PREFIX};
 pub use profiles::{
     all, by_name, bzip2, compress, crafty, gcc, go, gzip, parser, twolf, WorkloadInfo,
-    PAPER_MISS_RATES,
 };

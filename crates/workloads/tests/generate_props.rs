@@ -2,9 +2,7 @@
 //! derivation determinism and calibration convergence.
 
 use proptest::prelude::*;
-use st_workloads::generate::{
-    self, derive, families, family, member_name, parse_name, realized_miss_rate,
-};
+use st_workloads::generate::{self, derive, families, family, member_name, parse_name};
 use st_workloads::{by_name, Family};
 
 fn programs_equal(a: &st_isa::Program, b: &st_isa::Program) -> bool {
@@ -88,7 +86,8 @@ fn different_seeds_derive_different_programs() {
 
 fn assert_within_tolerance(f: &Family, seed: u64) {
     let (spec, cal) = derive(f, seed);
-    let realized = realized_miss_rate(&spec);
+    let realized =
+        st_workloads::measure_gshare_miss_rate(&spec, generate::CAL_INSTRUCTIONS, 8 * 1024);
     assert_eq!(realized, cal.achieved, "realized rate is the calibration measurement");
     assert!(
         (realized - f.target_miss).abs() <= f.tolerance,

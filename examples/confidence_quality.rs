@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example confidence_quality`
 
-use selective_throttling::bpred::{Confidence, JrsEstimator, SaturatingEstimator};
+use selective_throttling::bpred::{Confidence, Estimator, JrsEstimator, SaturatingEstimator};
 use selective_throttling::core::Simulator;
 use selective_throttling::report::Table;
 use selective_throttling::workloads;
@@ -18,12 +18,14 @@ fn main() {
     let bpru = Simulator::builder()
         .workload(workload.clone())
         .max_instructions(instructions)
-        .build_with_estimator(Box::new(SaturatingEstimator::with_table_bytes(8 * 1024)))
+        .build_with_estimator(Estimator::Saturating(SaturatingEstimator::with_table_bytes(
+            8 * 1024,
+        )))
         .run();
     let jrs = Simulator::builder()
         .workload(workload)
         .max_instructions(instructions)
-        .build_with_estimator(Box::new(JrsEstimator::with_table_bytes(8 * 1024)))
+        .build_with_estimator(Estimator::Jrs(JrsEstimator::with_table_bytes(8 * 1024)))
         .run();
 
     let mut t = Table::new(vec!["level", "label share %", "mispredict rate %"])

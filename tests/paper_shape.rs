@@ -1,7 +1,8 @@
 //! Paper-shape regression tests: the qualitative results of the paper must
-//! hold on the calibrated workloads. These are the claims EXPERIMENTS.md
-//! records quantitatively; run lengths are kept moderate so the suite
-//! stays fast in CI.
+//! hold on the calibrated workloads. Each test is one of the paper's
+//! claims; ROADMAP item 1 (the claim ledger) is to turn them into
+//! ledger claims with the paper's values beside the measured ones. Run
+//! lengths are kept moderate so the suite stays fast in CI.
 
 use selective_throttling::core::{compare, experiments, Simulator};
 use st_isa::WorkloadSpec;
