@@ -134,7 +134,10 @@ impl Cache {
     /// near-future correct path — the *opposite* of the cache-pollution
     /// effect §3 of the paper observes. Tag-and-invalidate keeps the costs
     /// of wrong-path fills (bandwidth, energy, victim eviction = pollution)
-    /// while removing the synthetic warming benefit. See DESIGN.md.
+    /// while removing the synthetic warming benefit. Recovery invalidates
+    /// the fills in [`crate::MemoryHierarchy::squash_speculative`];
+    /// ROADMAP item 5 ("Wrong-path work is free") discusses the cost this
+    /// model still leaves out.
     pub fn access_speculative(&mut self, addr: u64) -> bool {
         self.access_inner(addr, true)
     }

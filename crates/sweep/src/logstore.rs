@@ -317,6 +317,8 @@ impl LogStore {
         let frame = {
             let inner = self.inner.lock().expect("logstore lock");
             let e = inner.index.get(&fingerprint)?;
+            #[cfg(test)]
+            tests::pause_before_read(fingerprint);
             let mut frame = vec![0; FRAME_HEADER_BYTES as usize + e.len as usize];
             let mut file = File::open(segment_path(&self.dir, e.seg)).ok()?;
             file.seek(SeekFrom::Start(e.offset)).ok()?;
@@ -774,6 +776,8 @@ fn compact_locked(dir: &Path, inner: &mut Inner) -> std::io::Result<CompactStats
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{mpsc, Mutex, TryLockError};
+
     use proptest::prelude::*;
     use st_isa::WorkloadSpec;
 
@@ -783,6 +787,22 @@ mod tests {
     fn report(seed: u64) -> SimReport {
         JobSpec::new(WorkloadSpec::builder("logstore-test").seed(seed).blocks(64).build(), 1_500)
             .run()
+    }
+
+    /// The load that pauses between its index lookup and its frame
+    /// read: its fingerprint, the sender it reports the pause on, and
+    /// the receiver it then waits on. Taken by the first such load.
+    type PausedLoad = (u64, mpsc::Sender<()>, mpsc::Receiver<()>);
+    static PAUSED_LOAD: Mutex<Option<PausedLoad>> = Mutex::new(None);
+
+    pub(super) fn pause_before_read(fingerprint: u64) {
+        let paused = PAUSED_LOAD.lock().unwrap().take_if(|(fp, ..)| *fp == fingerprint);
+        if let Some((_, reached, resume)) = paused {
+            reached.send(()).expect("the test waits for the pause");
+            // The test ends the pause by sending, or by dropping the
+            // sender when it fails.
+            let _ = resume.recv();
+        }
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1052,6 +1072,36 @@ mod tests {
             }
         });
         assert_eq!(store.stats().compactions, 41);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A load holds the store lock from its index lookup through its
+    /// frame read, so a compaction cannot move the frame in between: a
+    /// load paused there still holds the lock, a compaction started
+    /// during the pause cannot run until the load has read its frame,
+    /// and the load returns the report.
+    #[test]
+    fn a_compaction_waits_for_a_load_between_lookup_and_read() {
+        let dir = tmp_dir("paused-load");
+        let store = LogStore::open(&dir);
+        // A fingerprint no other test stores, so no other load pauses.
+        let fp = 0x5EED_0000_0000_0001;
+        let stored = report(5);
+        store.store(fp, &stored).unwrap();
+        std::thread::scope(|scope| {
+            let (reached_tx, reached) = mpsc::channel();
+            let (resume, resume_rx) = mpsc::channel::<()>();
+            *PAUSED_LOAD.lock().unwrap() = Some((fp, reached_tx, resume_rx));
+            let loader = scope.spawn(|| store.load(fp));
+            reached.recv().expect("the load pauses");
+            let held = matches!(store.inner.try_lock(), Err(TryLockError::WouldBlock));
+            assert!(held, "a load between lookup and read holds the store lock");
+            let compactor = scope.spawn(|| store.compact());
+            resume.send(()).unwrap();
+            assert_eq!(loader.join().unwrap(), Some(stored.clone()), "the paused load");
+            assert_eq!(compactor.join().unwrap().unwrap().live_records, 1);
+        });
+        assert_eq!(store.load(fp), Some(stored), "the compacted frame");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

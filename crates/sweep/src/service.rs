@@ -201,6 +201,22 @@ pub struct SweepService {
     max_store_bytes: Option<u64>,
 }
 
+/// One submission counted in `active_submissions` until it drops.
+struct SubmissionSlot<'a>(&'a AtomicU64);
+
+impl<'a> SubmissionSlot<'a> {
+    fn take(active_submissions: &'a AtomicU64) -> SubmissionSlot<'a> {
+        active_submissions.fetch_add(1, Ordering::Relaxed);
+        SubmissionSlot(active_submissions)
+    }
+}
+
+impl Drop for SubmissionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 impl SweepService {
     /// A service configured per `config` (the engine is built here, so
     /// construction opens the index of `<out>/.store`, and enforces the
@@ -321,14 +337,15 @@ impl SweepService {
     /// batch: none of its simulations not yet under way starts. The
     /// batch's store entries are pinned against eviction while it
     /// streams and count as recently used afterwards; then the store
-    /// budget applies.
+    /// budget applies. A simulation that panics unwinds through here
+    /// and still releases its submission slot and its pins.
     fn serve(
         &self,
         jobs: &[&JobSpec],
         sink: &mut dyn Write,
         record: impl Fn(usize, &SimReport) -> String,
     ) -> std::io::Result<Vec<Arc<SimReport>>> {
-        self.active_submissions.fetch_add(1, Ordering::Relaxed);
+        let slot = SubmissionSlot::take(&self.active_submissions);
         let fingerprints: Vec<u64> = jobs.iter().map(|job| job.fingerprint()).collect();
         let pins = self.engine.result_store().map(|s| s.pin(&fingerprints));
         let mut reports: Vec<Option<Arc<SimReport>>> = vec![None; jobs.len()];
@@ -358,7 +375,7 @@ impl SweepService {
             // eviction prefers entries no submission asked for lately.
             store.touch_all(&fingerprints);
         }
-        self.active_submissions.fetch_sub(1, Ordering::Relaxed);
+        drop(slot);
         self.enforce_store_budget();
         written?;
         Ok(reports.into_iter().map(|report| report.expect("every job reported")).collect())
@@ -858,6 +875,25 @@ mod tests {
         let reply = client::shutdown(&addr).expect("shutdown");
         assert!(reply.contains("shutting_down"), "{reply}");
         handle.join().expect("server thread").expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_simulation_that_panics_releases_its_submission_slot() {
+        let config = ServiceConfig { no_cache: true, threads: 1, ..ServiceConfig::default() };
+        let service = SweepService::new(&config);
+        // A predictor of 3 KB has no power-of-two table: building the
+        // machine panics inside the batch.
+        let workload = st_isa::WorkloadSpec::builder("slot-test").seed(1).blocks(64).build();
+        let mut job = JobSpec::new(workload, 400);
+        job.config.predictor_bytes = 3 * 1024;
+        let point = SweepPoint { job, bindings: Vec::new() };
+        let streamed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.stream(std::slice::from_ref(&point), &[None], &mut Vec::new())
+        }));
+        assert!(streamed.is_err(), "the simulation panics");
+        let status = service.status_json();
+        assert!(status.contains("\"active_submissions\":0"), "{status}");
+        assert!(status.contains("\"in_flight_points\":0"), "{status}");
     }
 
     /// Races two submissions of `spec` against a fresh two-worker

@@ -3,8 +3,10 @@
 //! allocation abort, a table size the simulator cannot build is a spec
 //! error before anything runs, a plain `st repro` writes only under
 //! `--out` and its CSVs and printed figures keep their pinned bytes, a
-//! killed `st run` keeps every point it finished, and a reader that
-//! hangs up early ends `st list`, `st calibrate` and `st repro` quietly.
+//! killed `st run` keeps every point it finished, a reader that hangs
+//! up early ends `st list`, `st calibrate` and `st repro` quietly, every
+//! failure is reported once, under its mode, with the exit code of its
+//! kind, and `st list axes` prints its columns in line.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -321,4 +323,84 @@ fn a_killed_run_keeps_its_finished_points_in_the_store() {
         assert_eq!(read(&out), read(&reference), "{file} must match a fresh run");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The failure contract of every subcommand: the first stderr line is
+/// `st <mode>: <message>`, a usage mistake exits 2 with USAGE after its
+/// message, and any other failure exits 1 without it.
+#[test]
+fn every_failure_is_reported_under_its_mode_with_the_exit_code_of_its_kind() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/axes-demo.toml");
+    let dir = empty_dir("contract");
+    // A store of one entry whose compaction cannot create its temporary
+    // segment, because a directory holds the name.
+    let one = dir.join("one.toml");
+    std::fs::write(
+        &one,
+        "name = \"one\"\nworkloads = [\"go\"]\nbaseline = false\n\n[axis]\ninstructions = 2000\n",
+    )
+    .expect("write spec");
+    let store = dir.join("store");
+    let out = st().arg("run").arg(&one).args(["--threads", "1", "--out"]).arg(&store).output();
+    assert!(out.expect("st run runs").status.success());
+    std::fs::create_dir(st_sweep::LogStore::dir_under(&store).join("seg-1.log.tmp"))
+        .expect("block the compaction's temporary segment");
+    let store = store.to_str().expect("utf-8 path");
+    let dead = "127.0.0.1:1";
+    let cases: [(&[&str], i32, &str); 19] = [
+        (&["cache", "bogus"], 2, "st cache: unknown action"),
+        (&["cache", "evict", "--max-bytes", "1", "--out", store], 1, "st cache evict: "),
+        (&["list", "nope"], 2, "st list: unknown category"),
+        (&["list", "experiments", "bogus"], 2, "st list: unexpected argument `bogus`"),
+        (&["list", "--out", "x"], 2, "st list: takes no flags (--out is for st repro"),
+        (&["calibrate", "--family", "nope"], 2, "st calibrate: unknown family"),
+        (&["loadgen", spec, "--clients", "0"], 2, "st loadgen: loadgen needs at least one"),
+        (&["serve", "stop", "--addr", dead], 1, "st serve stop: cannot connect"),
+        (&["serve", "--fleet", dead, "--addr", "256.0.0.1:0"], 1, "st serve --fleet: cannot bind"),
+        (&["serve", "--no-cache", "--addr", "256.0.0.1:0"], 1, "st serve: cannot bind"),
+        (&["submit", "/nonexistent.toml"], 1, "st submit: cannot read"),
+        (&["status", "--addr", dead], 1, "st status: cannot connect"),
+        (&["run", "/nonexistent.toml"], 1, "st run: cannot read"),
+        (&["repro", "--instr", "0"], 2, "st repro: --instr=0 is not in"),
+        (&["bench", "--store", "--instr", "5"], 2, "st bench --store: only --smoke and --store"),
+        (&["merge", "/nonexistent.jsonl"], 1, "st merge: cannot read"),
+        (&["plot", "/nonexistent.jsonl", "--x", "a", "--y", "b"], 1, "st plot: cannot read"),
+        (&["audit", "/nonexistent.jsonl"], 1, "st audit: cannot read"),
+        (&["bogus"], 2, "st: unknown subcommand `bogus`"),
+    ];
+    for (args, code, prefix) in cases {
+        let out = output_within(st().args(args).current_dir(&dir), Duration::from_secs(10));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(code), "st {args:?}: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.starts_with(prefix), "st {args:?}: {err}");
+        let usage = err.lines().skip(1).any(|line| line == "USAGE:");
+        assert_eq!(usage, code == 2, "st {args:?}: USAGE after the message: {err}");
+        assert!(!err.contains("panicked"), "st {args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn list_axes_prints_every_column_in_line() {
+    let out = st().args(["list", "axes"]).output().expect("runs");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let rows: Vec<&str> = stdout.lines().skip(1).take_while(|line| !line.is_empty()).collect();
+    let registry = st_sweep::axes::registry();
+    assert_eq!(rows.len(), registry.len() + 1, "{stdout}");
+    let header = ["default", "paper", "controls"].map(String::from);
+    let cells = std::iter::once(header)
+        .chain(registry.iter().map(|a| [a.default.canonical(), a.paper.into(), a.summary.into()]));
+    // Character columns, not bytes: some `paper` cells hold `§`.
+    let column = |row: &str, byte: usize| row[..byte].chars().count();
+    let mut columns = Vec::new();
+    for (row, [default, paper, controls]) in rows.iter().zip(cells) {
+        assert!(row.ends_with(&controls), "{row}");
+        let controls_start = row.len() - controls.len();
+        let default_start =
+            row[..controls_start].find(&format!("{default}  {paper}")).expect("default cell");
+        columns.push((column(row, default_start + default.len()), column(row, controls_start)));
+    }
+    assert!(columns.iter().all(|&c| c == columns[0]), "{columns:?}\n{stdout}");
 }

@@ -113,7 +113,11 @@ fn user_errors_exit_nonzero_with_one_line_diagnostics() {
 
     assert_user_error(st().args(["status", "--addr", dead]), 1, "st status: cannot connect");
     assert_user_error(st().args(["submit", spec, "--addr", dead]), 1, "st submit: cannot connect");
-    assert_user_error(st().args(["serve", "stop", "--addr", dead]), 1, "st serve: cannot connect");
+    assert_user_error(
+        st().args(["serve", "stop", "--addr", dead]),
+        1,
+        "st serve stop: cannot connect",
+    );
 
     // Unreadable or unparseable specs fail before any connection.
     assert_user_error(st().args(["submit", "/nonexistent.toml"]), 1, "st submit: cannot read");
