@@ -25,6 +25,17 @@ impl Core {
         // the gate; without this, a decode stall could strand its own
         // trigger branch in the fetch queue forever.
         let horizon = self.controller.decode_bypass_horizon();
+        // Selection throttling's trigger (Figure 2's no-select bit), asked
+        // for once per stage and its slot resolved at the first younger
+        // instruction. Exact: the controller changes only when a branch
+        // is predicted or resolves, never inside dispatch, so every
+        // instruction of the stage sees the same trigger; and dispatch
+        // takes the fetch queue in program order, so a trigger dispatched
+        // in this stage precedes every younger instruction, whose window
+        // entries (and the trigger's own state) nothing else in the stage
+        // changes.
+        let trigger = self.controller.no_select_trigger();
+        let mut trigger_slot: Option<Option<InFlight>> = None;
         let oracle = self.oracle;
         let mut dispatched = 0;
         let mut gated = false;
@@ -93,14 +104,15 @@ impl Core {
                 self.rename.set(dest, seq, ruu_slot);
             }
 
-            // Selection-throttling tag (Figure 2's no-select bit): set
-            // while the trigger branch is in flight and unresolved, with
-            // the trigger's slot so issue can re-check it without a search.
-            let no_select = match self.controller.no_select_trigger() {
-                Some(trigger) if trigger < seq => self
-                    .find_ruu(trigger)
-                    .filter(|&t| !self.ruu.get(t).expect("found slot live").completed)
-                    .map(|t| InFlight { seq: trigger, slot: t as u32 }),
+            // Selection-throttling tag: set while the trigger branch is
+            // in flight and unresolved, with the trigger's slot so issue
+            // can re-check it without a search.
+            let no_select = match trigger {
+                Some(trigger) if trigger < seq => *trigger_slot.get_or_insert_with(|| {
+                    self.find_ruu(trigger)
+                        .filter(|&t| !self.ruu.get(t).expect("found slot live").completed)
+                        .map(|t| InFlight { seq: trigger, slot: t as u32 })
+                }),
                 _ => None,
             };
 

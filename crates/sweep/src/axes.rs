@@ -416,7 +416,7 @@ static REGISTRY: [Axis; 12] = [
         domain: AxisDomain::Int { min: 0, max: 4_294_967_295 },
         default: AxisValue::Int(0),
         summary: "re-derives generative workloads (gen:<family>:<seed>) at this seed; fixed profiles ignore it",
-        paper: "methodology extension: generative workload suite",
+        paper: "beyond the paper",
         apply: |job, v| {
             // Only generative workloads respond; `reseed` is `None` for
             // the paper's fixed profiles, which keeps the axis a no-op

@@ -704,7 +704,6 @@ fn cmd_audit(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
         // `st run` — then audit the emitted records against the grid.
         let spec = load_spec(&text, args)?;
         let points = spec.points().map_err(Failure::runtime)?;
-        let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
         let engine = args.engine()?;
         eprintln!(
             "st audit: sweep `{}`, {} points, {} worker threads",
@@ -712,8 +711,8 @@ fn cmd_audit(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
             points.len(),
             engine.threads()
         );
-        let reports = engine.run(&jobs);
-        let jsonl = st_sweep::emit::sweep_jsonl(&points, &reports);
+        let (reports, pairing) = engine.run_grid(&points);
+        let jsonl = sweep_jsonl_with_pairing(&points, &reports, &pairing);
         let records = audit::parse_records(&jsonl).map_err(|e| {
             Failure::Runtime(format!("internal: emitted sweep does not parse: {e}"))
         })?;
@@ -751,7 +750,6 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     if let Some(one_shard) = one_shard {
         return run_one_shard(args, &spec, &points, one_shard, out);
     }
-    let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
     let engine = args.engine()?;
     let bound: Vec<String> = points
         .first()
@@ -771,7 +769,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
         }
     )?;
     let start = Instant::now();
-    let reports = engine.run(&jobs);
+    let (reports, pairing) = engine.run_grid(&points);
     let stats = engine.stats();
     writeln!(
         out,
@@ -786,7 +784,6 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     // Emit raw results, tagged with each point's axis bindings; the JSONL
     // document (reports + baseline comparisons) comes from the shared
     // builder the golden tests fingerprint.
-    let pairing = st_sweep::emit::baseline_pairing(&points);
     let jsonl = sweep_jsonl_with_pairing(&points, &reports, &pairing);
     let table = sweep_table(&spec.name, &points, &reports);
     writeln!(out, "{}", table.render())?;
@@ -1104,6 +1101,7 @@ fn cmd_status(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
 }
 
 fn cmd_cache(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
+    args.at_most_positional(1)?;
     let store_dir = LogStore::dir_under(&args.out_dir());
     match args.positional.first().map(String::as_str) {
         None | Some("show") => {

@@ -100,7 +100,8 @@ pub fn submit_with_priority(
 /// never fails the submission on its own.
 fn expected_records(spec_text: &str) -> Option<u64> {
     let points = crate::spec::SweepSpec::parse(spec_text).ok()?.points().ok()?;
-    Some(crate::emit::record_count(&crate::emit::baseline_pairing(&points)) as u64)
+    let pairing = crate::emit::baseline_pairing(&points, &crate::spec::fingerprints(&points));
+    Some(crate::emit::record_count(&pairing) as u64)
 }
 
 /// Fetches a fingerprint sub-range of an expanded grid from the service

@@ -157,31 +157,34 @@ pub fn binding_tags(point: &crate::spec::SweepPoint) -> Vec<(String, String)> {
 /// For each point, the index (within `points`) of its same-configuration
 /// baseline — the `BASE` point sharing every other job input — or `None`
 /// for baseline points themselves and sweeps run without baselines.
+/// `fingerprints[i]` is point `i`'s fingerprint
+/// ([`crate::spec::fingerprints`]); each non-`BASE` point's baseline
+/// text is hashed here, once.
 ///
 /// The single source of the pairing recipe: both the JSONL emitter below
 /// and `st run`'s printed comparison table consume it, so they cannot
 /// drift.
 #[must_use]
-pub fn baseline_pairing(points: &[crate::spec::SweepPoint]) -> Vec<Option<usize>> {
+pub fn baseline_pairing(
+    points: &[crate::spec::SweepPoint],
+    fingerprints: &[u64],
+) -> Vec<Option<usize>> {
+    debug_assert_eq!(points.len(), fingerprints.len(), "one fingerprint per point");
+    let is_base = |point: &crate::spec::SweepPoint| point.job.experiment.id == "BASE";
     let baseline_index: std::collections::HashMap<u64, usize> = points
         .iter()
+        .zip(fingerprints)
         .enumerate()
-        .filter(|(_, p)| p.job.experiment.id == "BASE")
-        .map(|(i, p)| (p.job.fingerprint(), i))
+        .filter(|(_, (p, _))| is_base(p))
+        .map(|(i, (_, &fp))| (fp, i))
         .collect();
     points
         .iter()
         .map(|point| {
-            if point.job.experiment.id == "BASE" {
+            if is_base(point) {
                 return None;
             }
-            let base_fp = point
-                .job
-                .clone()
-                .with_experiment(st_core::experiments::baseline())
-                .with_estimator(crate::job::EstimatorChoice::Experiment)
-                .fingerprint();
-            baseline_index.get(&base_fp).copied()
+            baseline_index.get(&point.job.baseline_fingerprint()).copied()
         })
         .collect()
 }
@@ -198,7 +201,8 @@ pub fn sweep_jsonl(
     points: &[crate::spec::SweepPoint],
     reports: &[impl std::borrow::Borrow<SimReport>],
 ) -> String {
-    sweep_jsonl_with_pairing(points, reports, &baseline_pairing(points))
+    let pairing = baseline_pairing(points, &crate::spec::fingerprints(points));
+    sweep_jsonl_with_pairing(points, reports, &pairing)
 }
 
 /// [`sweep_jsonl`] with a precomputed [`baseline_pairing`], for callers

@@ -8,9 +8,10 @@
 //! simulation key is the identity of the machine it simulates (see
 //! [`crate::job`]). Internally the engine:
 //!
-//! 1. fingerprints every job and answers what it can from the reports
-//!    it holds or, failing that, from its result store, deduping
-//!    identical points submitted in the same batch. The engine holds
+//! 1. looks every job up by the fingerprint its caller computed, and
+//!    answers what it can from the reports it holds or, failing that,
+//!    from its result store, deduping identical points submitted in the
+//!    same batch. The engine holds
 //!    every report it simulated, relabelled or read, in one map by
 //!    fingerprint; a stored report is read from disk the first time a
 //!    job asks for it, never at open;
@@ -59,8 +60,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use st_core::SimReport;
 use st_isa::{Program, WorkloadSpec};
 
-use crate::job::{fnv1a64, JobSpec};
+use crate::job::{fnv1a64_fmt, JobSpec};
 use crate::logstore::LogStore;
+use crate::spec::SweepPoint;
 
 /// Aggregate execution counters of an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -262,20 +264,51 @@ impl SweepEngine {
     /// error).
     #[must_use]
     pub fn run(&self, jobs: &[JobSpec]) -> Vec<Arc<SimReport>> {
+        let fingerprints: Vec<u64> = jobs.iter().map(JobSpec::fingerprint).collect();
+        self.run_fingerprinted(&jobs.iter().collect::<Vec<_>>(), &fingerprints)
+    }
+
+    /// [`SweepEngine::run`] over jobs whose fingerprints the caller has
+    /// computed already: `fingerprints[i]` is `jobs[i]`'s.
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepEngine::run`].
+    #[must_use]
+    pub(crate) fn run_fingerprinted(
+        &self,
+        jobs: &[&JobSpec],
+        fingerprints: &[u64],
+    ) -> Vec<Arc<SimReport>> {
         let reports: Vec<OnceLock<Arc<SimReport>>> = jobs.iter().map(|_| OnceLock::new()).collect();
-        let jobs: Vec<&JobSpec> = jobs.iter().collect();
-        self.run_each(&jobs, Schedule::ByWorkload, |i, report| {
+        self.run_each(jobs, fingerprints, Schedule::ByWorkload, |i, report| {
             reports[i].set(report).expect("one report per job");
             true
         });
         reports.into_iter().map(|cell| cell.into_inner().expect("every job reported")).collect()
     }
 
+    /// Runs an expanded grid as one [`SweepEngine::run`] batch and pairs
+    /// each point with its baseline ([`crate::emit::baseline_pairing`]),
+    /// hashing each point once for both.
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepEngine::run`].
+    #[must_use]
+    pub fn run_grid(&self, points: &[SweepPoint]) -> (Vec<Arc<SimReport>>, Vec<Option<usize>>) {
+        let fingerprints = crate::spec::fingerprints(points);
+        let jobs: Vec<&JobSpec> = points.iter().map(|p| &p.job).collect();
+        let reports = self.run_fingerprinted(&jobs, &fingerprints);
+        (reports, crate::emit::baseline_pairing(points, &fingerprints))
+    }
+
     /// Runs a batch of jobs and hands `each(index, report)` every job's
     /// report the moment it exists: a hit at once, on the calling
     /// thread, and a fresh point on the worker that finishes it, its
     /// aliases' right after. The workers take the batch's simulations in
-    /// `schedule` order.
+    /// `schedule` order. `fingerprints[i]` is `jobs[i]`'s fingerprint,
+    /// which the caller computed once for every use it has.
     ///
     /// When `each` returns `false`, no worker starts another simulation,
     /// and the call returns once those under way end; jobs not reported
@@ -285,13 +318,15 @@ impl SweepEngine {
     ///
     /// # Panics
     ///
-    /// Panics if a simulation panics, in this batch or in a concurrent
-    /// one whose run of a machine this batch waits for (a simulator bug,
-    /// not a usage error).
-    pub fn run_each<F>(&self, jobs: &[&JobSpec], schedule: Schedule, each: F)
+    /// Panics if `fingerprints` is not as long as `jobs`, or if a
+    /// simulation panics, in this batch or in a concurrent one whose run
+    /// of a machine this batch waits for (a simulator bug, not a usage
+    /// error).
+    pub fn run_each<F>(&self, jobs: &[&JobSpec], fingerprints: &[u64], schedule: Schedule, each: F)
     where
         F: Fn(usize, Arc<SimReport>) -> bool + Sync,
     {
+        assert_eq!(jobs.len(), fingerprints.len(), "one fingerprint per job");
         /// One distinct missed point: its fingerprint, simulation key and
         /// job, the batch indices it answers, and its aliases if it is a
         /// twin.
@@ -318,11 +353,10 @@ impl SweepEngine {
         let mut miss_index: HashMap<u64, usize> = HashMap::new();
         let mut twin_index: HashMap<u64, usize> = HashMap::new();
         let mut twins: Vec<usize> = Vec::new();
-        for (i, &job) in jobs.iter().enumerate() {
+        for (i, (&job, &fp)) in jobs.iter().zip(fingerprints).enumerate() {
             if stopped.load(Ordering::Relaxed) {
                 return;
             }
-            let fp = job.fingerprint();
             if let Some(&m) = miss_index.get(&fp) {
                 // A duplicate of a point already scheduled in this
                 // batch: count it as a hit, don't look it up again.
@@ -542,7 +576,7 @@ fn workload_order<'a>(jobs: impl Iterator<Item = (usize, &'a JobSpec)>) -> Vec<u
     let mut groups: HashMap<u64, usize> = HashMap::new();
     let mut keyed: Vec<(usize, usize)> = jobs
         .map(|(i, job)| {
-            let key = fnv1a64(format!("{:?}", job.workload).as_bytes());
+            let key = fnv1a64_fmt(format_args!("{:?}", job.workload));
             let first_seen = groups.len();
             (*groups.entry(key).or_insert(first_seen), i)
         })
@@ -1008,6 +1042,7 @@ pub(crate) mod tests {
         let jobs =
             [w1.clone(), w2.clone(), w1.clone().with_experiment(c2()), w2.with_experiment(c2())];
         let refs: Vec<&JobSpec> = jobs.iter().collect();
+        let fingerprints: Vec<u64> = jobs.iter().map(JobSpec::fingerprint).collect();
         let solo = solo_runs(&jobs);
         let (p1, p2) = (jobs[0].workload.clone(), jobs[1].workload.clone());
         for (schedule, order, programs) in [
@@ -1016,7 +1051,7 @@ pub(crate) mod tests {
         ] {
             let before = generated_here().len();
             let reported = Mutex::new(Vec::new());
-            SweepEngine::new(1).run_each(&refs, schedule, |i, report| {
+            SweepEngine::new(1).run_each(&refs, &fingerprints, schedule, |i, report| {
                 reported.lock().unwrap().push((i, report));
                 true
             });
@@ -1035,8 +1070,9 @@ pub(crate) mod tests {
         let engine = SweepEngine::new(1);
         let jobs = [job(93), job(94), job(95)];
         let refs: Vec<&JobSpec> = jobs.iter().collect();
+        let fingerprints: Vec<u64> = jobs.iter().map(JobSpec::fingerprint).collect();
         let reported = AtomicUsize::new(0);
-        engine.run_each(&refs, Schedule::AsGiven, |_, _| {
+        engine.run_each(&refs, &fingerprints, Schedule::AsGiven, |_, _| {
             reported.fetch_add(1, Ordering::SeqCst);
             false
         });

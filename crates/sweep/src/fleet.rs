@@ -266,7 +266,9 @@ impl Fleet {
             (assignment.lo, assignment.hi),
             Some(self.worker_timeout),
             &mut |line| {
-                let record = shard::parse_record(line, &submission.points).map_err(|e| e.0)?;
+                let record =
+                    shard::parse_record(line, &submission.points, &submission.fingerprints)
+                        .map_err(|e| e.0)?;
                 let mut state = submission.state.lock().expect("submission state poisoned");
                 state.collector.place(record).map(drop).map_err(|e| e.0)
             },
@@ -341,11 +343,12 @@ impl Fleet {
         true
     }
 
-    /// Runs one submission end-to-end: partition the grid over the
-    /// currently-alive workers, enqueue every non-empty range at
-    /// `priority`, block until the grid is covered (failovers included)
-    /// or the submission fails, then return the canonical JSONL,
-    /// rendered from the reports decoded at ingest with `pairing`.
+    /// Runs one submission end-to-end: partition the grid, whose points'
+    /// fingerprints are `fingerprints`, over the currently-alive
+    /// workers, enqueue every non-empty range at `priority`, block until
+    /// the grid is covered (failovers included) or the submission fails,
+    /// then return the canonical JSONL, rendered from the reports
+    /// decoded at ingest with `pairing`.
     ///
     /// # Errors
     ///
@@ -355,11 +358,11 @@ impl Fleet {
         &self,
         spec_text: &str,
         points: Vec<SweepPoint>,
+        fingerprints: Vec<u64>,
         pairing: &[Option<usize>],
         priority: u32,
     ) -> Result<String, String> {
         self.submissions.fetch_add(1, Ordering::Relaxed);
-        let fingerprints: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
         let alive = self.alive_workers().max(1);
         let plan = ShardPlan::new(&fingerprints, alive).map_err(|e| e.0)?;
         let ranges: Vec<(u64, u64)> = (0..plan.of()).filter_map(|s| plan.range(s)).collect();
@@ -587,9 +590,10 @@ impl FleetServer {
         // Same head as a plain server, sent before any worker is
         // contacted, so the client's truncation check guards fleet
         // failures too.
-        let pairing = emit::baseline_pairing(&points);
+        let fingerprints = crate::spec::fingerprints(&points);
+        let pairing = emit::baseline_pairing(&points, &fingerprints);
         write_stream_head(stream, &spec, points.len(), emit::record_count(&pairing))?;
-        match fleet.run_submission(body, points, &pairing, priority) {
+        match fleet.run_submission(body, points, fingerprints, &pairing, priority) {
             Ok(jsonl) => stream.write_all(jsonl.as_bytes()),
             Err(e) => {
                 // The head is already on the wire; closing short makes
@@ -706,7 +710,7 @@ mod tests {
                 let (lo, hi) = shard::parse_fp_range(range).expect("range");
                 let spec = SweepSpec::parse(&request.body).expect("spec");
                 let points = spec.points().expect("points");
-                let fps: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
+                let fps = crate::spec::fingerprints(&points);
                 let members = ShardPlan::members_in_range(&fps, lo, hi);
                 write!(
                     stream,
@@ -718,7 +722,7 @@ mod tests {
                     .iter()
                     .map(|&seq| {
                         let report = engine.run_one(&points[seq].job);
-                        shard::point_record(seq, &points[seq], &report)
+                        shard::point_record(seq, fps[seq], &report)
                     })
                     .collect();
                 stream.write_all(body(records).as_bytes()).expect("body");
@@ -786,10 +790,12 @@ mod tests {
         };
         let fleet = Fleet::new(&config);
         let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
-        let pairing = emit::baseline_pairing(&points);
+        let fps = crate::spec::fingerprints(&points);
+        let pairing = emit::baseline_pairing(&points, &fps);
         let (jsonl, tampering_died) = std::thread::scope(|scope| {
-            let submission =
-                scope.spawn(|| fleet.run_submission(TINY_SPEC, points.clone(), &pairing, 0));
+            let submission = scope.spawn(|| {
+                fleet.run_submission(TINY_SPEC, points.clone(), fps.clone(), &pairing, 0)
+            });
             // The stand-in takes the first of the two ranges before any
             // dispatcher runs; only then does the survivor start.
             let first = {
@@ -834,9 +840,10 @@ mod tests {
             std::thread::spawn(move || fleet.dispatch_loop(0))
         };
         let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
-        let pairing = emit::baseline_pairing(&points);
+        let fps = crate::spec::fingerprints(&points);
+        let pairing = emit::baseline_pairing(&points, &fps);
         let dead = Err("every fleet worker is dead".to_string());
-        assert_eq!(fleet.run_submission(TINY_SPEC, points.clone(), &pairing, 0), dead);
+        assert_eq!(fleet.run_submission(TINY_SPEC, points.clone(), fps.clone(), &pairing, 0), dead);
         dispatcher.join().expect("the dead worker's dispatcher exits");
 
         // Nothing will pop the queue again, so a later submission must
@@ -845,7 +852,7 @@ mod tests {
         let second = {
             let fleet = Arc::clone(&fleet);
             std::thread::spawn(move || {
-                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, &pairing, 0));
+                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, fps, &pairing, 0));
             })
         };
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).expect("returns within 5 s"), dead);
@@ -869,12 +876,13 @@ mod tests {
             std::thread::spawn(move || fleet.dispatch_loop(0))
         };
         let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
-        let pairing = emit::baseline_pairing(&points);
+        let fps = crate::spec::fingerprints(&points);
+        let pairing = emit::baseline_pairing(&points, &fps);
         let (tx, rx) = std::sync::mpsc::channel();
         let submission = {
             let fleet = Arc::clone(&fleet);
             std::thread::spawn(move || {
-                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, &pairing, 0));
+                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, fps, &pairing, 0));
             })
         };
         let verdict = rx.recv_timeout(Duration::from_secs(5)).expect("fails within 5 s");

@@ -17,6 +17,7 @@
 //!   only in the experiment id and label, which lets the engine simulate
 //!   one of them and relabel its report for the others.
 
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use st_bpred::SaturatingConfig;
@@ -128,25 +129,38 @@ impl JobSpec {
     /// included. The simulator is deterministic, so equal fingerprints
     /// imply bit-identical [`SimReport`]s; the engine relies on this to
     /// dedup repeated points across figures and sweeps.
+    ///
+    /// A command hashes each of its points once and hands the
+    /// fingerprints on (to comparison pairing, store pins, shard plans
+    /// and records, and [`crate::SweepEngine::run_each`]).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let canonical = format!(
-            "workload={:?};experiment={:?};config={:?};power={:?};estimator={:?};instr={}",
-            self.workload,
-            self.experiment,
-            self.config,
-            self.power,
-            self.estimator,
-            self.instructions,
-        );
-        fnv1a64(canonical.as_bytes())
+        let fp = self.identity(&self.experiment, &self.estimator);
+        #[cfg(test)]
+        hashed::count(fp, false);
+        fp
     }
 
-    /// [`JobSpec::fingerprint`] in its canonical text form: 16 lowercase
-    /// hex digits, zero-padded — the spelling used by shard records.
+    /// The fingerprint of this job's baseline, the point a comparison
+    /// pairs it with: this job under `BASE`, with the estimator the
+    /// experiment picks. Equal to the fingerprint of
+    /// `self.clone().with_experiment(baseline())` `.with_estimator(`
+    /// [`EstimatorChoice::Experiment`]`)`, without the clone.
     #[must_use]
-    pub fn fingerprint_hex(&self) -> String {
-        format!("{:016x}", self.fingerprint())
+    pub fn baseline_fingerprint(&self) -> u64 {
+        let fp = self.identity(&st_core::experiments::baseline(), &EstimatorChoice::Experiment);
+        #[cfg(test)]
+        hashed::count(fp, true);
+        fp
+    }
+
+    /// The fingerprint of this job under `experiment` and `estimator`:
+    /// its canonical text is hashed as it is formatted.
+    fn identity(&self, experiment: &Experiment, estimator: &EstimatorChoice) -> u64 {
+        fnv1a64_fmt(format_args!(
+            "workload={:?};experiment={experiment:?};config={:?};power={:?};estimator={estimator:?};instr={}",
+            self.workload, self.config, self.power, self.instructions,
+        ))
     }
 
     /// Content hash of the machine this job simulates: the identity of
@@ -161,7 +175,7 @@ impl JobSpec {
     /// and label.
     #[must_use]
     pub fn simulation_key(&self) -> u64 {
-        fnv1a64(format!("{:?}", self.machine()).as_bytes())
+        fnv1a64_fmt(format_args!("{:?}", self.machine()))
     }
 
     /// Whether `other` simulates the same machine, compared field by
@@ -230,12 +244,79 @@ impl JobSpec {
 /// 64-bit FNV-1a over a byte string.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] of `args` as formatted: the hash of `format!("{args}")`,
+/// without the `String`.
+pub(crate) fn fnv1a64_fmt(args: fmt::Arguments<'_>) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_fmt(args).expect("hashing cannot fail");
+    h.finish()
+}
+
+/// 64-bit FNV-1a, fed piece by piece: after any sequence of writes,
+/// [`Fnv1a::finish`] is [`fnv1a64`] of their concatenation. As a
+/// [`fmt::Write`] sink it hashes text as it is formatted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Counts the canonical texts hashed in this process, by the
+/// fingerprint they hashed to, so a test can check how many times a
+/// command hashes each of its points.
+#[cfg(test)]
+pub(crate) mod hashed {
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
+
+    /// Fingerprint → how many point texts and baseline texts hashed to
+    /// it.
+    static COUNTS: Mutex<BTreeMap<u64, [usize; 2]>> = Mutex::new(BTreeMap::new());
+
+    /// Counts one hash to `fp`: of a point's own text, or of the text
+    /// of its baseline.
+    pub(super) fn count(fp: u64, baseline: bool) {
+        COUNTS.lock().unwrap().entry(fp).or_default()[usize::from(baseline)] += 1;
+    }
+
+    /// How many point texts and how many baseline texts have hashed to
+    /// one of `fps` so far, on any thread.
+    pub(crate) fn texts_hashed_to(fps: &[u64]) -> (usize, usize) {
+        let mut distinct = fps.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let counts = COUNTS.lock().unwrap();
+        distinct
+            .iter()
+            .filter_map(|fp| counts.get(fp))
+            .fold((0, 0), |(points, baselines), [p, b]| (points + p, baselines + b))
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +338,23 @@ mod tests {
         assert_ne!(a.fingerprint(), c2.fingerprint());
         let jrs = JobSpec::new(spec(1), 5_000).with_estimator(EstimatorChoice::Jrs { bytes: 1024 });
         assert_ne!(a.fingerprint(), jrs.fingerprint());
+    }
+
+    #[test]
+    fn a_baseline_fingerprint_is_the_fingerprint_of_the_baseline_job() {
+        let bpru = EstimatorChoice::Saturating(SaturatingConfig::paper_default());
+        for job in [
+            JobSpec::new(spec(1), 5_000),
+            JobSpec::new(spec(1), 5_000).with_experiment(st_core::experiments::c2()),
+            JobSpec::new(spec(2), 7_000).with_experiment(st_core::experiments::a7()),
+            JobSpec::new(spec(2), 7_000).with_estimator(bpru),
+        ] {
+            let baseline = job
+                .clone()
+                .with_experiment(st_core::experiments::baseline())
+                .with_estimator(EstimatorChoice::Experiment);
+            assert_eq!(job.baseline_fingerprint(), baseline.fingerprint(), "{job:?}");
+        }
     }
 
     #[test]

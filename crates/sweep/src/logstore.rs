@@ -61,7 +61,7 @@
 //! *compacted* size fits the byte budget, then compacts; entries pinned
 //! by an in-flight submission ([`LogStore::pin`]) are never victims.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map, BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -69,6 +69,7 @@ use std::sync::Mutex;
 
 use st_core::SimReport;
 
+use crate::job::Fnv1a;
 use crate::persist::{report_from_json, report_to_json};
 
 /// Magic bytes opening every segment file.
@@ -208,6 +209,10 @@ struct Inner {
     /// The newest segment, if its scan ended cleanly (safe to append).
     appendable: Option<u64>,
     active: Option<ActiveSeg>,
+    /// segment id → the handle [`LogStore::load`] reads it through,
+    /// opened by the first read from the segment and dropped by the
+    /// compaction that deletes it.
+    readers: HashMap<u64, File>,
     clock: u64,
     /// fingerprint → pin refcount; pinned entries are never evicted.
     pinned: HashMap<u64, u64>,
@@ -311,16 +316,24 @@ impl LogStore {
     /// move the frame mid-read; its checksum and fingerprint are
     /// verified again before the payload is decoded. `None` if the
     /// fingerprint is not live or its frame does not read, verify or
-    /// decode: such a report is never served.
+    /// decode: such a report is never served. Each segment is opened
+    /// once, by its first read, and read through that handle until a
+    /// compaction deletes it.
     #[must_use]
     pub fn load(&self, fingerprint: u64) -> Option<SimReport> {
         let frame = {
-            let inner = self.inner.lock().expect("logstore lock");
-            let e = inner.index.get(&fingerprint)?;
+            let mut guard = self.inner.lock().expect("logstore lock");
+            let inner = &mut *guard;
+            let e = *inner.index.get(&fingerprint)?;
             #[cfg(test)]
             tests::pause_before_read(fingerprint);
+            let file = match inner.readers.entry(e.seg) {
+                hash_map::Entry::Occupied(held) => held.into_mut(),
+                hash_map::Entry::Vacant(slot) => {
+                    slot.insert(File::open(segment_path(&self.dir, e.seg)).ok()?)
+                }
+            };
             let mut frame = vec![0; FRAME_HEADER_BYTES as usize + e.len as usize];
-            let mut file = File::open(segment_path(&self.dir, e.seg)).ok()?;
             file.seek(SeekFrom::Start(e.offset)).ok()?;
             file.read_exact(&mut frame).ok()?;
             frame
@@ -469,22 +482,13 @@ fn list_segments(dir: &Path) -> Vec<u64> {
     ids
 }
 
-/// FNV-1a 64 folded over more bytes (same constants as
-/// [`crate::job::fnv1a64`], exposed incrementally so the frame checksum
-/// needs no concatenation buffer).
-fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The frame checksum: FNV-1a 64 over `kind ‖ fingerprint ‖ payload`.
 fn frame_hash(kind: u8, fp: u64, payload: &[u8]) -> u64 {
-    let h = fnv1a64_extend(0xcbf2_9ce4_8422_2325, &[kind]);
-    let h = fnv1a64_extend(h, &fp.to_le_bytes());
-    fnv1a64_extend(h, payload)
+    let mut h = Fnv1a::new();
+    h.write(&[kind]);
+    h.write(&fp.to_le_bytes());
+    h.write(payload);
+    h.finish()
 }
 
 fn encode_frame(kind: u8, fp: u64, payload: &[u8]) -> Vec<u8> {
@@ -766,6 +770,7 @@ fn compact_locked(dir: &Path, inner: &mut Inner) -> std::io::Result<CompactStats
     for id in inner.segs.keys().copied().collect::<Vec<u64>>() {
         let _ = std::fs::remove_file(segment_path(dir, id));
     }
+    inner.readers.clear();
     let live_records = new_index.len() as u64;
     inner.index = new_index;
     inner.segs = BTreeMap::from([(new_id, offset)]);
@@ -1072,6 +1077,34 @@ mod tests {
             }
         });
         assert_eq!(store.stats().compactions, 41);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loads_open_each_segment_once_and_a_compaction_drops_the_handles() {
+        let dir = tmp_dir("read-handles");
+        let writer = LogStore::open_with_config(&dir, LogStoreConfig { segment_bytes: 4096 });
+        let reports: Vec<SimReport> = (1..=8).map(report_for).collect();
+        for (fp, r) in (1..).zip(&reports) {
+            writer.store(fp, r).unwrap();
+        }
+        let segments = writer.stats().segments;
+        assert!(segments > 1, "the reports span several segments");
+        drop(writer);
+
+        let store = LogStore::open_with_config(&dir, LogStoreConfig { segment_bytes: 4096 });
+        let readers = || store.inner.lock().unwrap().readers.len() as u64;
+        assert_eq!(readers(), 0, "opening reads no frame");
+        for _ in 0..2 {
+            for (fp, r) in (1..).zip(&reports) {
+                assert_eq!(store.load(fp).as_ref(), Some(r));
+            }
+        }
+        assert_eq!(readers(), segments, "one handle per segment read");
+        store.compact().unwrap();
+        assert_eq!(readers(), 0, "the compaction deleted every segment read");
+        assert_eq!(store.load(3).as_ref(), Some(&reports[2]));
+        assert_eq!(readers(), 1, "the compacted segment");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -278,7 +278,8 @@ impl SweepService {
     /// order across the pool, bytes never do), then every `comparison`
     /// record. The concatenated bytes equal
     /// [`crate::emit::sweep_jsonl_with_pairing`] for the same points and
-    /// [`crate::emit::baseline_pairing`] exactly.
+    /// [`crate::emit::baseline_pairing`] exactly. `fingerprints` are the
+    /// points' ([`crate::spec::fingerprints`]).
     ///
     /// # Errors
     ///
@@ -287,12 +288,14 @@ impl SweepService {
     pub fn stream(
         &self,
         points: &[SweepPoint],
+        fingerprints: &[u64],
         pairing: &[Option<usize>],
         sink: &mut dyn Write,
     ) -> std::io::Result<()> {
         self.submissions.fetch_add(1, Ordering::Relaxed);
         let jobs: Vec<&JobSpec> = points.iter().map(|p| &p.job).collect();
-        let reports = self.serve(&jobs, sink, |i, report| emit::report_line(&points[i], report))?;
+        let reports = self
+            .serve(&jobs, fingerprints, sink, |i, report| emit::report_line(&points[i], report))?;
         sink.write_all(emit::comparison_lines(points, &reports, pairing).as_bytes())?;
         sink.flush()
     }
@@ -310,7 +313,8 @@ impl SweepService {
     /// completes.
     ///
     /// `members` are grid indices (`seq` values), as returned by
-    /// [`crate::shard::ShardPlan::members_in_range`].
+    /// [`crate::shard::ShardPlan::members_in_range`] over `fingerprints`,
+    /// the points' fingerprints.
     ///
     /// # Errors
     ///
@@ -318,42 +322,45 @@ impl SweepService {
     pub fn stream_points(
         &self,
         points: &[SweepPoint],
+        fingerprints: &[u64],
         members: &[usize],
         sink: &mut dyn Write,
     ) -> std::io::Result<()> {
         self.range_requests.fetch_add(1, Ordering::Relaxed);
         let jobs: Vec<&JobSpec> = members.iter().map(|&seq| &points[seq].job).collect();
-        self.serve(&jobs, sink, |slot, report| {
-            let seq = members[slot];
-            crate::shard::point_record(seq, &points[seq], report)
+        let member_fps: Vec<u64> = members.iter().map(|&seq| fingerprints[seq]).collect();
+        self.serve(&jobs, &member_fps, sink, |slot, report| {
+            crate::shard::point_record(members[slot], member_fps[slot], report)
         })?;
         Ok(())
     }
 
-    /// Runs `jobs` as one engine batch in stream order and writes
-    /// `record(i, report)` for each job in index order, each flushed as
-    /// soon as it and every job before it have their reports; returns
-    /// the reports. A failed write (a client that hung up) stops the
-    /// batch: none of its simulations not yet under way starts. The
-    /// batch's store entries are pinned against eviction while it
-    /// streams and count as recently used afterwards; then the store
-    /// budget applies. A simulation that panics unwinds through here
-    /// and still releases its submission slot and its pins.
+    /// Runs `jobs`, whose fingerprints are `fingerprints`, as one engine
+    /// batch in stream order and writes `record(i, report)` for each job
+    /// in index order, each flushed as soon as it and every job before
+    /// it have their reports; returns the reports. A failed write (a
+    /// client that hung up) stops the batch: none of its simulations not
+    /// yet under way starts. The batch's store entries are pinned
+    /// against eviction while it streams and count as recently used
+    /// afterwards; then the store budget applies. A simulation that
+    /// panics unwinds through here and still releases its submission
+    /// slot and its pins.
     fn serve(
         &self,
         jobs: &[&JobSpec],
+        fingerprints: &[u64],
         sink: &mut dyn Write,
         record: impl Fn(usize, &SimReport) -> String,
     ) -> std::io::Result<Vec<Arc<SimReport>>> {
         let slot = SubmissionSlot::take(&self.active_submissions);
-        let fingerprints: Vec<u64> = jobs.iter().map(|job| job.fingerprint()).collect();
-        let pins = self.engine.result_store().map(|s| s.pin(&fingerprints));
+        let pins = self.engine.result_store().map(|s| s.pin(fingerprints));
         let mut reports: Vec<Option<Arc<SimReport>>> = vec![None; jobs.len()];
         let written = std::thread::scope(|scope| -> std::io::Result<()> {
             let (tx, rx) = std::sync::mpsc::channel();
             scope.spawn(move || {
-                self.engine
-                    .run_each(jobs, Schedule::AsGiven, |i, report| tx.send((i, report)).is_ok());
+                self.engine.run_each(jobs, fingerprints, Schedule::AsGiven, |i, report| {
+                    tx.send((i, report)).is_ok()
+                });
             });
             // The loop owns the receiver, so a write error drops it before
             // the scope joins the batch, and the batch's next send fails.
@@ -373,7 +380,7 @@ impl SweepService {
         if let Some(store) = self.engine.result_store() {
             // The whole working set counts as recently used, so LRU
             // eviction prefers entries no submission asked for lately.
-            store.touch_all(&fingerprints);
+            store.touch_all(fingerprints);
         }
         drop(slot);
         self.enforce_store_budget();
@@ -395,9 +402,8 @@ impl SweepService {
     #[must_use]
     pub fn audit_findings(&self, points: &[SweepPoint]) -> Vec<crate::audit::Finding> {
         self.audit_requests.fetch_add(1, Ordering::Relaxed);
-        let jobs: Vec<JobSpec> = points.iter().map(|p| p.job.clone()).collect();
-        let reports = self.engine.run(&jobs);
-        let jsonl = emit::sweep_jsonl(points, &reports);
+        let (reports, pairing) = self.engine.run_grid(points);
+        let jsonl = emit::sweep_jsonl_with_pairing(points, &reports, &pairing);
         let records =
             crate::audit::parse_records(&jsonl).expect("emitted sweep records always parse");
         crate::audit::audit_with_grid(&records, points)
@@ -756,10 +762,11 @@ fn handle_submit(
     body: &str,
 ) -> std::io::Result<()> {
     let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
-    let pairing = emit::baseline_pairing(&points);
+    let fingerprints = crate::spec::fingerprints(&points);
+    let pairing = emit::baseline_pairing(&points, &fingerprints);
     write_stream_head(stream, &spec, points.len(), emit::record_count(&pairing))?;
     let mut sink = BufWriter::new(stream);
-    service.stream(&points, &pairing, &mut sink)?;
+    service.stream(&points, &fingerprints, &pairing, &mut sink)?;
     sink.flush()
 }
 
@@ -787,11 +794,11 @@ fn handle_points(
         Err(e) => return respond_error(stream, 400, &e.to_string()),
     };
     let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
-    let fingerprints: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
+    let fingerprints = crate::spec::fingerprints(&points);
     let members = crate::shard::ShardPlan::members_in_range(&fingerprints, lo, hi);
     write_stream_head(stream, &spec, points.len(), members.len())?;
     let mut sink = BufWriter::new(stream);
-    service.stream_points(&points, &members, &mut sink)?;
+    service.stream_points(&points, &fingerprints, &members, &mut sink)?;
     sink.flush()
 }
 
@@ -888,7 +895,8 @@ mod tests {
         job.config.predictor_bytes = 3 * 1024;
         let point = SweepPoint { job, bindings: Vec::new() };
         let streamed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.stream(std::slice::from_ref(&point), &[None], &mut Vec::new())
+            let fingerprint = point.job.fingerprint();
+            service.stream(std::slice::from_ref(&point), &[fingerprint], &[None], &mut Vec::new())
         }));
         assert!(streamed.is_err(), "the simulation panics");
         let status = service.status_json();
@@ -996,7 +1004,10 @@ mod tests {
             })
             .to_vec();
         let mut sink = Vec::new();
-        service.stream(&points, &emit::baseline_pairing(&points), &mut sink).expect("stream");
+        let fps = crate::spec::fingerprints(&points);
+        service
+            .stream(&points, &fps, &emit::baseline_pairing(&points, &fps), &mut sink)
+            .expect("stream");
         let reports: Vec<Arc<SimReport>> = points.iter().map(|p| Arc::new(p.job.run())).collect();
         assert_eq!(String::from_utf8(sink).expect("utf8"), emit::sweep_jsonl(&points, &reports));
         assert_eq!(crate::engine::tests::generations_of(&workload), 1, "one program, 4 points");
@@ -1022,6 +1033,34 @@ mod tests {
     }
 
     #[test]
+    fn a_submission_hashes_each_point_and_each_baseline_once() {
+        // Two workloads x (BASE, C2, A7): N = 6 points, B = 2 of them
+        // BASE, at a budget no other test submits, so the counts below
+        // are this submission's own.
+        const SPEC: &str = "name = \"svc-once\"\nworkloads = [\"go\", \"gcc\"]\n\
+                            experiments = [\"C2\", \"A7\"]\n[axis]\ninstructions = 401\n";
+        let points = SweepSpec::parse(SPEC).expect("spec").points().expect("points");
+        let fps = crate::spec::fingerprints(&points);
+        let bases = points.iter().filter(|p| p.job.experiment.id == "BASE").count();
+        assert_eq!((points.len(), bases), (6, 2));
+
+        let config = ServiceConfig { no_cache: true, threads: 2, ..ServiceConfig::default() };
+        let (_, addr, handle) = start(&config);
+        let before = crate::job::hashed::texts_hashed_to(&fps);
+        let mut body = Vec::new();
+        client::submit(&addr, SPEC, &mut body).expect("submit");
+        let after = crate::job::hashed::texts_hashed_to(&fps);
+        assert_eq!(String::from_utf8(body).expect("utf8"), canonical_jsonl(SPEC));
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (points.len(), points.len() - bases),
+            "(point texts, baseline texts) hashed by one submission"
+        );
+        client::shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean shutdown");
+    }
+
+    #[test]
     fn store_budget_is_enforced_after_submissions_but_never_mid_stream() {
         let out = std::env::temp_dir().join(format!("st-service-budget-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
@@ -1042,7 +1081,10 @@ mod tests {
         // that reach the client are the canonical ones even though the
         // store is over budget the whole time.
         let mut sink = Vec::new();
-        service.stream(&points, &emit::baseline_pairing(&points), &mut sink).expect("stream");
+        let fps = crate::spec::fingerprints(&points);
+        service
+            .stream(&points, &fps, &emit::baseline_pairing(&points, &fps), &mut sink)
+            .expect("stream");
         assert_eq!(String::from_utf8(sink).expect("utf8"), canonical);
 
         // After the submission the budget applies: the store was evicted
@@ -1064,7 +1106,7 @@ mod tests {
 
         let spec = SweepSpec::parse(TINY_SPEC).expect("spec");
         let points = spec.points().expect("points");
-        let fps: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
+        let fps = crate::spec::fingerprints(&points);
         // Ask for the lower half of the fingerprint space: a strict
         // subset of the grid.
         let mut sorted = fps.clone();
@@ -1093,7 +1135,7 @@ mod tests {
         let expected: String = members
             .iter()
             .map(|&seq| {
-                crate::shard::point_record(seq, &points[seq], &engine.run_one(&points[seq].job))
+                crate::shard::point_record(seq, fps[seq], &engine.run_one(&points[seq].job))
             })
             .collect();
         assert_eq!(body, expected, "range stream == locally rendered point records");

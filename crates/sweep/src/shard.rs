@@ -127,10 +127,11 @@ impl ShardPlan {
         Ok(ShardPlan { of, fingerprints: fingerprints.to_vec(), order })
     }
 
-    /// A plan over an already-expanded point list.
+    /// A plan over an already-expanded point list. The plan keeps the
+    /// points' fingerprints, and [`run_shard`] and the shard records
+    /// take them from it.
     pub fn for_points(points: &[SweepPoint], of: usize) -> Result<ShardPlan, ShardError> {
-        let fps: Vec<u64> = points.iter().map(|p| p.job.fingerprint()).collect();
-        ShardPlan::new(&fps, of)
+        ShardPlan::new(&crate::spec::fingerprints(points), of)
     }
 
     /// Number of shards.
@@ -257,16 +258,15 @@ pub fn shard_header(spec: &SweepSpec, plan: &ShardPlan, shard: usize) -> String 
     )
 }
 
-/// One `point` record (newline-terminated): the point's grid position,
-/// job fingerprint, report hash and the bit-exact result-store encoding
-/// of the report itself.
+/// One `point` record (newline-terminated): the point's grid position
+/// `seq`, its job fingerprint `fp`, the report hash and the bit-exact
+/// result-store encoding of the report itself.
 #[must_use]
-pub fn point_record(seq: usize, point: &SweepPoint, report: &SimReport) -> String {
+pub fn point_record(seq: usize, fp: u64, report: &SimReport) -> String {
     let report_json = report_to_json(report);
     let report_json = report_json.trim_end();
     format!(
-        "{{\"kind\":\"point\",\"seq\":{seq},\"fp\":\"{}\",\"hash\":\"{:016x}\",\"report\":{report_json}}}\n",
-        point.job.fingerprint_hex(),
+        "{{\"kind\":\"point\",\"seq\":{seq},\"fp\":\"{fp:016x}\",\"hash\":\"{:016x}\",\"report\":{report_json}}}\n",
         fnv1a64(report_json.as_bytes()),
     )
 }
@@ -286,7 +286,7 @@ pub fn shard_document(
 ) -> String {
     debug_assert_eq!(points.len(), reports.len(), "one report per point");
     let members = plan.members(shard);
-    render(spec, points, plan, shard, members.iter().map(|&seq| (seq, reports[seq].borrow())))
+    render(spec, plan, shard, members.iter().map(|&seq| (seq, reports[seq].borrow())))
 }
 
 /// Executes one shard of a sweep — the points the plan assigns to
@@ -305,23 +305,24 @@ pub fn run_shard(
 ) -> String {
     assert_eq!(plan.points(), points.len(), "plan and point list disagree");
     let members = plan.members(shard);
-    let jobs: Vec<_> = members.iter().map(|&seq| points[seq].job.clone()).collect();
-    let reports = engine.run(&jobs);
-    render(spec, points, plan, shard, members.iter().copied().zip(reports.iter().map(|r| &**r)))
+    let jobs: Vec<_> = members.iter().map(|&seq| &points[seq].job).collect();
+    let fingerprints: Vec<u64> = members.iter().map(|&seq| plan.fingerprints[seq]).collect();
+    let reports = engine.run_fingerprinted(&jobs, &fingerprints);
+    render(spec, plan, shard, members.iter().copied().zip(reports.iter().map(|r| &**r)))
 }
 
 /// The one shard-document renderer: the header, then a record per
-/// `(seq, report)` pair in the order given.
+/// `(seq, report)` pair in the order given, with the plan's fingerprint
+/// of each point.
 fn render<'r>(
     spec: &SweepSpec,
-    points: &[SweepPoint],
     plan: &ShardPlan,
     shard: usize,
     records: impl Iterator<Item = (usize, &'r SimReport)>,
 ) -> String {
     let mut out = shard_header(spec, plan, shard);
     for (seq, report) in records {
-        out.push_str(&point_record(seq, &points[seq], report));
+        out.push_str(&point_record(seq, plan.fingerprints[seq], report));
     }
     out
 }
@@ -431,6 +432,7 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
         ));
     }
     // Pass 2: place every record; pass 3: coverage.
+    let fingerprints = crate::spec::fingerprints(&points);
     let mut collector = Collector::new(points.len());
     let mut contributions = Vec::with_capacity(documents.len());
     for (d, (doc, header)) in documents.iter().zip(&headers).enumerate() {
@@ -441,7 +443,7 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
             }
             let at =
                 |e: ShardError| ShardError(format!("document {d}, line {}: {}", lineno + 1, e.0));
-            let record = parse_record(line, &points).map_err(at)?;
+            let record = parse_record(line, &points, &fingerprints).map_err(at)?;
             contribution.records += 1;
             contribution.duplicates += usize::from(collector.place(record).map_err(at)?);
         }
@@ -454,7 +456,8 @@ pub fn merge(documents: &[impl AsRef<str>]) -> Result<Merged, ShardError> {
         points: points.len(),
         duplicates: contributions.iter().map(|c| c.duplicates).sum(),
     };
-    let jsonl = crate::emit::sweep_jsonl(&points, &reports);
+    let pairing = crate::emit::baseline_pairing(&points, &fingerprints);
+    let jsonl = crate::emit::sweep_jsonl_with_pairing(&points, &reports, &pairing);
     Ok(Merged { spec, points, reports, jsonl, stats, contributions })
 }
 
@@ -577,11 +580,16 @@ pub struct MergedRecord {
 }
 
 /// Parses and verifies one `point` record line against the expanded
-/// grid: position, integrity hash, workload/experiment identity.
-/// [`merge`] applies it to every line of a shard document, and the
-/// fleet coordinator to every record a remote worker streams back, so a
-/// confused or corrupted worker is caught at ingest.
-pub fn parse_record(line: &str, points: &[SweepPoint]) -> Result<MergedRecord, ShardError> {
+/// grid, whose points' fingerprints are `fingerprints`: position,
+/// integrity hash, workload/experiment identity. [`merge`] applies it
+/// to every line of a shard document, and the fleet coordinator to every
+/// record a remote worker streams back, so a confused or corrupted
+/// worker is caught at ingest.
+pub fn parse_record(
+    line: &str,
+    points: &[SweepPoint],
+    fingerprints: &[u64],
+) -> Result<MergedRecord, ShardError> {
     // The raw report substring is the ground truth for hashing and
     // overlap comparison; the writer guarantees the `"report":` key is
     // unique in the line (everything before it is fixed-shape hex/ints).
@@ -610,11 +618,11 @@ pub fn parse_record(line: &str, points: &[SweepPoint]) -> Result<MergedRecord, S
         .as_str()
         .map_err(ShardError)?
         .to_string();
-    if fp != points[seq].job.fingerprint_hex() {
+    let expected = format!("{:016x}", fingerprints[seq]);
+    if fp != expected {
         return err(format!(
-            "point {seq} carries fingerprint {fp} but the spec expands it to {} — \
-             shard files from a different sweep or spec revision?",
-            points[seq].job.fingerprint_hex()
+            "point {seq} carries fingerprint {fp} but the spec expands it to {expected} — \
+             shard files from a different sweep or spec revision?"
         ));
     }
     let declared_hash = json
@@ -842,7 +850,7 @@ mod tests {
         let seq = seq_of(victim);
         let mut other = reports[seq].as_ref().clone();
         other.perf.cycles += 1;
-        let forged = point_record(seq, &points[seq], &other);
+        let forged = point_record(seq, points[seq].job.fingerprint(), &other);
         let overlapping = format!("{doc0}{forged}");
         let e = merge(&[overlapping, doc1.clone()]).expect_err("divergent overlap");
         assert!(e.0.contains("different bytes"), "{e}");

@@ -408,6 +408,13 @@ pub struct SweepPoint {
     pub bindings: Vec<(&'static str, AxisValue)>,
 }
 
+/// Each point's [`JobSpec::fingerprint`], in grid order: what a command
+/// computes once and hands to every step that identifies its points.
+#[must_use]
+pub fn fingerprints(points: &[SweepPoint]) -> Vec<u64> {
+    points.iter().map(|p| p.job.fingerprint()).collect()
+}
+
 fn make_point(
     workload: &st_isa::WorkloadSpec,
     experiment: Option<&Experiment>,

@@ -15,6 +15,8 @@
 //!    whole document's hash is pinned.
 //! 3. **Off-paper goldens** — a corner grid of the machine-shape axes
 //!    and a few reports under cc0 power, pinned the same two ways.
+//! 4. **Identity goldens** — the fingerprint and simulation key of a
+//!    few jobs, which key every result store and shard document.
 //!
 //! If a change is *supposed* to alter simulation results, regenerate the
 //! constants with:
@@ -26,7 +28,7 @@
 use st_core::SimReport;
 use st_sweep::job::fnv1a64;
 use st_sweep::persist::report_to_json;
-use st_sweep::{JobSpec, SweepEngine, SweepSpec};
+use st_sweep::{EstimatorChoice, JobSpec, SweepEngine, SweepSpec};
 
 /// Instruction budget for the per-report goldens: small enough to keep
 /// the suite fast, large enough to exercise squashes, gating and both
@@ -421,6 +423,80 @@ fn repro_grid_audit_findings_match_checked_in_hash() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Identity goldens: a job's fingerprint keys the result store, shard
+// documents and comparison pairing, and its simulation key keys the
+// engine's machine table. Neither reaches a report, so a change to the
+// canonical text they hash (a `Debug` impl, a field) or to the hash
+// would leave every report golden above intact and silently orphan
+// every stored result. These constants catch it.
+// ---------------------------------------------------------------------
+
+/// `(job, fingerprint, simulation key)` of each job [`identity_jobs`]
+/// names, captured at commit 00a2011. `go C2 saturating` spells out
+/// the estimator C2 picks itself, so it is another report but the same
+/// machine as `go C2`.
+const GOLDEN_IDENTITIES: [(&str, u64, u64); 7] = [
+    ("go BASE", 0x72a8cecec1965f8a, 0x1d49bac70bcaa7ed),
+    ("go C2", 0xa08e583644de367d, 0x128c5ec24982f8f4),
+    ("go A7", 0x695d41b0e32fbb81, 0xbc7db2172a983cbb),
+    ("gen:jit:0 BASE", 0x24c847ab775fb795, 0xdd27e3fa97057602),
+    ("go C2 saturating", 0x91fd0249fe31bdba, 0x128c5ec24982f8f4),
+    ("go BASE cc0", 0x50220860af92232f, 0xe8eae128aa327ba8),
+    ("go C2 depth 28", 0x8b2454e9883bf322, 0x66589a0c9261c6f5),
+];
+
+/// The jobs whose identities are pinned: BASE, selective throttling
+/// (C2) and Pipeline Gating (A7, a JRS estimator) on a fixed profile at
+/// `st repro`'s budget, a generative member, and one job off the paper
+/// machine in each of the estimator override, the power model and the
+/// pipeline depth.
+fn identity_jobs() -> [(&'static str, JobSpec); 7] {
+    use st_core::experiments::{a7, c2};
+    let go = || JobSpec::new(st_workloads::by_name("go").expect("paper workload"), 200_000);
+    let member = st_workloads::by_name("gen:jit:0").expect("generative member");
+    let saturating = EstimatorChoice::Saturating(st_bpred::SaturatingConfig::paper_default());
+    let cc0 = st_power::PowerConfig {
+        gating: st_power::ClockGating::None,
+        ..st_power::PowerConfig::paper_default()
+    };
+    [
+        ("go BASE", go()),
+        ("go C2", go().with_experiment(c2())),
+        ("go A7", go().with_experiment(a7())),
+        ("gen:jit:0 BASE", JobSpec::new(member, 200_000)),
+        ("go C2 saturating", go().with_experiment(c2()).with_estimator(saturating)),
+        ("go BASE cc0", go().with_power(cc0)),
+        (
+            "go C2 depth 28",
+            go().with_experiment(c2()).with_config(st_pipeline::PipelineConfig::with_depth(28)),
+        ),
+    ]
+}
+
+#[test]
+fn job_identities_match_checked_in_values() {
+    let mut failures = Vec::new();
+    for ((name, job), (golden, fp, key)) in identity_jobs().into_iter().zip(GOLDEN_IDENTITIES) {
+        assert_eq!(name, golden, "identity_jobs and GOLDEN_IDENTITIES list the same jobs");
+        let got = (job.fingerprint(), job.simulation_key());
+        if got != (fp, key) {
+            failures.push(format!(
+                "  ({name:?}, 0x{:016x}, 0x{:016x}), // was 0x{fp:016x}, 0x{key:016x}",
+                got.0, got.1
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "job identities drifted for {} job(s); every result store and shard document \
+         written before the change is orphaned. If that is intended, update \
+         GOLDEN_IDENTITIES to:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 /// Regeneration helper: prints the golden tables in source form.
 #[test]
 #[ignore = "generator: prints constants for the tables above"]
@@ -447,6 +523,12 @@ fn print_goldens() {
     for (workload, experiment, _) in GOLDEN_CC0_REPORT_HASHES {
         let hash = report_hash(&cc0_report(workload, experiment));
         println!("    (\"{workload}\", \"{experiment}\", 0x{hash:016x}),");
+    }
+    println!("];");
+    println!("const GOLDEN_IDENTITIES: [(&str, u64, u64); 7] = [");
+    for (name, job) in identity_jobs() {
+        let (fp, key) = (job.fingerprint(), job.simulation_key());
+        println!("    (\"{name}\", 0x{fp:016x}, 0x{key:016x}),");
     }
     println!("];");
 }

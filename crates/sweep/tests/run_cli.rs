@@ -9,7 +9,7 @@
 //! kind, and `st list axes` prints its columns in line.
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -347,8 +347,9 @@ fn every_failure_is_reported_under_its_mode_with_the_exit_code_of_its_kind() {
         .expect("block the compaction's temporary segment");
     let store = store.to_str().expect("utf-8 path");
     let dead = "127.0.0.1:1";
-    let cases: [(&[&str], i32, &str); 19] = [
+    let cases: [(&[&str], i32, &str); 20] = [
         (&["cache", "bogus"], 2, "st cache: unknown action"),
+        (&["cache", "clear", "everything", "--out", store], 2, "st cache: unexpected argument"),
         (&["cache", "evict", "--max-bytes", "1", "--out", store], 1, "st cache evict: "),
         (&["list", "nope"], 2, "st list: unknown category"),
         (&["list", "experiments", "bogus"], 2, "st list: unexpected argument `bogus`"),
@@ -378,6 +379,8 @@ fn every_failure_is_reported_under_its_mode_with_the_exit_code_of_its_kind() {
         assert_eq!(usage, code == 2, "st {args:?}: USAGE after the message: {err}");
         assert!(!err.contains("panicked"), "st {args:?}: {err}");
     }
+    let segment = st_sweep::LogStore::dir_under(Path::new(store)).join("seg-0.log");
+    assert!(segment.is_file(), "a refused `st cache clear` keeps the store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
