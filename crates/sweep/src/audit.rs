@@ -139,13 +139,20 @@ impl SweepRecord {
     /// Canonical identity key: everything but the metrics. Two records
     /// with equal keys claim the same grid coordinates.
     fn identity(&self) -> String {
-        let mut key =
-            format!("{}\u{1f}{}\u{1f}{}", self.kind.label(), self.workload, self.experiment);
-        for (name, value) in &self.bindings {
-            key.push_str(&format!("\u{1f}{name}={:016x}", value.to_bits()));
-        }
-        key
+        coordinate_key(&[self.kind.label(), &self.workload, &self.experiment], &self.bindings, None)
     }
+}
+
+/// The one spelling of a coordinate key: the `leading` parts, then each
+/// binding but `skip` as `name=<its f64 bits in hex>`, all joined by the
+/// unit separator, so two keys are equal exactly when every part and
+/// every bound value is bit-identical.
+fn coordinate_key(leading: &[&str], bindings: &[(String, f64)], skip: Option<&str>) -> String {
+    let mut key = leading.join("\u{1f}");
+    for (name, value) in bindings.iter().filter(|(name, _)| Some(name.as_str()) != skip) {
+        key.push_str(&format!("\u{1f}{name}={:016x}", value.to_bits()));
+    }
+    key
 }
 
 /// Lexicographic comparison of name-sorted `(name, f64)` slices using
@@ -442,11 +449,7 @@ pub fn grid_findings(records: &[SweepRecord], points: &[SweepPoint]) -> Vec<Find
         let mut bindings: Vec<(String, f64)> =
             p.bindings.iter().map(|(n, v)| ((*n).to_string(), v.as_f64())).collect();
         bindings.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let mut key = format!("{}\u{1f}{}", p.job.workload.name, p.job.experiment.id);
-        for (name, value) in &bindings {
-            key.push_str(&format!("\u{1f}{name}={:016x}", value.to_bits()));
-        }
-        (key, bindings)
+        (coordinate_key(&[&p.job.workload.name, p.job.experiment.id], &bindings, None), bindings)
     };
     let mut grid: BTreeMap<String, (usize, Vec<(String, f64)>)> = BTreeMap::new();
     for (i, p) in points.iter().enumerate() {
@@ -456,10 +459,7 @@ pub fn grid_findings(records: &[SweepRecord], points: &[SweepPoint]) -> Vec<Find
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut findings = Vec::new();
     for r in records.iter().filter(|r| r.kind == RecordKind::Report) {
-        let mut key = format!("{}\u{1f}{}", r.workload, r.experiment);
-        for (name, value) in &r.bindings {
-            key.push_str(&format!("\u{1f}{name}={:016x}", value.to_bits()));
-        }
+        let key = coordinate_key(&[&r.workload, &r.experiment], &r.bindings, None);
         if grid.contains_key(&key) {
             seen.insert(key);
         } else {
@@ -513,12 +513,7 @@ fn axis_series<'a>(records: &'a [SweepRecord], axis: &str) -> Vec<Vec<(&'a Sweep
     let mut groups: BTreeMap<String, Vec<(&SweepRecord, f64)>> = BTreeMap::new();
     for r in records.iter().filter(|r| r.kind == RecordKind::Report) {
         let Some(value) = r.binding(axis) else { continue };
-        let mut key = format!("{}\u{1f}{}", r.workload, r.experiment);
-        for (name, v) in &r.bindings {
-            if name != axis {
-                key.push_str(&format!("\u{1f}{name}={:016x}", v.to_bits()));
-            }
-        }
+        let key = coordinate_key(&[&r.workload, &r.experiment], &r.bindings, Some(axis));
         groups.entry(key).or_default().push((r, value));
     }
     let mut series: Vec<Vec<(&SweepRecord, f64)>> = groups.into_values().collect();
@@ -607,13 +602,7 @@ fn edp_confidence(ratio: f64) -> Option<Confidence> {
 fn rule_edp_regression(records: &[SweepRecord]) -> Vec<Finding> {
     let reports: Vec<&SweepRecord> =
         records.iter().filter(|r| r.kind == RecordKind::Report).collect();
-    let coords = |r: &SweepRecord| {
-        let mut key = r.workload.clone();
-        for (name, v) in &r.bindings {
-            key.push_str(&format!("\u{1f}{name}={:016x}", v.to_bits()));
-        }
-        key
-    };
+    let coords = |r: &SweepRecord| coordinate_key(&[&r.workload], &r.bindings, None);
     let baselines: HashMap<String, &SweepRecord> =
         reports.iter().filter(|r| r.experiment == "BASE").map(|r| (coords(r), *r)).collect();
     let mut findings = Vec::new();
@@ -877,10 +866,8 @@ fn rule_stale_baseline(records: &[SweepRecord]) -> Vec<Finding> {
     // coordinates already flagged as conflicting — recomputation is
     // ambiguous there.
     let report_at = |workload: &str, experiment: &str, bindings: &[(String, f64)]| {
-        let mut key = format!("report\u{1f}{workload}\u{1f}{experiment}");
-        for (name, v) in bindings {
-            key.push_str(&format!("\u{1f}{name}={:016x}", v.to_bits()));
-        }
+        let key =
+            coordinate_key(&[RecordKind::Report.label(), workload, experiment], bindings, None);
         if conflicted.contains(&key) {
             return None;
         }

@@ -168,10 +168,10 @@ USAGE:
              [--max-bytes N]
     st serve --fleet W1:P,W2:P,... [--addr HOST:PORT] [--max-inflight N]
              [--worker-timeout SECS]
-    st submit <spec.toml|spec.json> [--addr HOST:PORT] [--priority N]
+    st submit <spec.toml|spec.json> [--addr HOST:PORT]
     st status [--addr HOST:PORT]
     st loadgen <spec.toml|spec.json> [--addr HOST:PORT] [--clients N]
-             [--submissions M] [--priority N] [--smoke] [--bench-json PATH]
+             [--submissions M] [--smoke] [--bench-json PATH]
     st bench [--smoke] [--instr N] [--store]
     st plot <jsonl> --x <key> --y <metric>
     st audit <jsonl|spec.toml|spec.json> [--threads N] [--out DIR] [--no-cache]
@@ -211,8 +211,6 @@ OPTIONS:
                      `serve --fleet`: per-record patience before a
                      silent worker is declared dead and its unfinished
                      range fails over (default 120)
-    --priority N     `submit`/`loadgen`: dispatch priority on a fleet
-                     coordinator (higher first; plain servers ignore it)
     --clients N      `loadgen`: concurrent client threads (default 8;
                      2 with --smoke)
     --submissions M  `loadgen`: total submissions across all clients
@@ -268,7 +266,7 @@ struct Flag {
 
 /// Every flag `st` reads, in the order USAGE's OPTIONS section lists
 /// them. `st list` takes none.
-const FLAGS: [Flag; 25] = [
+const FLAGS: [Flag; 24] = [
     Flag { name: "--threads", takes: Takes::Int, modes: &["repro", "run", "serve", "audit"] },
     Flag { name: "--instr", takes: Takes::Int, modes: &["repro", "run", "bench"] },
     Flag { name: "--set", takes: Takes::Text, modes: &["run"] },
@@ -288,7 +286,6 @@ const FLAGS: [Flag; 25] = [
     Flag { name: "--fleet", takes: Takes::Text, modes: &["serve --fleet"] },
     Flag { name: "--max-inflight", takes: Takes::Int, modes: &["serve --fleet"] },
     Flag { name: "--worker-timeout", takes: Takes::Int, modes: &["serve --fleet"] },
-    Flag { name: "--priority", takes: Takes::Int, modes: &["submit", "loadgen"] },
     Flag { name: "--clients", takes: Takes::Int, modes: &["loadgen"] },
     Flag { name: "--submissions", takes: Takes::Int, modes: &["loadgen"] },
     Flag { name: "--bench-json", takes: Takes::Text, modes: &["loadgen"] },
@@ -968,7 +965,7 @@ fn serve_banner(out: &mut dyn Write, listening: std::net::SocketAddr, details: &
     let _ = out.flush();
 }
 
-/// `st serve --fleet`: run the coordinator tier — partition, dispatch,
+/// `st serve --fleet`: run the coordinator tier — partition, stream,
 /// merge — at `addr` instead of a local simulation service.
 fn serve_fleet(args: &Args, addr: &str, out: &mut dyn Write) -> Result<i32, Failure> {
     let workers: Vec<String> = args
@@ -1022,7 +1019,6 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
         addr: args.service_addr(),
         clients: args.int("--clients")?.unwrap_or(if smoke { 2 } else { 8 }),
         submissions: args.int("--submissions")?.unwrap_or(if smoke { 4 } else { 32 }),
-        priority: args.int("--priority")?,
     };
     // Parse locally first, like `st submit`: a bad spec fails fast
     // instead of counting as N server-side failures.
@@ -1030,15 +1026,8 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let spec = load_spec(&text, args)?;
     writeln!(
         out,
-        "st loadgen: sweep `{}`: {} submissions over {} clients against {}{}",
-        spec.name,
-        config.submissions,
-        config.clients,
-        config.addr,
-        match config.priority {
-            Some(p) => format!(", priority {p}"),
-            None => String::new(),
-        }
+        "st loadgen: sweep `{}`: {} submissions over {} clients against {}",
+        spec.name, config.submissions, config.clients, config.addr,
     )?;
     let result = loadgen::run(&config, &text, &mut io::stderr()).map_err(Failure::Usage)?;
     writeln!(
@@ -1070,7 +1059,6 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
 
 fn cmd_submit(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let path = args.one_positional("spec file")?;
-    let priority = args.int("--priority")?;
     // Parse locally first: a bad spec fails fast with the usual
     // diagnostics, without a server round-trip (the server re-parses the
     // same bytes authoritatively).
@@ -1081,7 +1069,7 @@ fn cmd_submit(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     // everything human-facing goes to stderr. A failed write to stdout
     // ends the stream and the command, quietly when the reader hung up.
     let (mut bytes, mut stdout_error) = (0, None);
-    let streamed = client::submit_with_priority(&addr, &text, priority, &mut |record| {
+    let streamed = client::submit_each(&addr, &text, &mut |record| {
         bytes += record.len() + 1;
         writeln!(out, "{record}").map_err(|e| ClientError(stdout_error.insert(e).to_string()))
     });
@@ -1494,7 +1482,7 @@ mod tests {
             .collect();
         let table: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
         assert_eq!(documented, table);
-        assert_eq!(table.len(), 25);
+        assert_eq!(table.len(), 24);
         let mut modes: Vec<&str> = FLAGS.iter().flat_map(|f| f.modes.iter().copied()).collect();
         modes.sort_unstable();
         modes.dedup();
@@ -1509,13 +1497,10 @@ mod tests {
         let argv = |v: &str| ["--max-bytes".to_string(), v.to_string()];
         let args = read("serve", &argv("64_000_000")).expect("underscores separate digits");
         assert_eq!(args.int::<u64>("--max-bytes").map_err(usage), Ok(Some(64_000_000)));
-        for bad in ["", "x", "-1", "1.5", "1e3"] {
+        for bad in ["", "x", "-1", "1.5", "1e3", "18446744073709551616"] {
             let e = read("serve", &argv(bad)).err().expect("refused");
             assert!(e.starts_with("--max-bytes expects "), "{e}");
         }
-        let priority = ["--priority".to_string(), "4294967296".to_string()];
-        let args = read("submit", &priority).expect("a u64");
-        assert!(args.int::<u32>("--priority").is_err(), "over u32::MAX");
     }
 
     /// Words a command line is drawn from besides the flags: mode

@@ -41,10 +41,10 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ClientError> {
 ///
 /// # Errors
 ///
-/// As [`submit_with_priority`], plus a failed write to `sink`.
+/// As [`submit_each`], plus a failed write to `sink`.
 pub fn submit(addr: &str, spec_text: &str, sink: &mut dyn Write) -> Result<u64, ClientError> {
     let mut bytes = 0;
-    submit_with_priority(addr, spec_text, None, &mut |record| {
+    submit_each(addr, spec_text, &mut |record| {
         writeln!(sink, "{record}")
             .map_err(|e| ClientError(format!("cannot write streamed records: {e}")))?;
         bytes += record.len() as u64 + 1;
@@ -53,55 +53,32 @@ pub fn submit(addr: &str, spec_text: &str, sink: &mut dyn Write) -> Result<u64, 
     Ok(bytes)
 }
 
-/// Submits a sweep spec at a scheduling priority (higher = dispatched
-/// sooner; `None` is the lowest) and hands each streamed record line,
-/// without its newline, to `on_record` as it arrives. Returns the
-/// number of records. The priority travels as a `?priority=N` query
-/// parameter, so the spec body stays byte-for-byte what `st run` reads.
-/// A plain `st serve` ignores it; a fleet coordinator orders its
-/// dispatch queue by it.
+/// Submits a sweep spec and hands each streamed record line, without
+/// its newline, to `on_record` as it arrives. Returns the number of
+/// records.
 ///
 /// The response body is `Connection: close` delimited, so a server
 /// dying mid-stream looks like a clean end-of-stream at the socket
 /// level; the server therefore announces the exact record count in an
 /// `X-Sweep-Records` header, and a stream short of it is an error, never
-/// a silently short sweep. When a (non-standard) server omits the
-/// header, the client expands the spec through the same registry and
-/// derives the expected count itself.
+/// a silently short sweep.
 ///
 /// # Errors
 ///
-/// Connection failures, malformed replies, truncated streams, any
-/// non-200 response (the server's structured error message is folded
-/// into the [`ClientError`]), and the first error `on_record` returns.
-pub fn submit_with_priority(
+/// Connection failures, malformed replies, a stream without the
+/// `X-Sweep-Records` head, truncated streams, any non-200 response (the
+/// server's structured error message is folded into the
+/// [`ClientError`]), and the first error `on_record` returns.
+pub fn submit_each(
     addr: &str,
     spec_text: &str,
-    priority: Option<u32>,
     on_record: &mut dyn FnMut(&str) -> Result<(), ClientError>,
 ) -> Result<u64, ClientError> {
-    let path = match priority {
-        Some(p) => format!("/submit?priority={p}"),
-        None => "/submit".to_string(),
-    };
-    let reply = request(addr, "POST", &path, spec_text, HEAD_TIMEOUT)?;
-    let expected = reply.records.or_else(|| expected_records(spec_text));
+    let reply = request(addr, "POST", "/submit", spec_text, HEAD_TIMEOUT)?;
     // The head arrived; from here the gaps between records are bounded
     // only by simulation time, so the body reads with no deadline (see
     // HEAD_TIMEOUT for why that is safe).
-    read_records(addr, reply.reader, expected, None, on_record)
-}
-
-/// The exact record count (`report` + `comparison` lines) a compliant
-/// server must stream for `spec_text`, derived client-side through the
-/// same axis registry the server expands with. `None` when the spec
-/// does not parse locally — the server may be newer than this client,
-/// so an unparseable spec only disables the truncation fallback; it
-/// never fails the submission on its own.
-fn expected_records(spec_text: &str) -> Option<u64> {
-    let points = crate::spec::SweepSpec::parse(spec_text).ok()?.points().ok()?;
-    let pairing = crate::emit::baseline_pairing(&points, &crate::spec::fingerprints(&points));
-    Some(crate::emit::record_count(&pairing) as u64)
+    read_records(addr, reply, None, on_record)
 }
 
 /// Fetches a fingerprint sub-range of an expanded grid from the service
@@ -119,10 +96,10 @@ fn expected_records(spec_text: &str) -> Option<u64> {
 ///
 /// # Errors
 ///
-/// Connection failures, malformed replies, non-200 responses, a record
-/// count short of the server's `X-Sweep-Records` announcement, or the
-/// first `Err` returned by `on_record` (a validation failure, folded
-/// into the [`ClientError`]).
+/// Connection failures, malformed replies, non-200 responses, a stream
+/// without the `X-Sweep-Records` head, a record count short of its
+/// announcement, or the first `Err` returned by `on_record` (a
+/// validation failure, folded into the [`ClientError`]).
 pub fn fetch_points(
     addr: &str,
     spec_text: &str,
@@ -132,22 +109,27 @@ pub fn fetch_points(
 ) -> Result<u64, ClientError> {
     let path = format!("/points?range={}", crate::shard::format_fp_range(range.0, range.1));
     let reply = request(addr, "GET", &path, spec_text, read_timeout.unwrap_or(HEAD_TIMEOUT))?;
-    read_records(addr, reply.reader, reply.records, read_timeout, &mut |record| {
+    read_records(addr, reply, read_timeout, &mut |record| {
         on_record(record).map_err(|m| ClientError(format!("bad point record from {addr}: {m}")))
     })
 }
 
-/// The one reader of a record stream: hands each line of the body,
-/// without its newline, to `on_record`, then checks the count against
-/// `expected`. A torn last line (the server died mid-record) is never
-/// delivered; the count check reports it.
+/// The one reader of a record stream: refuses a reply that announces
+/// no record count, hands each line of the body, without its newline,
+/// to `on_record`, then checks the count against the announcement. A
+/// torn last line (the server died mid-record) is never delivered; the
+/// count check reports it.
 fn read_records(
     addr: &str,
-    mut reader: BufReader<TcpStream>,
-    expected: Option<u64>,
+    reply: Reply,
     read_timeout: Option<std::time::Duration>,
     on_record: &mut dyn FnMut(&str) -> Result<(), ClientError>,
 ) -> Result<u64, ClientError> {
+    let (mut reader, Some(expected)) = (reply.reader, reply.records) else {
+        return err(format!(
+            "record stream from {addr} has no X-Sweep-Records head, so its end cannot be checked"
+        ));
+    };
     reader
         .get_ref()
         .set_read_timeout(read_timeout)
@@ -162,13 +144,13 @@ fn read_records(
         on_record(record)?;
         records += 1;
     }
-    match expected {
-        Some(expected) if records != expected => err(format!(
+    if records != expected {
+        return err(format!(
             "truncated stream from {addr}: got {records} of {expected} records \
              (did the server die mid-sweep?)"
-        )),
-        _ => Ok(records),
+        ));
     }
+    Ok(records)
 }
 
 /// Fetches the service's status counters: the raw one-line JSON body of
@@ -362,31 +344,27 @@ mod tests {
         assert!(e.0.contains("malformed reply"), "{e}");
     }
 
-    /// 1 point, baseline disabled => exactly 1 record expected.
+    /// A one-point spec, the body of the requests below (the fake
+    /// servers ignore it).
     const ONE_POINT_SPEC: &str = "name = \"t\"\nworkloads = [\"go\"]\nbaseline = false\n\
                                   axis.instructions = [400]\n";
 
     #[test]
-    fn submit_detects_truncation_even_without_the_records_header() {
-        // A non-compliant server omits X-Sweep-Records and dies before
-        // streaming anything: the client derives the expected count from
-        // the spec itself and still reports a hard error.
-        let addr = fake_server("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
-        let e = submit(&addr, ONE_POINT_SPEC, &mut Vec::new()).expect_err("local fallback");
-        assert!(e.0.contains("got 0 of 1 records"), "{e}");
-
-        // The same headerless server delivering the full count passes.
-        let addr =
-            fake_server("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{\"kind\":\"report\"}\n");
+    fn record_streams_without_the_records_head_are_refused() {
+        // A server that omits X-Sweep-Records gives no way to tell a
+        // complete stream from one cut short, so even a whole-looking
+        // stream is refused, by both readers, before any record passes.
+        let headless = "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{\"kind\":\"report\"}\n";
         let mut out = Vec::new();
-        submit(&addr, ONE_POINT_SPEC, &mut out).expect("complete headerless stream");
-        assert_eq!(out, b"{\"kind\":\"report\"}\n");
-
-        // An unparseable spec disables the fallback rather than failing:
-        // the server may speak a newer spec dialect than this client.
-        let addr = fake_server("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
-        submit(&addr, "some future spec dialect", &mut Vec::new())
-            .expect("no fallback for unparseable specs");
+        let e = submit(&fake_server(headless), ONE_POINT_SPEC, &mut out).expect_err("no head");
+        assert!(e.0.contains("no X-Sweep-Records head"), "{e}");
+        assert!(out.is_empty(), "nothing relayed");
+        let e =
+            fetch_points(&fake_server(headless), ONE_POINT_SPEC, (0, u64::MAX), None, &mut |_| {
+                panic!("a record passed")
+            })
+            .expect_err("no head");
+        assert!(e.0.contains("no X-Sweep-Records head"), "{e}");
     }
 
     #[test]

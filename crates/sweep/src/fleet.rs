@@ -4,46 +4,48 @@
 //! one `/submit` endpoint. Where [`crate::service`] answers a submission
 //! from its own engine, the coordinator owns **no simulator at all** —
 //! it expands the submitted spec once, through the same axis registry,
-//! partitions the grid by the deterministic fingerprint-range
-//! [`ShardPlan`], and dispatches each range to a worker's
-//! `GET /points?range=lo-hi` endpoint over the wire protocol in
-//! [`crate::client`]. Each returned shard `point` record is verified
-//! ([`shard::parse_record`]: placement by fingerprint, tamper by
-//! content hash) and decoded once, at ingest, and placed in the
-//! submission's `Collector`, the collector `st merge` uses, which
-//! holds the overlap and coverage rules. The coordinator then renders
-//! the decoded reports with [`crate::emit`], so piping `st submit`
-//! through a fleet is **byte-identical** to a local `st run`, the same
-//! contract every other distribution layer in this crate honours.
+//! partitions the grid over the live workers by the deterministic
+//! fingerprint-range [`ShardPlan`], and streams each range from a
+//! worker's `GET /points?range=lo-hi` endpoint over the wire protocol in
+//! [`crate::client`], one scoped thread per range. Each returned shard
+//! `point` record is verified ([`shard::parse_record`]: placement by
+//! fingerprint, tamper by content hash) and decoded once, at ingest, and
+//! placed in the submission's `Collector`, the collector `st merge`
+//! uses, which holds the overlap and coverage rules. The coordinator
+//! then renders the decoded reports with [`crate::emit`], so piping
+//! `st submit` through a fleet is **byte-identical** to a local
+//! `st run`, the same contract every other distribution layer in this
+//! crate honours.
+//!
+//! The coordinator schedules nothing itself: a worker may stream ranges
+//! of several submissions at once, and its engine's permits bound its
+//! simulations while its machine table shares their machines.
 //!
 //! Robustness model:
 //!
-//! * **Failover.** Workers stream a range in `(fingerprint, seq)` order,
-//!   so whatever arrives before a worker dies is a *prefix* of its
-//!   range; the unfinished remainder `[first-missing-fp, hi]` is a
-//!   well-formed range that gets requeued for a surviving worker.
-//!   Workers serve cache-first, so a range that failed over near its
-//!   end costs almost nothing to finish — completed points are never
+//! * **Failover in place.** Workers stream a range in
+//!   `(fingerprint, seq)` order, so whatever arrives before a worker
+//!   dies is a *prefix* of its range; the range's thread streams the
+//!   unfinished remainder `[first-missing-fp, hi]` from the next live
+//!   worker. Workers serve cache-first, so a range that failed over near
+//!   its end costs almost nothing to finish — completed points are never
 //!   re-simulated. A worker that fails is marked dead and never
-//!   dispatched to again; when the last worker dies, in-flight and
-//!   later submissions fail fast (clients see a truncated stream, a
-//!   hard error) instead of hanging.
+//!   contacted again; when the last worker dies, in-flight and later
+//!   submissions fail fast (clients see a truncated stream, a hard
+//!   error) instead of hanging.
 //! * **Admission control.** At most `max_inflight` submissions stream
 //!   concurrently; excess submissions get a structured `429` reply the
 //!   client surfaces verbatim, so backpressure is visible instead of
 //!   silent queueing collapse.
-//! * **Priorities.** `POST /submit?priority=N` (higher = sooner) orders
-//!   the dispatch queue; the spec body stays byte-for-byte what
-//!   `st run` reads, so priority never perturbs the output.
 //!
 //! The coordinator speaks the same `GET /status` / `POST /shutdown`
 //! surface as a plain server, with fleet-shaped counters (per-worker
-//! liveness, queue depth, failovers, rejections).
+//! liveness, failovers, rejections).
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::client;
@@ -65,9 +67,9 @@ pub struct FleetConfig {
     pub max_inflight: usize,
     /// Longest wait tolerated for the connect, for the response head and
     /// between two records of one range stream before the worker is
-    /// declared dead and its unfinished range failed over. Gaps are
-    /// bounded by one point's simulation time on a loaded worker, not the
-    /// whole range.
+    /// declared dead and its unfinished range failed over. A worker may
+    /// serve several ranges at once, so on a loaded worker a gap can
+    /// last a few points' simulation time, but never the whole range.
     pub worker_timeout: Duration,
 }
 
@@ -83,9 +85,12 @@ impl Default for FleetConfig {
     }
 }
 
+/// Why a submission fails once no worker is left to stream its ranges.
+const EVERY_WORKER_DEAD: &str = "every fleet worker is dead";
+
 /// One federated worker, as the coordinator tracks it. Death is
 /// permanent for the coordinator's lifetime: a worker that failed once
-/// (connection refused, timeout, bad record) is never dispatched to
+/// (connection refused, timeout, bad record) is never contacted
 /// again — restarting workers means restarting the coordinator.
 #[derive(Debug)]
 struct Worker {
@@ -94,84 +99,14 @@ struct Worker {
     ranges_served: AtomicU64,
 }
 
-/// One submission mid-flight through the fleet: the verbatim spec text
-/// (forwarded to workers byte-for-byte), the expanded grid, and the
-/// records placed so far.
-#[derive(Debug)]
-struct Submission {
-    spec_text: String,
-    points: Vec<SweepPoint>,
-    fingerprints: Vec<u64>,
-    state: Mutex<SubmissionState>,
-    done: Condvar,
-}
-
-#[derive(Debug)]
-struct SubmissionState {
-    /// The verified records the workers have streamed, placed by grid
-    /// seq.
-    collector: Collector,
-    /// Dispatched-but-unfinished range count; `0` with no failure means
-    /// the grid is fully covered.
-    outstanding: usize,
-    /// First fatal error; set once, ends the submission.
-    failed: Option<String>,
-}
-
-impl Submission {
-    fn finish_one(&self) {
-        let mut state = self.state.lock().expect("submission state poisoned");
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn fail(&self, message: String) {
-        let mut state = self.state.lock().expect("submission state poisoned");
-        if state.failed.is_none() {
-            state.failed = Some(message);
-        }
-        self.done.notify_all();
-    }
-}
-
-/// One queued unit of work: dispatch the `[lo, hi]` fingerprint range
-/// of `submission` to some worker.
-#[derive(Debug)]
-struct Assignment {
-    submission: Arc<Submission>,
-    lo: u64,
-    hi: u64,
-    priority: u32,
-    /// Admission order, for FIFO within a priority class.
-    seq: u64,
-}
-
-/// Picks the next assignment to dispatch: highest `priority` first,
-/// FIFO (`seq`) within a class. Separated out so the policy is unit
-/// testable without sockets.
-fn pop_best(queue: &mut Vec<Assignment>) -> Option<Assignment> {
-    let best = queue
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, a)| (a.priority, std::cmp::Reverse(a.seq)))
-        .map(|(i, _)| i)?;
-    Some(queue.swap_remove(best))
-}
-
-/// The sharable coordinator core: workers, the priority dispatch queue,
-/// admission accounting and counters. [`FleetServer`] adds the socket.
+/// The coordinator core: workers, admission accounting and counters.
+/// [`FleetServer`] adds the socket.
 #[derive(Debug)]
 pub struct Fleet {
     workers: Vec<Worker>,
     max_inflight: usize,
     worker_timeout: Duration,
-    queue: Mutex<Vec<Assignment>>,
-    queue_ready: Condvar,
-    stop: AtomicBool,
     active: Mutex<usize>,
-    next_assignment: AtomicU64,
     submissions: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -180,7 +115,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// A coordinator over `config`'s workers. Purely in-memory; nothing
-    /// connects until the first dispatch.
+    /// connects until the first submission.
     #[must_use]
     pub fn new(config: &FleetConfig) -> Fleet {
         Fleet {
@@ -195,11 +130,7 @@ impl Fleet {
                 .collect(),
             max_inflight: config.max_inflight,
             worker_timeout: config.worker_timeout,
-            queue: Mutex::new(Vec::new()),
-            queue_ready: Condvar::new(),
-            stop: AtomicBool::new(false),
             active: Mutex::new(0),
-            next_assignment: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -207,148 +138,21 @@ impl Fleet {
         }
     }
 
-    fn alive_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.alive.load(Ordering::SeqCst)).count()
+    fn is_alive(&self, w: usize) -> bool {
+        self.workers[w].alive.load(Ordering::SeqCst)
     }
 
-    /// Ends every dispatcher loop (called once the accept loop has
-    /// drained, so no submission can still be waiting on them).
-    fn stop_dispatchers(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.queue_ready.notify_all();
-    }
-
-    /// The dispatcher loop for worker `w`: pop the best-priority
-    /// assignment, stream its range from the worker, repeat. Exits when
-    /// the fleet stops or the worker dies.
-    fn dispatch_loop(&self, w: usize) {
-        while !self.stop.load(Ordering::SeqCst) && self.workers[w].alive.load(Ordering::SeqCst) {
-            let assignment = {
-                let mut queue = self.queue.lock().expect("dispatch queue poisoned");
-                match pop_best(&mut queue) {
-                    Some(a) => a,
-                    None => {
-                        // Condvar wait with a timeout: `stop` and worker
-                        // death must be observable even with no traffic.
-                        let _unused = self
-                            .queue_ready
-                            .wait_timeout(queue, Duration::from_millis(50))
-                            .expect("dispatch queue poisoned");
-                        continue;
-                    }
-                }
-            };
-            self.run_assignment(w, assignment);
-        }
-    }
-
-    /// Streams one range from worker `w` into its submission, verifying
-    /// every record at ingest ([`shard::parse_record`]: position,
-    /// fingerprint, content hash, outside the submission lock) and
-    /// placing it in the submission's `Collector`. Any failure —
-    /// connect, timeout, truncation, a record that fails verification
-    /// or differs from another worker's copy — kills the worker and
-    /// fails the unfinished remainder over to the survivors.
-    fn run_assignment(&self, w: usize, assignment: Assignment) {
-        let submission = Arc::clone(&assignment.submission);
-        {
-            let state = submission.state.lock().expect("submission state poisoned");
-            if state.failed.is_some() {
-                drop(state);
-                submission.finish_one();
-                return;
-            }
-        }
-        let worker = &self.workers[w];
-        let result = client::fetch_points(
-            &worker.addr,
-            &submission.spec_text,
-            (assignment.lo, assignment.hi),
-            Some(self.worker_timeout),
-            &mut |line| {
-                let record =
-                    shard::parse_record(line, &submission.points, &submission.fingerprints)
-                        .map_err(|e| e.0)?;
-                let mut state = submission.state.lock().expect("submission state poisoned");
-                state.collector.place(record).map(drop).map_err(|e| e.0)
-            },
-        );
-        match result {
-            Ok(_) => {
-                worker.ranges_served.fetch_add(1, Ordering::Relaxed);
-                submission.finish_one();
-            }
-            Err(e) => {
-                worker.alive.store(false, Ordering::SeqCst);
-                eprintln!(
-                    "st serve --fleet: worker {} failed on range {}: {e}",
-                    worker.addr,
-                    shard::format_fp_range(assignment.lo, assignment.hi),
-                );
-                self.fail_over(assignment);
-            }
-        }
-    }
-
-    /// Requeues the unfinished remainder of a dead worker's range. The
-    /// worker streamed in `(fingerprint, seq)` order, so the received
-    /// part is a prefix: the remainder starts at the first missing
-    /// member's fingerprint. The caller marked the worker dead first, so
-    /// with no survivors left [`Fleet::enqueue`] fails the submission
-    /// instead of letting it hang.
-    fn fail_over(&self, assignment: Assignment) {
-        let submission = &assignment.submission;
-        let members =
-            ShardPlan::members_in_range(&submission.fingerprints, assignment.lo, assignment.hi);
-        let first_missing = {
-            let state = submission.state.lock().expect("submission state poisoned");
-            members.iter().copied().find(|&seq| !state.collector.has(seq))
-        };
-        let Some(first_missing) = first_missing else {
-            // Every member arrived before the connection died (the
-            // failure hit after the last record): the range is done.
-            submission.finish_one();
-            return;
-        };
-        let remainder = Assignment {
-            lo: submission.fingerprints[first_missing],
-            hi: assignment.hi,
-            seq: self.next_assignment.fetch_add(1, Ordering::Relaxed),
-            ..assignment
-        };
-        if self.enqueue(vec![remainder]) {
-            self.failovers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Queues `assignments` for the dispatchers and returns `true`, or,
-    /// when no worker is alive, fails their submissions and every
-    /// queued one and returns `false`. The live-worker check and the
-    /// queue change happen under one lock, and a worker is marked dead
-    /// before its dispatcher calls this, so no assignment is ever left
-    /// in a queue that no dispatcher will pop.
-    fn enqueue(&self, assignments: Vec<Assignment>) -> bool {
-        let mut queue = self.queue.lock().expect("dispatch queue poisoned");
-        if self.alive_workers() == 0 {
-            let orphans = std::mem::take(&mut *queue);
-            drop(queue);
-            for orphan in assignments.iter().chain(&orphans) {
-                orphan.submission.fail("every fleet worker is dead".to_string());
-            }
-            return false;
-        }
-        queue.extend(assignments);
-        drop(queue);
-        self.queue_ready.notify_all();
-        true
+    /// The live workers' indices, in configuration order.
+    fn live_workers(&self) -> Vec<usize> {
+        (0..self.workers.len()).filter(|&w| self.is_alive(w)).collect()
     }
 
     /// Runs one submission end-to-end: partition the grid, whose points'
-    /// fingerprints are `fingerprints`, over the currently-alive
-    /// workers, enqueue every non-empty range at `priority`, block until
-    /// the grid is covered (failovers included) or the submission fails,
-    /// then return the canonical JSONL, rendered from the reports
-    /// decoded at ingest with `pairing`.
+    /// fingerprints are `fingerprints`, over the live workers, stream
+    /// every non-empty range on a scoped thread of its own, starting
+    /// with the shard's worker ([`Fleet::stream_range`]), then return
+    /// the canonical JSONL, rendered from the reports decoded at ingest
+    /// with `pairing`.
     ///
     /// # Errors
     ///
@@ -357,50 +161,99 @@ impl Fleet {
     fn run_submission(
         &self,
         spec_text: &str,
-        points: Vec<SweepPoint>,
-        fingerprints: Vec<u64>,
+        points: &[SweepPoint],
+        fingerprints: &[u64],
         pairing: &[Option<usize>],
-        priority: u32,
     ) -> Result<String, String> {
         self.submissions.fetch_add(1, Ordering::Relaxed);
-        let alive = self.alive_workers().max(1);
-        let plan = ShardPlan::new(&fingerprints, alive).map_err(|e| e.0)?;
-        let ranges: Vec<(u64, u64)> = (0..plan.of()).filter_map(|s| plan.range(s)).collect();
-        let submission = Arc::new(Submission {
-            spec_text: spec_text.to_string(),
-            fingerprints,
-            state: Mutex::new(SubmissionState {
-                collector: Collector::new(points.len()),
-                outstanding: ranges.len(),
-                failed: None,
-            }),
-            done: Condvar::new(),
-            points,
-        });
-        self.enqueue(
-            ranges
-                .into_iter()
-                .map(|(lo, hi)| Assignment {
-                    submission: Arc::clone(&submission),
-                    lo,
-                    hi,
-                    priority,
-                    seq: self.next_assignment.fetch_add(1, Ordering::Relaxed),
+        let live = self.live_workers();
+        if live.is_empty() {
+            return Err(EVERY_WORKER_DEAD.to_string());
+        }
+        let plan = ShardPlan::new(fingerprints, live.len()).map_err(|e| e.0)?;
+        let collector = Mutex::new(Collector::new(points.len()));
+        std::thread::scope(|scope| {
+            let ranges: Vec<_> = (0..plan.of())
+                .filter_map(|s| plan.range(s).map(|range| (live[s], range)))
+                .map(|(w, range)| {
+                    let collector = &collector;
+                    scope.spawn(move || {
+                        self.stream_range(w, range, spec_text, points, fingerprints, collector)
+                    })
                 })
-                .collect(),
-        );
-
-        let mut state = submission.state.lock().expect("submission state poisoned");
-        while state.failed.is_none() && state.outstanding > 0 {
-            state = submission.done.wait(state).expect("submission state poisoned");
-        }
-        if let Some(failure) = &state.failed {
-            return Err(failure.clone());
-        }
-        let reports = std::mem::take(&mut state.collector).finish().map_err(|e| e.0)?;
-        drop(state);
+                .collect();
+            ranges.into_iter().try_for_each(|r| r.join().expect("a range thread panicked"))
+        })?;
+        let reports =
+            collector.into_inner().expect("collector poisoned").finish().map_err(|e| e.0)?;
         self.completed.fetch_add(1, Ordering::Relaxed);
-        Ok(emit::sweep_jsonl_with_pairing(&submission.points, &reports, pairing))
+        Ok(emit::sweep_jsonl_with_pairing(points, &reports, pairing))
+    }
+
+    /// Streams the `[lo, hi]` fingerprint range from worker `w`,
+    /// verifying every record at ingest ([`shard::parse_record`]:
+    /// position, fingerprint, content hash, outside the collector lock)
+    /// and placing it in `collector`. Any failure — connect, timeout,
+    /// truncation, a record that fails verification or differs from
+    /// another worker's copy — marks the worker dead, and the thread
+    /// streams the unfinished remainder from the next live worker.
+    ///
+    /// # Errors
+    ///
+    /// [`EVERY_WORKER_DEAD`] once no live worker is left to take the
+    /// remainder.
+    fn stream_range(
+        &self,
+        mut w: usize,
+        (mut lo, hi): (u64, u64),
+        spec_text: &str,
+        points: &[SweepPoint],
+        fingerprints: &[u64],
+        collector: &Mutex<Collector>,
+    ) -> Result<(), String> {
+        loop {
+            let worker = &self.workers[w];
+            let streamed = client::fetch_points(
+                &worker.addr,
+                spec_text,
+                (lo, hi),
+                Some(self.worker_timeout),
+                &mut |line| {
+                    let record =
+                        shard::parse_record(line, points, fingerprints).map_err(|e| e.0)?;
+                    let mut collector = collector.lock().expect("collector poisoned");
+                    collector.place(record).map(drop).map_err(|e| e.0)
+                },
+            );
+            let Err(e) = streamed else {
+                worker.ranges_served.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            };
+            worker.alive.store(false, Ordering::SeqCst);
+            eprintln!(
+                "st serve --fleet: worker {} failed on range {}: {e}",
+                worker.addr,
+                shard::format_fp_range(lo, hi),
+            );
+            // The worker streamed in `(fingerprint, seq)` order, so the
+            // received part is a prefix: the remainder starts at the
+            // first missing member's fingerprint.
+            let members = ShardPlan::members_in_range(fingerprints, lo, hi);
+            let first_missing = {
+                let collector = collector.lock().expect("collector poisoned");
+                members.into_iter().find(|&seq| !collector.has(seq))
+            };
+            // Every member arrived before the connection died (the
+            // failure hit after the last record): the range is done.
+            let Some(first_missing) = first_missing else { return Ok(()) };
+            lo = fingerprints[first_missing];
+            let n = self.workers.len();
+            w = (1..n)
+                .map(|i| (w + i) % n)
+                .find(|&next| self.is_alive(next))
+                .ok_or_else(|| EVERY_WORKER_DEAD.to_string())?;
+            self.failovers.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The coordinator's `GET /status` payload: fleet-shaped counters
@@ -420,10 +273,9 @@ impl Fleet {
             })
             .collect();
         format!(
-            "{{\"kind\":\"fleet-status\",\"workers\":[{}],\"alive_workers\":{},\"queue_depth\":{},\"active_submissions\":{},\"max_inflight\":{},\"submissions\":{},\"completed\":{},\"rejected\":{},\"failovers\":{}}}",
+            "{{\"kind\":\"fleet-status\",\"workers\":[{}],\"alive_workers\":{},\"active_submissions\":{},\"max_inflight\":{},\"submissions\":{},\"completed\":{},\"rejected\":{},\"failovers\":{}}}",
             workers.join(","),
-            self.alive_workers(),
-            self.queue.lock().expect("dispatch queue poisoned").len(),
+            self.live_workers().len(),
             *self.active.lock().expect("admission counter poisoned"),
             self.max_inflight,
             self.submissions.load(Ordering::Relaxed),
@@ -446,14 +298,14 @@ impl Drop for AdmissionSlot<'_> {
     }
 }
 
-/// The coordinator daemon: a bound listener, the shared [`Fleet`], and
-/// one dispatcher thread per worker.
+/// The coordinator daemon: a bound listener and the [`Fleet`] it
+/// serves.
 #[derive(Debug)]
 pub struct FleetServer {
     listener: TcpListener,
     addr: SocketAddr,
-    fleet: Arc<Fleet>,
-    shutdown: Arc<AtomicBool>,
+    fleet: Fleet,
+    shutdown: AtomicBool,
 }
 
 impl FleetServer {
@@ -470,8 +322,8 @@ impl FleetServer {
         Ok(FleetServer {
             listener,
             addr,
-            fleet: Arc::new(Fleet::new(config)),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            fleet: Fleet::new(config),
+            shutdown: AtomicBool::new(false),
         })
     }
 
@@ -481,7 +333,7 @@ impl FleetServer {
         self.addr
     }
 
-    /// The shared coordinator core, for in-process inspection in tests.
+    /// The coordinator core, for in-process inspection in tests.
     #[must_use]
     pub fn fleet(&self) -> &Fleet {
         &self.fleet
@@ -496,19 +348,7 @@ impl FleetServer {
     /// Reserved for fatal listener failures, exactly like
     /// [`crate::service::Server::run`].
     pub fn run(&self) -> std::io::Result<()> {
-        std::thread::scope(|scope| {
-            for w in 0..self.fleet.workers.len() {
-                let fleet = Arc::clone(&self.fleet);
-                scope.spawn(move || fleet.dispatch_loop(w));
-            }
-            let result = serve_connections(&self.listener, &self.shutdown, &|stream| {
-                self.handle_connection(stream);
-            });
-            // The accept loop has drained: every submission finished, so
-            // the dispatchers are idle and can stop.
-            self.fleet.stop_dispatchers();
-            result
-        })
+        serve_connections(&self.listener, &self.shutdown, &|stream| self.handle_connection(stream))
     }
 
     fn handle_connection(&self, mut stream: TcpStream) {
@@ -520,7 +360,7 @@ impl FleetServer {
             }
         };
         let outcome = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/submit") => self.handle_submit(&mut stream, &request.query, &request.body),
+            ("POST", "/submit") => self.handle_submit(&mut stream, &request.body),
             ("GET", "/status") => respond_json(&mut stream, 200, &self.fleet.status_json()),
             ("POST", "/shutdown") => {
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -540,28 +380,11 @@ impl FleetServer {
         let _ = outcome;
     }
 
-    /// `POST /submit[?priority=N]` on the coordinator: admit (or 429),
-    /// expand, announce the head, fan the ranges out, merge, stream.
-    fn handle_submit(
-        &self,
-        stream: &mut TcpStream,
-        query: &str,
-        body: &str,
-    ) -> std::io::Result<()> {
-        let fleet = &*self.fleet;
-        let priority = match query.split('&').find_map(|kv| kv.strip_prefix("priority=")) {
-            None => 0u32,
-            Some(raw) => match raw.parse() {
-                Ok(p) => p,
-                Err(_) => {
-                    return respond_error(
-                        stream,
-                        400,
-                        &format!("unparseable priority `{raw}` (expected an unsigned integer)"),
-                    );
-                }
-            },
-        };
+    /// `POST /submit` on the coordinator: admit (or 429), expand,
+    /// announce the head, stream the ranges from the workers, merge,
+    /// stream.
+    fn handle_submit(&self, stream: &mut TcpStream, body: &str) -> std::io::Result<()> {
+        let fleet = &self.fleet;
         // Admission first: a saturated coordinator must shed load
         // before doing any per-submission work at all.
         let _slot = {
@@ -583,7 +406,7 @@ impl FleetServer {
             *active += 1;
             AdmissionSlot { fleet }
         };
-        if fleet.alive_workers() == 0 {
+        if fleet.live_workers().is_empty() {
             return respond_error(stream, 503, "every fleet worker is dead; restart the fleet");
         }
         let Some((spec, points)) = read_grid(stream, body)? else { return Ok(()) };
@@ -593,7 +416,7 @@ impl FleetServer {
         let fingerprints = crate::spec::fingerprints(&points);
         let pairing = emit::baseline_pairing(&points, &fingerprints);
         write_stream_head(stream, &spec, points.len(), emit::record_count(&pairing))?;
-        match fleet.run_submission(body, points, fingerprints, &pairing, priority) {
+        match fleet.run_submission(body, &points, &fingerprints, &pairing) {
             Ok(jsonl) => stream.write_all(jsonl.as_bytes()),
             Err(e) => {
                 // The head is already on the wire; closing short makes
@@ -611,6 +434,7 @@ mod tests {
     use crate::engine::SweepEngine;
     use crate::service::{Server, ServiceConfig};
     use crate::spec::SweepSpec;
+    use std::sync::Arc;
 
     /// 2 window sizes x 1 workload x (baseline + C2) = 4 points,
     /// 6 records (4 reports + 2 comparisons).
@@ -623,6 +447,15 @@ mod tests {
         let jobs: Vec<_> = points.iter().map(|p| p.job.clone()).collect();
         let reports = SweepEngine::new(1).run(&jobs);
         emit::sweep_jsonl(&points, &reports)
+    }
+
+    /// `TINY_SPEC`'s grid, fingerprints and baseline pairing, as
+    /// `handle_submit` hands them to [`Fleet::run_submission`].
+    fn tiny_grid() -> (Vec<SweepPoint>, Vec<u64>, Vec<Option<usize>>) {
+        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
+        let fingerprints = crate::spec::fingerprints(&points);
+        let pairing = emit::baseline_pairing(&points, &fingerprints);
+        (points, fingerprints, pairing)
     }
 
     fn start_worker() -> (String, Arc<Server>, std::thread::JoinHandle<std::io::Result<()>>) {
@@ -674,7 +507,42 @@ mod tests {
 
         client::shutdown(&addr).expect("stop fleet");
         handle.join().expect("fleet thread").expect("clean fleet shutdown");
-        assert_eq!(fleet.fleet().alive_workers(), 2);
+        assert_eq!(fleet.fleet().live_workers().len(), 2);
+        for (w, h) in [(w1, h1), (w2, h2)] {
+            client::shutdown(&w).expect("stop worker");
+            h.join().expect("worker thread").expect("clean worker shutdown");
+        }
+    }
+
+    #[test]
+    fn concurrent_submissions_share_the_workers_and_simulate_each_machine_once() {
+        let (w1, s1, h1) = start_worker();
+        let (w2, s2, h2) = start_worker();
+        let config = FleetConfig { workers: vec![w1.clone(), w2.clone()], ..Default::default() };
+        let (_fleet, addr, handle) = start_fleet(&config);
+
+        // Both submissions plan the same ranges onto the same workers,
+        // whose machine tables share each machine between them.
+        let canonical = canonical_jsonl(TINY_SPEC);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let submit = || {
+                start.wait();
+                let mut out = Vec::new();
+                client::submit(&addr, TINY_SPEC, &mut out).expect("fleet submit");
+                assert_eq!(String::from_utf8(out).expect("utf8"), canonical);
+            };
+            scope.spawn(submit);
+            scope.spawn(submit);
+        });
+        let simulated: u64 =
+            [&s1, &s2].iter().map(|s| s.service().engine().stats().simulated).sum();
+        assert_eq!(simulated, 4, "each machine simulated once across both submissions");
+        let status = client::status(&addr).expect("status");
+        assert!(status.contains("\"completed\":2"), "{status}");
+
+        client::shutdown(&addr).expect("stop fleet");
+        handle.join().expect("fleet thread").expect("clean fleet shutdown");
         for (w, h) in [(w1, h1), (w2, h2)] {
             client::shutdown(&w).expect("stop worker");
             h.join().expect("worker thread").expect("clean worker shutdown");
@@ -701,7 +569,7 @@ mod tests {
                 };
                 stream.set_nonblocking(false).expect("blocking stream");
                 let request = read_request(&stream).expect("request");
-                assert_eq!(request.path, "/points", "coordinator only dispatches ranges");
+                assert_eq!(request.path, "/points", "coordinator only streams ranges");
                 let range = request
                     .query
                     .split('&')
@@ -760,7 +628,7 @@ mod tests {
             fleet.fleet().failovers.load(Ordering::Relaxed) >= 1,
             "the dying worker's range actually failed over"
         );
-        assert_eq!(fleet.fleet().alive_workers(), 1, "the dying worker was declared dead");
+        assert_eq!(fleet.fleet().live_workers(), vec![1], "the dying worker was declared dead");
         let status = client::status(&addr).expect("status");
         assert!(status.contains("\"alive\":false"), "{status}");
         assert!(status.contains("\"completed\":1"), "{status}");
@@ -789,32 +657,11 @@ mod tests {
             ..Default::default()
         };
         let fleet = Fleet::new(&config);
-        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
-        let fps = crate::spec::fingerprints(&points);
-        let pairing = emit::baseline_pairing(&points, &fps);
-        let (jsonl, tampering_died) = std::thread::scope(|scope| {
-            let submission = scope.spawn(|| {
-                fleet.run_submission(TINY_SPEC, points.clone(), fps.clone(), &pairing, 0)
-            });
-            // The stand-in takes the first of the two ranges before any
-            // dispatcher runs; only then does the survivor start.
-            let first = {
-                let mut queue = fleet.queue.lock().expect("dispatch queue poisoned");
-                loop {
-                    if let Some(assignment) = pop_best(&mut queue) {
-                        break assignment;
-                    }
-                    queue = fleet.queue_ready.wait(queue).expect("dispatch queue poisoned");
-                }
-            };
-            fleet.run_assignment(0, first);
-            let tampering_died = !fleet.workers[0].alive.load(Ordering::SeqCst);
-            scope.spawn(|| fleet.dispatch_loop(1));
-            let jsonl = submission.join().expect("submission thread");
-            fleet.stop_dispatchers();
-            (jsonl, tampering_died)
-        });
-        assert!(tampering_died, "a worker whose record fails verification is dropped");
+        let (points, fps, pairing) = tiny_grid();
+        // The plan gives the first of the two ranges to the first worker,
+        // the stand-in, and the second to the survivor.
+        let jsonl = fleet.run_submission(TINY_SPEC, &points, &fps, &pairing);
+        assert!(!fleet.is_alive(0), "a worker whose record fails verification is dropped");
         assert_eq!(
             jsonl.expect("the submission survives the tampering"),
             canonical_jsonl(TINY_SPEC),
@@ -830,34 +677,28 @@ mod tests {
 
     #[test]
     fn a_submission_after_the_last_worker_died_fails_at_once() {
-        // An address nothing listens on: the first dispatch kills the
-        // only worker, and its dispatcher exits.
+        // An address nothing listens on: the first submission kills the
+        // only worker.
         let nobody = TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr");
         let config = FleetConfig { workers: vec![nobody.to_string()], ..Default::default() };
         let fleet = Arc::new(Fleet::new(&config));
-        let dispatcher = {
-            let fleet = Arc::clone(&fleet);
-            std::thread::spawn(move || fleet.dispatch_loop(0))
-        };
-        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
-        let fps = crate::spec::fingerprints(&points);
-        let pairing = emit::baseline_pairing(&points, &fps);
-        let dead = Err("every fleet worker is dead".to_string());
-        assert_eq!(fleet.run_submission(TINY_SPEC, points.clone(), fps.clone(), &pairing, 0), dead);
-        dispatcher.join().expect("the dead worker's dispatcher exits");
+        let (points, fps, pairing) = tiny_grid();
+        let dead = Err(EVERY_WORKER_DEAD.to_string());
+        assert_eq!(fleet.run_submission(TINY_SPEC, &points, &fps, &pairing), dead);
+        assert!(fleet.live_workers().is_empty(), "the refused worker was declared dead");
 
-        // Nothing will pop the queue again, so a later submission must
-        // fail instead of waiting forever.
+        // No worker is left to stream a range, so a later submission
+        // must fail instead of waiting forever.
         let (tx, rx) = std::sync::mpsc::channel();
         let second = {
             let fleet = Arc::clone(&fleet);
             std::thread::spawn(move || {
-                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, fps, &pairing, 0));
+                let _ = tx.send(fleet.run_submission(TINY_SPEC, &points, &fps, &pairing));
             })
         };
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).expect("returns within 5 s"), dead);
         second.join().expect("second submission thread");
-        assert_eq!(fleet.queue.lock().expect("queue").len(), 0, "nothing left queued");
+        assert_eq!(fleet.failovers.load(Ordering::Relaxed), 0, "no live worker took a range");
     }
 
     #[test]
@@ -871,25 +712,18 @@ mod tests {
             ..Default::default()
         };
         let fleet = Arc::new(Fleet::new(&config));
-        let dispatcher = {
-            let fleet = Arc::clone(&fleet);
-            std::thread::spawn(move || fleet.dispatch_loop(0))
-        };
-        let points = SweepSpec::parse(TINY_SPEC).expect("spec").points().expect("points");
-        let fps = crate::spec::fingerprints(&points);
-        let pairing = emit::baseline_pairing(&points, &fps);
+        let (points, fps, pairing) = tiny_grid();
         let (tx, rx) = std::sync::mpsc::channel();
         let submission = {
             let fleet = Arc::clone(&fleet);
             std::thread::spawn(move || {
-                let _ = tx.send(fleet.run_submission(TINY_SPEC, points, fps, &pairing, 0));
+                let _ = tx.send(fleet.run_submission(TINY_SPEC, &points, &fps, &pairing));
             })
         };
         let verdict = rx.recv_timeout(Duration::from_secs(5)).expect("fails within 5 s");
-        assert_eq!(verdict, Err("every fleet worker is dead".to_string()));
+        assert_eq!(verdict, Err(EVERY_WORKER_DEAD.to_string()));
         submission.join().expect("submission thread");
-        dispatcher.join().expect("the dead worker's dispatcher exits");
-        assert_eq!(fleet.alive_workers(), 0);
+        assert!(fleet.live_workers().is_empty());
         drop(silent);
     }
 
@@ -910,36 +744,5 @@ mod tests {
         handle.join().expect("fleet thread").expect("clean fleet shutdown");
         client::shutdown(&worker).expect("stop worker");
         wh.join().expect("worker thread").expect("clean worker shutdown");
-    }
-
-    #[test]
-    fn dispatch_queue_orders_by_priority_then_fifo() {
-        let submission = Arc::new(Submission {
-            spec_text: String::new(),
-            points: Vec::new(),
-            fingerprints: Vec::new(),
-            state: Mutex::new(SubmissionState {
-                collector: Collector::default(),
-                outstanding: 0,
-                failed: None,
-            }),
-            done: Condvar::new(),
-        });
-        let assignment = |priority: u32, seq: u64| Assignment {
-            submission: Arc::clone(&submission),
-            lo: 0,
-            hi: u64::MAX,
-            priority,
-            seq,
-        };
-        let mut queue =
-            vec![assignment(0, 0), assignment(5, 1), assignment(5, 2), assignment(1, 3)];
-        let order: Vec<(u32, u64)> =
-            std::iter::from_fn(|| pop_best(&mut queue)).map(|a| (a.priority, a.seq)).collect();
-        assert_eq!(
-            order,
-            vec![(5, 1), (5, 2), (1, 3), (0, 0)],
-            "highest priority first, FIFO within a class"
-        );
     }
 }

@@ -33,20 +33,12 @@ pub struct LoadgenConfig {
     pub clients: usize,
     /// Total submissions across all clients.
     pub submissions: usize,
-    /// Optional priority attached to every submission (fleet only;
-    /// plain servers ignore it).
-    pub priority: Option<u32>,
 }
 
 impl Default for LoadgenConfig {
     /// The `st loadgen` defaults: 8 clients x 32 submissions.
     fn default() -> LoadgenConfig {
-        LoadgenConfig {
-            addr: String::from("127.0.0.1:7077"),
-            clients: 8,
-            submissions: 32,
-            priority: None,
-        }
+        LoadgenConfig { addr: String::from("127.0.0.1:7077"), clients: 8, submissions: 32 }
     }
 }
 
@@ -224,12 +216,7 @@ pub fn run(
                 let begin = Instant::now();
                 // Loadgen measures delivery: it counts the records and
                 // keeps none of them.
-                match client::submit_with_priority(
-                    &config.addr,
-                    spec_text,
-                    config.priority,
-                    &mut |_| Ok(()),
-                ) {
+                match client::submit_each(&config.addr, spec_text, &mut |_| Ok(())) {
                     Ok(records) => {
                         let ms = begin.elapsed().as_secs_f64() * 1e3;
                         latencies.lock().expect("latencies poisoned").push(ms);
@@ -317,8 +304,7 @@ mod tests {
             std::thread::spawn(move || server.run())
         };
 
-        let config =
-            LoadgenConfig { addr: addr.clone(), clients: 2, submissions: 4, priority: None };
+        let config = LoadgenConfig { addr: addr.clone(), clients: 2, submissions: 4 };
         let mut diag = Vec::new();
         let result = run(&config, spec, &mut diag).expect("load run");
         assert!(diag.is_empty(), "{}", String::from_utf8_lossy(&diag));
@@ -382,7 +368,7 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
             listener.local_addr().expect("addr").to_string()
         };
-        let config = LoadgenConfig { addr, clients: 2, submissions: 3, priority: None };
+        let config = LoadgenConfig { addr, clients: 2, submissions: 3 };
         let mut diag = Vec::new();
         let result = run(&config, "name = \"x\"", &mut diag).expect("run completes");
         assert_eq!(result.submissions, 0);

@@ -1,6 +1,6 @@
 //! End-to-end test of the fleet tier through the real `st` binary: two
 //! background `st serve` workers, an `st serve --fleet` coordinator,
-//! `st submit --priority` streaming to stdout, fleet `st status`, and
+//! `st submit` streaming to stdout, fleet `st status`, and
 //! `st loadgen` writing the BENCH_service.json artifact — with the
 //! acceptance bar that the merged stream is byte-identical to a
 //! single-process `st run --no-cache`. Also audits the new CLI usage
@@ -71,9 +71,9 @@ fn fleet_round_trip_is_byte_identical_and_loadgen_records_the_artifact() {
     let (coord, fleet_addr) =
         spawn_serve(&["--fleet", &format!("{addr1},{addr2}"), "--max-inflight", "4"]);
 
-    // A prioritised submission through the coordinator streams the
-    // exact bytes `st run` writes, reassembled from both workers.
-    let merged = run_ok(st().args(["submit", spec, "--addr", &fleet_addr, "--priority", "3"]));
+    // A submission through the coordinator streams the exact bytes
+    // `st run` writes, reassembled from both workers.
+    let merged = run_ok(st().args(["submit", spec, "--addr", &fleet_addr]));
     assert_eq!(merged, reference, "fleet stream must be byte-identical to `st run --no-cache`");
 
     let status = run_ok(st().args(["status", "--addr", &fleet_addr]));
@@ -128,10 +128,14 @@ fn fleet_and_loadgen_usage_errors_exit_two_with_diagnostics() {
     let first = check(st().args(["serve", "--max-inflight", "4"]), 2, "st serve: only");
     assert!(first.contains("(--max-inflight is for st serve --fleet)"), "{first}");
     check(st().args(["serve", "stop", "--fleet", "w:1"]), 2, "st serve stop: only --addr");
-    // --priority is a service-tier flag: submit/loadgen only, and typed.
-    check(st().args(["submit", spec, "--priority", "soon"]), 2, "st submit: --priority expects");
-    check(st().args(["run", spec, "--priority", "1"]), 2, "st run:");
-    check(st().args(["status", "--priority", "1"]), 2, "st status: only --addr");
+    // No command takes a scheduling flag: the workers' engines are the
+    // one scheduler.
+    check(
+        st().args(["submit", spec, "--priority", "1"]),
+        2,
+        "st submit: unknown flag `--priority`",
+    );
+    check(st().args(["loadgen", spec, "--priority", "1"]), 2, "st loadgen: unknown flag");
     // loadgen validates its own surface.
     check(st().args(["loadgen"]), 2, "st loadgen: expected exactly one spec file");
     check(st().args(["loadgen", spec, "--threads", "2"]), 2, "st loadgen: only");
